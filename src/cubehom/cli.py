@@ -68,6 +68,19 @@ def _truncation(args) -> int:
     return t
 
 
+def _load_system(path, base, presented):
+    """Build a --system document on base; a table-system is checked in full.
+
+    Constant systems are functorial by construction and local systems are
+    validated by their builder, so only a table-system needs the check.
+    """
+    data = formats.load_document(path)
+    F = formats.build_system(data, base, presented)
+    if data["type"] == "table-system":
+        _check(validate_functoriality(F))
+    return F
+
+
 def _carrier_and_system(args):
     """Resolve --set/--table plus --system into a cubes table and a system."""
     if args.set:
@@ -75,7 +88,7 @@ def _carrier_and_system(args):
             raise FormatError("--set needs a --system document")
         X = _load_set(args.set)
         base = X.expand(_truncation(args))
-        return base, formats.build_system(formats.load_document(args.system), base, X)
+        return base, _load_system(args.system, base, X)
     data = formats.load_document(args.table)
     t = data.get("type")
     if t == "cubes-table":
@@ -85,14 +98,13 @@ def _carrier_and_system(args):
             raise FormatError("--table with a cubes-table document needs --system")
         if args.truncate is not None:
             raise ValueError("a prebuilt table cannot be re-truncated")
-        return base, formats.build_system(formats.load_document(args.system), base, None)
+        return base, _load_system(args.system, base, None)
     if t == "table-system":
         F = formats.parse_table_system(data)
         if args.truncate is not None:
             raise ValueError("a prebuilt table cannot be re-truncated")
         if args.system:
-            return F.base, formats.build_system(
-                formats.load_document(args.system), F.base, None)
+            return F.base, _load_system(args.system, F.base, None)
         _check(validate_functoriality(F))
         return F.base, F
     raise FormatError(f"--table expects a cubes-table or table-system document, "
@@ -205,14 +217,14 @@ def cmd_fiber_criterion(args) -> int:
 def cmd_direct_image(args) -> int:
     f = _load_map(args.map)
     base = f.source.expand(args.truncate)
-    F = formats.build_system(formats.load_document(args.system), base, f.source)
+    F = _load_system(args.system, base, f.source)
     return _emit(args, formats.table_system_to_data(direct_image(f, F)))
 
 
 def cmd_pullback_system(args) -> int:
     f = _load_map(args.map)
     base = f.target.expand(args.truncate)
-    F = formats.build_system(formats.load_document(args.system), base, f.target)
+    F = _load_system(args.system, base, f.target)
     return _emit(args, formats.table_system_to_data(pullback_system(f, F)))
 
 
@@ -262,7 +274,7 @@ def cmd_compare(args) -> int:
         f = _load_map(args.map)
         t = _truncation(args)
         src = f.source.expand(t)
-        F = formats.build_system(formats.load_document(args.system), src, f.source)
+        F = _load_system(args.system, src, f.source)
         left = homology(src, F, args.max_dim)
         right = homology(f.target.expand(t), direct_image(f, F), args.max_dim)
         labels = ("source", "direct image")
@@ -270,7 +282,7 @@ def cmd_compare(args) -> int:
         _need(args, contract, set=True, system=True)
         X = _load_set(args.set)
         base = X.expand(_truncation(args))
-        F = formats.build_system(formats.load_document(args.system), base, X)
+        F = _load_system(args.system, base, X)
         if not is_local(F):
             raise ValueError("the local route needs every operator matrix unimodular")
         left = homology(base, F, args.max_dim, path="local")

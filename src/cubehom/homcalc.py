@@ -7,10 +7,8 @@ the table, because the top-degree boundary out of unseen cubes is unknown.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local
 from .cubset import CubesTable, CubicalMap, SemiCubicalSet, pullback_fiber
@@ -33,22 +31,19 @@ def _check_base(X: CubesTable, F) -> None:
         raise ValueError("system is defined on a different table")
 
 
-def _block_boundary(X: CubesTable, F, n: int) -> IntMatrix:
-    """d_n on the raw chain level, one block per (face cube, cube) pair."""
-    col_sizes = [F.rank_of(n, j) for j in range(X.size(n))]
-    row_sizes = [F.rank_of(n - 1, j) for j in range(X.size(n - 1))]
-    blocks = {}
-    for j in range(X.size(n)):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                sign = (-1) ** i * (1 if eps == 0 else -1)
-                r = X.face_index(n, i, eps, j)
-                term = F.face_matrix(n, i, eps, j).scale(sign)
-                if (r, j) in blocks:
-                    blocks[(r, j)] = blocks[(r, j)] + term
-                else:
-                    blocks[(r, j)] = term
-    return assemble_blocks(row_sizes, col_sizes, blocks)
+def _signed_faces(X: CubesTable, F, n: int, z: int) -> dict:
+    """The raw boundary of cube z at dimension n as {face cube index: block}.
+
+    Faces that land on the same cube are summed into one block.
+    """
+    out = {}
+    for i in range(1, n + 1):
+        for eps in (0, 1):
+            sign = (-1) ** i * (1 if eps == 0 else -1)
+            w = X.face_index(n, i, eps, z)
+            term = F.face_matrix(n, i, eps, z).scale(sign)
+            out[w] = out[w] + term if w in out else term
+    return out
 
 
 def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComplex:
@@ -56,26 +51,26 @@ def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComp
     _check_base(X, F)
     if F.variance != "contravariant":
         raise ValueError("chain complexes take contravariant coefficients")
-    ranks = [sum(F.rank_of(n, j) for j in range(X.size(n))) for n in range(X.top + 1)]
-    boundaries = [_block_boundary(X, F, n) for n in range(1, X.top + 1)]
-    return FreeChainComplex(ranks, boundaries)
+    sizes = [[F.rank_of(n, z) for z in range(X.size(n))] for n in range(X.top + 1)]
+    boundaries = []
+    for n in range(1, X.top + 1):
+        blocks = {(w, z): d for z in range(X.size(n))
+                  for w, d in _signed_faces(X, F, n, z).items()}
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
 
 @dataclass
 class ComplexBuildReport:
-    """A normalized complex plus the maps relating it to the raw one.
+    """A normalized complex plus the per-cube maps relating it to the raw one.
 
-    projections[n] * sections[n] is the identity on the normalized degree n.
-    degenerate_torsion[n] lists invariant factors killed in the quotient;
-    the build refuses to continue when any appear, so on a finished report
-    every entry is empty.
+    blocks[n][z] = (P, S) for cube z at dimension n: P projects the summand
+    of z onto its part of the normalized complex, S is a section of P, and
+    P * S is the identity. Non-degenerate cubes carry (I, I).
     """
 
     complex: FreeChainComplex
-    projections: List[IntMatrix]
-    sections: List[IntMatrix]
-    degenerate_torsion: List[tuple]
-    labels: Optional[List[List[str]]] = None
+    blocks: List[List[Tuple[IntMatrix, IntMatrix]]]
 
 
 def _degeneracy_arrivals(X: CubesTable, n: int):
@@ -88,6 +83,65 @@ def _degeneracy_arrivals(X: CubesTable, n: int):
     return arriving
 
 
+def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
+    """Normalized chains, built block by block from one pair (P, S) per cube.
+
+    quotient(X, F, n, z, arrivals) gives the pair of a degenerate cube z,
+    where arrivals lists the (i, x) with s_i x = z. The normalized boundary
+    block (w, z) is P_w * d_raw[w, z] * S_z, formed only for the faces z
+    has. The boundary must carry degenerate chains to degenerate chains,
+    otherwise the quotient complex would be meaningless, so every
+    P_w * d_raw[w, z] * s_i(x) must vanish.
+    """
+    _check_base(X, F)
+    if F.variance != "contravariant":
+        raise ValueError("chain complexes take contravariant coefficients")
+    blocks, arrivals = [], []
+    for n in range(X.top + 1):
+        arriving = _degeneracy_arrivals(X, n)
+        level = []
+        for z in range(X.size(n)):
+            if arriving[z]:
+                level.append(quotient(X, F, n, z, arriving[z]))
+            else:
+                eye = IntMatrix.identity(F.rank_of(n, z))
+                level.append((eye, eye))
+        blocks.append(level)
+        arrivals.append(arriving)
+    boundaries = []
+    for n in range(1, X.top + 1):
+        out = {}
+        for z in range(X.size(n)):
+            section = blocks[n][z][1]
+            for w, d in _signed_faces(X, F, n, z).items():
+                pd = blocks[n - 1][w][0] * d
+                for i, x in arrivals[n][z]:
+                    if not (pd * F.degen_matrix(n - 1, i, x)).is_zero():
+                        raise ValueError(
+                            f"boundary does not preserve degenerate chains at dimension {n}")
+                out[(w, z)] = pd * section
+        boundaries.append(assemble_blocks([p.rows for p, _ in blocks[n - 1]],
+                                          [s.cols for _, s in blocks[n]], out))
+    ranks = [sum(p.rows for p, _ in level) for level in blocks]
+    return ComplexBuildReport(FreeChainComplex(ranks, boundaries), blocks)
+
+
+def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
+    span = stack_rows([F.degen_matrix(n - 1, i, x).transpose()
+                       for i, x in arriving]).transpose()
+    pres = cokernel_projection(span)
+    if pres.torsion:
+        raise ValueError(
+            f"degenerate quotient at dim {n} cube {X.key(n, z)} has torsion "
+            f"{pres.torsion}; coefficient system is not functorial")
+    return pres.projection, pres.section
+
+
+def _drop_pair(X: CubesTable, F, n: int, z: int, arriving):
+    r = F.rank_of(n, z)
+    return IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0)
+
+
 def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
     """Quotient by the images of all degeneracy operators, block by block.
 
@@ -95,62 +149,7 @@ def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildRep
     the quotient is a direct sum of small cokernels. The quotient must be
     free (it is, for functorial systems); torsion raises.
     """
-    _check_base(X, F)
-    if F.variance != "contravariant":
-        raise ValueError("chain complexes take contravariant coefficients")
-    projections, sections = [], []
-    torsions = []
-    ranks = []
-    for n in range(X.top + 1):
-        arriving = _degeneracy_arrivals(X, n) if n >= 1 else [[] for _ in range(X.size(n))]
-        proj_blocks, sec_blocks = {}, {}
-        quotient_sizes = []
-        level_torsion = []
-        for z in range(X.size(n)):
-            r = F.rank_of(n, z)
-            if not arriving[z]:
-                proj_blocks[(z, z)] = IntMatrix.identity(r)
-                sec_blocks[(z, z)] = IntMatrix.identity(r)
-                quotient_sizes.append(r)
-                continue
-            span = stack_rows([F.degen_matrix(n - 1, i, x).transpose()
-                               for i, x in arriving[z]]).transpose()
-            pres = cokernel_projection(span)
-            if pres.torsion:
-                raise ValueError(
-                    f"degenerate quotient at dim {n} cube {X.key(n, z)} has torsion "
-                    f"{pres.torsion}; coefficient system is not functorial")
-            proj_blocks[(z, z)] = pres.projection
-            sec_blocks[(z, z)] = pres.section
-            quotient_sizes.append(pres.projection.rows)
-        cube_sizes = [F.rank_of(n, z) for z in range(X.size(n))]
-        projections.append(assemble_blocks(quotient_sizes, cube_sizes, proj_blocks))
-        sections.append(assemble_blocks(cube_sizes, quotient_sizes, sec_blocks))
-        torsions.append(tuple(level_torsion))
-        ranks.append(sum(quotient_sizes))
-    boundaries = []
-    for n in range(1, X.top + 1):
-        d_raw = _block_boundary(X, F, n)
-        # the boundary must carry degenerate chains to degenerate chains,
-        # otherwise the quotient complex would be meaningless
-        arriving = _degeneracy_arrivals(X, n)
-        deg_cols = []
-        for z in range(X.size(n)):
-            for i, x in arriving[z]:
-                deg_cols.append((z, i, x))
-        if deg_cols:
-            col_sizes = [F.rank_of(n - 1, x) for (_, _, x) in deg_cols]
-            row_sizes = [F.rank_of(n, w) for w in range(X.size(n))]
-            blocks = {}
-            for c, (z, i, x) in enumerate(deg_cols):
-                blocks[(z, c)] = F.degen_matrix(n - 1, i, x)
-            deg_image = assemble_blocks(row_sizes, col_sizes, blocks)
-            if not (projections[n - 1] * (d_raw * deg_image)).is_zero():
-                raise ValueError(
-                    f"boundary does not preserve degenerate chains at dimension {n}")
-        boundaries.append(projections[n - 1] * (d_raw * sections[n]))
-    cx = FreeChainComplex(ranks, boundaries)
-    return ComplexBuildReport(cx, projections, sections, torsions)
+    return _normalize(X, F, _cokernel_pair)
 
 
 def normalized_complex_local(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
@@ -160,37 +159,9 @@ def normalized_complex_local(X: CubesTable, F: ContravariantSystem) -> ComplexBu
     is the whole summand of the degenerate cube, so the quotient is simply
     the non-degenerate part and the boundary is a submatrix.
     """
-    _check_base(X, F)
-    if F.variance != "contravariant":
-        raise ValueError("chain complexes take contravariant coefficients")
     if not is_local(F):
         raise ValueError("local path requires a unimodular system")
-    projections, sections, labels = [], [], []
-    ranks = []
-    keeps = []
-    for n in range(X.top + 1):
-        offs, total = [], 0
-        for z in range(X.size(n)):
-            offs.append(total)
-            total += F.rank_of(n, z)
-        keep = []
-        level_labels = []
-        for z in X.nondegenerate_indices(n):
-            keep.extend(range(offs[z], offs[z] + F.rank_of(n, z)))
-            level_labels.append(X.key(n, z))
-        eye = IntMatrix.identity(total)
-        projections.append(eye.take_rows(keep))
-        sections.append(eye.take_cols(keep))
-        keeps.append(keep)
-        labels.append(level_labels)
-        ranks.append(len(keep))
-    boundaries = []
-    for n in range(1, X.top + 1):
-        d_raw = _block_boundary(X, F, n)
-        boundaries.append(d_raw.take_rows(keeps[n - 1]).take_cols(keeps[n]))
-    cx = FreeChainComplex(ranks, boundaries)
-    return ComplexBuildReport(cx, projections, sections,
-                              [() for _ in range(X.top + 1)], labels)
+    return _normalize(X, F, _drop_pair)
 
 
 def _truncate(cx: FreeChainComplex, top: int) -> FreeChainComplex:
@@ -223,11 +194,10 @@ def homology(X: CubesTable, F: ContravariantSystem, max_dim: int,
 
 @dataclass
 class CochainBuildReport:
-    """A normalized cochain complex plus its inclusion into the raw one."""
+    """A normalized cochain complex: ranks[k] of C^k and deltas[k] = d^k."""
 
     ranks: List[int]
     deltas: List[IntMatrix]
-    inclusions: List[IntMatrix]
 
 
 def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
@@ -235,52 +205,35 @@ def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
     _check_base(X, G)
     if G.variance != "covariant":
         raise ValueError("cochain complexes take covariant coefficients")
-    inclusions = []
     kernels = []
-    ranks = []
     for n in range(X.top + 1):
-        arriving = _degeneracy_arrivals(X, n) if n >= 1 else [[] for _ in range(X.size(n))]
+        arriving = _degeneracy_arrivals(X, n)
         level = []
-        sizes = []
         for z in range(X.size(n)):
-            r = G.rank_of(n, z)
-            if not arriving[z]:
-                level.append(IntMatrix.identity(r))
-                sizes.append(r)
-                continue
-            stacked = stack_rows([G.degen_matrix(n - 1, i, x) for i, x in arriving[z]])
-            kern = kernel_basis(stacked)
-            level.append(kern)
-            sizes.append(kern.cols)
-        cube_sizes = [G.rank_of(n, z) for z in range(X.size(n))]
-        blocks = {(z, z): level[z] for z in range(X.size(n))}
-        inclusions.append(assemble_blocks(cube_sizes, sizes, blocks))
+            if arriving[z]:
+                level.append(kernel_basis(stack_rows(
+                    [G.degen_matrix(n - 1, i, x) for i, x in arriving[z]])))
+            else:
+                level.append(IntMatrix.identity(G.rank_of(n, z)))
         kernels.append(level)
-        ranks.append(sum(sizes))
     deltas = []
     for k in range(X.top):
         # The inclusion is block diagonal, so the coefficient solve that rewrites
         # the raw coboundary in kernel coordinates splits into one small solve
         # per (k+1)-cube.
-        widths = [kernels[k][w].cols for w in range(X.size(k))]
+        widths = [kern.cols for kern in kernels[k]]
         rows_out = []
         for z in range(X.size(k + 1)):
-            acc = {}
-            for i in range(1, k + 2):
-                for eps in (0, 1):
-                    sign = (-1) ** i * (1 if eps == 0 else -1)
-                    w = X.face_index(k + 1, i, eps, z)
-                    term = G.face_matrix(k + 1, i, eps, z).scale(sign)
-                    acc[w] = acc[w] + term if w in acc else term
             row = assemble_blocks(
                 [G.rank_of(k + 1, z)], widths,
-                {(0, w): m * kernels[k][w] for w, m in acc.items()})
+                {(0, w): m * kernels[k][w] for w, m in _signed_faces(X, G, k + 1, z).items()})
             rows_out.append(solve_exact(kernels[k + 1][z], row))
         if rows_out:
             deltas.append(stack_rows(rows_out))
         else:
             deltas.append(IntMatrix.zeros(0, sum(widths)))
-    return CochainBuildReport(ranks, deltas, inclusions)
+    return CochainBuildReport([sum(kern.cols for kern in level) for level in kernels],
+                              deltas)
 
 
 def cohomology(X: CubesTable, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
@@ -342,8 +295,7 @@ class FiberCriterionReport:
     rows: Tuple[FiberRow, ...]
 
 
-def _fiber_worker(args):
-    f, n, key, y, max_dim, top = args
+def _fiber_row(f: CubicalMap, n: int, key: str, y, max_dim: int, top: int) -> FiberRow:
     fib = pullback_fiber(f, y, top)
     groups = homology(fib, constant_system(fib, 1), max_dim)
     expected = tuple(HomologyGroup(1 if d == 0 else 0, ()) for d in range(max_dim + 1))
@@ -354,20 +306,11 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     """Check that every fiber of f has the homology of a point.
 
     Every cube of the target's truncation at top is tested; fibers are
-    truncated at top as well, so top must be at least max_dim + 1. The
-    worker count is taken from CUBEHOM_MAX_WORKERS (default serial).
+    truncated at top as well, so top must be at least max_dim + 1.
     """
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")
     ty = f.target.expand(top)
-    jobs = []
-    for n in range(ty.top + 1):
-        for idx, y in enumerate(ty.elements[n]):
-            jobs.append((f, n, ty.key(n, idx), y, max_dim, top))
-    workers = int(os.environ.get("CUBEHOM_MAX_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_fiber_worker, jobs))
-    else:
-        rows = tuple(_fiber_worker(j) for j in jobs)
+    rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top)
+                 for n in range(ty.top + 1) for idx, y in enumerate(ty.elements[n]))
     return FiberCriterionReport(all(r.ok for r in rows), rows)

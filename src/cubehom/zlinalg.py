@@ -386,21 +386,6 @@ class HomologyGroup:
         return self.betti == 0 and not self.torsion
 
 
-def homology_of_pair(d_out: IntMatrix, d_in: IntMatrix) -> HomologyGroup:
-    """ker(d_out) / im(d_in) for a composable pair with d_out * d_in = 0."""
-    if d_out.cols != d_in.rows:
-        raise ValueError("shape mismatch: d_out and d_in do not share the middle module")
-    if not (d_out * d_in).is_zero():
-        raise ValueError("d_out * d_in is nonzero; not a complex")
-    k = kernel_basis(d_out)
-    if k.cols == 0:
-        return HomologyGroup(0, ())
-    coords = solve_exact(k, d_in)
-    snf = smith_normal_form(coords)
-    torsion = tuple(x for x in snf.invariant_factors() if x > 1)
-    return HomologyGroup(k.cols - snf.rank, torsion)
-
-
 class FreeChainComplex:
     """A bounded chain complex of free Z-modules, degrees 0..top.
 
@@ -432,23 +417,37 @@ class FreeChainComplex:
         return self.boundaries[n - 1]
 
 
+def _eliminate(maps: Sequence[IntMatrix]):
+    """Rank and torsion invariant factors of each map, one Smith form apiece.
+
+    Both lists start with the zero map, so entry n + 1 belongs to maps[n].
+    """
+    ranks, torsion = [0], [()]
+    for m in maps:
+        snf = smith_normal_form(m)
+        ranks.append(snf.rank)
+        torsion.append(tuple(x for x in snf.invariant_factors() if x > 1))
+    return ranks, torsion
+
+
 def homology_of_complex(cx: FreeChainComplex) -> tuple:
     """Homology groups in degrees 0 .. top-1.
 
     The top degree is not reported: computing H_top honestly would need
-    d_{top+1}, which a truncated complex does not carry.
+    d_{top+1}, which a truncated complex does not carry. With rk the rank
+    of a map, H_n = Z^(c_n - rk d_n - rk d_{n+1}) (+) torsion(d_{n+1}).
     """
-    out = []
-    for n in range(cx.top):
-        out.append(homology_of_pair(cx.boundary(n), cx.boundary(n + 1)))
-    return tuple(out)
+    rk, torsion = _eliminate(cx.boundaries)
+    return tuple(HomologyGroup(cx.ranks[n] - rk[n] - rk[n + 1], torsion[n + 1])
+                 for n in range(cx.top))
 
 
 def cohomology_of_cochain(ranks: Sequence[int], deltas: Sequence[IntMatrix]) -> tuple:
     """Cohomology of a cochain complex C^0 -> C^1 -> ... -> C^top.
 
     deltas[k] is d^k : C^k -> C^{k+1} for 0 <= k < top. Reports degrees
-    0 .. top-1; degree top would need d^top.
+    0 .. top-1; degree top would need d^top. With rk the rank of a map,
+    H^k = Z^(c_k - rk d^k - rk d^{k-1}) (+) torsion(d^{k-1}).
     """
     ranks = tuple(int(r) for r in ranks)
     deltas = tuple(deltas)
@@ -459,9 +458,9 @@ def cohomology_of_cochain(ranks: Sequence[int], deltas: Sequence[IntMatrix]) -> 
         if (dmat.rows, dmat.cols) != (ranks[k + 1], ranks[k]):
             raise ValueError(f"d^{k} has shape {dmat.rows}x{dmat.cols}, "
                              f"expected {ranks[k+1]}x{ranks[k]}")
-    out = []
-    for k in range(top):
-        d_out = deltas[k]
-        d_in = deltas[k - 1] if k > 0 else IntMatrix.zeros(ranks[0], 0)
-        out.append(homology_of_pair(d_out, d_in))
-    return tuple(out)
+    for k in range(1, top):
+        if not (deltas[k] * deltas[k - 1]).is_zero():
+            raise ValueError(f"d^{k} . d^{k-1} != 0; not a complex")
+    rk, torsion = _eliminate(deltas)
+    return tuple(HomologyGroup(ranks[k] - rk[k] - rk[k + 1], torsion[k])
+                 for k in range(top))

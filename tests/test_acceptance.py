@@ -306,11 +306,12 @@ def test_criterion_12_structural_suites():
         cx = report.complex
         for n in range(2, cx.top + 1):
             ok = ok and (cx.boundary(n - 1) * cx.boundary(n)).is_zero()
-        # Normalization splits: projection after section is the identity and
-        # the degenerate quotient never contributes torsion.
-        for p, s in zip(report.projections, report.sections):
-            ok = ok and p * s == IntMatrix.identity(p.rows)
-        ok = ok and all(t == () for t in report.degenerate_torsion)
+        # Normalization splits: on every cube, projection after section is
+        # the identity.
+        for n, level in enumerate(report.blocks):
+            ok = ok and len(level) == X.size(n)
+            for p, s in level:
+                ok = ok and p * s == IntMatrix.identity(p.rows)
     z2 = helpers.cyclic2_monoid()
     bar = bar_complex(z2, helpers.constant_diagram(z2.op()), 3)
     for n in range(2, bar.top + 1):

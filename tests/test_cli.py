@@ -564,6 +564,27 @@ class TestExitCodes:
         assert main(["homology", "--table", table, "--system", mono,
                      "--max-dim", "1"]) == 1
 
+    def test_system_flag_validates_table_system(self, tmp_path, capsys):
+        X = helpers.torus().expand(3)
+        full = formats.table_system_to_data(constant_system(X, 1))
+        table = write(tmp_path, "full.json", full)
+        # drop one top cube from the system: its rank, its face matrices and
+        # the degeneracies that land on it
+        cut = json.loads(json.dumps(full))
+        gone = X.key(3, 0)
+        del cut["ranks"]["3"][gone]
+        for i in range(1, 4):
+            for eps in (0, 1):
+                del cut["faces"][f"3,{i},{eps}"][gone]
+            for idx, key in enumerate(X.keys[2]):
+                if X.degeneracy_index(2, i, idx) == 0:
+                    del cut["degens"][f"2,{i}"][key]
+        system = write(tmp_path, "cut.json", cut)
+        for argv in (["--table", table, "--system", system],
+                     ["--table", system]):
+            assert main(["homology", *argv, "--max-dim", "2"]) == 1
+            assert f"missing rank for dim-3 cube {gone}" in capsys.readouterr().out
+
     def test_retruncating_a_table_fails(self, tmp_path, capsys):
         table = write(tmp_path, "table.json", formats.cubes_table_to_data(
             helpers.circle().expand(2)))

@@ -36,6 +36,14 @@ def groups(*pairs):
     return tuple(HomologyGroup(b, tuple(t)) for b, t in pairs)
 
 
+def assert_blocks_split(X, rep):
+    """Every cube carries a pair (P, S) with P * S the identity."""
+    assert [len(level) for level in rep.blocks] == [X.size(n) for n in range(X.top + 1)]
+    for level in rep.blocks:
+        for p, s in level:
+            assert p * s == IntMatrix.identity(p.rows)
+
+
 class TestUnnormalized:
     def test_point_keeps_degenerate_cubes(self):
         X = helpers.point().expand(2)
@@ -59,17 +67,16 @@ class TestUnnormalized:
 class TestNormalized:
     def test_point_collapses(self):
         X = helpers.point().expand(2)
-        rep = normalized_complex(X, constant_system(X, 1))
-        assert rep.complex.ranks == (1, 0, 0)
-        assert all(t == () for t in rep.degenerate_torsion)
+        F = constant_system(X, 1)
+        for rep in (normalized_complex(X, F), normalized_complex_local(X, F)):
+            assert rep.complex.ranks == (1, 0, 0)
+            assert_blocks_split(X, rep)
 
     def test_projection_section_retraction(self):
         X = helpers.torus().expand(2)
         F = constant_system(X, 2)
         for rep in (normalized_complex(X, F), normalized_complex_local(X, F)):
-            for n in range(3):
-                p, s = rep.projections[n], rep.sections[n]
-                assert p * s == IntMatrix.identity(p.rows)
+            assert_blocks_split(X, rep)
 
     def test_local_path_matches_generic_exactly(self):
         rng = random.Random(21)
@@ -86,17 +93,28 @@ class TestNormalized:
         with pytest.raises(ValueError):
             normalized_complex_local(G.base, G)
 
-    def test_labels_are_nondegenerate_keys(self):
-        X = helpers.torus().expand(2)
-        rep = normalized_complex_local(X, constant_system(X, 1))
-        assert rep.labels[1] == ["a@x1", "b@x1"]
-        assert rep.labels[2] == ["t@x1,x2"]
-
     def test_boundary_squares_to_zero(self):
         X = helpers.torus().expand(3)
         rep = normalized_complex(X, constant_system(X, 1))
         for n in range(1, 3):
             assert (rep.complex.boundary(n) * rep.complex.boundary(n + 1)).is_zero()
+
+    def test_torsion_in_degenerate_quotient_raises(self):
+        X = helpers.point().expand(2)
+        F = constant_system(X, 1)
+        F.degen[(0, 1, X.key(0, 0))] = IntMatrix.from_rows([[2]])
+        with pytest.raises(ValueError, match="has torsion"):
+            normalized_complex(X, F)
+
+    def test_boundary_must_preserve_degenerate_chains(self):
+        # d of the degenerate edge on the point becomes 2v, which is not
+        # degenerate; the local route must refuse this as well
+        X = helpers.point().expand(2)
+        F = constant_system(X, 1)
+        F.face[(1, 1, 0, X.key(1, 0))] = IntMatrix.from_rows([[-1]])
+        for build in (normalized_complex, normalized_complex_local):
+            with pytest.raises(ValueError, match="does not preserve degenerate chains"):
+                build(X, F)
 
 
 class TestHomologyOracles:
@@ -281,13 +299,6 @@ class TestFiberCriterion:
         f = helpers.identity_map(helpers.point())
         with pytest.raises(ValueError):
             fiber_criterion(f, 2, 2)
-
-    def test_worker_pool_agrees(self, monkeypatch):
-        f = helpers.collapse_to_point(standard_cube(1))
-        serial = fiber_criterion(f, 1, 2)
-        monkeypatch.setenv("CUBEHOM_MAX_WORKERS", "3")
-        parallel = fiber_criterion(f, 1, 2)
-        assert serial == parallel
 
 
 class TestFiberHomologyMatchesProduct:

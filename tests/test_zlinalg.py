@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from cubehom.zlinalg import (
     CokernelPresentation,
     FreeChainComplex,
@@ -13,7 +14,6 @@ from cubehom.zlinalg import (
     cokernel_projection,
     det,
     homology_of_complex,
-    homology_of_pair,
     kernel_basis,
     smith_normal_form,
     solve_exact,
@@ -242,7 +242,9 @@ class TestHomology:
         d_out = IntMatrix.from_rows([[1, 0]])
         d_in = IntMatrix.from_rows([[1], [0]])
         with pytest.raises(ValueError):
-            homology_of_pair(d_out, d_in)
+            FreeChainComplex([1, 2, 1], [d_out, d_in])
+        with pytest.raises(ValueError):
+            cohomology_of_cochain([1, 2, 1], [d_in, d_out])
 
     def test_circle_complex(self):
         # one vertex, one loop edge: d1 = 0
@@ -291,6 +293,71 @@ class TestCohomology:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             cohomology_of_cochain([1, 2], [IntMatrix.zeros(1, 1)])
+
+
+def invariant_factors(orders):
+    """Invariant factors > 1 of the sum of the cyclic groups Z/k, k in orders.
+
+    Worked out from elementary divisors: the t-th smallest power of each
+    prime goes into the t-th smallest factor.
+    """
+    factors = [1] * len(orders)
+    for p in range(2, max(orders, default=1) + 1):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        powers = []
+        for k in orders:
+            e = 1
+            while k % (e * p) == 0:
+                e *= p
+            powers.append(e)
+        for t, e in enumerate(sorted(powers)):
+            factors[t] *= e
+    return tuple(f for f in factors if f > 1)
+
+
+TOP = 3
+# (0, n): a copy of Z in degree n. (k, n) with k >= 1: Z --k--> Z from
+# degree n + 1 to degree n.
+elementary_piece = st.one_of(
+    st.tuples(st.just(0), st.integers(0, TOP)),
+    st.tuples(st.integers(1, 12), st.integers(0, TOP - 1)))
+
+
+class TestEliminationOracle:
+    @settings(deadline=None)
+    @given(st.lists(elementary_piece, max_size=8), st.integers(0, 2 ** 32))
+    def test_direct_sum_of_elementary_pieces(self, pieces, seed):
+        # Lay out one basis slot per piece end, write the maps in that basis,
+        # then hide the splitting by a random change of basis in every degree.
+        slots = [[] for _ in range(TOP + 1)]
+        for p, (k, n) in enumerate(pieces):
+            slots[n].append((p, "low"))
+            if k:
+                slots[n + 1].append((p, "high"))
+        ranks = [len(level) for level in slots]
+        rng = random.Random(seed)
+        change = [helpers.random_unimodular(rng, r) for r in ranks]
+        maps = []
+        for n in range(1, TOP + 1):
+            rows = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+            for c, (p, end) in enumerate(slots[n]):
+                if end == "high":
+                    rows[slots[n - 1].index((p, "low"))][c] = pieces[p][0]
+            d = IntMatrix(ranks[n - 1], ranks[n], rows)
+            maps.append(change[n - 1] * d * helpers.inverse_unimodular(change[n]))
+
+        def free(n):
+            return sum(1 for k, m in pieces if k == 0 and m == n)
+
+        def cyclic(n):
+            return invariant_factors([k for k, m in pieces if k and m == n])
+
+        homology = tuple(HomologyGroup(free(n), cyclic(n)) for n in range(TOP))
+        assert homology_of_complex(FreeChainComplex(ranks, maps)) == homology
+        cohomology = tuple(HomologyGroup(free(n), cyclic(n - 1) if n else ())
+                           for n in range(TOP))
+        assert cohomology_of_cochain(ranks, [d.transpose() for d in maps]) == cohomology
 
 
 class TestAssembly:
