@@ -117,12 +117,6 @@ def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, .
     return out
 
 
-def chain_end(C: FiniteCategory, chain) -> str:
-    """Final object of a composable string."""
-    start, arrows = chain
-    return C.morphisms[arrows[-1]][1] if arrows else start
-
-
 def chain_face(C: FiniteCategory, chain, i: int):
     """Face i of a composable string: drop at the ends, compose inside."""
     start, arrows = chain
@@ -165,36 +159,6 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
     return FreeChainComplex(ranks, boundaries)
 
 
-def cobar_complex(C: FiniteCategory, G: FiniteDiagram, top: int):
-    """Cochain complex of composable strings with values at the string's end.
-
-    The last face applies the diagram's matrix for the final arrow; all other
-    faces keep the value in place. Returns (ranks, deltas).
-    """
-    levels = [composable_chains(C, n) for n in range(top + 1)]
-    ranks = [sum(G.rank_of(chain_end(C, chain)) for chain in level)
-             for level in levels]
-    deltas = []
-    for k in range(top):
-        pos = {chain: i for i, chain in enumerate(levels[k])}
-        row_sizes = [G.rank_of(chain_end(C, chain)) for chain in levels[k + 1]]
-        col_sizes = [G.rank_of(chain_end(C, chain)) for chain in levels[k]]
-        blocks = {}
-
-        def add(r, c, m):
-            blocks[(r, c)] = blocks[(r, c)] + m if (r, c) in blocks else m
-
-        for r, chain in enumerate(levels[k + 1]):
-            start, arrows = chain
-            eye = IntMatrix.identity(G.rank_of(chain_end(C, chain)))
-            for j in range(k + 1):
-                add(r, pos[chain_face(C, chain, j)], eye.scale((-1) ** j))
-            last = G.matrix(arrows[-1]).scale((-1) ** (k + 1))
-            add(r, pos[chain_face(C, chain, k + 1)], last)
-        deltas.append(assemble_blocks(row_sizes, col_sizes, blocks))
-    return ranks, deltas
-
-
 def category_homology(C: FiniteCategory, F: FiniteDiagram,
                       max_dim: int) -> Tuple[HomologyGroup, ...]:
     """Homology of the string complex in degrees 0..max_dim."""
@@ -205,11 +169,20 @@ def category_homology(C: FiniteCategory, F: FiniteDiagram,
 
 def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
                         max_dim: int) -> Tuple[HomologyGroup, ...]:
-    """Cohomology of the string cochain complex in degrees 0..max_dim."""
+    """Cohomology of the string cochain complex in degrees 0..max_dim.
+
+    Strings of C with values at their end are the reversed strings of C.op
+    with values at their start, so the cochain complex is the transpose of
+    the string complex of C.op with every matrix of G transposed, up to one
+    sign per degree.
+    """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    ranks, deltas = cobar_complex(C, G, max_dim + 1)
-    return cohomology_of_cochain(ranks, deltas)
+    op = C.op()
+    dual = FiniteDiagram(op, G.ranks,
+                         {name: m.transpose() for name, m in G.matrices.items()})
+    cx = bar_complex(op, dual, max_dim + 1)
+    return cohomology_of_cochain(cx.ranks, [d.transpose() for d in cx.boundaries])
 
 
 def _points(n: int):

@@ -191,8 +191,6 @@ def cmd_universal(args) -> int:
 def cmd_product(args) -> int:
     A = _load_set(args.left)
     B = _load_set(args.right)
-    if args.truncate < 0:
-        raise ValueError("truncation must be nonnegative")
     return _emit(args, formats.cubes_table_to_data(product(A, B, args.truncate)))
 
 

@@ -163,6 +163,8 @@ class PresentedCubicalSet:
 
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables."""
+        if top < 0:
+            raise ValueError("truncation must be nonnegative")
         elements: List[List[Cube]] = []
         for n in range(top + 1):
             level = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .coeff import ContravariantSystem, constant_system, is_local
+from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
 from .cubset import CubesTable, CubicalMap, SemiCubicalSet, pullback_fiber
 from .zlinalg import (
     FreeChainComplex,
@@ -20,8 +20,6 @@ from .zlinalg import (
     cohomology_of_cochain,
     cokernel_projection,
     homology_of_complex,
-    kernel_basis,
-    solve_exact,
     stack_rows,
 )
 
@@ -201,39 +199,18 @@ class CochainBuildReport:
 
 
 def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
-    """Normalized cochains: per cube, the joint kernel of its degeneracy maps."""
-    _check_base(X, G)
+    """Normalized cochains as the dual of the normalized chains of G transposed.
+
+    The projection P_z of a degenerate cube is made of rows of a unimodular
+    matrix, so its transpose is a saturated basis of the joint kernel of the
+    degeneracy maps of G at z, and the transposed section is a left inverse
+    of it. Hence d^k is the transpose of d_{k+1}, and the torsion and
+    degenerate-chain guards of the chain builder hold for cochains too.
+    """
     if G.variance != "covariant":
         raise ValueError("cochain complexes take covariant coefficients")
-    kernels = []
-    for n in range(X.top + 1):
-        arriving = _degeneracy_arrivals(X, n)
-        level = []
-        for z in range(X.size(n)):
-            if arriving[z]:
-                level.append(kernel_basis(stack_rows(
-                    [G.degen_matrix(n - 1, i, x) for i, x in arriving[z]])))
-            else:
-                level.append(IntMatrix.identity(G.rank_of(n, z)))
-        kernels.append(level)
-    deltas = []
-    for k in range(X.top):
-        # The inclusion is block diagonal, so the coefficient solve that rewrites
-        # the raw coboundary in kernel coordinates splits into one small solve
-        # per (k+1)-cube.
-        widths = [kern.cols for kern in kernels[k]]
-        rows_out = []
-        for z in range(X.size(k + 1)):
-            row = assemble_blocks(
-                [G.rank_of(k + 1, z)], widths,
-                {(0, w): m * kernels[k][w] for w, m in _signed_faces(X, G, k + 1, z).items()})
-            rows_out.append(solve_exact(kernels[k + 1][z], row))
-        if rows_out:
-            deltas.append(stack_rows(rows_out))
-        else:
-            deltas.append(IntMatrix.zeros(0, sum(widths)))
-    return CochainBuildReport([sum(kern.cols for kern in level) for level in kernels],
-                              deltas)
+    cx = _normalize(X, transpose_system(G), _cokernel_pair).complex
+    return CochainBuildReport(list(cx.ranks), [d.transpose() for d in cx.boundaries])
 
 
 def cohomology(X: CubesTable, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
@@ -255,6 +232,8 @@ def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGr
     """Homology of a semi-cubical set: no degeneracies, so no normalization."""
     if F.base is not S and getattr(F.base, "levels", None) != S.levels:
         raise ValueError("system is defined on a different semi-cubical set")
+    if max_dim < 0:
+        raise ValueError("max_dim must be nonnegative")
     if S.top_dim < max_dim + 1:
         raise ValueError(
             f"computing H_0..H_{max_dim} needs cubes up to dimension {max_dim + 1}, "

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels, chain homology.
+"""Exact integer linear algebra: Smith normal form, cokernels, chain homology.
 
 Everything here works over plain Python ints, so there is no overflow and no
 floating point anywhere. Matrices are small dense arrays of ints; the sizes
@@ -306,18 +306,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         U_inv=IntMatrix(m, m, uinv),
         V_inv=IntMatrix(n, n, vinv),
     )
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice of a.
-
-    The basis is saturated: kernels of integer matrices are pure submodules,
-    and the returned columns are columns of a unimodular matrix, so every
-    integer kernel vector is an integer combination of them.
-    """
-    snf = smith_normal_form(a)
-    r = snf.rank
-    return snf.V.take_cols(range(r, a.cols))
 
 
 @dataclass(frozen=True)

@@ -296,3 +296,11 @@ def weighted_torus_system():
          ("t", 1, 0): one, ("t", 1, 1): one,
          ("t", 2, 0): two, ("t", 2, 1): two},
     )
+
+
+def assert_universal_coefficients(hom, cohom):
+    """Cohomology of the dual complex: betti^n = betti_n, torsion^n = torsion_{n-1}."""
+    assert len(hom) == len(cohom)
+    for n, group in enumerate(cohom):
+        assert group.betti == hom[n].betti
+        assert group.torsion == (hom[n - 1].torsion if n else ())

@@ -585,6 +585,39 @@ class TestExitCodes:
             assert main(["homology", *argv, "--max-dim", "2"]) == 1
             assert f"missing rank for dim-3 cube {gone}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["fiber", "direct-image", "pullback-system",
+                                         "validate"])
+    def test_negative_truncation_refused(self, tmp_path, capsys, command):
+        # a table truncated below zero would be written as an unreadable document
+        fold = write(tmp_path, "fold.json",
+                     formats.cubical_map_to_data(helpers.fold_wedge()))
+        circ = write(tmp_path, "circle.json",
+                     formats.cubical_set_to_data(helpers.circle()))
+        dump = str(tmp_path / "neg.json")
+        argv = {
+            "fiber": ["--map", fold, "--cube", "v@", "--max-dim", "-1", "--out", dump],
+            "direct-image": ["--map", fold, "--system", const_doc(tmp_path),
+                             "--truncate", "-1", "--out", dump],
+            "pullback-system": ["--map", fold, "--system", const_doc(tmp_path),
+                                "--truncate", "-1", "--out", dump],
+            "validate": ["--set", circ, "--system", const_doc(tmp_path),
+                         "--truncate", "-1"],
+        }[command]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert "truncation must be nonnegative" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "neg.json").exists()
+
+    def test_semicubical_negative_degree_refused(self, tmp_path, capsys):
+        semi = write(tmp_path, "torus-semi.json",
+                     formats.semicubical_set_to_data(helpers.torus_semi()))
+        assert main(["semicubical-homology", "--semi", semi,
+                     "--system", const_doc(tmp_path), "--max-dim", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_dim must be nonnegative" in captured.err
+
     def test_retruncating_a_table_fails(self, tmp_path, capsys):
         table = write(tmp_path, "table.json", formats.cubes_table_to_data(
             helpers.circle().expand(2)))

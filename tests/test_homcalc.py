@@ -215,6 +215,17 @@ class TestCochain:
         F = helpers.monodromy_circle(top=2)
         G = transpose_system(F)
         assert cohomology(G.base, G, 1) == groups((0, ()), (0, (2,)))
+        # universal coefficients: cohomology of the transposed system has the
+        # Betti numbers of homology and the torsion of one degree lower
+        rng = random.Random(23)
+        for F, d in ((constant_system(helpers.twisted_square().expand(3), 1), 2),
+                     (constant_system(helpers.torus().expand(3), 1), 2),
+                     (constant_system(helpers.squashed_square().expand(3), 1), 2),
+                     (helpers.monodromy_circle(top=3), 2),
+                     (extend_semicubical(helpers.weighted_torus_system(), 2), 1),
+                     (helpers.gauge_system(helpers.torus(), 3, 2, rng), 2)):
+            helpers.assert_universal_coefficients(
+                homology(F.base, F, d), cohomology(F.base, transpose_system(F), d))
 
     def test_normalized_ranks_drop_degenerates(self):
         X = helpers.circle().expand(2)
@@ -239,6 +250,20 @@ class TestCochain:
         X = helpers.point().expand(1)
         with pytest.raises(ValueError):
             cochain_complex(X, constant_system(X, 1))
+
+    def test_torsion_in_degenerate_quotient_raises(self):
+        X = helpers.point().expand(2)
+        G = constant_system(X, 1, "covariant")
+        G.degen[(0, 1, X.key(0, 0))] = IntMatrix.from_rows([[2]])
+        with pytest.raises(ValueError, match="has torsion"):
+            cohomology(X, G, 1)
+
+    def test_coboundary_must_preserve_degenerate_chains(self):
+        X = helpers.point().expand(2)
+        G = constant_system(X, 1, "covariant")
+        G.face[(1, 1, 0, X.key(1, 0))] = IntMatrix.from_rows([[-1]])
+        with pytest.raises(ValueError, match="does not preserve degenerate chains"):
+            cohomology(X, G, 1)
 
 
 class TestSemiCubical:
