@@ -9,7 +9,7 @@ from .coeff import (FiniteDiagram, natural_system_via_d,
 from .cubset import CubesTable
 from .homcalc import cohomology, homology
 from .zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
-                      assemble_blocks, cohomology_of_cochain,
+                      assemble_blocks, cohomology_of_complex,
                       homology_of_complex)
 
 
@@ -181,8 +181,7 @@ def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
     op = C.op()
     dual = FiniteDiagram(op, G.ranks,
                          {name: m.transpose() for name, m in G.matrices.items()})
-    cx = bar_complex(op, dual, max_dim + 1)
-    return cohomology_of_cochain(cx.ranks, [d.transpose() for d in cx.boundaries])
+    return cohomology_of_complex(bar_complex(op, dual, max_dim + 1))
 
 
 def _points(n: int):

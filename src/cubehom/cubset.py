@@ -558,53 +558,69 @@ def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTa
     return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 
-def pullback_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
+def fiber_source(f: CubicalMap, top: int):
+    """The source of f tabulated up to top, with the image of every source cube.
+
+    images[k][ix] is f applied to cube ix of dimension k. Every fiber of f at
+    truncation top reads this pair, so a sweep over fibers computes it once.
+    """
+    tx = f.source.expand(top)
+    return tx, [[f.apply_to_cube(x) for x in level] for level in tx.elements]
+
+
+def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source=None) -> CubesTable:
     """The fiber of f over the single cube y, tabulated up to dimension top.
 
     A k-cube is a pair (x, alpha) with x a k-cube of the source and
     alpha: I^k -> I^dim(y) satisfying f(x) = y.alpha; operators act on both
-    components at once.
+    components at once. source is the pair fiber_source(f, top), computed
+    here when not given.
     """
+    tx, images = fiber_source(f, top) if source is None else source
+    if tx.top != top:
+        raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
     d = y.dim
-    tx = f.source.expand(top)
-    keys, elements, degenerate, pos = [], [], [], []
+    keys, elements, degenerate, pos, origin = [], [], [], [], []
     for k in range(top + 1):
-        level_keys, level_elems, level_deg = [], [], []
+        over = {}
+        for alpha in hom_set(k, d):
+            over.setdefault(apply_morphism(f.target, alpha, y), []).append(alpha)
+        level_keys, level_elems, level_deg, level_origin = [], [], [], []
         level_pos = {}
-        for x in tx.elements[k]:
-            fx = f.apply_to_cube(x)
+        for ix, x in enumerate(tx.elements[k]):
+            alphas = over.get(images[k][ix])
+            if not alphas:
+                continue
             deleted_x = set(range(1, k + 1)) - set(x.epi.tokens)
-            for alpha in hom_set(k, d):
-                if apply_morphism(f.target, alpha, y) != fx:
-                    continue
+            for alpha in alphas:
                 used = set(t for t in alpha.tokens if t >= 1)
-                level_pos[(x, alpha)] = len(level_keys)
+                level_pos[(ix, alpha)] = len(level_keys)
                 level_keys.append(f"{x.key()};{alpha.token_word()}")
                 level_elems.append((x, alpha))
                 level_deg.append(bool(deleted_x - used))
+                level_origin.append(ix)
         keys.append(level_keys)
         elements.append(level_elems)
         degenerate.append(level_deg)
         pos.append(level_pos)
+        origin.append(level_origin)
     faces = {}
     for k in range(1, top + 1):
         for i in range(1, k + 1):
             for eps in (0, 1):
                 delta = face(k, i, eps)
-                col = []
-                for x, alpha in elements[k]:
-                    col.append(pos[k - 1][(apply_morphism(f.source, delta, x),
-                                           alpha.compose(delta))])
-                faces[(k, i, eps)] = tuple(col)
+                src = tx.face[(k, i, eps)]
+                faces[(k, i, eps)] = tuple(
+                    pos[k - 1][(src[ix], alpha.compose(delta))]
+                    for ix, (_, alpha) in zip(origin[k], elements[k]))
     degen = {}
     for m in range(top):
         for i in range(1, m + 2):
             sigma = degeneracy(m + 1, i)
-            col = []
-            for x, alpha in elements[m]:
-                col.append(pos[m + 1][(apply_morphism(f.source, sigma, x),
-                                       alpha.compose(sigma))])
-            degen[(m, i)] = tuple(col)
+            src = tx.degen_map[(m, i)]
+            degen[(m, i)] = tuple(
+                pos[m + 1][(src[ix], alpha.compose(sigma))]
+                for ix, (_, alpha) in zip(origin[m], elements[m]))
     return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
-from .cubset import CubesTable, CubicalMap, SemiCubicalSet, pullback_fiber
+from .cubset import CubesTable, CubicalMap, SemiCubicalSet, fiber_source, pullback_fiber
 from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
     IntMatrix,
     assemble_blocks,
-    cohomology_of_cochain,
+    cohomology_of_complex,
     cokernel_projection,
     homology_of_complex,
     stack_rows,
@@ -192,10 +192,21 @@ def homology(X: CubesTable, F: ContravariantSystem, max_dim: int,
 
 @dataclass
 class CochainBuildReport:
-    """A normalized cochain complex: ranks[k] of C^k and deltas[k] = d^k."""
+    """A normalized cochain complex, held as the chain complex it is the dual of.
 
-    ranks: List[int]
-    deltas: List[IntMatrix]
+    ranks[k] is the rank of C^k and deltas[k] = d^k, the transpose of the
+    boundary d_{k+1} of complex.
+    """
+
+    complex: FreeChainComplex
+
+    @property
+    def ranks(self) -> List[int]:
+        return list(self.complex.ranks)
+
+    @property
+    def deltas(self) -> List[IntMatrix]:
+        return [d.transpose() for d in self.complex.boundaries]
 
 
 def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
@@ -209,8 +220,7 @@ def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
     """
     if G.variance != "covariant":
         raise ValueError("cochain complexes take covariant coefficients")
-    cx = _normalize(X, transpose_system(G), _cokernel_pair).complex
-    return CochainBuildReport(list(cx.ranks), [d.transpose() for d in cx.boundaries])
+    return CochainBuildReport(_normalize(X, transpose_system(G), _cokernel_pair).complex)
 
 
 def cohomology(X: CubesTable, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
@@ -223,9 +233,7 @@ def cohomology(X: CubesTable, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
             f"computing H^0..H^{max_dim} needs cubes up to dimension {max_dim + 1}, "
             f"table stops at {X.top}")
     report = cochain_complex(X, G)
-    ranks = report.ranks[:max_dim + 2]
-    deltas = report.deltas[:max_dim + 1]
-    return cohomology_of_cochain(ranks, deltas)
+    return cohomology_of_complex(_truncate(report.complex, max_dim + 1))
 
 
 def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGroup, ...]:
@@ -274,8 +282,9 @@ class FiberCriterionReport:
     rows: Tuple[FiberRow, ...]
 
 
-def _fiber_row(f: CubicalMap, n: int, key: str, y, max_dim: int, top: int) -> FiberRow:
-    fib = pullback_fiber(f, y, top)
+def _fiber_row(f: CubicalMap, n: int, key: str, y, max_dim: int, top: int,
+               source) -> FiberRow:
+    fib = pullback_fiber(f, y, top, source=source)
     groups = homology(fib, constant_system(fib, 1), max_dim)
     expected = tuple(HomologyGroup(1 if d == 0 else 0, ()) for d in range(max_dim + 1))
     return FiberRow(n, key, groups, groups == expected)
@@ -285,11 +294,13 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     """Check that every fiber of f has the homology of a point.
 
     Every cube of the target's truncation at top is tested; fibers are
-    truncated at top as well, so top must be at least max_dim + 1.
+    truncated at top as well, so top must be at least max_dim + 1. The
+    source is expanded and mapped once and shared by every fiber.
     """
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")
     ty = f.target.expand(top)
-    rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top)
+    source = fiber_source(f, top)
+    rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top, source)
                  for n in range(ty.top + 1) for idx, y in enumerate(ty.elements[n]))
     return FiberCriterionReport(all(r.ok for r in rows), rows)

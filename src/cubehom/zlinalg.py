@@ -430,25 +430,23 @@ def homology_of_complex(cx: FreeChainComplex) -> tuple:
                  for n in range(cx.top))
 
 
+def cohomology_of_complex(cx: FreeChainComplex) -> tuple:
+    """Cohomology of the dual of cx, Hom(cx, Z), in degrees 0 .. top-1.
+
+    The coboundary d^k is the transpose of d_{k+1}, and transposing changes
+    neither the rank nor the invariant factors, so the eliminations of
+    homology serve: H^k = Z^(c_k - rk d_k - rk d_{k+1}) (+) torsion(d_k).
+    """
+    rk, torsion = _eliminate(cx.boundaries)
+    return tuple(HomologyGroup(cx.ranks[k] - rk[k] - rk[k + 1], torsion[k])
+                 for k in range(cx.top))
+
+
 def cohomology_of_cochain(ranks: Sequence[int], deltas: Sequence[IntMatrix]) -> tuple:
     """Cohomology of a cochain complex C^0 -> C^1 -> ... -> C^top.
 
     deltas[k] is d^k : C^k -> C^{k+1} for 0 <= k < top. Reports degrees
-    0 .. top-1; degree top would need d^top. With rk the rank of a map,
-    H^k = Z^(c_k - rk d^k - rk d^{k-1}) (+) torsion(d^{k-1}).
+    0 .. top-1; degree top would need d^top. The transposed maps form a
+    chain complex, whose constructor checks the shapes and d . d = 0.
     """
-    ranks = tuple(int(r) for r in ranks)
-    deltas = tuple(deltas)
-    top = len(ranks) - 1
-    if len(deltas) != top:
-        raise ValueError("need exactly one coboundary per degree below the top")
-    for k, dmat in enumerate(deltas):
-        if (dmat.rows, dmat.cols) != (ranks[k + 1], ranks[k]):
-            raise ValueError(f"d^{k} has shape {dmat.rows}x{dmat.cols}, "
-                             f"expected {ranks[k+1]}x{ranks[k]}")
-    for k in range(1, top):
-        if not (deltas[k] * deltas[k - 1]).is_zero():
-            raise ValueError(f"d^{k} . d^{k-1} != 0; not a complex")
-    rk, torsion = _eliminate(deltas)
-    return tuple(HomologyGroup(ranks[k] - rk[k] - rk[k + 1], torsion[k])
-                 for k in range(top))
+    return cohomology_of_complex(FreeChainComplex(ranks, [d.transpose() for d in deltas]))

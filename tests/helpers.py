@@ -4,7 +4,7 @@ Everything here is tiny enough to check by hand; homology values asserted in
 the test modules were computed on paper from these presentations.
 """
 
-from cubehom.boxcat import CubeMorphism, identity
+from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
 from cubehom.catalg import FiniteCategory
 from cubehom.coeff import (
     CovariantSystem,
@@ -14,9 +14,12 @@ from cubehom.coeff import (
 )
 from cubehom.cubset import (
     Cube,
+    CubesTable,
     CubicalMap,
     PresentedCubicalSet,
     SemiCubicalSet,
+    apply_morphism,
+    standard_cube,
     universal_from_semicubical,
 )
 from cubehom.zlinalg import IntMatrix, solve_exact
@@ -141,6 +144,68 @@ def endpoint_inclusion():
 
 def identity_map(X):
     return CubicalMap(X, X, {g: Cube(g, identity(d)) for g, d in X.generators.items()})
+
+
+def square_to_interval():
+    """The projection of the standard square onto its first coordinate."""
+    assignment = {}
+    for g, k in standard_cube(2).generators.items():
+        first = g[1]
+        if first == "x":
+            assignment[g] = Cube("cx", CubeMorphism(k, 1, (1,)))
+        else:
+            assignment[g] = Cube("c" + first, CubeMorphism(k, 0, ()))
+    return CubicalMap(standard_cube(2), standard_cube(1), assignment)
+
+
+def reference_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
+    """The fiber of f over y by the definition, one cube pair at a time.
+
+    Every pair (x, alpha) of a source cube and a morphism into y is tested,
+    and every operator is applied to x in the presented source. Slow, but
+    independent of the index tables pullback_fiber reads.
+    """
+    d = y.dim
+    tx = f.source.expand(top)
+    keys, elements, degenerate, pos = [], [], [], []
+    for k in range(top + 1):
+        level_keys, level_elems, level_deg = [], [], []
+        level_pos = {}
+        for x in tx.elements[k]:
+            fx = f.apply_to_cube(x)
+            deleted_x = set(range(1, k + 1)) - set(x.epi.tokens)
+            for alpha in hom_set(k, d):
+                if apply_morphism(f.target, alpha, y) != fx:
+                    continue
+                used = set(t for t in alpha.tokens if t >= 1)
+                level_pos[(x, alpha)] = len(level_keys)
+                level_keys.append(f"{x.key()};{alpha.token_word()}")
+                level_elems.append((x, alpha))
+                level_deg.append(bool(deleted_x - used))
+        keys.append(level_keys)
+        elements.append(level_elems)
+        degenerate.append(level_deg)
+        pos.append(level_pos)
+    faces = {}
+    for k in range(1, top + 1):
+        for i in range(1, k + 1):
+            for eps in (0, 1):
+                delta = face(k, i, eps)
+                col = []
+                for x, alpha in elements[k]:
+                    col.append(pos[k - 1][(apply_morphism(f.source, delta, x),
+                                           alpha.compose(delta))])
+                faces[(k, i, eps)] = tuple(col)
+    degen = {}
+    for m in range(top):
+        for i in range(1, m + 2):
+            sigma = degeneracy(m + 1, i)
+            col = []
+            for x, alpha in elements[m]:
+                col.append(pos[m + 1][(apply_morphism(f.source, sigma, x),
+                                       alpha.compose(sigma))])
+            degen[(m, i)] = tuple(col)
+    return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 
 def random_unimodular(rng, r):

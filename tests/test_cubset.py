@@ -15,6 +15,7 @@ from cubehom.cubset import (
     apply_with_events,
     epi_from_wire,
     epi_wire,
+    fiber_source,
     product,
     pullback_fiber,
     standard_cube,
@@ -315,7 +316,36 @@ class TestProduct:
         assert table.validate() == []
 
 
+FIBER_MAPS = {
+    **{f"identity-I{n}": helpers.identity_map(standard_cube(n)) for n in (1, 2, 3)},
+    **{f"collapse-I{n}": helpers.collapse_to_point(standard_cube(n)) for n in (1, 2, 3)},
+    "projection-I2-I1": helpers.square_to_interval(),
+}
+
+
+def table_parts(t):
+    return t.keys, t.elements, t.degenerate, t.face, t.degen_map
+
+
 class TestPullbackFiber:
+    @pytest.mark.parametrize("top", (1, 2, 3))
+    @pytest.mark.parametrize("name", sorted(FIBER_MAPS))
+    def test_tables_match_reference(self, name, top):
+        f = FIBER_MAPS[name]
+        assert f.validate() == []
+        source = fiber_source(f, top)
+        ty = f.target.expand(top)
+        for n in range(top + 1):
+            for y in ty.elements[n]:
+                want = table_parts(helpers.reference_fiber(f, y, top))
+                assert table_parts(pullback_fiber(f, y, top)) == want
+                assert table_parts(pullback_fiber(f, y, top, source=source)) == want
+
+    def test_source_of_other_truncation_refused(self):
+        f = helpers.identity_map(standard_cube(1))
+        with pytest.raises(ValueError):
+            pullback_fiber(f, Cube("cx", identity(1)), 2, source=fiber_source(f, 3))
+
     def test_fiber_of_identity_is_representable(self):
         X = standard_cube(2)
         f = CubicalMap(X, X, {g: Cube(g, identity(d)) for g, d in X.generators.items()})

@@ -325,6 +325,18 @@ class TestFiberCriterion:
         with pytest.raises(ValueError):
             fiber_criterion(f, 2, 2)
 
+    def test_rows_match_fibers_computed_alone(self):
+        for f, max_dim, top in ((helpers.collapse_to_point(standard_cube(2)), 1, 3),
+                                (helpers.square_to_interval(), 1, 2),
+                                (helpers.fold_wedge(), 0, 2)):
+            rep = fiber_criterion(f, max_dim, top)
+            ty = f.target.expand(top)
+            cubes = [(n, idx) for n in range(top + 1) for idx in range(ty.size(n))]
+            assert [(r.dim, r.key) for r in rep.rows] == [(n, ty.key(n, idx)) for n, idx in cubes]
+            for row, (n, idx) in zip(rep.rows, cubes):
+                fib = pullback_fiber(f, ty.element(n, idx), top)
+                assert row.groups == homology(fib, constant_system(fib, 1), max_dim)
+
 
 class TestFiberHomologyMatchesProduct:
     def test_collapse_fiber_equals_product(self):

@@ -11,6 +11,7 @@ from cubehom.zlinalg import (
     IntMatrix,
     assemble_blocks,
     cohomology_of_cochain,
+    cohomology_of_complex,
     cokernel_projection,
     det,
     homology_of_complex,
@@ -337,6 +338,7 @@ class TestEliminationOracle:
         cohomology = tuple(HomologyGroup(free(n), cyclic(n - 1) if n else ())
                            for n in range(TOP))
         assert cohomology_of_cochain(ranks, [d.transpose() for d in maps]) == cohomology
+        assert cohomology_of_complex(FreeChainComplex(ranks, maps)) == cohomology
 
 
 class TestAssembly:
