@@ -1,14 +1,17 @@
 """Exact integer linear algebra: Smith normal form, cokernels, chain homology.
 
 Everything here works over plain Python ints, so there is no overflow and no
-floating point anywhere. Matrices are small dense arrays of ints; the sizes
-this package produces (a few hundred rows) are well within reach of the
-quadratic-ish elimination below.
+floating point anywhere. Homology and cohomology take the rank and the
+invariant factors of each boundary from one transform-free kernel: sparse
+unit-pivot elimination, then a dense Smith reduction of whatever is left.
+The Smith normal form with all four transforms serves only the callers that
+use the transforms, cokernels and exact solving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -390,9 +393,16 @@ class FreeChainComplex:
             if (dmat.rows, dmat.cols) != (self.ranks[n - 1], self.ranks[n]):
                 raise ValueError(f"d_{n} has shape {dmat.rows}x{dmat.cols}, "
                                  f"expected {self.ranks[n-1]}x{self.ranks[n]}")
-        for n in range(1, len(self.boundaries)):
-            if not (self.boundaries[n - 1] * self.boundaries[n]).is_zero():
-                raise ValueError(f"d_{n} . d_{n+1} != 0")
+        sparse = [_sparse_rows(dmat) for dmat in self.boundaries]
+        for n in range(1, len(sparse)):
+            right = sparse[n]
+            for row in sparse[n - 1]:
+                out = {}
+                for k, a in row.items():
+                    for j, b in right[k].items():
+                        out[j] = out.get(j, 0) + a * b
+                if any(out.values()):
+                    raise ValueError(f"d_{n} . d_{n+1} != 0")
 
     @property
     def top(self) -> int:
@@ -405,16 +415,119 @@ class FreeChainComplex:
         return self.boundaries[n - 1]
 
 
-def _eliminate(maps: Sequence[IntMatrix]):
-    """Rank and torsion invariant factors of each map, one Smith form apiece.
+def _sparse_rows(a: IntMatrix) -> list:
+    """The rows of a as dicts {column: non-zero entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a.data]
 
-    Both lists start with the zero map, so entry n + 1 belongs to maps[n].
+
+def _unit_pivots(rows: list) -> int:
+    """Eliminate unit pivots from sparse rows in place; return their number.
+
+    Rows are visited in order, pass after pass, until none holds a +-1. A
+    row's unit pivot is taken in its column with the fewest rows on record
+    (then the least index); row operations clear that column, and the
+    pivot's row and column are dropped, since column operations would clear
+    the rest of the row without touching any other row. Every pivot adds 1
+    to the rank and the invariant factor 1. The record of rows per column
+    may keep rows that have since lost their entry there.
+    """
+    where = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    pivots = 0
+    found = True
+    while found:
+        found = False
+        for i, row in enumerate(rows):
+            units = [j for j, x in row.items() if x in (1, -1)]
+            if not units:
+                continue
+            j = min(units, key=lambda c: (len(where[c]), c))
+            for k in where.pop(j):
+                target = rows[k]
+                if k == i or j not in target:
+                    continue
+                q = target[j] * row[j]
+                for c, x in row.items():
+                    y = target.get(c, 0) - q * x
+                    if y:
+                        target[c] = y
+                        where[c].add(k)
+                    else:
+                        del target[c]
+            rows[i] = {}
+            pivots += 1
+            found = True
+    return pivots
+
+
+def _dense_factors(d: list) -> list:
+    """Diagonal entries > 0 of a transform-free reduction of a dense matrix.
+
+    Each round pivots on an entry of least absolute value in the whole
+    residual and reduces its row and column by nearest-integer quotients,
+    so every remainder is at most half the pivot; a fully cleared pivot is
+    taken out with its row and column.
+    """
+    factors = []
+    while True:
+        cells = [(abs(x), i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x]
+        if not cells:
+            return factors
+        _, pi, pj = min(cells)
+        d[0], d[pi] = d[pi], d[0]
+        for row in d:
+            row[0], row[pj] = row[pj], row[0]
+        if d[0][0] < 0:
+            d[0] = [-x for x in d[0]]
+        top, p = d[0], d[0][0]
+        for row in d[1:]:
+            if row[0]:
+                q = (2 * row[0] + p) // (2 * p)
+                for c, x in enumerate(top):
+                    row[c] -= q * x
+        for c in range(1, len(top)):
+            if top[c]:
+                q = (2 * top[c] + p) // (2 * p)
+                for row in d:
+                    row[c] -= q * row[0]
+        if any(row[0] for row in d[1:]) or any(top[1:]):
+            continue
+        factors.append(p)
+        d = [row[1:] for row in d[1:]]
+
+
+def _smith_factors(diagonal: list) -> list:
+    """Invariant factors of a diagonal matrix, by pairwise gcd and lcm.
+
+    Z/a + Z/b is Z/gcd + Z/lcm, so after position i has met every later one
+    it divides all of them.
+    """
+    f = sorted(diagonal)
+    for i in range(len(f)):
+        for k in range(i + 1, len(f)):
+            g = gcd(f[i], f[k])
+            f[i], f[k] = g, f[i] * f[k] // g
+    return f
+
+
+def _eliminate(maps: Sequence[IntMatrix]):
+    """Rank and torsion invariant factors of each map, without transforms.
+
+    Unit pivots go first on sparse rows; the residual they leave gets a
+    dense reduction. Both lists start with the zero map, so entry n + 1
+    belongs to maps[n].
     """
     ranks, torsion = [0], [()]
     for m in maps:
-        snf = smith_normal_form(m)
-        ranks.append(snf.rank)
-        torsion.append(tuple(x for x in snf.invariant_factors() if x > 1))
+        rows = _sparse_rows(m)
+        units = _unit_pivots(rows)
+        columns = sorted({j for row in rows for j in row})
+        residual = [[row.get(j, 0) for j in columns] for row in rows if row]
+        factors = _smith_factors(_dense_factors(residual))
+        ranks.append(units + len(factors))
+        torsion.append(tuple(x for x in factors if x > 1))
     return ranks, torsion
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -256,6 +258,35 @@ class TestHomology:
         with pytest.raises(ValueError):
             FreeChainComplex([1, 2], [IntMatrix.zeros(2, 2)])
 
+    def test_complex_validates_dd_on_one_entry(self):
+        # Two squares side by side: vertices (0,0), (1,0), (2,0), (0,1),
+        # (1,1), (2,1); edges h0..h3 run right, u0..u2 run up.
+        ends = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+        d1 = [[0] * 7 for _ in range(6)]
+        for e, (a, b) in enumerate(ends):
+            d1[a][e], d1[b][e] = -1, 1
+        d2 = IntMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1],
+                                  [-1, 0], [1, -1], [0, 1]])
+        FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1), d2])
+        # h0 is a face of the first square only, so flipping its end at
+        # (1,0) makes d_1 . d_2 non-zero at that vertex and that square only.
+        d1[1][0] = -1
+        assert sum(1 for row in (IntMatrix.from_rows(d1) * d2).data
+                   for x in row if x) == 1
+        with pytest.raises(ValueError, match=r"d_1 \. d_2 != 0"):
+            FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1), d2])
+
+    def test_no_coefficient_blow_up(self):
+        # The four-transform Smith form grows entries past 70,000 bits on
+        # this matrix; the gcd of its nine 8x8 minors is 2.
+        a = IntMatrix.from_rows([
+            (0, 0, 1, 0, 6, 3, 0, 2), (-2, -1, 1, 1, -2, 1, 3, -2),
+            (2, 6, 1, -2, 0, -1, 3, 1), (0, 6, 3, 6, -2, 0, 3, 6),
+            (3, 0, 2, -2, 0, 1, -1, 0), (6, 0, -1, 6, 2, 6, 6, -1),
+            (6, 3, 6, 6, 3, -1, -2, -1), (0, 6, -2, 0, 6, 0, -1, 0),
+            (3, 0, 2, 3, 3, -1, 0, 0)])
+        assert homology_of_complex(FreeChainComplex([9, 8], [a])) == (HomologyGroup(1, (2,)),)
+
 
 class TestCohomology:
     def test_two_term(self):
@@ -339,6 +370,44 @@ class TestEliminationOracle:
                            for n in range(TOP))
         assert cohomology_of_cochain(ranks, [d.transpose() for d in maps]) == cohomology
         assert cohomology_of_complex(FreeChainComplex(ranks, maps)) == cohomology
+
+
+def determinantal_divisors(a):
+    """d_k = gcd of all k x k minors of a, for k = 1 .. min(rows, cols)."""
+    return [math.gcd(*(det(a.take_rows(r).take_cols(c))
+                       for r in itertools.combinations(range(a.rows), k)
+                       for c in itertools.combinations(range(a.cols), k)))
+            for k in range(1, min(a.rows, a.cols) + 1)]
+
+
+@st.composite
+def oracle_matrix(draw):
+    """Up to 5 x 6, entries in -6..6, some with a zero row or column, and
+    some with no unit entry, which leaves the whole matrix to the dense phase."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-6, 6)
+    if draw(st.booleans()):
+        entries = entries.filter(lambda x: abs(x) != 1)
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    zero_row = draw(st.none() | st.integers(0, m - 1))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if i == zero_row or j == zero_col:
+                row[j] = 0
+    return IntMatrix(m, n, rows)
+
+
+class TestDeterminantalOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrix())
+    def test_rank_and_torsion_from_minors(self, a):
+        # The rank is the largest k with d_k != 0, and the k-th invariant
+        # factor is d_k / d_{k-1}; no Smith form is involved.
+        divisors = [d for d in determinantal_divisors(a) if d]
+        factors = [d // prev for prev, d in zip([1] + divisors, divisors)]
+        expected = HomologyGroup(a.rows - len(divisors), tuple(f for f in factors if f > 1))
+        assert homology_of_complex(FreeChainComplex([a.rows, a.cols], [a])) == (expected,)
 
 
 class TestAssembly:
