@@ -227,8 +227,13 @@ def transpose_system(F):
 
 
 def is_local(F) -> bool:
-    """True when every operator matrix is square with determinant +-1."""
-    for m in list(F.face.values()) + list(F.degen.values()):
+    """True when every operator matrix is square with determinant +-1.
+
+    A matrix object shared by many operators, such as the one identity of a
+    constant system, is tested once.
+    """
+    distinct = {id(m): m for m in list(F.face.values()) + list(F.degen.values())}
+    for m in distinct.values():
         if m.rows != m.cols or det(m) not in (1, -1):
             return False
     return True

@@ -20,7 +20,6 @@ from .zlinalg import (
     cohomology_of_complex,
     cokernel_projection,
     homology_of_complex,
-    stack_rows,
 )
 
 
@@ -125,8 +124,10 @@ def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
 
 
 def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
-    span = stack_rows([F.degen_matrix(n - 1, i, x).transpose()
-                       for i, x in arriving]).transpose()
+    mats = [F.degen_matrix(n - 1, i, x) for i, x in arriving]
+    rows = zip(*(m.data for m in mats), strict=True)
+    span = IntMatrix(F.rank_of(n, z), sum(m.cols for m in mats),
+                     [sum(parts, ()) for parts in rows])
     pres = cokernel_projection(span)
     if pres.torsion:
         raise ValueError(

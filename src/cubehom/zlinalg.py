@@ -1,11 +1,12 @@
 """Exact integer linear algebra: Smith normal form, cokernels, chain homology.
 
 Everything here works over plain Python ints, so there is no overflow and no
-floating point anywhere. Homology and cohomology take the rank and the
-invariant factors of each boundary from one transform-free kernel: sparse
-unit-pivot elimination, then a dense Smith reduction of whatever is left.
-The Smith normal form with all four transforms serves only the callers that
-use the transforms, cokernels and exact solving.
+floating point anywhere. Every dense reduction runs one deterministic pivot
+loop, and each caller says which transforms it keeps: the Smith normal form
+keeps all four (exact solving needs them), cokernels keep only the row
+transforms, and homology keeps none. Homology and cohomology take the rank
+and the invariant factors of each boundary from sparse unit-pivot
+elimination, then that loop on whatever is left.
 """
 
 from __future__ import annotations
@@ -104,17 +105,6 @@ class IntMatrix:
         return IntMatrix(self.rows, len(indices), [[r[j] for j in indices] for r in self.data])
 
 
-def stack_rows(mats: Sequence[IntMatrix]) -> IntMatrix:
-    """Vertical stack; all blocks must share a column count."""
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column mismatch in stack_rows")
-    data = [row for m in mats for row in m.data]
-    return IntMatrix(sum(m.rows for m in mats), cols, data)
-
-
 def assemble_blocks(
     row_sizes: Sequence[int],
     col_sizes: Sequence[int],
@@ -189,70 +179,61 @@ class SmithDecomposition:
         return tuple(self.D[i, i] for i in range(self.rank))
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with deterministic pivoting.
+def _eye(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    The pivot at each stage is the entry of minimal absolute value in the
-    remaining submatrix, ties broken by row then column index. All four
-    transform matrices are tracked so callers get sections and inverses
-    without re-solving.
+
+def _addmul(transform, i: int, k: int, q: int) -> None:
+    """Record line i += q * line k in a transform pair (T, T_inv').
+
+    T holds the transform by lines, T_inv' its inverse by the other index,
+    so both change by whole lists: T[i] += q T[k] and T_inv'[k] -= q T_inv'[i].
     """
-    m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if transform is None:
+        return
+    fwd, inv = transform
+    fi, fk, ii, ik = fwd[i], fwd[k], inv[i], inv[k]
+    for c, x in enumerate(fk):
+        if x:
+            fi[c] += q * x
+    for c, x in enumerate(ii):
+        if x:
+            ik[c] -= q * x
 
-    def row_swap(r, s):
-        d[r], d[s] = d[s], d[r]
-        u[r], u[s] = u[s], u[r]
-        for row in uinv:
-            row[r], row[s] = row[s], row[r]
 
-    def row_addmul(r, s, q):
-        # row r += q * row s
-        dr, ds = d[r], d[s]
-        for j in range(n):
-            dr[j] += q * ds[j]
-        ur, us = u[r], u[s]
-        for j in range(m):
-            ur[j] += q * us[j]
-        for row in uinv:
-            row[s] -= q * row[r]
+def _swap(transform, i: int, k: int) -> None:
+    if transform is not None:
+        for lines in transform:
+            lines[i], lines[k] = lines[k], lines[i]
 
-    def row_negate(r):
-        d[r] = [-x for x in d[r]]
-        u[r] = [-x for x in u[r]]
-        for row in uinv:
-            row[r] = -row[r]
 
-    def col_swap(c, e):
-        for row in d:
-            row[c], row[e] = row[e], row[c]
-        for row in v:
-            row[c], row[e] = row[e], row[c]
-        vinv[c], vinv[e] = vinv[e], vinv[c]
+def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
+            chain: bool = False):
+    """Diagonalize the m x n matrix d, a list of row lists, in place.
 
-    def col_addmul(c, e, q):
-        # col c += q * col e
-        for row in d:
-            row[c] += q * row[e]
-        for row in v:
-            row[c] += q * row[e]
-        ve, vc = vinv[e], vinv[c]
-        for j in range(n):
-            ve[j] -= q * vc[j]
+    Each round pivots on an entry of least absolute value in the residual
+    d[t:, t:], the first in row-major order (the search stops at a +-1),
+    moves it to (t, t) and makes it positive. Row operations reduce its
+    column and column operations its row by nearest-integer quotients, so
+    every remainder is at most half the pivot and the next pivot is
+    smaller. A pivot with a clear row and column is final, unless chain is
+    set and it fails to divide a residual entry; that entry's row is then
+    added to the pivot row. A unit divides everything, so it skips the scan.
 
+    With rows, (U, U_inv transposed) is tracked, with cols (V transposed,
+    V_inv), such that U * A * V = D; a transform not asked for is None.
+    Returns (number of pivots, row transform, column transform).
+    """
+    m = len(d)
+    row_tf = (_eye(m), _eye(m)) if rows else None
+    col_tf = (_eye(n), _eye(n)) if cols else None
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        # locate the minimal-absolute-value nonzero entry, row-major tie-break
+    while t < m and t < n:
         best = None
         for i in range(t, m):
-            di = d[i]
+            row = d[i]
             for j in range(t, n):
-                x = di[j]
+                x = row[j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
                     if best[0] == 1:
@@ -261,52 +242,66 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 break
         if best is None:
             break
-        _, pi, pj = best
+        p, pi, pj = best
         if pi != t:
-            row_swap(t, pi)
+            d[t], d[pi] = d[pi], d[t]
+            _swap(row_tf, t, pi)
         if pj != t:
-            col_swap(t, pj)
-
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_addmul(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_addmul(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
+            for row in d[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            _swap(col_tf, t, pj)
+        top = d[t]
+        if top[t] < 0:
+            d[t] = top = [-x for x in top]
+            if rows:
+                for lines in row_tf:
+                    lines[t] = [-x for x in lines[t]]
+        clear = True
+        entries = [(c, x) for c, x in enumerate(top) if x]
+        for i in range(t + 1, m):
+            row = d[i]
+            if row[t]:
+                q = (2 * row[t] + p) // (2 * p)
+                for c, x in entries:
+                    row[c] -= q * x
+                _addmul(row_tf, i, t, -q)
+                clear = clear and not row[t]
+        column = [(i, d[i][t]) for i in range(t, m) if d[i][t]]
+        for j in range(t + 1, n):
+            if top[j]:
+                q = (2 * top[j] + p) // (2 * p)
+                for i, x in column:
+                    d[i][j] -= q * x
+                _addmul(col_tf, j, t, -q)
+                clear = clear and not top[j]
+        if not clear:
+            continue
+        if chain and p != 1:
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in d[i][t + 1:])), None)
+            if offender is not None:
+                for c, x in enumerate(d[offender]):
+                    top[c] += x
+                _addmul(row_tf, t, offender, 1)
                 continue
-            pivot = d[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                di = d[i]
-                for j in range(t + 1, n):
-                    if di[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-        if d[t][t] < 0:
-            row_negate(t)
         t += 1
+    return t, row_tf, col_tf
 
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form U * A * V = D with all four transforms.
+
+    One run of the pivot loop with both transforms and the divisibility
+    chain; solving needs V as well as U.
+    """
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.data]
+    _, (u, uinv_t), (v_t, vinv) = _reduce(d, n, rows=True, cols=True, chain=True)
     return SmithDecomposition(
         U=IntMatrix(m, m, u),
         D=IntMatrix(m, n, d),
-        V=IntMatrix(n, n, v),
-        U_inv=IntMatrix(m, m, uinv),
+        V=IntMatrix(n, n, v_t).transpose(),
+        U_inv=IntMatrix(m, m, uinv_t).transpose(),
         V_inv=IntMatrix(n, n, vinv),
     )
 
@@ -326,13 +321,19 @@ class CokernelPresentation:
 
 
 def cokernel_projection(a: IntMatrix) -> CokernelPresentation:
-    snf = smith_normal_form(a)
-    r = snf.rank
-    free_idx = range(r, a.rows)
-    proj = snf.U.take_rows(free_idx)
-    section = snf.U_inv.take_cols(free_idx)
-    torsion = tuple(x for x in snf.invariant_factors() if x > 1)
-    return CokernelPresentation(projection=proj, section=section, torsion=torsion)
+    """Free part and torsion of coker(A) from the pivot loop with U only.
+
+    With U * A * V = D and r pivots, rows r.. of U * A are zero whatever V
+    is, so they project onto the free part and the matching columns of
+    U_inv are a section; the torsion comes from the pivots.
+    """
+    m = a.rows
+    d = [list(row) for row in a.data]
+    r, (u, uinv_t), _ = _reduce(d, a.cols, rows=True)
+    torsion = tuple(x for x in _smith_factors([d[k][k] for k in range(r)]) if x > 1)
+    return CokernelPresentation(projection=IntMatrix(m - r, m, u[r:]),
+                                section=IntMatrix(m - r, m, uinv_t[r:]).transpose(),
+                                torsion=torsion)
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -462,42 +463,6 @@ def _unit_pivots(rows: list) -> int:
     return pivots
 
 
-def _dense_factors(d: list) -> list:
-    """Diagonal entries > 0 of a transform-free reduction of a dense matrix.
-
-    Each round pivots on an entry of least absolute value in the whole
-    residual and reduces its row and column by nearest-integer quotients,
-    so every remainder is at most half the pivot; a fully cleared pivot is
-    taken out with its row and column.
-    """
-    factors = []
-    while True:
-        cells = [(abs(x), i, j) for i, row in enumerate(d) for j, x in enumerate(row) if x]
-        if not cells:
-            return factors
-        _, pi, pj = min(cells)
-        d[0], d[pi] = d[pi], d[0]
-        for row in d:
-            row[0], row[pj] = row[pj], row[0]
-        if d[0][0] < 0:
-            d[0] = [-x for x in d[0]]
-        top, p = d[0], d[0][0]
-        for row in d[1:]:
-            if row[0]:
-                q = (2 * row[0] + p) // (2 * p)
-                for c, x in enumerate(top):
-                    row[c] -= q * x
-        for c in range(1, len(top)):
-            if top[c]:
-                q = (2 * top[c] + p) // (2 * p)
-                for row in d:
-                    row[c] -= q * row[0]
-        if any(row[0] for row in d[1:]) or any(top[1:]):
-            continue
-        factors.append(p)
-        d = [row[1:] for row in d[1:]]
-
-
 def _smith_factors(diagonal: list) -> list:
     """Invariant factors of a diagonal matrix, by pairwise gcd and lcm.
 
@@ -525,7 +490,8 @@ def _eliminate(maps: Sequence[IntMatrix]):
         units = _unit_pivots(rows)
         columns = sorted({j for row in rows for j in row})
         residual = [[row.get(j, 0) for j in columns] for row in rows if row]
-        factors = _smith_factors(_dense_factors(residual))
+        r, _, _ = _reduce(residual, len(columns))
+        factors = _smith_factors([residual[k][k] for k in range(r)])
         ranks.append(units + len(factors))
         torsion.append(tuple(x for x in factors if x > 1))
     return ranks, torsion

@@ -126,6 +126,13 @@ class TestLocal:
         F = extend_semicubical(helpers.weighted_torus_system(), 2)
         assert not is_local(F)
 
+    def test_is_local_tests_every_matrix_object(self):
+        # Every other operator shares the constant system's one identity.
+        F = constant_system(helpers.torus().expand(2), 1)
+        key = list(F.face)[-1]
+        F.face[key] = IntMatrix.from_rows([[2]])
+        assert not is_local(F)
+
 
 class TestTranspose:
     def test_round_trip(self):

@@ -19,8 +19,18 @@ from cubehom.zlinalg import (
     homology_of_complex,
     smith_normal_form,
     solve_exact,
-    stack_rows,
 )
+
+
+# A Smith reduction that keeps pivoting on the remainders in its pivot's
+# own row and column, with floor quotients, grows entries past 70,000 bits
+# on this matrix; the gcd of its nine 8x8 minors is 2.
+BLOW_UP = IntMatrix.from_rows([
+    (0, 0, 1, 0, 6, 3, 0, 2), (-2, -1, 1, 1, -2, 1, 3, -2),
+    (2, 6, 1, -2, 0, -1, 3, 1), (0, 6, 3, 6, -2, 0, 3, 6),
+    (3, 0, 2, -2, 0, 1, -1, 0), (6, 0, -1, 6, 2, 6, 6, -1),
+    (6, 3, 6, 6, 3, -1, -2, -1), (0, 6, -2, 0, 6, 0, -1, 0),
+    (3, 0, 2, 3, 3, -1, 0, 0)])
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -146,6 +156,13 @@ class TestSmith:
         snf = smith_normal_form(a)
         assert snf.invariant_factors() == (1,)
 
+    def test_no_coefficient_blow_up(self):
+        snf = smith_normal_form(BLOW_UP)
+        assert snf.U * BLOW_UP * snf.V == snf.D
+        assert snf.invariant_factors() == (1, 1, 1, 1, 1, 1, 1, 2)
+        assert snf.U * snf.U_inv == IntMatrix.identity(9)
+        assert snf.V * snf.V_inv == IntMatrix.identity(8)
+
     @settings(max_examples=150, deadline=None)
     @given(matrix_strategy)
     def test_decomposition_properties(self, a):
@@ -183,6 +200,13 @@ class TestKernelCokernel:
             free = pres.projection.rows
             assert pres.projection * pres.section == IntMatrix.identity(free)
             assert (pres.projection * a).is_zero()
+
+    def test_cokernel_without_blow_up(self):
+        pres = cokernel_projection(BLOW_UP)
+        assert pres.torsion == (2,)
+        assert pres.projection.rows == 1
+        assert (pres.projection * BLOW_UP).is_zero()
+        assert pres.projection * pres.section == IntMatrix.identity(1)
 
 
 class TestSolve:
@@ -277,15 +301,8 @@ class TestHomology:
             FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1), d2])
 
     def test_no_coefficient_blow_up(self):
-        # The four-transform Smith form grows entries past 70,000 bits on
-        # this matrix; the gcd of its nine 8x8 minors is 2.
-        a = IntMatrix.from_rows([
-            (0, 0, 1, 0, 6, 3, 0, 2), (-2, -1, 1, 1, -2, 1, 3, -2),
-            (2, 6, 1, -2, 0, -1, 3, 1), (0, 6, 3, 6, -2, 0, 3, 6),
-            (3, 0, 2, -2, 0, 1, -1, 0), (6, 0, -1, 6, 2, 6, 6, -1),
-            (6, 3, 6, 6, 3, -1, -2, -1), (0, 6, -2, 0, 6, 0, -1, 0),
-            (3, 0, 2, 3, 3, -1, 0, 0)])
-        assert homology_of_complex(FreeChainComplex([9, 8], [a])) == (HomologyGroup(1, (2,)),)
+        assert homology_of_complex(FreeChainComplex([9, 8], [BLOW_UP])) == (
+            HomologyGroup(1, (2,)),)
 
 
 class TestCohomology:
@@ -398,24 +415,36 @@ def oracle_matrix(draw):
     return IntMatrix(m, n, rows)
 
 
+def cokernel_from_minors(a):
+    """coker(a) as a group, without any Smith form.
+
+    The rank is the largest k with d_k != 0, and the k-th invariant factor
+    is d_k / d_{k-1}.
+    """
+    divisors = [d for d in determinantal_divisors(a) if d]
+    factors = [d // prev for prev, d in zip([1] + divisors, divisors)]
+    return HomologyGroup(a.rows - len(divisors), tuple(f for f in factors if f > 1))
+
+
 class TestDeterminantalOracle:
     @settings(max_examples=200, deadline=None)
     @given(oracle_matrix())
     def test_rank_and_torsion_from_minors(self, a):
-        # The rank is the largest k with d_k != 0, and the k-th invariant
-        # factor is d_k / d_{k-1}; no Smith form is involved.
-        divisors = [d for d in determinantal_divisors(a) if d]
-        factors = [d // prev for prev, d in zip([1] + divisors, divisors)]
-        expected = HomologyGroup(a.rows - len(divisors), tuple(f for f in factors if f > 1))
+        expected = cokernel_from_minors(a)
         assert homology_of_complex(FreeChainComplex([a.rows, a.cols], [a])) == (expected,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrix())
+    def test_cokernel_projection_from_minors(self, a):
+        expected = cokernel_from_minors(a)
+        pres = cokernel_projection(a)
+        assert pres.torsion == expected.torsion
+        assert pres.projection.rows == expected.betti
+        assert (pres.projection * a).is_zero()
+        assert pres.projection * pres.section == IntMatrix.identity(expected.betti)
 
 
 class TestAssembly:
-    def test_stack_rows(self):
-        a = IntMatrix.from_rows([[1, 2]])
-        b = IntMatrix.from_rows([[3, 4], [5, 6]])
-        assert stack_rows([a, b]) == IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
-
     def test_assemble_blocks(self):
         blocks = {
             (0, 0): IntMatrix.from_rows([[1]]),
