@@ -1,6 +1,14 @@
-"""Finite categories: string complexes, cubical nerves, factorization categories."""
+"""Finite categories: string complexes, cubical nerves, factorization categories.
+
+A cube of the nerve is a functor from the poset {0,1}^n, held as a tuple of
+vertex labels and a tuple of edge labels in the fixed order of _points(n)
+and _cube_edges(n). Faces and degeneracies gather those tuples through
+position maps computed once per operator, and each key string is built once
+per cube from prefixes computed once per dimension.
+"""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Dict, List, Tuple
 
@@ -184,38 +192,122 @@ def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
     return cohomology_of_complex(bar_complex(op, dual, max_dim + 1))
 
 
-def _points(n: int):
-    return list(iter_product((0, 1), repeat=n))
+@lru_cache(maxsize=None)
+def _points(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Vertices of the n-cube in lexicographic order: the order of vertex labels."""
+    return tuple(iter_product((0, 1), repeat=n))
 
 
+@lru_cache(maxsize=None)
 def _cube_edges(n: int):
-    out = []
-    for p in _points(n):
-        for j in range(n):
-            if p[j] == 0:
-                out.append((p, p[:j] + (1,) + p[j + 1:]))
-    return out
+    """Edges (p, q) of the n-cube, by lower vertex then direction: the order of edge labels."""
+    return tuple((p, p[:j] + (1,) + p[j + 1:])
+                 for p in _points(n) for j in range(n) if p[j] == 0)
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int):
+    """Position of each vertex and of each edge of the n-cube in its label tuples.
+
+    The two dicts are cached and shared by every caller, which only reads them.
+    """
+    return ({p: k for k, p in enumerate(_points(n))},
+            {e: k for k, e in enumerate(_cube_edges(n))})
 
 
 def _bits(p) -> str:
     return "".join(str(b) for b in p)
 
 
+@lru_cache(maxsize=None)
+def _key_prefixes(n: int):
+    """The "01:" and "00-01:" prefixes of the vertex and edge entries of a key."""
+    return (tuple(f"{_bits(p)}:" for p in _points(n)),
+            tuple(f"{_bits(p)}-{_bits(q)}:" for p, q in _cube_edges(n)))
+
+
+def _key(n: int, vertex_labels, edge_labels) -> str:
+    if n == 0:
+        return vertex_labels[0]
+    vp, ep = _key_prefixes(n)
+    return (",".join([f"{a}{b}" for a, b in zip(vp, vertex_labels)]) + ";"
+            + ",".join([f"{a}{b}" for a, b in zip(ep, edge_labels)]))
+
+
+@lru_cache(maxsize=None)
+def _face_positions(n: int, i: int, eps: int):
+    """Where face (i, eps) of an n-cube reads its vertex and edge labels."""
+    if not 1 <= i <= n or eps not in (0, 1):
+        raise ValueError(f"face ({i}, {eps}) undefined on a {n}-cube")
+    vpos, epos = _positions(n)
+
+    def embed(p):
+        return p[:i - 1] + (eps,) + p[i - 1:]
+    return (tuple(vpos[embed(p)] for p in _points(n - 1)),
+            tuple(epos[(embed(p), embed(q))] for p, q in _cube_edges(n - 1)))
+
+
+@lru_cache(maxsize=None)
+def _degeneracy_positions(m: int, i: int):
+    """Where degeneracy i of an m-cube reads its vertex and edge labels.
+
+    Edges read the m-cube's edge labels followed by the identities of its
+    vertices: a collapsed edge at vertex position k reads the identity at
+    position len(edges) + k.
+    """
+    if not 1 <= i <= m + 1:
+        raise ValueError(f"degeneracy {i} undefined on a {m}-cube")
+    vpos, epos = _positions(m)
+
+    def drop(p):
+        return p[:i - 1] + p[i:]
+    return (tuple(vpos[drop(p)] for p in _points(m + 1)),
+            tuple(len(epos) + vpos[drop(p)] if p[i - 1] != q[i - 1]
+                  else epos[(drop(p), drop(q))]
+                  for p, q in _cube_edges(m + 1)))
+
+
+def _gather(labels, positions) -> tuple:
+    return tuple([labels[k] for k in positions])
+
+
 class CubeFunctor:
     """A functor from the poset cube {0,1}^n to a finite category.
 
-    Stored as an object per vertex and a morphism name per edge; every square
-    face commutes, so composites along monotone paths are well defined.
+    Stored as two tuples: the object at each vertex in the order of
+    _points(n) and the morphism name on each edge in the order of
+    _cube_edges(n). Every square face commutes, so composites along monotone
+    paths are well defined.
     """
 
+    __slots__ = ("category", "dim", "vertex_labels", "edge_labels")
+
     def __init__(self, category: FiniteCategory, dim: int, vertices, edges):
+        vertices, edges = dict(vertices), dict(edges)
         self.category = category
         self.dim = dim
-        self.vertices = dict(vertices)
-        self.edges = dict(edges)
+        self.vertex_labels = tuple(vertices[p] for p in _points(dim))
+        self.edge_labels = tuple(edges[e] for e in _cube_edges(dim))
+
+    @classmethod
+    def _from_labels(cls, category, dim, vertex_labels, edge_labels) -> "CubeFunctor":
+        x = cls.__new__(cls)
+        x.category = category
+        x.dim = dim
+        x.vertex_labels = vertex_labels
+        x.edge_labels = edge_labels
+        return x
+
+    @property
+    def vertices(self) -> Dict[Tuple[int, ...], str]:
+        return dict(zip(_points(self.dim), self.vertex_labels))
+
+    @property
+    def edges(self) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], str]:
+        return dict(zip(_cube_edges(self.dim), self.edge_labels))
 
     def vertex(self, point) -> str:
-        return self.vertices[tuple(point)]
+        return self.vertex_labels[_positions(self.dim)[0][tuple(point)]]
 
     def value_on_leq(self, p, q) -> str:
         """Name of the composite morphism from the image of p to the image of q."""
@@ -225,52 +317,37 @@ class CubeFunctor:
         if any(a > b for a, b in zip(p, q)):
             raise ValueError(f"{p} is not below {q}")
         C = self.category
+        vpos, epos = _positions(self.dim)
         cur = p
-        result = C.identity_of(self.vertices[p])
+        result = C.identity_of(self.vertex_labels[vpos[p]])
         for i in range(self.dim):
             if cur[i] < q[i]:
                 nxt = cur[:i] + (1,) + cur[i + 1:]
-                result = C.compose(self.edges[(cur, nxt)], result)
+                result = C.compose(self.edge_labels[epos[(cur, nxt)]], result)
                 cur = nxt
         return result
 
     def face(self, i: int, eps: int) -> "CubeFunctor":
         """Restrict to the sub-cube with coordinate i frozen at eps."""
-        def embed(p):
-            return p[:i - 1] + (eps,) + p[i - 1:]
-        m = self.dim - 1
-        verts = {p: self.vertices[embed(p)] for p in _points(m)}
-        edges = {(p, q): self.edges[(embed(p), embed(q))]
-                 for p, q in _cube_edges(m)}
-        return CubeFunctor(self.category, m, verts, edges)
+        vmap, emap = _face_positions(self.dim, i, eps)
+        return CubeFunctor._from_labels(self.category, self.dim - 1,
+                                        _gather(self.vertex_labels, vmap),
+                                        _gather(self.edge_labels, emap))
 
     def degeneracy(self, i: int) -> "CubeFunctor":
         """Insert a collapsed coordinate at slot i."""
-        def drop(p):
-            return p[:i - 1] + p[i:]
-        m = self.dim + 1
-        verts = {p: self.vertices[drop(p)] for p in _points(m)}
-        edges = {}
-        for p, q in _cube_edges(m):
-            j = next(a for a in range(m) if p[a] != q[a])
-            if j == i - 1:
-                edges[(p, q)] = self.category.identity_of(verts[p])
-            else:
-                edges[(p, q)] = self.edges[(drop(p), drop(q))]
-        return CubeFunctor(self.category, m, verts, edges)
+        vmap, emap = _degeneracy_positions(self.dim, i)
+        C = self.category
+        ids = tuple(C.identity_of(v) for v in self.vertex_labels)
+        return CubeFunctor._from_labels(C, self.dim + 1,
+                                        _gather(self.vertex_labels, vmap),
+                                        _gather(self.edge_labels + ids, emap))
 
     def key(self) -> str:
-        if self.dim == 0:
-            return self.vertices[()]
-        vs = ",".join(f"{_bits(p)}:{self.vertices[p]}"
-                      for p in _points(self.dim))
-        es = ",".join(f"{_bits(p)}-{_bits(q)}:{self.edges[(p, q)]}"
-                      for p, q in _cube_edges(self.dim))
-        return vs + ";" + es
+        return _key(self.dim, self.vertex_labels, self.edge_labels)
 
     def _canonical(self):
-        return (self.dim, tuple(sorted(self.vertices.items())),
-                tuple(sorted(self.edges.items())))
+        return (self.dim, self.vertex_labels, self.edge_labels)
 
     def __eq__(self, other):
         return (isinstance(other, CubeFunctor)
@@ -283,11 +360,14 @@ class CubeFunctor:
         return f"CubeFunctor({self.key()!r})"
 
 
-def _functors(C: FiniteCategory, n: int) -> List[CubeFunctor]:
-    """All functors from the n-cube poset to C, sorted by key."""
+def _functors(C: FiniteCategory, n: int) -> Tuple[List[str], List[CubeFunctor]]:
+    """All functors from the n-cube poset to C with their keys, sorted by key."""
     pts = _points(n)
     edge_list = _cube_edges(n)
-    epos = {e: k for k, e in enumerate(edge_list)}
+    vpos, epos = _positions(n)
+    ends = [(vpos[p], vpos[q]) for p, q in edge_list]
+    below = [[vpos[p[:j] + (0,) + p[j + 1:]] for j in range(n) if p[j] == 1]
+             for p in pts]
     squares = []
     for p in pts:
         free = [j for j in range(n) if p[j] == 0]
@@ -306,18 +386,17 @@ def _functors(C: FiniteCategory, n: int) -> List[CubeFunctor]:
     homs = {}
     for name in sorted(C.morphisms):
         homs.setdefault(C.morphisms[name], []).append(name)
+    objects = sorted(C.objects)
 
-    results = []
-    vtx = {}
+    found = []
+    vtx: List = [None] * len(pts)
     lab: List = [None] * len(edge_list)
 
     def assign_edges(k):
         if k == len(edge_list):
-            results.append(CubeFunctor(
-                C, n, dict(vtx),
-                {edge_list[i]: lab[i] for i in range(len(edge_list))}))
+            found.append((tuple(vtx), tuple(lab)))
             return
-        p, q = edge_list[k]
+        p, q = ends[k]
         for name in homs.get((vtx[p], vtx[q]), ()):
             lab[k] = name
             if all(C.composition[(lab[s2], lab[s1])]
@@ -330,45 +409,63 @@ def _functors(C: FiniteCategory, n: int) -> List[CubeFunctor]:
         if m == len(pts):
             assign_edges(0)
             return
-        p = pts[m]
-        below = [p[:j] + (0,) + p[j + 1:] for j in range(n) if p[j] == 1]
-        for obj in sorted(C.objects):
-            if all(homs.get((vtx[q], obj)) for q in below):
-                vtx[p] = obj
+        for obj in objects:
+            if all(homs.get((vtx[q], obj)) for q in below[m]):
+                vtx[m] = obj
                 assign_vertices(m + 1)
-        vtx.pop(p, None)
+        vtx[m] = None
 
     assign_vertices(0)
-    results.sort(key=CubeFunctor.key)
-    return results
+    keys = [_key(n, v, e) for v, e in found]
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    return ([keys[k] for k in order],
+            [CubeFunctor._from_labels(C, n, *found[k]) for k in order])
 
 
 def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
-    """Table of cube-shaped diagrams in C with precomposition operators."""
+    """Table of cube-shaped diagrams in C with precomposition operators.
+
+    Each level is found and sorted by key once. A face or a degeneracy of a
+    cube gathers its label tuples through the position maps of the operator,
+    and is found in the level below or above by its edge labels, which fix
+    the vertices (by vertex labels on level 0). A cube x is degenerate when
+    x = deg_i(face_{i,0}(x)) for some i, read off the index tables.
+    """
+    if top < 0:
+        raise ValueError("truncation must be nonnegative")
     if top > 3 and len(C.morphisms) > 2:
         raise ValueError("nerve truncation above dimension 3 is only supported "
                          "for categories with at most 2 morphisms")
-    levels = [_functors(C, n) for n in range(top + 1)]
-    keys = [[x.key() for x in level] for level in levels]
-    pos = [{k: i for i, k in enumerate(level)} for level in keys]
-    face = {}
+    keys, levels, face, degen_map = [], [], {}, {}
+    lookup = None
+    for n in range(top + 1):
+        level_keys, level = _functors(C, n)
+        below, lookup = lookup, {(x.edge_labels if n else x.vertex_labels): k
+                                 for k, x in enumerate(level)}
+        if n:
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    vmap, emap = _face_positions(n, i, eps)
+                    if n == 1:
+                        col = [below[_gather(x.vertex_labels, vmap)] for x in level]
+                    else:
+                        col = [below[_gather(x.edge_labels, emap)] for x in level]
+                    face[(n, i, eps)] = tuple(col)
+            sources = [x.edge_labels + tuple(map(C.identity_of, x.vertex_labels))
+                       for x in levels[n - 1]]
+            for i in range(1, n + 1):
+                emap = _degeneracy_positions(n - 1, i)[1]
+                degen_map[(n - 1, i)] = tuple([lookup[_gather(s, emap)]
+                                               for s in sources])
+            del sources, below  # freed before the next level is searched
+        keys.append(level_keys)
+        levels.append(level)
+    del lookup  # freed before CubesTable builds its key index
+    degenerate = [[False] * len(keys[0])]
     for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                face[(n, i, eps)] = tuple(pos[n - 1][x.face(i, eps).key()]
-                                          for x in levels[n])
-    degen_map = {}
-    for m in range(top):
-        for i in range(1, m + 2):
-            degen_map[(m, i)] = tuple(pos[m + 1][x.degeneracy(i).key()]
-                                      for x in levels[m])
-    degenerate = []
-    for n, level in enumerate(levels):
-        if n == 0:
-            degenerate.append([False] * len(level))
-            continue
-        degenerate.append([any(x.face(i, 0).degeneracy(i) == x
-                               for i in range(1, n + 1)) for x in level])
+        maps = [(face[(n, i, 0)], degen_map[(n - 1, i)]) for i in range(1, n + 1)]
+        degenerate.append([any(up[down[k]] == k for down, up in maps)
+                           for k in range(len(keys[n]))])
     return CubesTable(top, keys, levels, degenerate, face, degen_map)
 
 

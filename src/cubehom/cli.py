@@ -240,8 +240,6 @@ def cmd_cat_cohomology(args) -> int:
 
 def cmd_nerve(args) -> int:
     C = _load_category(args.category)
-    if args.truncate < 0:
-        raise ValueError("truncation must be nonnegative")
     return _emit(args, formats.cubes_table_to_data(cubical_nerve(C, args.truncate)))
 
 

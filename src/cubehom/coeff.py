@@ -510,7 +510,8 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
     The value on a cube is the diagram's value at the cube's final vertex;
     a face matrix is the diagram's matrix for the connecting morphism from
     the face's final vertex up to the cube's, read in the opposite category.
-    Degeneracies keep the final vertex, so their matrices are identities.
+    Degeneracies keep the final vertex, so their matrices are identities,
+    one shared matrix per rank.
     """
     ranks, faces, degens = {}, {}, {}
     for n in range(N.top + 1):
@@ -524,11 +525,14 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
                     corner = ones[:i - 1] + (eps,) + ones[i:]
                     w = x.value_on_leq(corner, ones)
                     faces[(n, i, eps, N.key(n, idx))] = F.matrix(w)
+    eyes = {}
     for m in range(N.top):
-        for idx, x in enumerate(N.elements[m]):
+        for idx in range(N.size(m)):
             r = ranks[(m, N.key(m, idx))]
+            if r not in eyes:
+                eyes[r] = IntMatrix.identity(r)
             for i in range(1, m + 2):
-                degens[(m, i, N.key(m, idx))] = IntMatrix.identity(r)
+                degens[(m, i, N.key(m, idx))] = eyes[r]
     return ContravariantSystem(N, ranks, faces, degens)
 
 

@@ -151,14 +151,16 @@ def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildRep
     return _normalize(X, F, _cokernel_pair)
 
 
-def normalized_complex_local(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
+def normalized_complex_local(X: CubesTable, F: ContravariantSystem, *,
+                             checked: bool = False) -> ComplexBuildReport:
     """Fast path for unimodular systems: restrict to non-degenerate cubes.
 
     When every degeneracy matrix is invertible over the integers its image
     is the whole summand of the degenerate cube, so the quotient is simply
-    the non-degenerate part and the boundary is a submatrix.
+    the non-degenerate part and the boundary is a submatrix. A caller that
+    has already found is_local(F) true passes checked=True to skip the test.
     """
-    if not is_local(F):
+    if not checked and not is_local(F):
         raise ValueError("local path requires a unimodular system")
     return _normalize(X, F, _drop_pair)
 
@@ -179,10 +181,11 @@ def homology(X: CubesTable, F: ContravariantSystem, max_dim: int,
         raise ValueError(
             f"computing H_0..H_{max_dim} needs cubes up to dimension {max_dim + 1}, "
             f"table stops at {X.top}")
-    if path == "auto":
+    checked = path == "auto"
+    if checked:
         path = "local" if is_local(F) else "generic"
     if path == "local":
-        report = normalized_complex_local(X, F)
+        report = normalized_complex_local(X, F, checked=checked)
     elif path == "generic":
         report = normalized_complex(X, F)
     else:

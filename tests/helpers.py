@@ -4,8 +4,10 @@ Everything here is tiny enough to check by hand; homology values asserted in
 the test modules were computed on paper from these presentations.
 """
 
+from itertools import product as iter_product
+
 from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
-from cubehom.catalg import FiniteCategory
+from cubehom.catalg import CubeFunctor, FiniteCategory
 from cubehom.coeff import (
     CovariantSystem,
     FiniteDiagram,
@@ -316,6 +318,71 @@ def cyclic2_monoid():
         {"e": ("o", "o"), "g": ("o", "o")},
         {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
         {"o": "e"})
+
+
+def idempotent_monoid():
+    """One object carrying an idempotent e, e after e = e, beside the identity 1."""
+    return FiniteCategory(
+        ["o"],
+        {"1": ("o", "o"), "e": ("o", "o")},
+        {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
+        {"o": "1"})
+
+
+def reference_nerve(C: FiniteCategory, top: int) -> CubesTable:
+    """The cubical nerve of C with every operator built and keyed per cube.
+
+    An n-cube is a natural transformation between two (n-1)-cubes, so each
+    level is grown from pairs x0, x1 of the level below and one morphism
+    x0(p) -> x1(p) per vertex p, kept when every connecting square commutes.
+    Faces, degeneracies and degenerate flags come from CubeFunctor.face,
+    .degeneracy and .key, found by key string. Slow, but independent of the
+    search and the label-tuple lookups cubical_nerve reads.
+    """
+    levels = [[CubeFunctor(C, 0, {(): obj}, {}) for obj in C.objects]]
+    for n in range(1, top + 1):
+        level = []
+        for x0 in levels[-1]:
+            for x1 in levels[-1]:
+                v0, v1, e0, e1 = x0.vertices, x1.vertices, x0.edges, x1.edges
+                pts = sorted(v0)
+                homs = [[f for f, ends in C.morphisms.items() if ends == (v0[p], v1[p])]
+                        for p in pts]
+                for choice in iter_product(*homs):
+                    t = dict(zip(pts, choice))
+                    if any(C.compose(e1[(p, q)], t[p]) != C.compose(t[q], e0[(p, q)])
+                           for p, q in e0):
+                        continue
+                    verts = ({(0,) + p: v0[p] for p in pts}
+                             | {(1,) + p: v1[p] for p in pts})
+                    edges = ({((0,) + p, (0,) + q): f for (p, q), f in e0.items()}
+                             | {((1,) + p, (1,) + q): f for (p, q), f in e1.items()}
+                             | {((0,) + p, (1,) + p): t[p] for p in pts})
+                    level.append(CubeFunctor(C, n, verts, edges))
+        levels.append(level)
+    for level in levels:
+        level.sort(key=CubeFunctor.key)
+    keys = [[x.key() for x in level] for level in levels]
+    pos = [{k: i for i, k in enumerate(level)} for level in keys]
+    face = {}
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                face[(n, i, eps)] = tuple(pos[n - 1][x.face(i, eps).key()]
+                                          for x in levels[n])
+    degen_map = {}
+    for m in range(top):
+        for i in range(1, m + 2):
+            degen_map[(m, i)] = tuple(pos[m + 1][x.degeneracy(i).key()]
+                                      for x in levels[m])
+    degenerate = []
+    for n, level in enumerate(levels):
+        if n == 0:
+            degenerate.append([False] * len(level))
+            continue
+        degenerate.append([any(x.face(i, 0).degeneracy(i) == x
+                               for i in range(1, n + 1)) for x in level])
+    return CubesTable(top, keys, levels, degenerate, face, degen_map)
 
 
 def constant_diagram(C, rank=1):

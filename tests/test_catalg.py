@@ -23,8 +23,10 @@ from cubehom.catalg import (
     factorization_category,
     nerve_vs_bar_comparison,
 )
+from cubehom import homcalc
 from cubehom.coeff import (
     FiniteDiagram,
+    is_local,
     natural_system_via_d,
     system_from_diagram_last_vertex,
     validate_functoriality,
@@ -351,6 +353,10 @@ class TestNerve:
         nerve = cubical_nerve(helpers.point_category(), 4)
         assert nerve.size(4) == 1
 
+    def test_negative_truncation_refused(self):
+        with pytest.raises(ValueError, match="truncation must be nonnegative"):
+            cubical_nerve(helpers.point_category(), -1)
+
     def test_face_of_diagonal_square(self):
         # the square filling the arrow's nerve: constant 0 on the low corner,
         # both faces in direction 1 at level eps pick out the matching edge
@@ -361,6 +367,37 @@ class TestNerve:
         assert nerve.key(1, low) == "0:0,1:0;0-1:0_0"
         high = nerve.face_index(2, 1, 1, idx)
         assert nerve.key(1, high) == "0:0,1:1;0-1:0_1"
+
+
+NERVE_FIXTURES = {"point": helpers.point_category, "arrow": helpers.arrow_category,
+                  "Z/2": helpers.cyclic2_monoid, "square": helpers.square_poset,
+                  "idempotent": helpers.idempotent_monoid}
+
+
+class TestNerveReference:
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(NERVE_FIXTURES))
+    def test_tables_match_reference(self, name, top):
+        C = NERVE_FIXTURES[name]()
+        got, want = cubical_nerve(C, top), helpers.reference_nerve(C, top)
+        assert got.keys == want.keys
+        assert got.degenerate == want.degenerate
+        assert list(got.face.items()) == list(want.face.items())
+        assert list(got.degen_map.items()) == list(want.degen_map.items())
+        for level, ref in zip(got.elements, want.elements):
+            assert [(x.vertices, x.edges) for x in level] == \
+                [(y.vertices, y.edges) for y in ref]
+        assert got.validate() == []
+
+    def test_idempotent_decides_degeneracy(self):
+        # the square with e on all four edges commutes (e e = e) and is not
+        # degenerate; with e on two parallel edges and 1 on the others it is
+        nerve = cubical_nerve(helpers.idempotent_monoid(), 2)
+        verts = "00:o,01:o,10:o,11:o;"
+        flags = {nerve.key(2, k): nerve.is_degenerate(2, k) for k in range(nerve.size(2))}
+        assert flags[verts + "00-10:e,00-01:e,01-11:e,10-11:e"] is False
+        assert flags[verts + "00-10:e,00-01:1,01-11:e,10-11:1"] is True
+        assert len(nerve.nondegenerate_indices(2)) == 7
 
 
 class TestFactorization:
@@ -412,6 +449,32 @@ class TestNerveSystems:
             IntMatrix.from_rows([[-1]])
         assert sys.face_matrix(1, 1, 1, nerve.index[1]["0:o,1:o;0-1:g"]) == \
             IntMatrix.identity(1)
+
+    def test_last_vertex_degeneracies_share_one_identity_per_rank(self):
+        arrow = helpers.arrow_category()
+        F = FiniteDiagram(arrow.op(), {"0": 2, "1": 1},
+                          {"0_0": IntMatrix.identity(2), "1_1": IntMatrix.identity(1),
+                           "0_1": IntMatrix.from_rows([[1], [2]])})
+        sys = system_from_diagram_last_vertex(arrow, F, cubical_nerve(arrow, 3))
+        assert validate_functoriality(sys) == []
+        shared = {id(m): m for m in sys.degen.values()}
+        assert sorted(m.rows for m in shared.values()) == [1, 2]
+
+    def test_auto_route_tests_locality_once(self, monkeypatch):
+        C = helpers.square_poset()
+        nerve = cubical_nerve(C, 3)
+        sys = system_from_diagram_last_vertex(
+            C, helpers.constant_diagram(C.op(), 2), nerve)
+        calls = []
+
+        def counting(F):
+            calls.append(F)
+            return is_local(F)
+
+        monkeypatch.setattr(homcalc, "is_local", counting)
+        assert homcalc.homology(nerve, sys, 2, path="auto") == \
+            groups((2, ()), (0, ()), (0, ()))
+        assert calls == [sys]
 
     def test_diagonal_system_functorial(self):
         for C in (helpers.arrow_category(), helpers.cyclic2_monoid()):

@@ -586,13 +586,15 @@ class TestExitCodes:
             assert f"missing rank for dim-3 cube {gone}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["fiber", "direct-image", "pullback-system",
-                                         "validate"])
+                                         "validate", "nerve"])
     def test_negative_truncation_refused(self, tmp_path, capsys, command):
         # a table truncated below zero would be written as an unreadable document
         fold = write(tmp_path, "fold.json",
                      formats.cubical_map_to_data(helpers.fold_wedge()))
         circ = write(tmp_path, "circle.json",
                      formats.cubical_set_to_data(helpers.circle()))
+        arrow = write(tmp_path, "arrow.json",
+                      formats.category_to_data(helpers.arrow_category()))
         dump = str(tmp_path / "neg.json")
         argv = {
             "fiber": ["--map", fold, "--cube", "v@", "--max-dim", "-1", "--out", dump],
@@ -602,6 +604,7 @@ class TestExitCodes:
                                 "--truncate", "-1", "--out", dump],
             "validate": ["--set", circ, "--system", const_doc(tmp_path),
                          "--truncate", "-1"],
+            "nerve": ["--category", arrow, "--truncate", "-1", "--out", dump],
         }[command]
         assert main([command, *argv]) == 1
         err = capsys.readouterr().err
