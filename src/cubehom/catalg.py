@@ -146,25 +146,19 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
     it in place. Strings through identities are kept, no normalization here.
     """
     levels = [composable_chains(C, n) for n in range(top + 1)]
-    ranks = [sum(F.rank_of(start) for start, _ in level) for level in levels]
+    sizes = [[F.rank_of(start) for start, _ in level] for level in levels]
     boundaries = []
     for n in range(1, top + 1):
         pos = {chain: i for i, chain in enumerate(levels[n - 1])}
-        row_sizes = [F.rank_of(start) for start, _ in levels[n - 1]]
-        col_sizes = [F.rank_of(start) for start, _ in levels[n]]
-        blocks = {}
-
-        def add(r, c, m):
-            blocks[(r, c)] = blocks[(r, c)] + m if (r, c) in blocks else m
-
+        blocks = []
         for c, chain in enumerate(levels[n]):
             start, arrows = chain
-            add(pos[chain_face(C, chain, 0)], c, F.matrix(arrows[0]))
+            blocks.append((pos[chain_face(C, chain, 0)], c, F.matrix(arrows[0]), 1))
             eye = IntMatrix.identity(F.rank_of(start))
-            for i in range(1, n + 1):
-                add(pos[chain_face(C, chain, i)], c, eye.scale((-1) ** i))
-        boundaries.append(assemble_blocks(row_sizes, col_sizes, blocks))
-    return FreeChainComplex(ranks, boundaries)
+            blocks.extend((pos[chain_face(C, chain, i)], c, eye, (-1) ** i)
+                          for i in range(1, n + 1))
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
 
 def category_homology(C: FiniteCategory, F: FiniteDiagram,

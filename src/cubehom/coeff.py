@@ -344,37 +344,31 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     for n in range(top + 1):
         for iy, key in enumerate(ty.keys[n]):
             ranks[(n, key)] = sum(F.rank_of(n, ix) for ix in fibers[(n, iy)])
+
+    def block_matrix(row_dim, row_fiber, col_dim, col_fiber, placed):
+        """The p-th cube of col_fiber gives placed[p] = (image cube, block)."""
+        row_pos = {ix: p for p, ix in enumerate(row_fiber)}
+        col_sizes = [F.rank_of(col_dim, ix) for ix in col_fiber]
+        rows = assemble_blocks([F.rank_of(row_dim, ix) for ix in row_fiber], col_sizes,
+                               [(row_pos[ix], p, m, 1) for p, (ix, m) in enumerate(placed)])
+        return IntMatrix.from_sparse(rows, sum(col_sizes))
+
     for n in range(1, top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
                 for iy, key in enumerate(ty.keys[n]):
-                    col_fiber = fibers[(n, iy)]
-                    fy = ty.face_index(n, i, eps, iy)
-                    row_fiber = fibers[(n - 1, fy)]
-                    row_pos = {ix: p for p, ix in enumerate(row_fiber)}
-                    blocks = {}
-                    for cpos, ix in enumerate(col_fiber):
-                        fx = tx.face_index(n, i, eps, ix)
-                        blocks[(row_pos[fx], cpos)] = F.face_matrix(n, i, eps, ix)
-                    faces[(n, i, eps, key)] = assemble_blocks(
-                        [F.rank_of(n - 1, ix) for ix in row_fiber],
-                        [F.rank_of(n, ix) for ix in col_fiber],
-                        blocks)
+                    col = fibers[(n, iy)]
+                    faces[(n, i, eps, key)] = block_matrix(
+                        n - 1, fibers[(n - 1, ty.face_index(n, i, eps, iy))], n, col,
+                        [(tx.face_index(n, i, eps, ix), F.face_matrix(n, i, eps, ix))
+                         for ix in col])
     for m in range(top):
         for i in range(1, m + 2):
             for iy, key in enumerate(ty.keys[m]):
-                col_fiber = fibers[(m, iy)]
-                sy = ty.degeneracy_index(m, i, iy)
-                row_fiber = fibers[(m + 1, sy)]
-                row_pos = {ix: p for p, ix in enumerate(row_fiber)}
-                blocks = {}
-                for cpos, ix in enumerate(col_fiber):
-                    sx = tx.degeneracy_index(m, i, ix)
-                    blocks[(row_pos[sx], cpos)] = F.degen_matrix(m, i, ix)
-                degens[(m, i, key)] = assemble_blocks(
-                    [F.rank_of(m + 1, ix) for ix in row_fiber],
-                    [F.rank_of(m, ix) for ix in col_fiber],
-                    blocks)
+                col = fibers[(m, iy)]
+                degens[(m, i, key)] = block_matrix(
+                    m + 1, fibers[(m + 1, ty.degeneracy_index(m, i, iy))], m, col,
+                    [(tx.degeneracy_index(m, i, ix), F.degen_matrix(m, i, ix)) for ix in col])
     return ContravariantSystem(ty, ranks, faces, degens)
 
 

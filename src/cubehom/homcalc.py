@@ -31,14 +31,14 @@ def _check_base(X: CubesTable, F) -> None:
 def _signed_faces(X: CubesTable, F, n: int, z: int) -> dict:
     """The raw boundary of cube z at dimension n as {face cube index: block}.
 
-    Faces that land on the same cube are summed into one block.
+    Faces that land on the same cube are summed into one block, so that
+    each block is multiplied once by the projections of _normalize.
     """
     out = {}
     for i in range(1, n + 1):
         for eps in (0, 1):
-            sign = (-1) ** i * (1 if eps == 0 else -1)
             w = X.face_index(n, i, eps, z)
-            term = F.face_matrix(n, i, eps, z).scale(sign)
+            term = F.face_matrix(n, i, eps, z).scale((-1) ** (i + eps))
             out[w] = out[w] + term if w in out else term
     return out
 
@@ -51,8 +51,8 @@ def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComp
     sizes = [[F.rank_of(n, z) for z in range(X.size(n))] for n in range(X.top + 1)]
     boundaries = []
     for n in range(1, X.top + 1):
-        blocks = {(w, z): d for z in range(X.size(n))
-                  for w, d in _signed_faces(X, F, n, z).items()}
+        blocks = [(w, z, d, 1) for z in range(X.size(n))
+                  for w, d in _signed_faces(X, F, n, z).items()]
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
     return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
@@ -86,9 +86,11 @@ def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
     quotient(X, F, n, z, arrivals) gives the pair of a degenerate cube z,
     where arrivals lists the (i, x) with s_i x = z. The normalized boundary
     block (w, z) is P_w * d_raw[w, z] * S_z, formed only for the faces z
-    has. The boundary must carry degenerate chains to degenerate chains,
-    otherwise the quotient complex would be meaningless, so every
-    P_w * d_raw[w, z] * s_i(x) must vanish.
+    has. A cube with no degeneracy arriving has the identity pair, which is
+    not multiplied, and a face whose P_w has no rows, or a cube whose S_z
+    has no columns, gives an empty block. The boundary must carry
+    degenerate chains to degenerate chains, otherwise the quotient complex
+    would be meaningless, so every P_w * d_raw[w, z] * s_i(x) must vanish.
     """
     _check_base(X, F)
     if F.variance != "contravariant":
@@ -107,18 +109,24 @@ def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
         arrivals.append(arriving)
     boundaries = []
     for n in range(1, X.top + 1):
-        out = {}
+        row_sizes = [p.rows for p, _ in blocks[n - 1]]
+        out = []
         for z in range(X.size(n)):
-            section = blocks[n][z][1]
             for w, d in _signed_faces(X, F, n, z).items():
-                pd = blocks[n - 1][w][0] * d
+                if not row_sizes[w]:
+                    continue
+                pd = blocks[n - 1][w][0] * d if arrivals[n - 1][w] else d
                 for i, x in arrivals[n][z]:
                     if not (pd * F.degen_matrix(n - 1, i, x)).is_zero():
                         raise ValueError(
                             f"boundary does not preserve degenerate chains at dimension {n}")
-                out[(w, z)] = pd * section
-        boundaries.append(assemble_blocks([p.rows for p, _ in blocks[n - 1]],
-                                          [s.cols for _, s in blocks[n]], out))
+                if arrivals[n][z]:
+                    section = blocks[n][z][1]
+                    if not section.cols:
+                        continue
+                    pd = pd * section
+                out.append((w, z, pd, 1))
+        boundaries.append(assemble_blocks(row_sizes, [s.cols for _, s in blocks[n]], out))
     ranks = [sum(p.rows for p, _ in level) for level in blocks]
     return ComplexBuildReport(FreeChainComplex(ranks, boundaries), blocks)
 
@@ -168,7 +176,7 @@ def normalized_complex_local(X: CubesTable, F: ContravariantSystem, *,
 def _truncate(cx: FreeChainComplex, top: int) -> FreeChainComplex:
     if cx.top == top:
         return cx
-    return FreeChainComplex(cx.ranks[:top + 1], cx.boundaries[:top])
+    return FreeChainComplex(cx.ranks[:top + 1], cx.sparse[:top])
 
 
 def homology(X: CubesTable, F: ContravariantSystem, max_dim: int,
@@ -251,25 +259,14 @@ def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGr
             f"computing H_0..H_{max_dim} needs cubes up to dimension {max_dim + 1}, "
             f"set stops at {S.top_dim}")
     top = max_dim + 1
-    ranks = [sum(F.ranks[x] for x in S.levels[n]) for n in range(top + 1)]
+    sizes = [[F.ranks[x] for x in S.levels[n]] for n in range(top + 1)]
     boundaries = []
     for n in range(1, top + 1):
         row_index = {x: j for j, x in enumerate(S.levels[n - 1])}
-        row_sizes = [F.ranks[x] for x in S.levels[n - 1]]
-        col_sizes = [F.ranks[x] for x in S.levels[n]]
-        blocks = {}
-        for j, x in enumerate(S.levels[n]):
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    sign = (-1) ** i * (1 if eps == 0 else -1)
-                    r = row_index[S.face(x, i, eps)]
-                    term = F.face[(x, i, eps)].scale(sign)
-                    if (r, j) in blocks:
-                        blocks[(r, j)] = blocks[(r, j)] + term
-                    else:
-                        blocks[(r, j)] = term
-        boundaries.append(assemble_blocks(row_sizes, col_sizes, blocks))
-    return homology_of_complex(FreeChainComplex(ranks, boundaries))
+        blocks = [(row_index[S.face(x, i, eps)], j, F.face[(x, i, eps)], (-1) ** (i + eps))
+                  for j, x in enumerate(S.levels[n]) for i in range(1, n + 1) for eps in (0, 1)]
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    return homology_of_complex(FreeChainComplex([sum(level) for level in sizes], boundaries))
 
 
 @dataclass

@@ -4,7 +4,9 @@ Everything here works over plain Python ints, so there is no overflow and no
 floating point anywhere. Every dense reduction runs one deterministic pivot
 loop, and each caller says which transforms it keeps: the Smith normal form
 keeps all four (exact solving needs them), cokernels keep only the row
-transforms, and homology keeps none. Homology and cohomology take the rank
+transforms, and homology keeps none. A chain complex stores each boundary
+as sparse rows {column: entry}, written from blocks by assemble_blocks, and
+makes a dense matrix only when asked. Homology and cohomology take the rank
 and the invariant factors of each boundary from sparse unit-pivot
 elimination, then that loop on whatever is left.
 """
@@ -12,6 +14,7 @@ elimination, then that loop on whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -42,6 +45,19 @@ class IntMatrix:
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
 
+    @staticmethod
+    def from_sparse(rows: Sequence[dict], cols: int) -> "IntMatrix":
+        """The matrix with the given rows {column: entry} and cols columns."""
+        data = [[0] * cols for _ in rows]
+        for out, row in zip(data, rows):
+            for j, x in row.items():
+                out[j] = x
+        return IntMatrix(len(data), cols, data)
+
+    def sparse_rows(self) -> list:
+        """The rows as dicts {column: non-zero entry}."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.data[i][j]
@@ -69,12 +85,6 @@ class IntMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
 
@@ -95,9 +105,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.data)
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
         return IntMatrix(len(indices), self.cols, [self.data[i] for i in indices])
 
@@ -105,33 +112,31 @@ class IntMatrix:
         return IntMatrix(self.rows, len(indices), [[r[j] for j in indices] for r in self.data])
 
 
-def assemble_blocks(
-    row_sizes: Sequence[int],
-    col_sizes: Sequence[int],
-    blocks: dict,
-) -> IntMatrix:
-    """Build a matrix from a sparse dict {(row_block, col_block): IntMatrix}.
+def assemble_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
+                    blocks: Iterable[tuple]) -> list:
+    """Sparse rows {column: non-zero entry} of a matrix given by blocks.
 
-    Blocks with the same index pair must have been summed by the caller.
-    Missing blocks are zero.
+    blocks holds (row_block, col_block, matrix, sign) tuples, and each adds
+    sign * matrix at its place, so blocks at one place are summed and
+    entries that cancel are dropped. Places with no block are zero.
     """
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    data = [[0] * col_off[-1] for _ in range(row_off[-1])]
-    for (bi, bj), m in blocks.items():
+    row_off = list(accumulate(row_sizes, initial=0))
+    col_off = list(accumulate(col_sizes, initial=0))
+    out = [{} for _ in range(row_off[-1])]
+    for bi, bj, m, sign in blocks:
         if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
             raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}, "
                              f"expected {row_sizes[bi]}x{col_sizes[bj]}")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, row in enumerate(m.data):
-            tgt = data[r0 + i]
-            for j, a in enumerate(row):
-                tgt[c0 + j] = a
-    return IntMatrix(row_off[-1], col_off[-1], data)
+        for i, row in enumerate(m.data, row_off[bi]):
+            target = out[i]
+            for j, a in enumerate(row, col_off[bj]):
+                if a:
+                    y = target.get(j, 0) + sign * a
+                    if y:
+                        target[j] = y
+                    else:
+                        target.pop(j, None)
+    return out
 
 
 def det(a: IntMatrix) -> int:
@@ -374,30 +379,29 @@ class HomologyGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 
-    def is_trivial(self) -> bool:
-        return self.betti == 0 and not self.torsion
-
 
 class FreeChainComplex:
     """A bounded chain complex of free Z-modules, degrees 0..top.
 
-    ranks[n] is the rank of C_n; boundaries[n] (1 <= n <= top) is
-    d_n : C_n -> C_{n-1}. The constructor checks shapes and d . d = 0.
+    ranks[n] is the rank of C_n; sparse[n - 1] (1 <= n <= top) holds
+    d_n : C_n -> C_{n-1} as ranks[n - 1] sparse rows {column: non-zero
+    entry}. The constructor checks shapes and d . d = 0; boundary(n) and
+    boundaries give dense matrices.
     """
 
-    def __init__(self, ranks: Sequence[int], boundaries: Sequence[IntMatrix]):
+    def __init__(self, ranks: Sequence[int], sparse: Sequence[Sequence[dict]]):
         self.ranks = tuple(int(r) for r in ranks)
-        self.boundaries = tuple(boundaries)
-        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
+        self.sparse = tuple(tuple(rows) for rows in sparse)
+        if len(self.sparse) != max(len(self.ranks) - 1, 0):
             raise ValueError("need exactly one boundary map per positive degree")
-        for n, dmat in enumerate(self.boundaries, start=1):
-            if (dmat.rows, dmat.cols) != (self.ranks[n - 1], self.ranks[n]):
-                raise ValueError(f"d_{n} has shape {dmat.rows}x{dmat.cols}, "
-                                 f"expected {self.ranks[n-1]}x{self.ranks[n]}")
-        sparse = [_sparse_rows(dmat) for dmat in self.boundaries]
-        for n in range(1, len(sparse)):
-            right = sparse[n]
-            for row in sparse[n - 1]:
+        for n, rows in enumerate(self.sparse, start=1):
+            if len(rows) != self.ranks[n - 1]:
+                raise ValueError(f"d_{n} has {len(rows)} rows, expected {self.ranks[n-1]}")
+            if any(not 0 <= j < self.ranks[n] for row in rows for j in row):
+                raise ValueError(f"d_{n} has a column outside range({self.ranks[n]})")
+        for n in range(1, len(self.sparse)):
+            right = self.sparse[n]
+            for row in self.sparse[n - 1]:
                 out = {}
                 for k, a in row.items():
                     for j, b in right[k].items():
@@ -413,12 +417,12 @@ class FreeChainComplex:
         """d_n for 0 <= n <= top; d_0 is the zero map into the zero module."""
         if n == 0:
             return IntMatrix.zeros(0, self.ranks[0])
-        return self.boundaries[n - 1]
+        return IntMatrix.from_sparse(self.sparse[n - 1], self.ranks[n])
 
-
-def _sparse_rows(a: IntMatrix) -> list:
-    """The rows of a as dicts {column: non-zero entry}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a.data]
+    @property
+    def boundaries(self) -> tuple:
+        """d_1 .. d_top as dense matrices."""
+        return tuple(self.boundary(n) for n in range(1, self.top + 1))
 
 
 def _unit_pivots(rows: list) -> int:
@@ -477,16 +481,16 @@ def _smith_factors(diagonal: list) -> list:
     return f
 
 
-def _eliminate(maps: Sequence[IntMatrix]):
+def _eliminate(maps: Sequence[Sequence[dict]]):
     """Rank and torsion invariant factors of each map, without transforms.
 
-    Unit pivots go first on sparse rows; the residual they leave gets a
-    dense reduction. Both lists start with the zero map, so entry n + 1
-    belongs to maps[n].
+    Each map is given by sparse rows, which stay untouched: unit pivots go
+    first on a copy, and the residual they leave gets a dense reduction.
+    Both lists start with the zero map, so entry n + 1 belongs to maps[n].
     """
     ranks, torsion = [0], [()]
     for m in maps:
-        rows = _sparse_rows(m)
+        rows = [dict(row) for row in m]
         units = _unit_pivots(rows)
         columns = sorted({j for row in rows for j in row})
         residual = [[row.get(j, 0) for j in columns] for row in rows if row]
@@ -504,7 +508,7 @@ def homology_of_complex(cx: FreeChainComplex) -> tuple:
     d_{top+1}, which a truncated complex does not carry. With rk the rank
     of a map, H_n = Z^(c_n - rk d_n - rk d_{n+1}) (+) torsion(d_{n+1}).
     """
-    rk, torsion = _eliminate(cx.boundaries)
+    rk, torsion = _eliminate(cx.sparse)
     return tuple(HomologyGroup(cx.ranks[n] - rk[n] - rk[n + 1], torsion[n + 1])
                  for n in range(cx.top))
 
@@ -516,7 +520,7 @@ def cohomology_of_complex(cx: FreeChainComplex) -> tuple:
     neither the rank nor the invariant factors, so the eliminations of
     homology serve: H^k = Z^(c_k - rk d_k - rk d_{k+1}) (+) torsion(d_k).
     """
-    rk, torsion = _eliminate(cx.boundaries)
+    rk, torsion = _eliminate(cx.sparse)
     return tuple(HomologyGroup(cx.ranks[k] - rk[k] - rk[k + 1], torsion[k])
                  for k in range(cx.top))
 
@@ -525,7 +529,12 @@ def cohomology_of_cochain(ranks: Sequence[int], deltas: Sequence[IntMatrix]) -> 
     """Cohomology of a cochain complex C^0 -> C^1 -> ... -> C^top.
 
     deltas[k] is d^k : C^k -> C^{k+1} for 0 <= k < top. Reports degrees
-    0 .. top-1; degree top would need d^top. The transposed maps form a
-    chain complex, whose constructor checks the shapes and d . d = 0.
+    0 .. top-1; degree top would need d^top. Each d^k must be a
+    ranks[k + 1] x ranks[k] matrix; the transposed maps form a chain
+    complex, whose constructor checks d . d = 0.
     """
-    return cohomology_of_complex(FreeChainComplex(ranks, [d.transpose() for d in deltas]))
+    for k, (d, r, r_next) in enumerate(zip(deltas, ranks, ranks[1:])):
+        if (d.rows, d.cols) != (r_next, r):
+            raise ValueError(f"d^{k} has shape {d.rows}x{d.cols}, expected {r_next}x{r}")
+    return cohomology_of_complex(
+        FreeChainComplex(ranks, [d.transpose().sparse_rows() for d in deltas]))

@@ -59,11 +59,10 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert a * b == IntMatrix.from_rows([[2, 1], [4, 3]])
 
-    def test_add_sub(self):
+    def test_add(self):
         a = IntMatrix.from_rows([[1, -2]])
         b = IntMatrix.from_rows([[3, 5]])
         assert a + b == IntMatrix.from_rows([[4, 3]])
-        assert (a + b) - b == a
 
     def test_transpose(self):
         a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -248,13 +247,13 @@ class TestHomology:
         d_out = IntMatrix.from_rows([[1, 0]])
         d_in = IntMatrix.from_rows([[1], [0]])
         with pytest.raises(ValueError):
-            FreeChainComplex([1, 2, 1], [d_out, d_in])
+            FreeChainComplex([1, 2, 1], [d_out.sparse_rows(), d_in.sparse_rows()])
         with pytest.raises(ValueError):
             cohomology_of_cochain([1, 2, 1], [d_in, d_out])
 
     def test_circle_complex(self):
         # one vertex, one loop edge: d1 = 0
-        cx = FreeChainComplex([1, 1], [IntMatrix.zeros(1, 1)])
+        cx = FreeChainComplex([1, 1], [[{}]])
         (h0,) = homology_of_complex(cx)
         assert h0 == HomologyGroup(1, ())
 
@@ -263,24 +262,26 @@ class TestHomology:
         # ker d1 = Z^2, im d2 = Z(2,-2), quotient is Z (+) Z/2
         d1 = IntMatrix.zeros(1, 2)
         d2 = IntMatrix.from_rows([[2], [-2]])
-        cx = FreeChainComplex([1, 2, 1], [d1, d2])
+        cx = FreeChainComplex([1, 2, 1], [d1.sparse_rows(), d2.sparse_rows()])
         h0, h1 = homology_of_complex(cx)
         assert h0 == HomologyGroup(1, ())
         assert h1 == HomologyGroup(1, (2,))
 
     def test_top_degree_not_reported(self):
-        cx = FreeChainComplex([1, 1], [IntMatrix.zeros(1, 1)])
+        cx = FreeChainComplex([1, 1], [[{}]])
         assert len(homology_of_complex(cx)) == 1
 
     def test_complex_validates_dd(self):
         d1 = IntMatrix.from_rows([[1]])
         d2 = IntMatrix.from_rows([[1]])
         with pytest.raises(ValueError):
-            FreeChainComplex([1, 1, 1], [d1, d2])
+            FreeChainComplex([1, 1, 1], [d1.sparse_rows(), d2.sparse_rows()])
 
     def test_complex_validates_shapes(self):
         with pytest.raises(ValueError):
-            FreeChainComplex([1, 2], [IntMatrix.zeros(2, 2)])
+            FreeChainComplex([1, 2], [IntMatrix.zeros(2, 2).sparse_rows()])
+        with pytest.raises(ValueError, match=r"column outside range\(2\)"):
+            FreeChainComplex([1, 2, 1], [[{2: 1}], [{}, {}]])
 
     def test_complex_validates_dd_on_one_entry(self):
         # Two squares side by side: vertices (0,0), (1,0), (2,0), (0,1),
@@ -291,17 +292,18 @@ class TestHomology:
             d1[a][e], d1[b][e] = -1, 1
         d2 = IntMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1],
                                   [-1, 0], [1, -1], [0, 1]])
-        FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1), d2])
+        FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1).sparse_rows(), d2.sparse_rows()])
         # h0 is a face of the first square only, so flipping its end at
         # (1,0) makes d_1 . d_2 non-zero at that vertex and that square only.
         d1[1][0] = -1
         assert sum(1 for row in (IntMatrix.from_rows(d1) * d2).data
                    for x in row if x) == 1
         with pytest.raises(ValueError, match=r"d_1 \. d_2 != 0"):
-            FreeChainComplex([6, 7, 2], [IntMatrix.from_rows(d1), d2])
+            FreeChainComplex([6, 7, 2],
+                             [IntMatrix.from_rows(d1).sparse_rows(), d2.sparse_rows()])
 
     def test_no_coefficient_blow_up(self):
-        assert homology_of_complex(FreeChainComplex([9, 8], [BLOW_UP])) == (
+        assert homology_of_complex(FreeChainComplex([9, 8], [BLOW_UP.sparse_rows()])) == (
             HomologyGroup(1, (2,)),)
 
 
@@ -382,11 +384,12 @@ class TestEliminationOracle:
             return invariant_factors([k for k, m in pieces if k and m == n])
 
         homology = tuple(HomologyGroup(free(n), cyclic(n)) for n in range(TOP))
-        assert homology_of_complex(FreeChainComplex(ranks, maps)) == homology
+        cx = FreeChainComplex(ranks, [d.sparse_rows() for d in maps])
+        assert homology_of_complex(cx) == homology
         cohomology = tuple(HomologyGroup(free(n), cyclic(n - 1) if n else ())
                            for n in range(TOP))
         assert cohomology_of_cochain(ranks, [d.transpose() for d in maps]) == cohomology
-        assert cohomology_of_complex(FreeChainComplex(ranks, maps)) == cohomology
+        assert cohomology_of_complex(cx) == cohomology
 
 
 def determinantal_divisors(a):
@@ -431,7 +434,7 @@ class TestDeterminantalOracle:
     @given(oracle_matrix())
     def test_rank_and_torsion_from_minors(self, a):
         expected = cokernel_from_minors(a)
-        assert homology_of_complex(FreeChainComplex([a.rows, a.cols], [a])) == (expected,)
+        assert homology_of_complex(FreeChainComplex([a.rows, a.cols], [a.sparse_rows()])) == (expected,)
 
     @settings(max_examples=200, deadline=None)
     @given(oracle_matrix())
@@ -444,15 +447,49 @@ class TestDeterminantalOracle:
         assert pres.projection * pres.section == IntMatrix.identity(expected.betti)
 
 
+@st.composite
+def block_list(draw):
+    """Block sizes and up to 8 (row_block, col_block, matrix, sign) tuples,
+    drawn from a few places so that blocks overlap, some with opposite signs."""
+    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        bi = draw(st.integers(0, len(row_sizes) - 1))
+        bj = draw(st.integers(0, len(col_sizes) - 1))
+        rows = [[draw(st.integers(-2, 2)) for _ in range(col_sizes[bj])]
+                for _ in range(row_sizes[bi])]
+        blocks.append((bi, bj, IntMatrix(row_sizes[bi], col_sizes[bj], rows),
+                       draw(st.sampled_from((1, -1)))))
+        if draw(st.booleans()):
+            blocks.append((bi, bj, blocks[-1][2], -blocks[-1][3]))
+    return row_sizes, col_sizes, blocks
+
+
 class TestAssembly:
     def test_assemble_blocks(self):
-        blocks = {
-            (0, 0): IntMatrix.from_rows([[1]]),
-            (1, 1): IntMatrix.from_rows([[2, 3]]),
-        }
+        blocks = [
+            (0, 0, IntMatrix.from_rows([[1]]), 1),
+            (1, 1, IntMatrix.from_rows([[2, 3]]), 1),
+            (1, 1, IntMatrix.from_rows([[1, 3]]), -1),
+        ]
         out = assemble_blocks([1, 1], [1, 2], blocks)
-        assert out == IntMatrix.from_rows([[1, 0, 0], [0, 2, 3]])
+        assert out == [{0: 1}, {1: 1}]
+        assert IntMatrix.from_sparse(out, 3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
 
     def test_assemble_rejects_bad_block(self):
         with pytest.raises(ValueError):
-            assemble_blocks([1], [1], {(0, 0): IntMatrix.zeros(2, 1)})
+            assemble_blocks([1], [1], [(0, 0, IntMatrix.zeros(2, 1), 1)])
+
+    @settings(deadline=None)
+    @given(block_list())
+    def test_assembly_is_the_dense_sum(self, drawn):
+        row_sizes, col_sizes, blocks = drawn
+        dense = [[0] * sum(col_sizes) for _ in range(sum(row_sizes))]
+        for bi, bj, m, sign in blocks:
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    dense[sum(row_sizes[:bi]) + i][sum(col_sizes[:bj]) + j] += sign * m[i, j]
+        out = assemble_blocks(row_sizes, col_sizes, blocks)
+        assert all(0 not in row.values() for row in out)
+        assert [{j: x for j, x in enumerate(row) if x} for row in dense] == out
