@@ -8,6 +8,7 @@ the table, because the top-degree boundary out of unseen cubes is unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
@@ -28,19 +29,21 @@ def _check_base(X: CubesTable, F) -> None:
         raise ValueError("system is defined on a different table")
 
 
-def _signed_faces(X: CubesTable, F, n: int, z: int) -> dict:
-    """The raw boundary of cube z at dimension n as {face cube index: block}.
+def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
+    """The raw boundary of cube z at dimension n as {face cube index: (block, sign)}.
 
-    Faces that land on the same cube are summed into one block, so that
-    each block is multiplied once by the projections of _normalize.
+    Faces on a cube w with rows[w] == 0 are left out. Faces that land on the
+    same cube are summed into one block of sign 1, so that each block is
+    multiplied once by the projections of _normalize.
     """
-    out = {}
+    terms = {}
     for i in range(1, n + 1):
         for eps in (0, 1):
             w = X.face_index(n, i, eps, z)
-            term = F.face_matrix(n, i, eps, z).scale((-1) ** (i + eps))
-            out[w] = out[w] + term if w in out else term
-    return out
+            if rows[w]:
+                terms.setdefault(w, []).append((F.face_matrix(n, i, eps, z), (-1) ** (i + eps)))
+    return {w: t[0] if len(t) == 1 else (reduce(IntMatrix.__add__, (d.scale(s) for d, s in t)), 1)
+            for w, t in terms.items()}
 
 
 def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComplex:
@@ -51,8 +54,8 @@ def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComp
     sizes = [[F.rank_of(n, z) for z in range(X.size(n))] for n in range(X.top + 1)]
     boundaries = []
     for n in range(1, X.top + 1):
-        blocks = [(w, z, d, 1) for z in range(X.size(n))
-                  for w, d in _signed_faces(X, F, n, z).items()]
+        blocks = [(w, z, d, sign) for z in range(X.size(n))
+                  for w, (d, sign) in _signed_faces(X, F, n, z, sizes[n - 1]).items()]
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
     return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
@@ -110,23 +113,18 @@ def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
     boundaries = []
     for n in range(1, X.top + 1):
         row_sizes = [p.rows for p, _ in blocks[n - 1]]
+        col_sizes = [s.cols for _, s in blocks[n]]
         out = []
         for z in range(X.size(n)):
-            for w, d in _signed_faces(X, F, n, z).items():
-                if not row_sizes[w]:
-                    continue
+            for w, (d, sign) in _signed_faces(X, F, n, z, row_sizes).items():
                 pd = blocks[n - 1][w][0] * d if arrivals[n - 1][w] else d
                 for i, x in arrivals[n][z]:
                     if not (pd * F.degen_matrix(n - 1, i, x)).is_zero():
                         raise ValueError(
                             f"boundary does not preserve degenerate chains at dimension {n}")
-                if arrivals[n][z]:
-                    section = blocks[n][z][1]
-                    if not section.cols:
-                        continue
-                    pd = pd * section
-                out.append((w, z, pd, 1))
-        boundaries.append(assemble_blocks(row_sizes, [s.cols for _, s in blocks[n]], out))
+                if col_sizes[z]:
+                    out.append((w, z, pd * blocks[n][z][1] if arrivals[n][z] else pd, sign))
+        boundaries.append(assemble_blocks(row_sizes, col_sizes, out))
     ranks = [sum(p.rows for p, _ in level) for level in blocks]
     return ComplexBuildReport(FreeChainComplex(ranks, boundaries), blocks)
 
@@ -145,7 +143,12 @@ def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
 
 
 def _drop_pair(X: CubesTable, F, n: int, z: int, arriving):
-    r = F.rank_of(n, z)
+    return _empty_pair(F.rank_of(n, z))
+
+
+@lru_cache(maxsize=None)
+def _empty_pair(r: int):
+    """The pair of a dropped summand of rank r, shared since matrices are immutable."""
     return IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0)
 
 
