@@ -101,8 +101,9 @@ class TestNormalized:
             assert (rep.complex.boundary(n) * rep.complex.boundary(n + 1)).is_zero()
 
     def test_elimination_leaves_the_complex_untouched(self):
-        # The torus's boundaries are all zero, so the square is used: its
-        # normalized complex has unit pivots in d_1 and d_2.
+        # Elimination must work on a copy of the stored rows: the square's
+        # normalized complex has unit pivots in d_1 and d_2, which an
+        # elimination in place would clear.
         X = standard_cube(2).expand(3)
         cx = normalized_complex_local(X, constant_system(X, 1)).complex
         before = [cx.boundary(n) for n in range(cx.top + 1)]
