@@ -18,7 +18,7 @@ from .cubset import (
     apply_with_events,
     universal_from_semicubical,
 )
-from .zlinalg import IntMatrix, assemble_blocks, det
+from .zlinalg import IntMatrix, det
 
 
 class _TableSystem:
@@ -87,7 +87,12 @@ def constant_system(base: CubesTable, rank: int, variance: str = "contravariant"
 
 
 def validate_functoriality(F) -> List[str]:
-    """Check shapes and all operator identities instance by instance."""
+    """Check shapes and all operator identities instance by instance.
+
+    Every identity is compared on every cube, but a product of two matrix
+    objects is formed once per call, since F holds every operand until the
+    call returns.
+    """
     base = F.base
     report = []
     contra = F.variance == "contravariant"
@@ -148,6 +153,14 @@ def validate_functoriality(F) -> List[str]:
     def dm(m, i, idx):
         return F.degen[(m, i, base.key(m, idx))]
 
+    products = {}
+
+    def mul(a, b):
+        key = (id(a), id(b))
+        if key not in products:
+            products[key] = a * b
+        return products[key]
+
     # two faces commute
     for n in range(2, base.top + 1):
         for idx in range(base.size(n)):
@@ -158,11 +171,11 @@ def validate_functoriality(F) -> List[str]:
                             fj = base.face_index(n, j, b, idx)
                             fi = base.face_index(n, i, a, idx)
                             if contra:
-                                lhs = fm(n - 1, i, a, fj) * fm(n, j, b, idx)
-                                rhs = fm(n - 1, j - 1, b, fi) * fm(n, i, a, idx)
+                                lhs = mul(fm(n - 1, i, a, fj), fm(n, j, b, idx))
+                                rhs = mul(fm(n - 1, j - 1, b, fi), fm(n, i, a, idx))
                             else:
-                                lhs = fm(n, j, b, idx) * fm(n - 1, i, a, fj)
-                                rhs = fm(n, i, a, idx) * fm(n - 1, j - 1, b, fi)
+                                lhs = mul(fm(n, j, b, idx), fm(n - 1, i, a, fj))
+                                rhs = mul(fm(n, i, a, idx), fm(n - 1, j - 1, b, fi))
                             if lhs != rhs:
                                 report.append(
                                     f"face-face identity fails at dim {n} cube "
@@ -175,11 +188,11 @@ def validate_functoriality(F) -> List[str]:
                     sj = base.degeneracy_index(m, j, idx)
                     si = base.degeneracy_index(m, i, idx)
                     if contra:
-                        lhs = dm(m + 1, i, sj) * dm(m, j, idx)
-                        rhs = dm(m + 1, j + 1, si) * dm(m, i, idx)
+                        lhs = mul(dm(m + 1, i, sj), dm(m, j, idx))
+                        rhs = mul(dm(m + 1, j + 1, si), dm(m, i, idx))
                     else:
-                        lhs = dm(m, j, idx) * dm(m + 1, i, sj)
-                        rhs = dm(m, i, idx) * dm(m + 1, j + 1, si)
+                        lhs = mul(dm(m, j, idx), dm(m + 1, i, sj))
+                        rhs = mul(dm(m, i, idx), dm(m + 1, j + 1, si))
                     if lhs != rhs:
                         report.append(
                             f"degeneracy-degeneracy identity fails at dim {m} cube "
@@ -192,24 +205,24 @@ def validate_functoriality(F) -> List[str]:
                 for i in range(1, m + 2):
                     for eps in (0, 1):
                         if contra:
-                            lhs = fm(m + 1, i, eps, sj) * dm(m, j, idx)
+                            lhs = mul(fm(m + 1, i, eps, sj), dm(m, j, idx))
                         else:
-                            lhs = dm(m, j, idx) * fm(m + 1, i, eps, sj)
+                            lhs = mul(dm(m, j, idx), fm(m + 1, i, eps, sj))
                         if i == j:
                             r = F.ranks[(m, base.key(m, idx))]
                             rhs = IntMatrix.identity(r)
                         elif i < j:
                             fi = base.face_index(m, i, eps, idx)
                             if contra:
-                                rhs = dm(m - 1, j - 1, fi) * fm(m, i, eps, idx)
+                                rhs = mul(dm(m - 1, j - 1, fi), fm(m, i, eps, idx))
                             else:
-                                rhs = fm(m, i, eps, idx) * dm(m - 1, j - 1, fi)
+                                rhs = mul(fm(m, i, eps, idx), dm(m - 1, j - 1, fi))
                         else:
                             fi = base.face_index(m, i - 1, eps, idx)
                             if contra:
-                                rhs = dm(m - 1, j, fi) * fm(m, i - 1, eps, idx)
+                                rhs = mul(dm(m - 1, j, fi), fm(m, i - 1, eps, idx))
                             else:
-                                rhs = fm(m, i - 1, eps, idx) * dm(m - 1, j, fi)
+                                rhs = mul(fm(m, i - 1, eps, idx), dm(m - 1, j, fi))
                         if lhs != rhs:
                             report.append(
                                 f"face-degeneracy identity fails at dim {m} cube "
@@ -218,12 +231,18 @@ def validate_functoriality(F) -> List[str]:
 
 
 def transpose_system(F):
-    """Swap variance by transposing every matrix."""
+    """Swap variance by transposing every matrix.
+
+    A matrix object that F shares between operators is transposed once, and
+    its transpose is shared between the same operators.
+    """
     cls = CovariantSystem if F.variance == "contravariant" else ContravariantSystem
+    distinct = {id(m): m for m in list(F.face.values()) + list(F.degen.values())}
+    t = {i: m.transpose() for i, m in distinct.items()}
     return cls(F.base,
                dict(F.ranks),
-               {k: m.transpose() for k, m in F.face.items()},
-               {k: m.transpose() for k, m in F.degen.items()})
+               {k: t[id(m)] for k, m in F.face.items()},
+               {k: t[id(m)] for k, m in F.degen.items()})
 
 
 def is_local(F) -> bool:
@@ -250,15 +269,16 @@ def _compose_events(gen_mats, ranks_by_gen, start_gen, events, variance):
     return total
 
 
-def local_system(X: PresentedCubicalSet, top: int, rank: int,
+def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
                  gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix],
                  variance: str = "contravariant"):
-    """Rank-r system with unimodular face matrices given on generators.
+    """Rank-r system on base, an expansion of X, from face matrices on generators.
 
     Degeneracy matrices are forced to the identity and face matrices on
     arbitrary cubes are composites of the generator matrices along the face
-    lookups that resolve the operator. Raises if a matrix is not square of
-    size rank or not unimodular, or if the result fails functoriality.
+    lookups that resolve the operator; equal composites are one shared
+    object. Raises if a matrix is not square of size rank or not
+    unimodular, or if the result fails functoriality.
     """
     cls = _system_class(variance)
     expected = {(g, i, eps) for g, d in X.generators.items()
@@ -273,8 +293,10 @@ def local_system(X: PresentedCubicalSet, top: int, rank: int,
             raise ValueError(f"matrix at {k} is {m.rows}x{m.cols}, expected {rank}x{rank}")
         if det(m) not in (1, -1):
             raise ValueError(f"matrix at {k} has determinant {det(m)}, not a unit")
-    base = X.expand(top)
+    top = base.top
     ranks_by_gen = {g: rank for g in X.generators}
+    eye = IntMatrix.identity(rank)
+    shared = {eye: eye}
     ranks, faces, degens = {}, {}, {}
     for n in range(top + 1):
         for key in base.keys[n]:
@@ -284,11 +306,11 @@ def local_system(X: PresentedCubicalSet, top: int, rank: int,
         for i in range(1, n + 1):
             for eps in (0, 1):
                 delta = face_morphism(n, i, eps)
-                for idx, c in enumerate(base.elements[n]):
+                for c in base.elements[n]:
                     _, events = apply_with_events(X, delta, c)
-                    faces[(n, i, eps, c.key())] = _compose_events(
-                        gen_face_matrices, ranks_by_gen, c.gen, events, variance)
-    eye = IntMatrix.identity(rank)
+                    comp = _compose_events(gen_face_matrices, ranks_by_gen, c.gen, events,
+                                           variance)
+                    faces[(n, i, eps, c.key())] = shared.setdefault(comp, comp)
     for m in range(top):
         for i in range(1, m + 2):
             for key in base.keys[m]:
@@ -348,10 +370,9 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     def block_matrix(row_dim, row_fiber, col_dim, col_fiber, placed):
         """The p-th cube of col_fiber gives placed[p] = (image cube, block)."""
         row_pos = {ix: p for p, ix in enumerate(row_fiber)}
-        col_sizes = [F.rank_of(col_dim, ix) for ix in col_fiber]
-        rows = assemble_blocks([F.rank_of(row_dim, ix) for ix in row_fiber], col_sizes,
-                               [(row_pos[ix], p, m, 1) for p, (ix, m) in enumerate(placed)])
-        return IntMatrix.from_sparse(rows, sum(col_sizes))
+        return IntMatrix.from_blocks([F.rank_of(row_dim, ix) for ix in row_fiber],
+                                     [F.rank_of(col_dim, ix) for ix in col_fiber],
+                                     [(row_pos[ix], p, m, 1) for p, (ix, m) in enumerate(placed)])
 
     for n in range(1, top + 1):
         for i in range(1, n + 1):
@@ -426,10 +447,12 @@ def extend_semicubical(F: SemiCubicalSystem, top: int) -> ContravariantSystem:
 
     Values are copied from the underlying non-degenerate cube, degeneracy
     matrices are identities, and face matrices compose the given generator
-    matrices along the lookups that resolve each operator.
+    matrices along the lookups that resolve each operator. Equal matrices
+    are one shared object.
     """
     X = universal_from_semicubical(F.base)
     base = X.expand(top)
+    shared = {}
     ranks, faces, degens = {}, {}, {}
     for n in range(top + 1):
         for c in base.elements[n]:
@@ -441,12 +464,13 @@ def extend_semicubical(F: SemiCubicalSystem, top: int) -> ContravariantSystem:
                 delta = face_morphism(n, i, eps)
                 for c in base.elements[n]:
                     _, events = apply_with_events(X, delta, c)
-                    faces[(n, i, eps, c.key())] = _compose_events(
-                        F.face, F.ranks, c.gen, events, "contravariant")
+                    comp = _compose_events(F.face, F.ranks, c.gen, events, "contravariant")
+                    faces[(n, i, eps, c.key())] = shared.setdefault(comp, comp)
     for m in range(top):
         for i in range(1, m + 2):
             for c in base.elements[m]:
-                degens[(m, i, c.key())] = IntMatrix.identity(F.ranks[c.gen])
+                eye = IntMatrix.identity(F.ranks[c.gen])
+                degens[(m, i, c.key())] = shared.setdefault(eye, eye)
     return ContravariantSystem(base, ranks, faces, degens)
 
 

@@ -390,8 +390,8 @@ def table_system_to_data(F) -> dict:
             "degens": degens}
 
 
-def parse_local_system(data, X: PresentedCubicalSet, top: int):
-    """Read a local-system document and build it on the expansion of X.
+def parse_local_system(data, X: PresentedCubicalSet, base: CubesTable):
+    """Read a local-system document and build it on base, an expansion of X.
 
     Document-level defects raise FormatError; unimodularity and functoriality
     failures surface as the builder's ValueError.
@@ -411,7 +411,7 @@ def parse_local_system(data, X: PresentedCubicalSet, top: int):
             i, eps = _selector(ie, 2, f"local-system face of {gen!r}")
             mats[(gen, i, eps)] = _matrix(rows, rank, rank,
                                           f"face matrix of {gen!r} at ({i},{eps})")
-    return local_system(X, top, rank, mats, variance)
+    return local_system(X, base, rank, mats, variance)
 
 
 def local_system_to_data(rank: int, variance: str,
@@ -505,7 +505,7 @@ def build_system(data, base: CubesTable,
         if presented is None:
             raise ValueError("a local-system document needs generator data; "
                              "a bare cubes table does not carry any")
-        return parse_local_system(data, presented, base.top)
+        return parse_local_system(data, presented, base)
     raise FormatError(f"not a coefficient system document (type {t!r})")
 
 

@@ -131,9 +131,8 @@ def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
 
 def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
     mats = [F.degen_matrix(n - 1, i, x) for i, x in arriving]
-    rows = zip(*(m.data for m in mats), strict=True)
-    span = IntMatrix(F.rank_of(n, z), sum(m.cols for m in mats),
-                     [sum(parts, ()) for parts in rows])
+    span = IntMatrix.from_blocks([F.rank_of(n, z)], [m.cols for m in mats],
+                                 [(0, p, m, 1) for p, m in enumerate(mats)])
     pres = cokernel_projection(span)
     if pres.torsion:
         raise ValueError(

@@ -1,14 +1,16 @@
 """Exact integer linear algebra: Smith normal form, cokernels, chain homology.
 
 Everything here works over plain Python ints, so there is no overflow and no
-floating point anywhere. Every dense reduction runs one deterministic pivot
-loop, and each caller says which transforms it keeps: the Smith normal form
-keeps all four (exact solving needs them), cokernels keep only the row
-transforms, and homology keeps none. A chain complex stores each boundary
-as sparse rows {column: entry}, written from blocks by assemble_blocks, and
-makes a dense matrix only when asked. Homology and cohomology take the rank
-and the invariant factors of each boundary from sparse unit-pivot
-elimination, then that loop on whatever is left.
+floating point anywhere. Matrices and chain complexes alike hold sparse rows
+{column: non-zero entry}: IntMatrix multiplies, adds and transposes them as
+they are, and assemble_blocks writes a boundary or a block matrix from its
+blocks. Dense rows are made only for det, for the JSON boundary and for the
+one deterministic pivot loop of every dense reduction. Each caller of that
+loop says which transforms it keeps: the Smith normal form keeps all four
+(exact solving needs them), cokernels keep only the row transforms, and
+homology keeps none. Homology and cohomology take the rank and the
+invariant factors of each boundary from sparse unit-pivot elimination, then
+that loop on whatever is left.
 """
 
 from __future__ import annotations
@@ -20,16 +22,23 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples."""
+    """An immutable integer matrix stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "data")
+    sparse holds one dict {column: non-zero entry} per row. A row is never
+    changed once its matrix is built, so matrices share rows freely; data
+    is a dense tuple of row tuples, built on request for the JSON boundary,
+    det and the dense pivot loop.
+    """
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
+        dense = [[int(x) for x in row] for row in data]
+        if len(dense) != rows or any(len(r) != cols for r in dense):
+            raise ValueError(f"shape mismatch: expected {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(int(x) for x in row) for row in data)
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
-            raise ValueError(f"shape mismatch: expected {rows}x{cols}")
+        self.sparse = tuple({j: x for j, x in enumerate(row) if x} for row in dense)
 
     @staticmethod
     def from_rows(data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -39,39 +48,62 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _wrap(n, n, tuple({i: 1} for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        return _wrap(rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def from_sparse(rows: Sequence[dict], cols: int) -> "IntMatrix":
-        """The matrix with the given rows {column: entry} and cols columns."""
-        data = [[0] * cols for _ in rows]
-        for out, row in zip(data, rows):
+        """The matrix with the given rows {column: entry} and cols columns.
+
+        Zero entries are dropped; a column outside range(cols) raises
+        ValueError.
+        """
+        out = []
+        for row in rows:
+            if any(not 0 <= j < cols for j in row):
+                raise ValueError(f"sparse row has a column outside range({cols})")
+            out.append({j: int(x) for j, x in row.items() if x})
+        return _wrap(len(out), cols, tuple(out))
+
+    @staticmethod
+    def from_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
+                    blocks: Iterable[tuple]) -> "IntMatrix":
+        """The matrix of assemble_blocks(row_sizes, col_sizes, blocks)."""
+        return _wrap(sum(row_sizes), sum(col_sizes),
+                     tuple(assemble_blocks(row_sizes, col_sizes, blocks)))
+
+    @property
+    def data(self) -> tuple:
+        """The rows as dense tuples."""
+        out = []
+        for row in self.sparse:
+            line = [0] * self.cols
             for j, x in row.items():
-                out[j] = x
-        return IntMatrix(len(data), cols, data)
+                line[j] = x
+            out.append(tuple(line))
+        return tuple(out)
 
     def sparse_rows(self) -> list:
-        """The rows as dicts {column: non-zero entry}."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        """The rows as fresh dicts {column: non-zero entry}."""
+        return [dict(row) for row in self.sparse]
 
     def __getitem__(self, ij) -> int:
         i, j = ij
-        return self.data[i][j]
+        return self.sparse[i].get(range(self.cols)[j], 0)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.sparse)))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.data))})"
@@ -79,37 +111,52 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return IntMatrix.from_blocks([self.rows], [self.cols], [(0, 0, self, 1), (0, 0, other, 1)])
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        if c == 0:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return _wrap(self.rows, self.cols,
+                     tuple({j: c * x for j, x in row.items()} for row in self.sparse))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        bt = list(zip(*other.data)) if other.data else [()] * other.cols
+        right = other.sparse
         out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in bt])
-        if not self.data:
-            out = []
-        return IntMatrix(self.rows, other.cols, out)
+        for row in self.sparse:
+            total = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    total[j] = total.get(j, 0) + a * b
+            out.append(total if all(total.values())
+                       else {j: x for j, x in total.items() if x})
+        return _wrap(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row.items():
+                out[j][i] = x
+        return _wrap(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.data)
+        return not any(self.sparse)
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(indices), self.cols, [self.data[i] for i in indices])
+        return _wrap(len(indices), self.cols, tuple(self.sparse[i] for i in indices))
 
     def take_cols(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(self.rows, len(indices), [[r[j] for j in indices] for r in self.data])
+        return self.transpose().take_rows(indices).transpose()
+
+
+def _wrap(rows: int, cols: int, sparse: tuple) -> IntMatrix:
+    """An IntMatrix on rows that hold only non-zero entries in range(cols)."""
+    m = object.__new__(IntMatrix)
+    m.rows = rows
+    m.cols = cols
+    m.sparse = sparse
+    return m
 
 
 def assemble_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
@@ -127,15 +174,16 @@ def assemble_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
         if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
             raise ValueError(f"block ({bi},{bj}) has shape {m.rows}x{m.cols}, "
                              f"expected {row_sizes[bi]}x{col_sizes[bj]}")
-        for i, row in enumerate(m.data, row_off[bi]):
+        off = col_off[bj]
+        for i, row in enumerate(m.sparse, row_off[bi]):
             target = out[i]
-            for j, a in enumerate(row, col_off[bj]):
-                if a:
-                    y = target.get(j, 0) + sign * a
-                    if y:
-                        target[j] = y
-                    else:
-                        target.pop(j, None)
+            for j, a in row.items():
+                j += off
+                y = target.get(j, 0) + sign * a
+                if y:
+                    target[j] = y
+                else:
+                    del target[j]
     return out
 
 

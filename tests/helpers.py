@@ -246,14 +246,15 @@ def gauge_system(X, top, r, rng, variance="contravariant"):
             mats[(g, i, eps)] = gamma[c.gen] * gamma_inv[g]
         else:
             mats[(g, i, eps)] = gamma[g] * gamma_inv[c.gen]
-    return local_system(X, top, r, mats, variance)
+    return local_system(X, X.expand(top), r, mats, variance)
 
 
 def monodromy_circle(top=2, variance="contravariant"):
     """Rank-1 system on the circle whose loop flips the sign."""
     plus = IntMatrix.from_rows([[1]])
     minus = IntMatrix.from_rows([[-1]])
-    return local_system(circle(), top, 1,
+    X = circle()
+    return local_system(X, X.expand(top), 1,
                         {("e", 1, 0): plus, ("e", 1, 1): minus}, variance)
 
 

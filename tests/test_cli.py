@@ -102,7 +102,17 @@ class TestRoundTrips:
     def test_local_system_document(self):
         data = {"type": "local-system", "rank": 1, "variance": "contravariant",
                 "faces": {"e": {"1,0": [[1]], "1,1": [[-1]]}}}
-        F = formats.parse_local_system(data, helpers.circle(), 2)
+        X = helpers.circle()
+        F = formats.parse_local_system(data, X, X.expand(2))
+        assert same_system(F, helpers.monodromy_circle(2))
+
+    def test_local_system_document_on_the_callers_table(self):
+        data = {"type": "local-system", "rank": 1, "variance": "contravariant",
+                "faces": {"e": {"1,0": [[1]], "1,1": [[-1]]}}}
+        X = helpers.circle()
+        base = X.expand(2)
+        F = formats.build_system(data, base, X)
+        assert F.base is base
         assert same_system(F, helpers.monodromy_circle(2))
 
     def test_local_system_serializer(self):
@@ -110,8 +120,9 @@ class TestRoundTrips:
         minus = IntMatrix.from_rows([[-1]])
         mats = {("e", 1, 0): plus, ("e", 1, 1): minus}
         data = formats.local_system_to_data(1, "contravariant", mats)
+        X = helpers.circle()
         F = formats.parse_local_system(json.loads(formats.dumps_document(data)),
-                                       helpers.circle(), 2)
+                                       X, X.expand(2))
         assert same_system(F, helpers.monodromy_circle(2))
 
     def test_semicubical_system(self):
@@ -172,7 +183,8 @@ class TestRejections:
         data = {"type": "local-system", "rank": 2, "variance": "contravariant",
                 "faces": {"e": {"1,0": [[1]], "1,1": [[1]]}}}
         with pytest.raises(FormatError, match="shape"):
-            formats.parse_local_system(data, helpers.circle(), 2)
+            X = helpers.circle()
+            formats.parse_local_system(data, X, X.expand(2))
 
     def test_wrong_type_discriminator(self):
         with pytest.raises(FormatError, match="expected"):

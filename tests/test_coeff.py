@@ -57,6 +57,20 @@ class TestValidateNegatives:
         assert report != []
         assert any("identity fails" in line for line in report)
 
+    def test_shared_matrices_fail_on_every_cube(self):
+        # Products are formed once per pair of objects; every cube is still compared.
+        base = helpers.torus().expand(2)
+        F = constant_system(base, 1)
+        bad_face = dict(F.face)
+        bad_face[(1, 1, 0, "a@x1")] = IntMatrix.from_rows([[2]])
+        shared = ContravariantSystem(base, F.ranks, bad_face, F.degen)
+        copies = ContravariantSystem(
+            base, F.ranks, {k: IntMatrix.from_rows(m.data) for k, m in bad_face.items()},
+            {k: IntMatrix.from_rows(m.data) for k, m in F.degen.items()})
+        report = validate_functoriality(shared)
+        assert len(report) > 1
+        assert report == validate_functoriality(copies)
+
     def test_missing_rank_caught(self):
         base = helpers.circle().expand(1)
         F = constant_system(base, 1)
@@ -100,16 +114,22 @@ class TestLocal:
         for mat in F.degen.values():
             assert mat == IntMatrix.identity(2)
 
+    def test_equal_composites_are_one_object(self):
+        F = helpers.gauge_system(helpers.torus(), 2, 2, random.Random(15))
+        mats = list(F.face.values()) + list(F.degen.values())
+        assert len({id(m) for m in mats}) == len(set(mats)) < len(mats)
+
     def test_non_unimodular_rejected(self):
         two = IntMatrix.from_rows([[2]])
         with pytest.raises(ValueError):
-            local_system(helpers.circle(), 1, 1,
-                         {("e", 1, 0): two, ("e", 1, 1): two})
+            X = helpers.circle()
+            local_system(X, X.expand(1), 1, {("e", 1, 0): two, ("e", 1, 1): two})
 
     def test_wrong_key_set_rejected(self):
         one = IntMatrix.identity(1)
         with pytest.raises(ValueError):
-            local_system(helpers.circle(), 1, 1, {("e", 1, 0): one})
+            X = helpers.circle()
+            local_system(X, X.expand(1), 1, {("e", 1, 0): one})
 
     def test_non_functorial_matrices_rejected(self):
         # the torus square forces its two directions to commute with the loops
@@ -120,7 +140,8 @@ class TestLocal:
                 ("t", 1, 0): one, ("t", 1, 1): minus,
                 ("t", 2, 0): one, ("t", 2, 1): one}
         with pytest.raises(ValueError):
-            local_system(helpers.torus(), 2, 1, mats)
+            X = helpers.torus()
+            local_system(X, X.expand(2), 1, mats)
 
     def test_is_local_false_for_scaling(self):
         F = extend_semicubical(helpers.weighted_torus_system(), 2)
@@ -145,6 +166,11 @@ class TestTranspose:
         assert H.variance == "contravariant"
         assert H.face == F.face
         assert H.degen == F.degen
+
+    def test_shared_matrix_transposed_once(self):
+        F = constant_system(helpers.torus().expand(2), 2, "covariant")
+        G = transpose_system(F)
+        assert len({id(m) for m in list(G.face.values()) + list(G.degen.values())}) == 1
 
 
 class TestPullback:
@@ -234,6 +260,8 @@ class TestSemiCubical:
         assert G.variance == "contravariant"
         assert validate_functoriality(G) == []
         assert G.rank_of(2, G.base.index[2]["t@x1,x2"]) == 1
+        mats = list(G.face.values()) + list(G.degen.values())
+        assert len({id(m) for m in mats}) == len(set(mats))
 
     def test_extension_with_varying_ranks(self):
         S = helpers.interval_semi()

@@ -48,6 +48,15 @@ matrix_strategy = st.integers(0, 4).flatmap(
 )
 
 
+@st.composite
+def dense_lists(draw, rows, cols):
+    """A rows x cols list of rows with entries in -4..4 and some rows and columns zero."""
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    return [[0 if i in zero_rows or j in zero_cols else draw(st.integers(-4, 4))
+             for j in range(cols)] for i in range(rows)]
+
+
 class TestIntMatrix:
     def test_mul_identity(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
@@ -89,6 +98,50 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert a.take_rows([2, 0]) == IntMatrix.from_rows([[7, 8, 9], [1, 2, 3]])
         assert a.take_cols([1]) == IntMatrix.from_rows([[2], [5], [8]])
+
+    def test_from_sparse_rejects_column_out_of_range(self):
+        for column in (3, -1):
+            with pytest.raises(ValueError, match=r"outside range\(3\)"):
+                IntMatrix.from_sparse([{0: 1}, {column: 1}], 3)
+
+    def test_from_sparse_drops_zeros(self):
+        m = IntMatrix.from_sparse([{0: 0, 2: 5}, {1: 0}], 3)
+        dense = IntMatrix.from_rows([[0, 0, 5], [0, 0, 0]])
+        assert m.sparse == ({2: 5}, {})
+        assert m == dense and hash(m) == hash(dense)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_sparse_matches_dense_reference(self, data):
+        m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+        a, c = data.draw(dense_lists(m, k)), data.draw(dense_lists(m, k))
+        b = data.draw(dense_lists(k, n))
+        s = data.draw(st.integers(-3, 3))
+        picked_rows = data.draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+        picked_cols = data.draw(st.lists(st.integers(0, k - 1), max_size=6)) if k else []
+        A = IntMatrix(m, k, a)
+
+        def agrees(got, dense, rows, cols):
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got.data == tuple(map(tuple, dense))
+            assert all(0 not in row.values() for row in got.sparse)
+            # the same entries, zeros included, with the columns in reverse order
+            listed = IntMatrix.from_sparse(
+                [dict(reversed(list(enumerate(row)))) for row in dense], cols)
+            for other in (IntMatrix(rows, cols, dense), listed):
+                assert got == other and hash(got) == hash(other)
+
+        agrees(A, a, m, k)
+        agrees(A * IntMatrix(k, n, b),
+               [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)],
+               m, n)
+        agrees(A + IntMatrix(m, k, c),
+               [[x + y for x, y in zip(r, q)] for r, q in zip(a, c)], m, k)
+        agrees(A.scale(s), [[s * x for x in r] for r in a], m, k)
+        agrees(A.transpose(), [[a[i][j] for i in range(m)] for j in range(k)], k, m)
+        agrees(A.take_rows(picked_rows), [a[i] for i in picked_rows], len(picked_rows), k)
+        agrees(A.take_cols(picked_cols), [[r[j] for j in picked_cols] for r in a],
+               m, len(picked_cols))
 
 
 class TestDet:
