@@ -272,7 +272,8 @@ def cmd_compare(args) -> int:
         src = f.source.expand(t)
         F = _load_system(args.system, src, f.source)
         left = homology(src, F, args.max_dim)
-        right = homology(f.target.expand(t), direct_image(f, F), args.max_dim)
+        G = direct_image(f, F)
+        right = homology(G.base, G, args.max_dim)
         labels = ("source", "direct image")
     elif contract == "comloc":
         _need(args, contract, set=True, system=True)

@@ -4,6 +4,10 @@ A system assigns a rank to every cube of a tabulated set and a matrix to
 every face and degeneracy operator. Contravariant systems point from a cube
 to its faces and degeneracies (that is the shape chain complexes eat);
 covariant systems point the other way and feed cochain complexes.
+
+Values are keyed by the cube's index in the table, never by its key string;
+cube keys appear only in error messages here, and the JSON documents of
+formats are the one place that converts between keys and indices.
 """
 
 from __future__ import annotations
@@ -15,34 +19,38 @@ from .cubset import (
     CubicalMap,
     PresentedCubicalSet,
     SemiCubicalSet,
-    apply_with_events,
     universal_from_semicubical,
 )
 from .zlinalg import IntMatrix, det
 
 
 class _TableSystem:
-    """Common storage for both variances; matrices are keyed by cube key."""
+    """Common storage for both variances, keyed by cube index in base.
+
+    ranks[(n, idx)] is the rank on cube idx of dimension n, face[(n, i, eps,
+    idx)] the matrix of its face (i, eps) and degen[(m, i, idx)] the matrix
+    of the i-th degeneracy of cube idx of dimension m.
+    """
 
     variance = "unset"
 
     def __init__(self, base: CubesTable,
-                 ranks: Dict[Tuple[int, str], int],
-                 face: Dict[Tuple[int, int, int, str], IntMatrix],
-                 degen: Dict[Tuple[int, int, str], IntMatrix]):
+                 ranks: Dict[Tuple[int, int], int],
+                 face: Dict[Tuple[int, int, int, int], IntMatrix],
+                 degen: Dict[Tuple[int, int, int], IntMatrix]):
         self.base = base
         self.ranks = dict(ranks)
         self.face = dict(face)
         self.degen = dict(degen)
 
     def rank_of(self, n: int, idx: int) -> int:
-        return self.ranks[(n, self.base.key(n, idx))]
+        return self.ranks[(n, idx)]
 
     def face_matrix(self, n: int, i: int, eps: int, idx: int) -> IntMatrix:
-        return self.face[(n, i, eps, self.base.key(n, idx))]
+        return self.face[(n, i, eps, idx)]
 
     def degen_matrix(self, m: int, i: int, idx: int) -> IntMatrix:
-        return self.degen[(m, i, self.base.key(m, idx))]
+        return self.degen[(m, i, idx)]
 
 
 class ContravariantSystem(_TableSystem):
@@ -72,17 +80,17 @@ def constant_system(base: CubesTable, rank: int, variance: str = "contravariant"
     eye = IntMatrix.identity(rank)
     ranks, faces, degens = {}, {}, {}
     for n in range(base.top + 1):
-        for key in base.keys[n]:
-            ranks[(n, key)] = rank
+        for idx in range(base.size(n)):
+            ranks[(n, idx)] = rank
     for n in range(1, base.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for key in base.keys[n]:
-                    faces[(n, i, eps, key)] = eye
+                for idx in range(base.size(n)):
+                    faces[(n, i, eps, idx)] = eye
     for m in range(base.top):
         for i in range(1, m + 2):
-            for key in base.keys[m]:
-                degens[(m, i, key)] = eye
+            for idx in range(base.size(m)):
+                degens[(m, i, idx)] = eye
     return _system_class(variance)(base, ranks, faces, degens)
 
 
@@ -100,19 +108,20 @@ def validate_functoriality(F) -> List[str]:
         return [f"unknown variance {F.variance!r}"]
 
     for n in range(base.top + 1):
-        for key in base.keys[n]:
-            if (n, key) not in F.ranks:
-                report.append(f"missing rank for dim-{n} cube {key}")
-            elif F.ranks[(n, key)] < 0:
-                report.append(f"negative rank at {key}")
+        for idx in range(base.size(n)):
+            if (n, idx) not in F.ranks:
+                report.append(f"missing rank for dim-{n} cube {base.key(n, idx)}")
+            elif F.ranks[(n, idx)] < 0:
+                report.append(f"negative rank at {base.key(n, idx)}")
 
-    def shape_ok(mat, src_rank, dst_rank, what):
+    def shape_ok(mat, src_rank, dst_rank, what, n, idx):
         if contra:
             want = (dst_rank, src_rank)
         else:
             want = (src_rank, dst_rank)
         if (mat.rows, mat.cols) != want:
-            report.append(f"{what} has shape {mat.rows}x{mat.cols}, expected {want[0]}x{want[1]}")
+            report.append(f"{what} at {base.key(n, idx)} has shape {mat.rows}x{mat.cols}, "
+                          f"expected {want[0]}x{want[1]}")
             return False
         return True
 
@@ -120,38 +129,34 @@ def validate_functoriality(F) -> List[str]:
     for n in range(1, base.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for idx, key in enumerate(base.keys[n]):
-                    if (n, i, eps, key) not in F.face:
-                        report.append(f"missing face matrix ({n},{i},{eps}) at {key}")
+                for idx in range(base.size(n)):
+                    if (n, i, eps, idx) not in F.face:
+                        report.append(f"missing face matrix ({n},{i},{eps}) at {base.key(n, idx)}")
                         shapes_fine = False
                         continue
-                    fk = base.key(n - 1, base.face_index(n, i, eps, idx))
-                    if (n, key) in F.ranks and (n - 1, fk) in F.ranks:
-                        ok = shape_ok(F.face[(n, i, eps, key)],
-                                      F.ranks[(n, key)], F.ranks[(n - 1, fk)],
-                                      f"face matrix ({n},{i},{eps}) at {key}")
+                    fi = base.face_index(n, i, eps, idx)
+                    if (n, idx) in F.ranks and (n - 1, fi) in F.ranks:
+                        ok = shape_ok(F.face[(n, i, eps, idx)],
+                                      F.ranks[(n, idx)], F.ranks[(n - 1, fi)],
+                                      f"face matrix ({n},{i},{eps})", n, idx)
                         shapes_fine = shapes_fine and ok
     for m in range(base.top):
         for i in range(1, m + 2):
-            for idx, key in enumerate(base.keys[m]):
-                if (m, i, key) not in F.degen:
-                    report.append(f"missing degeneracy matrix ({m},{i}) at {key}")
+            for idx in range(base.size(m)):
+                if (m, i, idx) not in F.degen:
+                    report.append(f"missing degeneracy matrix ({m},{i}) at {base.key(m, idx)}")
                     shapes_fine = False
                     continue
-                sk = base.key(m + 1, base.degeneracy_index(m, i, idx))
-                if (m, key) in F.ranks and (m + 1, sk) in F.ranks:
-                    ok = shape_ok(F.degen[(m, i, key)],
-                                  F.ranks[(m, key)], F.ranks[(m + 1, sk)],
-                                  f"degeneracy matrix ({m},{i}) at {key}")
+                si = base.degeneracy_index(m, i, idx)
+                if (m, idx) in F.ranks and (m + 1, si) in F.ranks:
+                    ok = shape_ok(F.degen[(m, i, idx)],
+                                  F.ranks[(m, idx)], F.ranks[(m + 1, si)],
+                                  f"degeneracy matrix ({m},{i})", m, idx)
                     shapes_fine = shapes_fine and ok
     if not shapes_fine:
         return report
 
-    def fm(n, i, eps, idx):
-        return F.face[(n, i, eps, base.key(n, idx))]
-
-    def dm(m, i, idx):
-        return F.degen[(m, i, base.key(m, idx))]
+    fm, dm = F.face_matrix, F.degen_matrix
 
     products = {}
 
@@ -209,8 +214,7 @@ def validate_functoriality(F) -> List[str]:
                         else:
                             lhs = mul(dm(m, j, idx), fm(m + 1, i, eps, sj))
                         if i == j:
-                            r = F.ranks[(m, base.key(m, idx))]
-                            rhs = IntMatrix.identity(r)
+                            rhs = IntMatrix.identity(F.ranks[(m, idx)])
                         elif i < j:
                             fi = base.face_index(m, i, eps, idx)
                             if contra:
@@ -258,15 +262,36 @@ def is_local(F) -> bool:
     return True
 
 
-def _compose_events(gen_mats, ranks_by_gen, start_gen, events, variance):
-    total = IntMatrix.identity(ranks_by_gen[start_gen])
-    for ev in events:
-        m = gen_mats[ev]
-        if variance == "contravariant":
-            total = m * total
-        else:
-            total = total * m
-    return total
+def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
+                      gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix]):
+    """The system on base, an expansion of a presented set, fixed by its generators.
+
+    The cube (g, epi) takes g's rank. Its face (i, eps) is the identity when
+    epi deletes coordinate i, and g's matrix at (p, eps) when epi keeps i as
+    its p-th coordinate: that is the one face lookup resolving the operator.
+    Degeneracies are identities. Equal matrices are one shared object.
+    """
+    eyes = {r: IntMatrix.identity(r) for r in set(gen_ranks.values())}
+    shared = {eye: eye for eye in eyes.values()}
+    ranks, faces, degens = {}, {}, {}
+    for n in range(base.top + 1):
+        for idx, c in enumerate(base.elements[n]):
+            ranks[(n, idx)] = gen_ranks[c.gen]
+    for n in range(1, base.top + 1):
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                for idx, c in enumerate(base.elements[n]):
+                    kept = c.epi.tokens
+                    if i in kept:
+                        m = gen_face_matrices[(c.gen, kept.index(i) + 1, eps)]
+                        faces[(n, i, eps, idx)] = shared.setdefault(m, m)
+                    else:
+                        faces[(n, i, eps, idx)] = eyes[gen_ranks[c.gen]]
+    for m in range(base.top):
+        for i in range(1, m + 2):
+            for idx, c in enumerate(base.elements[m]):
+                degens[(m, i, idx)] = eyes[gen_ranks[c.gen]]
+    return cls(base, ranks, faces, degens)
 
 
 def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
@@ -274,11 +299,11 @@ def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
                  variance: str = "contravariant"):
     """Rank-r system on base, an expansion of X, from face matrices on generators.
 
-    Degeneracy matrices are forced to the identity and face matrices on
-    arbitrary cubes are composites of the generator matrices along the face
-    lookups that resolve the operator; equal composites are one shared
-    object. Raises if a matrix is not square of size rank or not
-    unimodular, or if the result fails functoriality.
+    Degeneracy matrices are the identity, and the face (i, eps) of the cube
+    (g, epi) is the identity or one generator matrix of g, as
+    _generated_system reads off epi; equal matrices are one shared object.
+    Raises if a matrix is not square of size rank or not unimodular, or if
+    the result fails functoriality.
     """
     cls = _system_class(variance)
     expected = {(g, i, eps) for g, d in X.generators.items()
@@ -293,29 +318,7 @@ def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
             raise ValueError(f"matrix at {k} is {m.rows}x{m.cols}, expected {rank}x{rank}")
         if det(m) not in (1, -1):
             raise ValueError(f"matrix at {k} has determinant {det(m)}, not a unit")
-    top = base.top
-    ranks_by_gen = {g: rank for g in X.generators}
-    eye = IntMatrix.identity(rank)
-    shared = {eye: eye}
-    ranks, faces, degens = {}, {}, {}
-    for n in range(top + 1):
-        for key in base.keys[n]:
-            ranks[(n, key)] = rank
-    from .boxcat import face as face_morphism
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                delta = face_morphism(n, i, eps)
-                for c in base.elements[n]:
-                    _, events = apply_with_events(X, delta, c)
-                    comp = _compose_events(gen_face_matrices, ranks_by_gen, c.gen, events,
-                                           variance)
-                    faces[(n, i, eps, c.key())] = shared.setdefault(comp, comp)
-    for m in range(top):
-        for i in range(1, m + 2):
-            for key in base.keys[m]:
-                degens[(m, i, key)] = eye
-    out = cls(base, ranks, faces, degens)
+    out = _generated_system(cls, base, {g: rank for g in X.generators}, gen_face_matrices)
     problems = validate_functoriality(out)
     if problems:
         raise ValueError("generator matrices are not functorial: " + "; ".join(problems[:3]))
@@ -329,17 +332,17 @@ def pullback_system(f: CubicalMap, F):
     tm = f.table_map(tx, F.base)
     ranks, faces, degens = {}, {}, {}
     for n in range(top + 1):
-        for idx, key in enumerate(tx.keys[n]):
-            ranks[(n, key)] = F.rank_of(n, tm[n][idx])
+        for idx, iy in enumerate(tm[n]):
+            ranks[(n, idx)] = F.rank_of(n, iy)
     for n in range(1, top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for idx, key in enumerate(tx.keys[n]):
-                    faces[(n, i, eps, key)] = F.face_matrix(n, i, eps, tm[n][idx])
+                for idx, iy in enumerate(tm[n]):
+                    faces[(n, i, eps, idx)] = F.face_matrix(n, i, eps, iy)
     for m in range(top):
         for i in range(1, m + 2):
-            for idx, key in enumerate(tx.keys[m]):
-                degens[(m, i, key)] = F.degen_matrix(m, i, tm[m][idx])
+            for idx, iy in enumerate(tm[m]):
+                degens[(m, i, idx)] = F.degen_matrix(m, i, iy)
     return type(F)(tx, ranks, faces, degens)
 
 
@@ -362,10 +365,9 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
             fibers[(n, iy)] = []
         for ix in range(tx.size(n)):
             fibers[(n, tm[n][ix])].append(ix)
-    ranks, faces, degens = {}, {}, {}
-    for n in range(top + 1):
-        for iy, key in enumerate(ty.keys[n]):
-            ranks[(n, key)] = sum(F.rank_of(n, ix) for ix in fibers[(n, iy)])
+    ranks = {(n, iy): sum(F.rank_of(n, ix) for ix in fiber)
+             for (n, iy), fiber in fibers.items()}
+    faces, degens = {}, {}
 
     def block_matrix(row_dim, row_fiber, col_dim, col_fiber, placed):
         """The p-th cube of col_fiber gives placed[p] = (image cube, block)."""
@@ -377,17 +379,17 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     for n in range(1, top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for iy, key in enumerate(ty.keys[n]):
+                for iy in range(ty.size(n)):
                     col = fibers[(n, iy)]
-                    faces[(n, i, eps, key)] = block_matrix(
+                    faces[(n, i, eps, iy)] = block_matrix(
                         n - 1, fibers[(n - 1, ty.face_index(n, i, eps, iy))], n, col,
                         [(tx.face_index(n, i, eps, ix), F.face_matrix(n, i, eps, ix))
                          for ix in col])
     for m in range(top):
         for i in range(1, m + 2):
-            for iy, key in enumerate(ty.keys[m]):
+            for iy in range(ty.size(m)):
                 col = fibers[(m, iy)]
-                degens[(m, i, key)] = block_matrix(
+                degens[(m, i, iy)] = block_matrix(
                     m + 1, fibers[(m + 1, ty.degeneracy_index(m, i, iy))], m, col,
                     [(tx.degeneracy_index(m, i, ix), F.degen_matrix(m, i, ix)) for ix in col])
     return ContravariantSystem(ty, ranks, faces, degens)
@@ -446,32 +448,12 @@ def extend_semicubical(F: SemiCubicalSystem, top: int) -> ContravariantSystem:
     """Extend a semi-cubical system to the freely degenerated set.
 
     Values are copied from the underlying non-degenerate cube, degeneracy
-    matrices are identities, and face matrices compose the given generator
-    matrices along the lookups that resolve each operator. Equal matrices
-    are one shared object.
+    matrices are identities, and the face (i, eps) of a cube is the identity
+    or one face matrix of its non-degenerate cube, as _generated_system
+    reads off the cube's deletion map. Equal matrices are one shared object.
     """
     X = universal_from_semicubical(F.base)
-    base = X.expand(top)
-    shared = {}
-    ranks, faces, degens = {}, {}, {}
-    for n in range(top + 1):
-        for c in base.elements[n]:
-            ranks[(n, c.key())] = F.ranks[c.gen]
-    from .boxcat import face as face_morphism
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                delta = face_morphism(n, i, eps)
-                for c in base.elements[n]:
-                    _, events = apply_with_events(X, delta, c)
-                    comp = _compose_events(F.face, F.ranks, c.gen, events, "contravariant")
-                    faces[(n, i, eps, c.key())] = shared.setdefault(comp, comp)
-    for m in range(top):
-        for i in range(1, m + 2):
-            for c in base.elements[m]:
-                eye = IntMatrix.identity(F.ranks[c.gen])
-                degens[(m, i, c.key())] = shared.setdefault(eye, eye)
-    return ContravariantSystem(base, ranks, faces, degens)
+    return _generated_system(ContravariantSystem, X.expand(top), F.ranks, F.face)
 
 
 class FiniteDiagram:
@@ -534,7 +516,7 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
     ranks, faces, degens = {}, {}, {}
     for n in range(N.top + 1):
         for idx, x in enumerate(N.elements[n]):
-            ranks[(n, N.key(n, idx))] = F.rank_of(x.vertex((1,) * n))
+            ranks[(n, idx)] = F.rank_of(x.vertex((1,) * n))
     for n in range(1, N.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
@@ -542,15 +524,15 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
                     ones = (1,) * n
                     corner = ones[:i - 1] + (eps,) + ones[i:]
                     w = x.value_on_leq(corner, ones)
-                    faces[(n, i, eps, N.key(n, idx))] = F.matrix(w)
+                    faces[(n, i, eps, idx)] = F.matrix(w)
     eyes = {}
     for m in range(N.top):
         for idx in range(N.size(m)):
-            r = ranks[(m, N.key(m, idx))]
+            r = ranks[(m, idx)]
             if r not in eyes:
                 eyes[r] = IntMatrix.identity(r)
             for i in range(1, m + 2):
-                degens[(m, i, N.key(m, idx))] = eyes[r]
+                degens[(m, i, idx)] = eyes[r]
     return ContravariantSystem(N, ranks, faces, degens)
 
 
@@ -569,7 +551,7 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
 
     for n in range(N.top + 1):
         for idx, x in enumerate(N.elements[n]):
-            ranks[(n, N.key(n, idx))] = G.rank_of(diagonal(x, n))
+            ranks[(n, idx)] = G.rank_of(diagonal(x, n))
     for n in range(1, N.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
@@ -581,11 +563,11 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
                     v = x.value_on_leq(hi, ones)
                     alpha = x.value_on_leq(lo, hi)
                     beta = diagonal(x, n)
-                    faces[(n, i, eps, N.key(n, idx))] = G.matrix(
+                    faces[(n, i, eps, idx)] = G.matrix(
                         f"{alpha}|{beta}|{u}|{v}")
     for m in range(N.top):
         for idx, x in enumerate(N.elements[m]):
             d = diagonal(x, m)
             for i in range(1, m + 2):
-                degens[(m, i, N.key(m, idx))] = G.matrix(fc.identity_of(d))
+                degens[(m, i, idx)] = G.matrix(fc.identity_of(d))
     return CovariantSystem(N, ranks, faces, degens)

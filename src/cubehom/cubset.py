@@ -199,45 +199,23 @@ class PresentedCubicalSet:
 
 
 def apply_morphism(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube) -> Cube:
-    """Contravariant action of alpha: I^m -> I^n on a dim-n cube of X."""
-    if alpha.dst_dim != c.dim:
-        raise ValueError(f"cannot act by I^{alpha.src_dim}->I^{alpha.dst_dim} "
-                         f"on a cube of dimension {c.dim}")
-    X.generator_dim(c.gen)
-    cube, _ = _push_through_faces(X, c.epi.compose(alpha), c.gen, None)
-    return cube
+    """Contravariant action of alpha: I^m -> I^n on a dim-n cube of X.
 
-
-def apply_with_events(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube):
-    """Like apply_morphism, also returning the face-table lookups made.
-
-    Events are (generator, slot, bit) triples in application order; a
-    coefficient system transports matrices along exactly this list.
+    Splits c.epi . alpha into deletions after insertions, peels the
+    outermost insertion through the face table, folds the face's own
+    deletion map in, and repeats; the generator dimension drops every round.
     """
     if alpha.dst_dim != c.dim:
         raise ValueError(f"cannot act by I^{alpha.src_dim}->I^{alpha.dst_dim} "
                          f"on a cube of dimension {c.dim}")
     X.generator_dim(c.gen)
-    events: List[Tuple[str, int, int]] = []
-    cube, events = _push_through_faces(X, c.epi.compose(alpha), c.gen, events)
-    return cube, tuple(events)
-
-
-def _push_through_faces(X, beta, gen, events):
-    """Resolve an arbitrary morphism applied to a generator into a Cube.
-
-    Splits beta into deletions after insertions, peels the outermost
-    insertion through the face table, folds the face's own deletion map in,
-    and repeats; the generator dimension drops every round.
-    """
+    beta, gen = c.epi.compose(alpha), c.gen
     while True:
         epi, mono = epi_mono_factorize(beta)
         if mono.is_identity():
-            return Cube(gen, epi), events
+            return Cube(gen, epi)
         slot, bit = mono_faces(mono)[0]
         fc = X.face_cube(gen, slot, bit)
-        if events is not None:
-            events.append((gen, slot, bit))
         rest = CubeMorphism(
             mono.src_dim, mono.dst_dim - 1,
             tuple(t for pos, t in enumerate(mono.tokens, start=1) if pos != slot))

@@ -303,6 +303,7 @@ def parse_table_system(data, base: Optional[CubesTable] = None):
 
     When both are present the embedded table must carry the same keys as the
     supplied one, so that documents cannot silently retarget a computation.
+    The document names cubes by key; the system holds them by index in base.
     """
     _check_type(data, "table-system")
     variance = _field(data, "variance", str, "table-system")
@@ -316,72 +317,70 @@ def parse_table_system(data, base: Optional[CubesTable] = None):
     if base is None:
         raise FormatError("table-system: no base table embedded or supplied")
 
-    known = {(n, key) for n in range(base.top + 1) for key in base.keys[n]}
+    def cube_index(n, key, what):
+        idx = base.index[n].get(key) if 0 <= n <= base.top else None
+        if idx is None:
+            raise FormatError(f"table-system: {what} for unknown dim-{n} cube {key!r}")
+        return idx
+
     ranks = {}
     for ns, level in _field(data, "ranks", dict, "table-system").items():
         (n,) = _selector(ns, 1, "table-system ranks")
         if not isinstance(level, dict):
             raise FormatError(f"table-system: ranks[{ns!r}] must map keys to integers")
         for key, r in level.items():
-            if (n, key) not in known:
-                raise FormatError(f"table-system: rank for unknown dim-{n} cube {key!r}")
-            ranks[(n, key)] = _int(r, f"rank of {key!r}")
+            ranks[(n, cube_index(n, key, "rank"))] = _int(r, f"rank of {key!r}")
 
     contra = variance == "contravariant"
 
-    def expect(src_rank, dst_rank):
-        return (dst_rank, src_rank) if contra else (src_rank, dst_rank)
+    def matrix(src, dst, rows, where):
+        """The matrix of an operator from cube src to cube dst, shape-checked."""
+        if src not in ranks or dst not in ranks:
+            raise FormatError(f"table-system: {where} has no ranks to check against")
+        want = (ranks[dst], ranks[src]) if contra else (ranks[src], ranks[dst])
+        return _matrix(rows, want[0], want[1], where)
 
     faces = {}
     for sel, level in _field(data, "faces", dict, "table-system").items():
         n, i, eps = _selector(sel, 3, "table-system faces")
-        if not (1 <= n <= base.top and 1 <= i <= n and eps in (0, 1)):
-            raise FormatError(f"table-system: face selector {sel!r} out of range")
+        if (n, i, eps) not in base.face:
+            raise FormatError(f"table-system: face selector {sel!r} names no table of the base")
         if not isinstance(level, dict):
             raise FormatError(f"table-system: faces[{sel!r}] must map keys to matrices")
         for key, rows in level.items():
-            if (n, key) not in known:
-                raise FormatError(f"table-system: face matrix for unknown cube {key!r}")
-            fkey = base.key(n - 1, base.face_index(n, i, eps, base.index[n][key]))
-            if (n, key) in ranks and (n - 1, fkey) in ranks:
-                want = expect(ranks[(n, key)], ranks[(n - 1, fkey)])
-                faces[(n, i, eps, key)] = _matrix(
-                    rows, want[0], want[1], f"face matrix ({sel}) at {key!r}")
-            else:
-                raise FormatError(f"table-system: face matrix at {key!r} has no "
-                                  f"ranks to check against")
+            idx = cube_index(n, key, "face matrix")
+            faces[(n, i, eps, idx)] = matrix(
+                (n, idx), (n - 1, base.face_index(n, i, eps, idx)), rows,
+                f"face matrix ({sel}) at {key!r}")
     degens = {}
     for sel, level in _field(data, "degens", dict, "table-system").items():
         m, i = _selector(sel, 2, "table-system degens")
-        if not (0 <= m < base.top and 1 <= i <= m + 1):
-            raise FormatError(f"table-system: degeneracy selector {sel!r} out of range")
+        if (m, i) not in base.degen_map:
+            raise FormatError(f"table-system: degeneracy selector {sel!r} names no table "
+                              f"of the base")
         if not isinstance(level, dict):
             raise FormatError(f"table-system: degens[{sel!r}] must map keys to matrices")
         for key, rows in level.items():
-            if (m, key) not in known:
-                raise FormatError(f"table-system: degeneracy matrix for unknown cube {key!r}")
-            skey = base.key(m + 1, base.degeneracy_index(m, i, base.index[m][key]))
-            if (m, key) in ranks and (m + 1, skey) in ranks:
-                want = expect(ranks[(m, key)], ranks[(m + 1, skey)])
-                degens[(m, i, key)] = _matrix(
-                    rows, want[0], want[1], f"degeneracy matrix ({sel}) at {key!r}")
-            else:
-                raise FormatError(f"table-system: degeneracy matrix at {key!r} has "
-                                  f"no ranks to check against")
+            idx = cube_index(m, key, "degeneracy matrix")
+            degens[(m, i, idx)] = matrix(
+                (m, idx), (m + 1, base.degeneracy_index(m, i, idx)), rows,
+                f"degeneracy matrix ({sel}) at {key!r}")
     cls = ContravariantSystem if contra else CovariantSystem
     return cls(base, ranks, faces, degens)
 
 
 def table_system_to_data(F) -> dict:
+    """Write a table system, naming each cube by its key in F.base."""
+    key = F.base.key
     ranks: Dict[str, Dict[str, int]] = {}
-    for (n, key), r in F.ranks.items():
-        ranks.setdefault(str(n), {})[key] = r
+    for (n, idx), r in F.ranks.items():
+        ranks.setdefault(str(n), {})[key(n, idx)] = r
     faces: Dict[str, Dict[str, list]] = {}
-    for (n, i, eps, key), m in F.face.items():
-        faces.setdefault(f"{n},{i},{eps}", {})[key] = _matrix_rows(m)
+    for (n, i, eps, idx), m in F.face.items():
+        faces.setdefault(f"{n},{i},{eps}", {})[key(n, idx)] = _matrix_rows(m)
     degens: Dict[str, Dict[str, list]] = {}
-    for (m_, i, key), m in F.degen.items():
-        degens.setdefault(f"{m_},{i}", {})[key] = _matrix_rows(m)
+    for (m_, i, idx), m in F.degen.items():
+        degens.setdefault(f"{m_},{i}", {})[key(m_, idx)] = _matrix_rows(m)
     return {"type": "table-system",
             "variance": F.variance,
             "base": cubes_table_to_data(F.base),

@@ -6,7 +6,8 @@ the test modules were computed on paper from these presentations.
 
 from itertools import product as iter_product
 
-from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
+from cubehom.boxcat import (CubeMorphism, degeneracy, epi_mono_factorize, face, hom_set,
+                            identity, mono_faces)
 from cubehom.catalg import CubeFunctor, FiniteCategory
 from cubehom.coeff import (
     CovariantSystem,
@@ -232,11 +233,11 @@ def inverse_unimodular(m):
     return solve_exact(m, IntMatrix.identity(m.rows))
 
 
-def gauge_system(X, top, r, rng, variance="contravariant"):
-    """A local system whose face matrices telescope through one unit per generator.
+def gauge_matrices(X, r, rng, variance="contravariant"):
+    """Generator face matrices that telescope through one unit per generator.
 
     Every relation instance reduces to a difference of endpoints, so the
-    result is functorial no matter which units are drawn.
+    local system they generate is functorial no matter which units are drawn.
     """
     gamma = {g: random_unimodular(rng, r) for g in X.generators}
     gamma_inv = {g: inverse_unimodular(gamma[g]) for g in X.generators}
@@ -246,7 +247,12 @@ def gauge_system(X, top, r, rng, variance="contravariant"):
             mats[(g, i, eps)] = gamma[c.gen] * gamma_inv[g]
         else:
             mats[(g, i, eps)] = gamma[g] * gamma_inv[c.gen]
-    return local_system(X, X.expand(top), r, mats, variance)
+    return mats
+
+
+def gauge_system(X, top, r, rng, variance="contravariant"):
+    """The local system on X.expand(top) of gauge_matrices(X, r, rng, variance)."""
+    return local_system(X, X.expand(top), r, gauge_matrices(X, r, rng, variance), variance)
 
 
 def monodromy_circle(top=2, variance="contravariant"):
@@ -268,18 +274,75 @@ def uniform_local_covariant(base, u):
     r = u.rows
     ranks, faces, degens = {}, {}, {}
     for n in range(base.top + 1):
-        for key in base.keys[n]:
-            ranks[(n, key)] = r
+        for idx in range(base.size(n)):
+            ranks[(n, idx)] = r
     for n in range(1, base.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for key in base.keys[n]:
-                    faces[(n, i, eps, key)] = u
+                for idx in range(base.size(n)):
+                    faces[(n, i, eps, idx)] = u
     for m in range(base.top):
         for i in range(1, m + 2):
-            for key in base.keys[m]:
-                degens[(m, i, key)] = uinv
+            for idx in range(base.size(m)):
+                degens[(m, i, idx)] = uinv
     return CovariantSystem(base, ranks, faces, degens)
+
+
+def apply_with_events(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube):
+    """Like apply_morphism, also returning the face-table lookups made.
+
+    Events are (generator, slot, bit) triples in application order; a
+    coefficient system transports matrices along exactly this list. This is
+    the event replay generated systems were once built by, kept as the
+    reference that coeff._generated_system is compared against.
+    """
+    if alpha.dst_dim != c.dim:
+        raise ValueError(f"cannot act by I^{alpha.src_dim}->I^{alpha.dst_dim} "
+                         f"on a cube of dimension {c.dim}")
+    X.generator_dim(c.gen)
+    events = []
+    beta, gen = c.epi.compose(alpha), c.gen
+    while True:
+        epi, mono = epi_mono_factorize(beta)
+        if mono.is_identity():
+            return Cube(gen, epi), tuple(events)
+        slot, bit = mono_faces(mono)[0]
+        fc = X.face_cube(gen, slot, bit)
+        events.append((gen, slot, bit))
+        rest = CubeMorphism(
+            mono.src_dim, mono.dst_dim - 1,
+            tuple(t for pos, t in enumerate(mono.tokens, start=1) if pos != slot))
+        beta = fc.epi.compose(rest).compose(epi)
+        gen = fc.gen
+
+
+def compose_events(gen_mats, ranks_by_gen, start_gen, events, variance):
+    total = IntMatrix.identity(ranks_by_gen[start_gen])
+    for ev in events:
+        m = gen_mats[ev]
+        if variance == "contravariant":
+            total = m * total
+        else:
+            total = total * m
+    return total
+
+
+def reference_generated_faces(X, base, gen_mats, ranks_by_gen, variance):
+    """Every face matrix of the system gen_mats generates on base, by event replay.
+
+    base is an expansion of X; the result is keyed like the face dict of a
+    system, by (n, i, eps, cube index).
+    """
+    out = {}
+    for n in range(1, base.top + 1):
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                delta = face(n, i, eps)
+                for idx, c in enumerate(base.elements[n]):
+                    _, events = apply_with_events(X, delta, c)
+                    out[(n, i, eps, idx)] = compose_events(gen_mats, ranks_by_gen, c.gen,
+                                                           events, variance)
+    return out
 
 
 def poset_category(objects, relation):

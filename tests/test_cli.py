@@ -4,16 +4,19 @@ Fixture files are written into tmp_path by serializing the shared helper
 objects, so every command test exercises the parsers on realistic input.
 """
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import formats
 from cubehom.catalg import factorization_category
 from cubehom.cli import main
-from cubehom.coeff import constant_system
+from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
+                           validate_functoriality)
 from cubehom.formats import FormatError
 from cubehom.zlinalg import HomologyGroup, IntMatrix
 
@@ -92,6 +95,20 @@ class TestRoundTrips:
         F = helpers.gauge_system(helpers.torus(), 2, 2, random.Random(5))
         G = reparse(formats.parse_table_system, formats.table_system_to_data, F)
         assert same_system(F, G)
+
+    def test_table_system_listed_out_of_table_order(self):
+        # Keys resolve to cube indices whatever order the document lists
+        # them in, and the writer names each cube by its key again.
+        F = helpers.gauge_system(helpers.torus(), 2, 2, random.Random(6))
+        data = formats.table_system_to_data(F)
+        for section in ("ranks", "faces", "degens"):
+            data[section] = {sel: dict(reversed(level.items()))
+                             for sel, level in reversed(data[section].items())}
+        G = formats.parse_table_system(json.loads(json.dumps(data)))
+        assert list(G.ranks) != list(F.ranks)
+        assert same_system(F, G)
+        assert formats.dumps_document(formats.table_system_to_data(G)) \
+            == formats.dumps_document(data)
 
     def test_covariant_table_system(self):
         F = helpers.uniform_local_covariant(helpers.circle().expand(2),
@@ -243,6 +260,55 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.rstrip("\n")
     return code, out
+
+
+def _containers(node):
+    """Every dict and list inside a document, the document included."""
+    if isinstance(node, dict):
+        children = list(node.values())
+    elif isinstance(node, list):
+        children = node
+    else:
+        return []
+    return [node] + [c for child in children for c in _containers(child)]
+
+
+class TestTableSystemFuzz:
+    SYSTEM = helpers.gauge_system(helpers.circle(), 2, 2, random.Random(8))
+    DOCUMENT = formats.table_system_to_data(SYSTEM)
+    NAMES = sorted({key for level in SYSTEM.base.keys for key in level}) + [
+        "", "0", "1", "2", "3", "-1", "0,1", "1,1", "2,3", "1,1,0", "2,2,1", "3,1,0",
+        "1,0,0", "1,,0", "a,b", "1.0", "w@x1", "e@del:1"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.lists(st.integers(-2, 2), max_size=2),
+                     st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 2), max_size=2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, data):
+        # Drop or rename keys, retarget selectors, or put junk, such as a
+        # non-dict level, where a value was: parsing gives a system or a
+        # FormatError or ValueError, never any other exception.
+        doc = copy.deepcopy(self.DOCUMENT)
+        for _ in range(data.draw(st.integers(1, 4))):
+            node = data.draw(st.sampled_from([c for c in _containers(doc) if c]))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            op = data.draw(st.sampled_from(["drop", "rename", "junk"]))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.one_of(st.sampled_from(self.NAMES), st.text(max_size=4)))] \
+                    = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        try:
+            F = formats.parse_table_system(doc)
+        except (FormatError, ValueError):
+            return
+        assert isinstance(F, (ContravariantSystem, CovariantSystem))
+        assert isinstance(validate_functoriality(F), list)
 
 
 class TestCommands:
@@ -552,6 +618,16 @@ class TestExitCodes:
             "matrices": {"e": [[1]], "g": [[1, 0]]}})
         assert main(["cat-homology", "--category", C, "--diagram", D,
                      "--max-dim", "1"]) == 2
+
+    @pytest.mark.parametrize("level, key", [("1", "w@x1"), ("2", "e@x1"), ("-1", "v@")])
+    def test_table_system_unknown_cube_is_parse_error(self, tmp_path, capsys, level, key):
+        # an unknown key, or a rank level outside 0..top, names no cube of the base
+        data = formats.table_system_to_data(constant_system(helpers.circle().expand(1), 1))
+        data["ranks"].setdefault(level, {})[key] = 1
+        with pytest.raises(FormatError, match=f"unknown dim-{level} cube"):
+            formats.parse_table_system(data)
+        assert main(["homology", "--table", write(tmp_path, "bad.json", data),
+                     "--max-dim", "0"]) == 2
 
     def test_contract_missing_flags(self, capsys):
         assert main(["compare", "--contract", "dirhomol", "--max-dim", "1"]) == 2

@@ -17,7 +17,7 @@ from cubehom.coeff import (
     transpose_system,
     validate_functoriality,
 )
-from cubehom.cubset import standard_cube
+from cubehom.cubset import standard_cube, universal_from_semicubical
 from cubehom.zlinalg import IntMatrix
 
 import helpers
@@ -51,7 +51,7 @@ class TestValidateNegatives:
         base = helpers.torus().expand(2)
         F = constant_system(base, 1)
         bad_face = dict(F.face)
-        bad_face[(1, 1, 0, "a@x1")] = IntMatrix.from_rows([[2]])
+        bad_face[(1, 1, 0, base.index[1]["a@x1"])] = IntMatrix.from_rows([[2]])
         G = ContravariantSystem(base, F.ranks, bad_face, F.degen)
         report = validate_functoriality(G)
         assert report != []
@@ -62,7 +62,7 @@ class TestValidateNegatives:
         base = helpers.torus().expand(2)
         F = constant_system(base, 1)
         bad_face = dict(F.face)
-        bad_face[(1, 1, 0, "a@x1")] = IntMatrix.from_rows([[2]])
+        bad_face[(1, 1, 0, base.index[1]["a@x1"])] = IntMatrix.from_rows([[2]])
         shared = ContravariantSystem(base, F.ranks, bad_face, F.degen)
         copies = ContravariantSystem(
             base, F.ranks, {k: IntMatrix.from_rows(m.data) for k, m in bad_face.items()},
@@ -75,7 +75,7 @@ class TestValidateNegatives:
         base = helpers.circle().expand(1)
         F = constant_system(base, 1)
         ranks = dict(F.ranks)
-        del ranks[(1, "e@x1")]
+        del ranks[(1, base.index[1]["e@x1"])]
         G = ContravariantSystem(base, ranks, F.face, F.degen)
         assert any("missing rank" in line for line in validate_functoriality(G))
 
@@ -83,7 +83,7 @@ class TestValidateNegatives:
         base = helpers.circle().expand(1)
         F = constant_system(base, 1)
         bad_face = dict(F.face)
-        bad_face[(1, 1, 0, "e@x1")] = IntMatrix.identity(2)
+        bad_face[(1, 1, 0, base.index[1]["e@x1"])] = IntMatrix.identity(2)
         G = ContravariantSystem(base, F.ranks, bad_face, F.degen)
         assert any("shape" in line for line in validate_functoriality(G))
 
@@ -155,6 +155,32 @@ class TestLocal:
         assert not is_local(F)
 
 
+class TestGeneratedFaces:
+    """Face matrices read off deletion maps equal the parent's event replay."""
+
+    @pytest.mark.parametrize("variance", ["contravariant", "covariant"])
+    def test_local_system_matches_event_replay(self, variance):
+        rng = random.Random(21)
+        for X in (helpers.torus(), helpers.twisted_square(), helpers.squashed_square(),
+                  standard_cube(2)):
+            mats = helpers.gauge_matrices(X, 2, rng, variance)
+            F = local_system(X, X.expand(3), 2, mats, variance)
+            want = helpers.reference_generated_faces(
+                X, F.base, mats, dict.fromkeys(X.generators, 2), variance)
+            assert F.face == want
+
+    def test_extension_matches_event_replay(self):
+        varying = SemiCubicalSystem(
+            helpers.interval_semi(), {"a": 2, "b": 1, "e": 2},
+            {("e", 1, 0): IntMatrix.from_rows([[1, 1], [0, 1]]),
+             ("e", 1, 1): IntMatrix.from_rows([[3, 5]])})
+        for S in (helpers.weighted_torus_system(), varying):
+            G = extend_semicubical(S, 3)
+            want = helpers.reference_generated_faces(
+                universal_from_semicubical(S.base), G.base, S.face, S.ranks, "contravariant")
+            assert G.face == want
+
+
 class TestTranspose:
     def test_round_trip(self):
         rng = random.Random(14)
@@ -189,8 +215,9 @@ class TestPullback:
         assert G.variance == "contravariant"
         assert validate_functoriality(G) == []
         # both wedge loops pick up the sign flip
-        assert G.face[(1, 1, 1, "e1@x1")] == IntMatrix.from_rows([[-1]])
-        assert G.face[(1, 1, 1, "e2@x1")] == IntMatrix.from_rows([[-1]])
+        loops = G.base.index[1]
+        assert G.face[(1, 1, 1, loops["e1@x1"])] == IntMatrix.from_rows([[-1]])
+        assert G.face[(1, 1, 1, loops["e2@x1"])] == IntMatrix.from_rows([[-1]])
 
     def test_pullback_preserves_variance(self):
         base = helpers.circle().expand(1)

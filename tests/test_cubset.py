@@ -12,7 +12,6 @@ from cubehom.cubset import (
     PresentedCubicalSet,
     SemiCubicalSet,
     apply_morphism,
-    apply_with_events,
     epi_from_wire,
     epi_wire,
     fiber_source,
@@ -165,26 +164,13 @@ class TestApply:
                 assert apply_morphism(X, beta.compose(alpha), c) \
                     == apply_morphism(X, alpha, apply_morphism(X, beta, c))
 
-    def test_events_trace_face_lookups(self):
+    def test_face_lookups_resolve_composites(self):
         X = helpers.twisted_square()
         q = Cube("q", identity(2))
-        got, events = apply_with_events(X, face(2, 2, 0), q)
-        assert got == Cube("x", identity(1))
-        assert events == (("q", 2, 0),)
-        # composite corner inclusion: the outermost (highest-slot) face peels first
-        got, events = apply_with_events(X, face(2, 1, 1).compose(face(1, 1, 0)), q)
-        assert got == Cube("v", identity(0))
-        assert events == (("q", 2, 0), ("x", 1, 1))
-        got, events = apply_with_events(X, degeneracy(1, 1), Cube("v", identity(0)))
-        assert events == ()
-
-    def test_events_agree_with_apply(self):
-        X = helpers.torus()
-        t = Cube("t", identity(2))
-        for alpha in hom_set(0, 2):
-            a1 = apply_morphism(X, alpha, t)
-            a2, _ = apply_with_events(X, alpha, t)
-            assert a1 == a2
+        assert apply_morphism(X, face(2, 2, 0), q) == Cube("x", identity(1))
+        # composite corner inclusion: two face lookups, q's then x's
+        assert apply_morphism(X, face(2, 1, 1).compose(face(1, 1, 0)), q) \
+            == Cube("v", identity(0))
 
 
 class TestValidateNegatives:
