@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
@@ -161,6 +162,19 @@ class PresentedCubicalSet:
                                     f"{lhs.key()} != {rhs.key()}")
         return report
 
+    def _face_of(self, gen: str, tokens: Tuple[int, ...], i: int, eps: int):
+        """Face (i, eps) of the cube (gen, deletion map with these tokens), as (gen, tokens).
+
+        If the deletion map drops coordinate i, the face only renumbers it.
+        If it keeps i as its p-th coordinate, the face is the generator's
+        face (p, eps) degenerated along the deletion map less coordinate i.
+        """
+        rest = tuple(t - (t > i) for t in tokens if t != i)
+        if len(rest) == len(tokens):
+            return gen, rest
+        fc = self.face_cube(gen, tokens.index(i) + 1, eps)
+        return fc.gen, tuple(rest[t - 1] for t in fc.epi.tokens)
+
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables."""
         if top < 0:
@@ -174,20 +188,20 @@ class PresentedCubicalSet:
                 for kept in combinations(range(1, n + 1), k):
                     level.append(Cube(g, CubeMorphism(n, k, kept)))
             elements.append(level)
-        index = [{c: i for i, c in enumerate(level)} for level in elements]
+        index = [{(c.gen, c.epi.tokens): i for i, c in enumerate(level)} for level in elements]
         faces = {}
         for n in range(1, top + 1):
             for i in range(1, n + 1):
                 for eps in (0, 1):
-                    delta = face(n, i, eps)
                     faces[(n, i, eps)] = tuple(
-                        index[n - 1][apply_morphism(self, delta, c)] for c in elements[n])
+                        index[n - 1][self._face_of(c.gen, c.epi.tokens, i, eps)]
+                        for c in elements[n])
         degen = {}
         for m in range(top):
             for i in range(1, m + 2):
-                sigma = degeneracy(m + 1, i)
                 degen[(m, i)] = tuple(
-                    index[m + 1][Cube(c.gen, c.epi.compose(sigma))] for c in elements[m])
+                    index[m + 1][(c.gen, tuple(t + (t >= i) for t in c.epi.tokens))]
+                    for c in elements[m])
         return CubesTable(
             top=top,
             keys=[[c.key() for c in level] for level in elements],
@@ -536,69 +550,166 @@ def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTa
     return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 
-def fiber_source(f: CubicalMap, top: int):
-    """The source of f tabulated up to top, with the image of every source cube.
+@lru_cache(maxsize=None)
+def _homs(k: int, d: int):
+    """hom_set(k, d) numbered once per process, with what a fiber reads of each arrow.
 
-    images[k][ix] is f applied to cube ix of dimension k. Every fiber of f at
-    truncation top reads this pair, so a sweep over fibers computes it once.
+    Returns the arrows, their token words, the bitmask of the input
+    coordinates each arrow uses (bit t for coordinate t), and the number of
+    each arrow by token tuple. All four are shared by every caller, which
+    only reads them.
+    """
+    arrows = hom_set(k, d)
+    return (arrows, tuple(a.token_word() for a in arrows),
+            tuple(sum(1 << t for t in a.tokens if t >= 1) for a in arrows),
+            {a.tokens: n for n, a in enumerate(arrows)})
+
+
+@lru_cache(maxsize=None)
+def _hom_faces(k: int, d: int):
+    """Per (i, eps), the index in hom_set(k-1, d) of alpha . face(k, i, eps), per alpha."""
+    arrows, index = _homs(k, d)[0], _homs(k - 1, d)[3]
+    return {(i, eps): tuple(index[a.compose(face(k, i, eps)).tokens] for a in arrows)
+            for i in range(1, k + 1) for eps in (0, 1)}
+
+
+@lru_cache(maxsize=None)
+def _hom_degens(k: int, d: int):
+    """Per i, the index in hom_set(k+1, d) of alpha . degeneracy(k+1, i), per alpha."""
+    arrows, index = _homs(k, d)[0], _homs(k + 1, d)[3]
+    return {i: tuple(index[a.compose(degeneracy(k + 1, i)).tokens] for a in arrows)
+            for i in range(1, k + 2)}
+
+
+@lru_cache(maxsize=None)
+def _hom_steps(k: int, d: int):
+    """One step of the action y -> y.alpha on a table, per alpha in hom_set(k, d).
+
+    None for the identity. If alpha has a constant at its last constant
+    position p, alpha = face(d, p, bit) . beta and y.alpha = (face_{p,bit} y).beta:
+    the step is (True, (d, p, bit), index of beta in hom_set(k, d-1)). If alpha
+    is epi and misses its last unused coordinate c, alpha = beta . degeneracy(k, c)
+    and y.alpha = s_c(y.beta): the step is (False, (k-1, c), index of beta in
+    hom_set(k-1, d)).
+    """
+    steps = []
+    for a in _homs(k, d)[0]:
+        toks = a.tokens
+        consts = [p for p, t in enumerate(toks, start=1) if t <= 0]
+        if consts:
+            p = consts[-1]
+            beta = toks[:p - 1] + toks[p:]
+            steps.append((True, (d, p, 0 if toks[p - 1] == 0 else 1),
+                          _homs(k, d - 1)[3][beta]))
+        elif k > d:
+            c = max(set(range(1, k + 1)) - set(toks))
+            beta = tuple(t if t < c else t - 1 for t in toks)
+            steps.append((False, (k - 1, c), _homs(k - 1, d)[3][beta]))
+        else:
+            steps.append(None)
+    return tuple(steps)
+
+
+class FiberSource:
+    """What every fiber of f at one truncation reads; a sweep builds it once.
+
+    table is the source tabulated up to top and target the target tabulated
+    at least that far. images[k][ix] is the target index of f applied to
+    source cube ix of dimension k, and deleted[k][ix] the bitmask of the
+    coordinates its deletion map drops. action memoizes y.alpha as a target
+    index, per (k, d, alpha index, y index), filled as fibers ask for it.
+    """
+
+    __slots__ = ("table", "target", "images", "deleted", "action")
+
+    def __init__(self, table: CubesTable, target: CubesTable,
+                 images: List[Tuple[int, ...]], deleted: List[Tuple[int, ...]]):
+        self.table = table
+        self.target = target
+        self.images = images
+        self.deleted = deleted
+        self.action: Dict[Tuple[int, int, int, int], int] = {}
+
+
+def fiber_source(f: CubicalMap, top: int, target: CubesTable = None) -> FiberSource:
+    """The source of f tabulated up to top, with the target index of every image.
+
+    target is the target's table, at least up to top; it is expanded here
+    when not given. Every fiber of f at truncation top reads the result, so
+    a sweep over fibers computes it once.
     """
     tx = f.source.expand(top)
-    return tx, [[f.apply_to_cube(x) for x in level] for level in tx.elements]
+    ty = f.target.expand(top) if target is None else target
+    if ty.top < top:
+        raise ValueError(f"target table stops at {ty.top}, fibers need {top}")
+    deleted = [tuple(((1 << (k + 1)) - 2) & ~sum(1 << t for t in x.epi.tokens)
+                     for x in level) for k, level in enumerate(tx.elements)]
+    return FiberSource(tx, ty, f.table_map(tx, ty), deleted)
 
 
-def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source=None) -> CubesTable:
+def _act(source: FiberSource, k: int, d: int, a: int, iy: int) -> int:
+    """Target index of y.alpha for alpha = hom_set(k, d)[a] and y = cube iy of dim d."""
+    memo = source.action
+    key = (k, d, a, iy)
+    got = memo.get(key)
+    if got is None:
+        step = _hom_steps(k, d)[a]
+        if step is None:
+            got = iy
+        elif step[0]:
+            got = _act(source, k, d - 1, step[2], source.target.face[step[1]][iy])
+        else:
+            got = source.target.degen_map[step[1]][_act(source, k - 1, d, step[2], iy)]
+        memo[key] = got
+    return got
+
+
+def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = None) -> CubesTable:
     """The fiber of f over the single cube y, tabulated up to dimension top.
 
     A k-cube is a pair (x, alpha) with x a k-cube of the source and
     alpha: I^k -> I^dim(y) satisfying f(x) = y.alpha; operators act on both
-    components at once. source is the pair fiber_source(f, top), computed
-    here when not given.
+    components at once. Internally a fiber cube is the pair (source index,
+    index in the numbered hom_set(k, dim y)), so faces and degeneracies are
+    gathers through the source's tables and the per-(k, d) composite
+    tables. source is fiber_source(f, top), built here when not given.
     """
-    tx, images = fiber_source(f, top) if source is None else source
+    d = y.dim
+    if source is None:
+        source = fiber_source(f, top, f.target.expand(max(top, d)))
+    tx, ty, images, deleted = source.table, source.target, source.images, source.deleted
     if tx.top != top:
         raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
-    d = y.dim
-    keys, elements, degenerate, pos, origin = [], [], [], [], []
+    iy = ty.index[d].get(y.key()) if d <= ty.top else None
+    if iy is None:
+        raise ValueError(f"{y!r} is not a cube of the target's table")
+    keys, elements, degenerate, pos, cells = [], [], [], [], []
     for k in range(top + 1):
+        arrows, words, used, _ = _homs(k, d)
         over = {}
-        for alpha in hom_set(k, d):
-            over.setdefault(apply_morphism(f.target, alpha, y), []).append(alpha)
-        level_keys, level_elems, level_deg, level_origin = [], [], [], []
-        level_pos = {}
-        for ix, x in enumerate(tx.elements[k]):
-            alphas = over.get(images[k][ix])
-            if not alphas:
-                continue
-            deleted_x = set(range(1, k + 1)) - set(x.epi.tokens)
-            for alpha in alphas:
-                used = set(t for t in alpha.tokens if t >= 1)
-                level_pos[(ix, alpha)] = len(level_keys)
-                level_keys.append(f"{x.key()};{alpha.token_word()}")
-                level_elems.append((x, alpha))
-                level_deg.append(bool(deleted_x - used))
-                level_origin.append(ix)
-        keys.append(level_keys)
-        elements.append(level_elems)
-        degenerate.append(level_deg)
-        pos.append(level_pos)
-        origin.append(level_origin)
+        for a in range(len(arrows)):
+            over.setdefault(_act(source, k, d, a, iy), []).append(a)
+        level = [(ix, a) for ix, img in enumerate(images[k]) for a in over.get(img, ())]
+        xkeys, xelems, xdel, width = tx.keys[k], tx.elements[k], deleted[k], len(arrows)
+        keys.append([f"{xkeys[ix]};{words[a]}" for ix, a in level])
+        elements.append([(xelems[ix], arrows[a]) for ix, a in level])
+        degenerate.append([bool(xdel[ix] & ~used[a]) for ix, a in level])
+        pos.append({ix * width + a: p for p, (ix, a) in enumerate(level)})
+        cells.append(level)
     faces = {}
     for k in range(1, top + 1):
+        below, width, composite = pos[k - 1], len(_homs(k - 1, d)[0]), _hom_faces(k, d)
         for i in range(1, k + 1):
             for eps in (0, 1):
-                delta = face(k, i, eps)
-                src = tx.face[(k, i, eps)]
-                faces[(k, i, eps)] = tuple(
-                    pos[k - 1][(src[ix], alpha.compose(delta))]
-                    for ix, (_, alpha) in zip(origin[k], elements[k]))
+                src, comp = tx.face[(k, i, eps)], composite[(i, eps)]
+                faces[(k, i, eps)] = tuple(below[src[ix] * width + comp[a]]
+                                           for ix, a in cells[k])
     degen = {}
     for m in range(top):
+        above, width, composite = pos[m + 1], len(_homs(m + 1, d)[0]), _hom_degens(m, d)
         for i in range(1, m + 2):
-            sigma = degeneracy(m + 1, i)
-            src = tx.degen_map[(m, i)]
-            degen[(m, i)] = tuple(
-                pos[m + 1][(src[ix], alpha.compose(sigma))]
-                for ix, (_, alpha) in zip(origin[m], elements[m]))
+            src, comp = tx.degen_map[(m, i)], composite[i]
+            degen[(m, i)] = tuple(above[src[ix] * width + comp[a]] for ix, a in cells[m])
     return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 

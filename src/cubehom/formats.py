@@ -245,6 +245,11 @@ def parse_cubes_table(data) -> CubesTable:
     for n, level in enumerate(keys_raw):
         if not isinstance(level, list) or not all(isinstance(k, str) for k in level):
             raise FormatError(f"cubes-table: key level {n} must be a list of strings")
+        seen = set()
+        for key in level:
+            if key in seen:
+                raise FormatError(f"cubes-table: key level {n} repeats the key {key!r}")
+            seen.add(key)
         keys.append(list(level))
     deg_raw = _field(data, "degenerate", list, "cubes-table")
     if len(deg_raw) != top + 1 or any(

@@ -297,13 +297,14 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     """Check that every fiber of f has the homology of a point.
 
     Every cube of the target's truncation at top is tested; fibers are
-    truncated at top as well, so top must be at least max_dim + 1. The
-    source is expanded and mapped once and shared by every fiber.
+    truncated at top as well, so top must be at least max_dim + 1. Source
+    and target are expanded once, and the source's images, the memoized
+    target action and the numbered hom-sets are shared by every fiber.
     """
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")
     ty = f.target.expand(top)
-    source = fiber_source(f, top)
+    source = fiber_source(f, top, ty)
     rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top, source)
                  for n in range(ty.top + 1) for idx, y in enumerate(ty.elements[n]))
     return FiberCriterionReport(all(r.ok for r in rows), rows)

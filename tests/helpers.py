@@ -174,11 +174,13 @@ def reference_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
     for k in range(top + 1):
         level_keys, level_elems, level_deg = [], [], []
         level_pos = {}
+        # y.alpha does not depend on x, so it is computed once per level
+        over = [(alpha, apply_morphism(f.target, alpha, y)) for alpha in hom_set(k, d)]
         for x in tx.elements[k]:
             fx = f.apply_to_cube(x)
             deleted_x = set(range(1, k + 1)) - set(x.epi.tokens)
-            for alpha in hom_set(k, d):
-                if apply_morphism(f.target, alpha, y) != fx:
+            for alpha, y_alpha in over:
+                if y_alpha != fx:
                     continue
                 used = set(t for t in alpha.tokens if t >= 1)
                 level_pos[(x, alpha)] = len(level_keys)

@@ -629,6 +629,28 @@ class TestExitCodes:
         assert main(["homology", "--table", write(tmp_path, "bad.json", data),
                      "--max-dim", "0"]) == 2
 
+    def test_cubes_table_repeated_key_is_parse_error(self, tmp_path, capsys):
+        data = formats.cubes_table_to_data(helpers.interval().expand(1))
+        data["keys"][1][data["keys"][1].index("a@del:1")] = "e@x1"
+        with pytest.raises(FormatError, match="key level 1 repeats the key 'e@x1'"):
+            formats.parse_cubes_table(data)
+        assert main(["homology", "--table", write(tmp_path, "bad.json", data),
+                     "--system", const_doc(tmp_path), "--max-dim", "0"]) == 2
+        assert "key level 1 repeats the key 'e@x1'" in capsys.readouterr().err
+
+    def test_table_system_base_repeated_key_is_parse_error(self, tmp_path, capsys):
+        # the base renames a@x1 to b@x1 and the entries for a@x1 are dropped:
+        # the key level repeats b@x1, which is what the message must name
+        data = formats.table_system_to_data(constant_system(helpers.torus().expand(2), 1))
+        level = data["base"]["keys"][1]
+        level[level.index("a@x1")] = "b@x1"
+        for part in ("ranks", "faces", "degens"):
+            for entries in data[part].values():
+                entries.pop("a@x1", None)
+        assert main(["homology", "--table", write(tmp_path, "bad.json", data),
+                     "--max-dim", "1"]) == 2
+        assert "key level 1 repeats the key 'b@x1'" in capsys.readouterr().err
+
     def test_contract_missing_flags(self, capsys):
         assert main(["compare", "--contract", "dirhomol", "--max-dim", "1"]) == 2
 

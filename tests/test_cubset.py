@@ -4,8 +4,9 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubehom.boxcat import CubeMorphism, face, degeneracy, hom_set, identity
+from cubehom.boxcat import CubeMorphism, epi_mono_factorize, face, degeneracy, hom_set, identity
 from cubehom.cubset import (
     Cube,
     CubicalMap,
@@ -87,6 +88,28 @@ class TestExpansion:
         for n in range(3):
             for idx, c in enumerate(table.elements[n]):
                 assert table.is_degenerate(n, idx) == c.is_degenerate()
+
+    @pytest.mark.parametrize("name", ["circle", "torus", "twisted_square", "squashed_square",
+                                      "square", "universal_wedge"])
+    def test_tables_follow_apply_morphism(self, name):
+        # expand resolves faces and degeneracies by token arithmetic; every
+        # entry must be the cube the contravariant action gives
+        X = {"circle": helpers.circle, "torus": helpers.torus,
+             "twisted_square": helpers.twisted_square,
+             "squashed_square": helpers.squashed_square,
+             "square": lambda: standard_cube(2),
+             "universal_wedge": lambda: universal_from_semicubical(helpers.wedge_semi()),
+             }[name]()
+        table = X.expand(3)
+        for n in range(1, 4):
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    assert [table.element(n - 1, j) for j in table.face[(n, i, eps)]] == \
+                        [apply_morphism(X, face(n, i, eps), c) for c in table.elements[n]]
+        for m in range(3):
+            for i in range(1, m + 2):
+                assert [table.element(m + 1, j) for j in table.degen_map[(m, i)]] == \
+                    [apply_morphism(X, degeneracy(m + 1, i), c) for c in table.elements[m]]
 
     def test_validate_catches_tampered_flag(self):
         table = helpers.interval().expand(1)
@@ -313,7 +336,47 @@ def table_parts(t):
     return t.keys, t.elements, t.degenerate, t.face, t.degen_map
 
 
+def representable_map(phi: CubeMorphism) -> CubicalMap:
+    """The map standard_cube(n) -> standard_cube(m) that phi: I^n -> I^m induces.
+
+    The generator c<w> of standard_cube(n) is the injection that w spells;
+    it goes to the cube of standard_cube(m) that phi . injection names:
+    the generator spelled by the mono part, degenerated along the epi part.
+    """
+    def injection(w):
+        toks, k = [], 0
+        for ch in w:
+            k += ch == "x"
+            toks.append(k if ch == "x" else 0 if ch == "0" else -1)
+        return CubeMorphism(k, len(w), toks)
+
+    def named_cube(h):
+        epi, mono = epi_mono_factorize(h)
+        return Cube("c" + "".join("x" if t >= 1 else "0" if t == 0 else "1"
+                                  for t in mono.tokens), epi)
+
+    X, Y = standard_cube(phi.src_dim), standard_cube(phi.dst_dim)
+    return CubicalMap(X, Y, {g: named_cube(phi.compose(injection(g[1:])))
+                             for g in X.generators})
+
+
 class TestPullbackFiber:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2).flatmap(lambda n: st.integers(0, 2).flatmap(
+        lambda m: st.sampled_from(hom_set(n, m)))), st.integers(0, 2))
+    def test_representable_maps_match_reference(self, phi, top):
+        # face inclusions, projections and partial collapses between cubes
+        f = representable_map(phi)
+        assert f.validate() == []
+        source = fiber_source(f, top)
+        for n in range(top + 1):
+            for y in f.target.expand(top).elements[n]:
+                want = table_parts(helpers.reference_fiber(f, y, top))
+                fib = pullback_fiber(f, y, top)
+                assert table_parts(fib) == want
+                assert table_parts(pullback_fiber(f, y, top, source=source)) == want
+                assert fib.validate() == []
+
     @pytest.mark.parametrize("top", (1, 2, 3))
     @pytest.mark.parametrize("name", sorted(FIBER_MAPS))
     def test_tables_match_reference(self, name, top):
@@ -331,6 +394,17 @@ class TestPullbackFiber:
         f = helpers.identity_map(standard_cube(1))
         with pytest.raises(ValueError):
             pullback_fiber(f, Cube("cx", identity(1)), 2, source=fiber_source(f, 3))
+
+    def test_tables_that_miss_the_cube_refused(self):
+        f = helpers.identity_map(standard_cube(2))
+        y = Cube("cxx", identity(2))
+        with pytest.raises(ValueError, match="not a cube of the target's table"):
+            pullback_fiber(f, y, 1, source=fiber_source(f, 1))
+        with pytest.raises(ValueError, match="target table stops at 1"):
+            fiber_source(f, 2, f.target.expand(1))
+        # without a source the target is expanded as far as the cube needs
+        fib = pullback_fiber(f, y, 1)
+        assert table_parts(fib) == table_parts(helpers.reference_fiber(f, y, 1))
 
     def test_fiber_of_identity_is_representable(self):
         X = standard_cube(2)
