@@ -5,9 +5,12 @@ every face and degeneracy operator. Contravariant systems point from a cube
 to its faces and degeneracies (that is the shape chain complexes eat);
 covariant systems point the other way and feed cochain complexes.
 
-Values are keyed by the cube's index in the table, never by its key string;
-cube keys appear only in error messages here, and the JSON documents of
-formats are the one place that converts between keys and indices.
+A system is laid out like the table it lives on: ranks are keyed by
+(dimension, cube index), and each face or degeneracy operator holds one
+column with a matrix per cube, indexed like the operator's index column in
+the table. Cube keys appear only in error messages here, and the JSON
+documents of formats are the one place that converts between keys and
+indices.
 """
 
 from __future__ import annotations
@@ -25,19 +28,21 @@ from .zlinalg import IntMatrix, det
 
 
 class _TableSystem:
-    """Common storage for both variances, keyed by cube index in base.
+    """Common storage for both variances, laid out like base.
 
-    ranks[(n, idx)] is the rank on cube idx of dimension n, face[(n, i, eps,
-    idx)] the matrix of its face (i, eps) and degen[(m, i, idx)] the matrix
-    of the i-th degeneracy of cube idx of dimension m.
+    ranks[(n, idx)] is the rank on cube idx of dimension n. face[(n, i,
+    eps)] is a tuple with one matrix per cube of dimension n, the matrix of
+    its face (i, eps), and degen[(m, i)] one with the matrix of the i-th
+    degeneracy of each cube of dimension m: the operator keys and columns of
+    base.face and base.degen_map. A matrix a document leaves out is None.
     """
 
     variance = "unset"
 
     def __init__(self, base: CubesTable,
                  ranks: Dict[Tuple[int, int], int],
-                 face: Dict[Tuple[int, int, int, int], IntMatrix],
-                 degen: Dict[Tuple[int, int, int], IntMatrix]):
+                 face: Dict[Tuple[int, int, int], Tuple[IntMatrix, ...]],
+                 degen: Dict[Tuple[int, int], Tuple[IntMatrix, ...]]):
         self.base = base
         self.ranks = dict(ranks)
         self.face = dict(face)
@@ -47,10 +52,10 @@ class _TableSystem:
         return self.ranks[(n, idx)]
 
     def face_matrix(self, n: int, i: int, eps: int, idx: int) -> IntMatrix:
-        return self.face[(n, i, eps, idx)]
+        return self.face[(n, i, eps)][idx]
 
     def degen_matrix(self, m: int, i: int, idx: int) -> IntMatrix:
-        return self.degen[(m, i, idx)]
+        return self.degen[(m, i)][idx]
 
 
 class ContravariantSystem(_TableSystem):
@@ -78,20 +83,10 @@ def constant_system(base: CubesTable, rank: int, variance: str = "contravariant"
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     eye = IntMatrix.identity(rank)
-    ranks, faces, degens = {}, {}, {}
-    for n in range(base.top + 1):
-        for idx in range(base.size(n)):
-            ranks[(n, idx)] = rank
-    for n in range(1, base.top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx in range(base.size(n)):
-                    faces[(n, i, eps, idx)] = eye
-    for m in range(base.top):
-        for i in range(1, m + 2):
-            for idx in range(base.size(m)):
-                degens[(m, i, idx)] = eye
-    return _system_class(variance)(base, ranks, faces, degens)
+    ranks = {(n, idx): rank for n in range(base.top + 1) for idx in range(base.size(n))}
+    return _system_class(variance)(base, ranks,
+                                   {op: (eye,) * base.size(op[0]) for op in base.face},
+                                   {op: (eye,) * base.size(op[0]) for op in base.degen_map})
 
 
 def validate_functoriality(F) -> List[str]:
@@ -125,34 +120,29 @@ def validate_functoriality(F) -> List[str]:
             return False
         return True
 
+    def column_fine(columns, table, op, dst, what):
+        """Check the column of op; cube idx of dim op[0] goes to table[op][idx] at dim dst."""
+        n, fine = op[0], True
+        for idx, mat in enumerate(columns.get(op, (None,) * base.size(n))):
+            if mat is None:
+                report.append(f"missing {what} at {base.key(n, idx)}")
+                fine = False
+                continue
+            image = (dst, table[op][idx])
+            if (n, idx) in F.ranks and image in F.ranks:
+                fine = shape_ok(mat, F.ranks[(n, idx)], F.ranks[image], what, n, idx) and fine
+        return fine
+
     shapes_fine = not report
     for n in range(1, base.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
-                for idx in range(base.size(n)):
-                    if (n, i, eps, idx) not in F.face:
-                        report.append(f"missing face matrix ({n},{i},{eps}) at {base.key(n, idx)}")
-                        shapes_fine = False
-                        continue
-                    fi = base.face_index(n, i, eps, idx)
-                    if (n, idx) in F.ranks and (n - 1, fi) in F.ranks:
-                        ok = shape_ok(F.face[(n, i, eps, idx)],
-                                      F.ranks[(n, idx)], F.ranks[(n - 1, fi)],
-                                      f"face matrix ({n},{i},{eps})", n, idx)
-                        shapes_fine = shapes_fine and ok
+                shapes_fine = column_fine(F.face, base.face, (n, i, eps), n - 1,
+                                          f"face matrix ({n},{i},{eps})") and shapes_fine
     for m in range(base.top):
         for i in range(1, m + 2):
-            for idx in range(base.size(m)):
-                if (m, i, idx) not in F.degen:
-                    report.append(f"missing degeneracy matrix ({m},{i}) at {base.key(m, idx)}")
-                    shapes_fine = False
-                    continue
-                si = base.degeneracy_index(m, i, idx)
-                if (m, idx) in F.ranks and (m + 1, si) in F.ranks:
-                    ok = shape_ok(F.degen[(m, i, idx)],
-                                  F.ranks[(m, idx)], F.ranks[(m + 1, si)],
-                                  f"degeneracy matrix ({m},{i})", m, idx)
-                    shapes_fine = shapes_fine and ok
+            shapes_fine = column_fine(F.degen, base.degen_map, (m, i), m + 1,
+                                      f"degeneracy matrix ({m},{i})") and shapes_fine
     if not shapes_fine:
         return report
 
@@ -234,6 +224,11 @@ def validate_functoriality(F) -> List[str]:
     return report
 
 
+def _distinct_matrices(F) -> Dict[int, IntMatrix]:
+    """Every matrix object of F once by id, however many operators share it."""
+    return {id(m): m for col in (*F.face.values(), *F.degen.values()) for m in col}
+
+
 def transpose_system(F):
     """Swap variance by transposing every matrix.
 
@@ -241,12 +236,10 @@ def transpose_system(F):
     its transpose is shared between the same operators.
     """
     cls = CovariantSystem if F.variance == "contravariant" else ContravariantSystem
-    distinct = {id(m): m for m in list(F.face.values()) + list(F.degen.values())}
-    t = {i: m.transpose() for i, m in distinct.items()}
-    return cls(F.base,
-               dict(F.ranks),
-               {k: t[id(m)] for k, m in F.face.items()},
-               {k: t[id(m)] for k, m in F.degen.items()})
+    t = {i: m.transpose() for i, m in _distinct_matrices(F).items()}
+    return cls(F.base, F.ranks,
+               {op: tuple(t[id(m)] for m in col) for op, col in F.face.items()},
+               {op: tuple(t[id(m)] for m in col) for op, col in F.degen.items()})
 
 
 def is_local(F) -> bool:
@@ -255,11 +248,8 @@ def is_local(F) -> bool:
     A matrix object shared by many operators, such as the one identity of a
     constant system, is tested once.
     """
-    distinct = {id(m): m for m in list(F.face.values()) + list(F.degen.values())}
-    for m in distinct.values():
-        if m.rows != m.cols or det(m) not in (1, -1):
-            return False
-    return True
+    return all(m.rows == m.cols and det(m) in (1, -1)
+               for m in _distinct_matrices(F).values())
 
 
 def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
@@ -273,25 +263,21 @@ def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
     """
     eyes = {r: IntMatrix.identity(r) for r in set(gen_ranks.values())}
     shared = {eye: eye for eye in eyes.values()}
-    ranks, faces, degens = {}, {}, {}
-    for n in range(base.top + 1):
-        for idx, c in enumerate(base.elements[n]):
-            ranks[(n, idx)] = gen_ranks[c.gen]
-    for n in range(1, base.top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx, c in enumerate(base.elements[n]):
-                    kept = c.epi.tokens
-                    if i in kept:
-                        m = gen_face_matrices[(c.gen, kept.index(i) + 1, eps)]
-                        faces[(n, i, eps, idx)] = shared.setdefault(m, m)
-                    else:
-                        faces[(n, i, eps, idx)] = eyes[gen_ranks[c.gen]]
-    for m in range(base.top):
-        for i in range(1, m + 2):
-            for idx, c in enumerate(base.elements[m]):
-                degens[(m, i, idx)] = eyes[gen_ranks[c.gen]]
-    return cls(base, ranks, faces, degens)
+
+    def face_of(c, i, eps):
+        kept = c.epi.tokens
+        if i not in kept:
+            return eyes[gen_ranks[c.gen]]
+        m = gen_face_matrices[(c.gen, kept.index(i) + 1, eps)]
+        return shared.setdefault(m, m)
+
+    ranks = {(n, idx): gen_ranks[c.gen]
+             for n in range(base.top + 1) for idx, c in enumerate(base.elements[n])}
+    return cls(base, ranks,
+               {(n, i, eps): tuple(face_of(c, i, eps) for c in base.elements[n])
+                for n, i, eps in base.face},
+               {(m, i): tuple(eyes[gen_ranks[c.gen]] for c in base.elements[m])
+                for m, i in base.degen_map})
 
 
 def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
@@ -326,24 +312,18 @@ def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
 
 
 def pullback_system(f: CubicalMap, F):
-    """Restrict a system on the target of f along f; matrices are reused as is."""
+    """Restrict a system on the target of f along f; matrices are reused as is.
+
+    Each column of the pullback gathers F's column through the table map, as
+    cubset.pullback_fiber gathers index columns.
+    """
     top = F.base.top
     tx = f.source.expand(top)
     tm = f.table_map(tx, F.base)
-    ranks, faces, degens = {}, {}, {}
-    for n in range(top + 1):
-        for idx, iy in enumerate(tm[n]):
-            ranks[(n, idx)] = F.rank_of(n, iy)
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx, iy in enumerate(tm[n]):
-                    faces[(n, i, eps, idx)] = F.face_matrix(n, i, eps, iy)
-    for m in range(top):
-        for i in range(1, m + 2):
-            for idx, iy in enumerate(tm[m]):
-                degens[(m, i, idx)] = F.degen_matrix(m, i, iy)
-    return type(F)(tx, ranks, faces, degens)
+    ranks = {(n, idx): F.rank_of(n, iy) for n in range(top + 1) for idx, iy in enumerate(tm[n])}
+    return type(F)(tx, ranks,
+                   {op: tuple(col[iy] for iy in tm[op[0]]) for op, col in F.face.items()},
+                   {op: tuple(col[iy] for iy in tm[op[0]]) for op, col in F.degen.items()})
 
 
 def direct_image(f: CubicalMap, F: ContravariantSystem):
@@ -359,40 +339,34 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     tx = F.base
     ty = f.target.expand(top)
     tm = f.table_map(tx, ty)
-    fibers: Dict[Tuple[int, int], List[int]] = {}
+    fibers = [[[] for _ in range(ty.size(n))] for n in range(top + 1)]
     for n in range(top + 1):
-        for iy in range(ty.size(n)):
-            fibers[(n, iy)] = []
-        for ix in range(tx.size(n)):
-            fibers[(n, tm[n][ix])].append(ix)
+        for ix, iy in enumerate(tm[n]):
+            fibers[n][iy].append(ix)
     ranks = {(n, iy): sum(F.rank_of(n, ix) for ix in fiber)
-             for (n, iy), fiber in fibers.items()}
-    faces, degens = {}, {}
+             for n, level in enumerate(fibers) for iy, fiber in enumerate(level)}
 
-    def block_matrix(row_dim, row_fiber, col_dim, col_fiber, placed):
-        """The p-th cube of col_fiber gives placed[p] = (image cube, block)."""
-        row_pos = {ix: p for p, ix in enumerate(row_fiber)}
-        return IntMatrix.from_blocks([F.rank_of(row_dim, ix) for ix in row_fiber],
-                                     [F.rank_of(col_dim, ix) for ix in col_fiber],
-                                     [(row_pos[ix], p, m, 1) for p, (ix, m) in enumerate(placed)])
+    def column(n, dst, mats, in_x, in_y):
+        """One block matrix per target cube of dim n, for an operator into dim dst.
 
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for iy in range(ty.size(n)):
-                    col = fibers[(n, iy)]
-                    faces[(n, i, eps, iy)] = block_matrix(
-                        n - 1, fibers[(n - 1, ty.face_index(n, i, eps, iy))], n, col,
-                        [(tx.face_index(n, i, eps, ix), F.face_matrix(n, i, eps, ix))
-                         for ix in col])
-    for m in range(top):
-        for i in range(1, m + 2):
-            for iy in range(ty.size(m)):
-                col = fibers[(m, iy)]
-                degens[(m, i, iy)] = block_matrix(
-                    m + 1, fibers[(m + 1, ty.degeneracy_index(m, i, iy))], m, col,
-                    [(tx.degeneracy_index(m, i, ix), F.degen_matrix(m, i, ix)) for ix in col])
-    return ContravariantSystem(ty, ranks, faces, degens)
+        mats is the operator's column in F, in_x and in_y its index columns
+        in tx and ty.
+        """
+        out = []
+        for iy, col_fiber in enumerate(fibers[n]):
+            row_fiber = fibers[dst][in_y[iy]]
+            row_pos = {ix: p for p, ix in enumerate(row_fiber)}
+            out.append(IntMatrix.from_blocks(
+                [F.rank_of(dst, ix) for ix in row_fiber],
+                [F.rank_of(n, ix) for ix in col_fiber],
+                [(row_pos[in_x[ix]], p, mats[ix], 1) for p, ix in enumerate(col_fiber)]))
+        return tuple(out)
+
+    return ContravariantSystem(
+        ty, ranks,
+        {op: column(op[0], op[0] - 1, F.face[op], tx.face[op], ty.face[op]) for op in ty.face},
+        {op: column(op[0], op[0] + 1, F.degen[op], tx.degen_map[op], ty.degen_map[op])
+         for op in ty.degen_map})
 
 
 class SemiCubicalSystem:
@@ -414,6 +388,8 @@ class SemiCubicalSystem:
             for name in level:
                 if name not in self.ranks:
                     report.append(f"missing rank for {name}")
+                elif self.ranks[name] < 0:
+                    report.append(f"negative rank at {name}")
         expected = {(x, i, eps)
                     for n, level in enumerate(S.levels) if n >= 1
                     for x in level
@@ -513,27 +489,20 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
     Degeneracies keep the final vertex, so their matrices are identities,
     one shared matrix per rank.
     """
-    ranks, faces, degens = {}, {}, {}
-    for n in range(N.top + 1):
-        for idx, x in enumerate(N.elements[n]):
-            ranks[(n, idx)] = F.rank_of(x.vertex((1,) * n))
-    for n in range(1, N.top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx, x in enumerate(N.elements[n]):
-                    ones = (1,) * n
-                    corner = ones[:i - 1] + (eps,) + ones[i:]
-                    w = x.value_on_leq(corner, ones)
-                    faces[(n, i, eps, idx)] = F.matrix(w)
-    eyes = {}
-    for m in range(N.top):
-        for idx in range(N.size(m)):
-            r = ranks[(m, idx)]
-            if r not in eyes:
-                eyes[r] = IntMatrix.identity(r)
-            for i in range(1, m + 2):
-                degens[(m, i, idx)] = eyes[r]
-    return ContravariantSystem(N, ranks, faces, degens)
+    ranks = {(n, idx): F.rank_of(x.vertex((1,) * n))
+             for n in range(N.top + 1) for idx, x in enumerate(N.elements[n])}
+
+    def connecting(x, n, i, eps):
+        ones = (1,) * n
+        return F.matrix(x.value_on_leq(ones[:i - 1] + (eps,) + ones[i:], ones))
+
+    eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
+    return ContravariantSystem(
+        N, ranks,
+        {(n, i, eps): tuple(connecting(x, n, i, eps) for x in N.elements[n])
+         for n, i, eps in N.face},
+        {(m, i): tuple(eyes[ranks[(m, idx)]] for idx in range(N.size(m)))
+         for m, i in N.degen_map})
 
 
 def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
@@ -544,30 +513,24 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
     and the matrices are the diagram's matrices on those.
     """
     fc = G.category
-    ranks, faces, degens = {}, {}, {}
+    diagonals = [[x.value_on_leq((0,) * n, (1,) * n) for x in N.elements[n]]
+                 for n in range(N.top + 1)]
+    ranks = {(n, idx): G.rank_of(d)
+             for n, level in enumerate(diagonals) for idx, d in enumerate(level)}
 
-    def diagonal(x, n):
-        return x.value_on_leq((0,) * n, (1,) * n)
+    def factorization(x, beta, n, i, eps):
+        zeros, ones = (0,) * n, (1,) * n
+        lo = zeros[:i - 1] + (eps,) + zeros[i:]
+        hi = ones[:i - 1] + (eps,) + ones[i:]
+        u = x.value_on_leq(zeros, lo)
+        v = x.value_on_leq(hi, ones)
+        alpha = x.value_on_leq(lo, hi)
+        return G.matrix(f"{alpha}|{beta}|{u}|{v}")
 
-    for n in range(N.top + 1):
-        for idx, x in enumerate(N.elements[n]):
-            ranks[(n, idx)] = G.rank_of(diagonal(x, n))
-    for n in range(1, N.top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx, x in enumerate(N.elements[n]):
-                    zeros, ones = (0,) * n, (1,) * n
-                    lo = zeros[:i - 1] + (eps,) + zeros[i:]
-                    hi = ones[:i - 1] + (eps,) + ones[i:]
-                    u = x.value_on_leq(zeros, lo)
-                    v = x.value_on_leq(hi, ones)
-                    alpha = x.value_on_leq(lo, hi)
-                    beta = diagonal(x, n)
-                    faces[(n, i, eps, idx)] = G.matrix(
-                        f"{alpha}|{beta}|{u}|{v}")
-    for m in range(N.top):
-        for idx, x in enumerate(N.elements[m]):
-            d = diagonal(x, m)
-            for i in range(1, m + 2):
-                degens[(m, i, idx)] = G.matrix(fc.identity_of(d))
-    return CovariantSystem(N, ranks, faces, degens)
+    identities = [tuple(G.matrix(fc.identity_of(d)) for d in level) for level in diagonals]
+    return CovariantSystem(
+        N, ranks,
+        {(n, i, eps): tuple(factorization(x, beta, n, i, eps)
+                            for x, beta in zip(N.elements[n], diagonals[n]))
+         for n, i, eps in N.face},
+        {(m, i): identities[m] for m, i in N.degen_map})

@@ -308,7 +308,10 @@ def parse_table_system(data, base: Optional[CubesTable] = None):
 
     When both are present the embedded table must carry the same keys as the
     supplied one, so that documents cannot silently retarget a computation.
-    The document names cubes by key; the system holds them by index in base.
+    The document names cubes by key; the system holds one column per operator
+    of base, with the matrix of each cube at its index. A matrix the document
+    leaves out stays None in its column, a hole that validate_functoriality
+    reports.
     """
     _check_type(data, "table-system")
     variance = _field(data, "variance", str, "table-system")
@@ -345,47 +348,52 @@ def parse_table_system(data, base: Optional[CubesTable] = None):
         want = (ranks[dst], ranks[src]) if contra else (ranks[src], ranks[dst])
         return _matrix(rows, want[0], want[1], where)
 
-    faces = {}
+    faces = {op: [None] * base.size(op[0]) for op in base.face}
     for sel, level in _field(data, "faces", dict, "table-system").items():
         n, i, eps = _selector(sel, 3, "table-system faces")
-        if (n, i, eps) not in base.face:
+        if (n, i, eps) not in faces:
             raise FormatError(f"table-system: face selector {sel!r} names no table of the base")
         if not isinstance(level, dict):
             raise FormatError(f"table-system: faces[{sel!r}] must map keys to matrices")
         for key, rows in level.items():
             idx = cube_index(n, key, "face matrix")
-            faces[(n, i, eps, idx)] = matrix(
+            faces[(n, i, eps)][idx] = matrix(
                 (n, idx), (n - 1, base.face_index(n, i, eps, idx)), rows,
                 f"face matrix ({sel}) at {key!r}")
-    degens = {}
+    degens = {op: [None] * base.size(op[0]) for op in base.degen_map}
     for sel, level in _field(data, "degens", dict, "table-system").items():
         m, i = _selector(sel, 2, "table-system degens")
-        if (m, i) not in base.degen_map:
+        if (m, i) not in degens:
             raise FormatError(f"table-system: degeneracy selector {sel!r} names no table "
                               f"of the base")
         if not isinstance(level, dict):
             raise FormatError(f"table-system: degens[{sel!r}] must map keys to matrices")
         for key, rows in level.items():
             idx = cube_index(m, key, "degeneracy matrix")
-            degens[(m, i, idx)] = matrix(
+            degens[(m, i)][idx] = matrix(
                 (m, idx), (m + 1, base.degeneracy_index(m, i, idx)), rows,
                 f"degeneracy matrix ({sel}) at {key!r}")
     cls = ContravariantSystem if contra else CovariantSystem
-    return cls(base, ranks, faces, degens)
+    return cls(base, ranks, {op: tuple(col) for op, col in faces.items()},
+               {op: tuple(col) for op, col in degens.items()})
 
 
 def table_system_to_data(F) -> dict:
-    """Write a table system, naming each cube by its key in F.base."""
+    """Write a table system, naming each cube by its key in F.base; holes are left out."""
     key = F.base.key
     ranks: Dict[str, Dict[str, int]] = {}
     for (n, idx), r in F.ranks.items():
         ranks.setdefault(str(n), {})[key(n, idx)] = r
     faces: Dict[str, Dict[str, list]] = {}
-    for (n, i, eps, idx), m in F.face.items():
-        faces.setdefault(f"{n},{i},{eps}", {})[key(n, idx)] = _matrix_rows(m)
+    for (n, i, eps), col in F.face.items():
+        for idx, m in enumerate(col):
+            if m is not None:
+                faces.setdefault(f"{n},{i},{eps}", {})[key(n, idx)] = _matrix_rows(m)
     degens: Dict[str, Dict[str, list]] = {}
-    for (m_, i, idx), m in F.degen.items():
-        degens.setdefault(f"{m_},{i}", {})[key(m_, idx)] = _matrix_rows(m)
+    for (m_, i), col in F.degen.items():
+        for idx, m in enumerate(col):
+            if m is not None:
+                degens.setdefault(f"{m_},{i}", {})[key(m_, idx)] = _matrix_rows(m)
     return {"type": "table-system",
             "variance": F.variance,
             "base": cubes_table_to_data(F.base),

@@ -143,12 +143,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self.sparse)
 
-    def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return _wrap(len(indices), self.cols, tuple(self.sparse[i] for i in indices))
-
-    def take_cols(self, indices: Sequence[int]) -> "IntMatrix":
-        return self.transpose().take_rows(indices).transpose()
-
 
 def _wrap(rows: int, cols: int, sparse: tuple) -> IntMatrix:
     """An IntMatrix on rows that hold only non-zero entries in range(cols)."""

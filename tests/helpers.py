@@ -273,21 +273,10 @@ def uniform_local_covariant(base, u):
     inverse, so this is functorial on any table.
     """
     uinv = inverse_unimodular(u)
-    r = u.rows
-    ranks, faces, degens = {}, {}, {}
-    for n in range(base.top + 1):
-        for idx in range(base.size(n)):
-            ranks[(n, idx)] = r
-    for n in range(1, base.top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                for idx in range(base.size(n)):
-                    faces[(n, i, eps, idx)] = u
-    for m in range(base.top):
-        for i in range(1, m + 2):
-            for idx in range(base.size(m)):
-                degens[(m, i, idx)] = uinv
-    return CovariantSystem(base, ranks, faces, degens)
+    ranks = {(n, idx): u.rows for n in range(base.top + 1) for idx in range(base.size(n))}
+    return CovariantSystem(base, ranks,
+                           {op: (u,) * base.size(op[0]) for op in base.face},
+                           {op: (uinv,) * base.size(op[0]) for op in base.degen_map})
 
 
 def apply_with_events(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube):
@@ -332,19 +321,31 @@ def compose_events(gen_mats, ranks_by_gen, start_gen, events, variance):
 def reference_generated_faces(X, base, gen_mats, ranks_by_gen, variance):
     """Every face matrix of the system gen_mats generates on base, by event replay.
 
-    base is an expansion of X; the result is keyed like the face dict of a
-    system, by (n, i, eps, cube index).
+    base is an expansion of X; the result is laid out like the face dict of
+    a system, one tuple per (n, i, eps) with a matrix per cube index.
     """
     out = {}
     for n in range(1, base.top + 1):
         for i in range(1, n + 1):
             for eps in (0, 1):
                 delta = face(n, i, eps)
-                for idx, c in enumerate(base.elements[n]):
-                    _, events = apply_with_events(X, delta, c)
-                    out[(n, i, eps, idx)] = compose_events(gen_mats, ranks_by_gen, c.gen,
-                                                           events, variance)
+                out[(n, i, eps)] = tuple(
+                    compose_events(gen_mats, ranks_by_gen, c.gen,
+                                   apply_with_events(X, delta, c)[1], variance)
+                    for c in base.elements[n])
     return out
+
+
+def with_entry(columns, op, idx, m):
+    """A copy of a system's face or degen columns with entry idx of op set to m."""
+    col = list(columns[op])
+    col[idx] = m
+    return {**columns, op: tuple(col)}
+
+
+def operator_matrices(F):
+    """Every face and degeneracy matrix of a table system, one per operator and cube."""
+    return [m for col in (*F.face.values(), *F.degen.values()) for m in col]
 
 
 def poset_category(objects, relation):

@@ -459,7 +459,7 @@ class TestNerveSystems:
                            "0_1": IntMatrix.from_rows([[1], [2]])})
         sys = system_from_diagram_last_vertex(arrow, F, cubical_nerve(arrow, 3))
         assert validate_functoriality(sys) == []
-        shared = {id(m): m for m in sys.degen.values()}
+        shared = {id(m): m for col in sys.degen.values() for m in col}
         assert sorted(m.rows for m in shared.values()) == [1, 2]
 
     def test_auto_route_tests_locality_once(self, monkeypatch):

@@ -4,7 +4,9 @@ Fixture files are written into tmp_path by serializing the shared helper
 objects, so every command test exercises the parsers on realistic input.
 """
 
+import contextlib
 import copy
+import io
 import json
 import random
 
@@ -311,6 +313,74 @@ class TestTableSystemFuzz:
         assert isinstance(validate_functoriality(F), list)
 
 
+class TestSemiCubicalSystemFuzz:
+    """Mutated semicubical-system documents through validate and homology in-process."""
+
+    # a loop at w beside an isolated vertex v, and the weighted torus
+    POINT_AND_LOOP = {"type": "semicubical-set", "levels": [["v", "w"], ["e"]],
+                      "faces": {"e": {"1,0": "w", "1,1": "w"}}}
+    CASES = [
+        (POINT_AND_LOOP,
+         {"type": "semicubical-system", "ranks": {"v": 1, "w": 1, "e": 1},
+          "faces": {"e": {"1,0": [[1]], "1,1": [[1]]}}}),
+        (formats.semicubical_set_to_data(helpers.torus_semi()),
+         formats.semicubical_system_to_data(helpers.weighted_torus_system())),
+    ]
+    NAMES = ["v", "w", "e", "a", "b", "t", "x", "", "1,0", "1,1", "2,0", "2,1", "3,0",
+             "0,0", "1", "1,0,0", "type", "ranks", "faces"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.lists(st.integers(-2, 2), max_size=2),
+                     st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-2, 2), max_size=2))
+
+    @staticmethod
+    def outcome(argv):
+        """Exit code and all printed text of one in-process command."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue() + err.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, set a cube's rank to a small integer, negative
+        # ones included, or put junk where a value was: non-integer ranks,
+        # matrices of the wrong shape, non-dict levels.
+        # Every command exits 0, 1 with a message, or 2; an exception
+        # escaping main fails the test with its traceback.
+        carrier, system = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(system)
+        for _ in range(data.draw(st.integers(1, 4))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk", "rank"]))
+            ranks = doc.get("ranks")
+            if op == "rank" and isinstance(ranks, dict) and ranks:
+                ranks[data.draw(st.sampled_from(sorted(ranks)))] = data.draw(st.integers(-3, 3))
+                continue
+            nonempty = [c for c in _containers(doc) if c]
+            if not nonempty:
+                break
+            node = data.draw(st.sampled_from(nonempty))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        folder = tmp_path_factory.mktemp("semi-fuzz")
+        semi, sys_ = write(folder, "semi.json", carrier), write(folder, "sys.json", doc)
+        max_dim = str(data.draw(st.integers(0, len(carrier["levels"]) - 2)))
+        for argv in (["validate", "--semi", semi, "--system", sys_],
+                     ["semicubical-homology", "--semi", semi, "--system", sys_,
+                      "--max-dim", max_dim]):
+            code, text = self.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+
+
 class TestCommands:
     def test_torus_homology(self, tmp_path, capsys):
         tor = write(tmp_path, "torus.json",
@@ -609,6 +679,21 @@ class TestExitCodes:
                       formats.cubical_map_to_data(helpers.identity_map(helpers.torus())))
         assert main(["fiber", "--map", ident, "--cube", "t@x2,x1",
                      "--max-dim", "1"]) == 2
+
+    def test_negative_semicubical_rank_is_refused(self, tmp_path, capsys):
+        # No face reaches the isolated vertex v, so no matrix shape catches
+        # its rank; validation has to.
+        semi = write(tmp_path, "semi.json", TestSemiCubicalSystemFuzz.POINT_AND_LOOP)
+        system = write(tmp_path, "sys.json", {
+            "type": "semicubical-system", "ranks": {"v": -1, "w": 1, "e": 1},
+            "faces": {"e": {"1,0": [[1]], "1,1": [[1]]}}})
+        for argv in (["validate", "--semi", semi, "--system", system],
+                     ["semicubical-homology", "--semi", semi, "--system", system,
+                      "--max-dim", "0"],
+                     ["compare", "--contract", "semicubecube", "--semi", semi,
+                      "--system", system, "--max-dim", "0"]):
+            code, out = run(capsys, *argv)
+            assert (code, out) == (1, "negative rank at v"), argv
 
     def test_wrong_shape_matrix_is_parse_error(self, tmp_path, capsys):
         C = write(tmp_path, "z2.json",

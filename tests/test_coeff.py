@@ -13,10 +13,14 @@ from cubehom.coeff import (
     extend_semicubical,
     is_local,
     local_system,
+    natural_system_via_d,
     pullback_system,
+    system_from_diagram_last_vertex,
     transpose_system,
     validate_functoriality,
 )
+from cubehom import formats
+from cubehom.catalg import cubical_nerve, factorization_category
 from cubehom.cubset import standard_cube, universal_from_semicubical
 from cubehom.zlinalg import IntMatrix
 
@@ -46,12 +50,56 @@ class TestConstant:
             constant_system(helpers.point().expand(1), 1, "sideways")
 
 
+def built_systems():
+    """One system from each builder, and one read back from its document."""
+    z2, arrow = helpers.cyclic2_monoid(), helpers.arrow_category()
+    gauge = helpers.gauge_system(helpers.torus(), 2, 2, random.Random(31))
+    yield "constant", constant_system(helpers.torus().expand(2), 2)
+    yield "constant-covariant", constant_system(helpers.squashed_square().expand(3), 1,
+                                                "covariant")
+    yield "local", gauge
+    yield "extension", extend_semicubical(helpers.weighted_torus_system(), 3)
+    yield "pullback", pullback_system(helpers.fold_wedge(), helpers.monodromy_circle(top=2))
+    yield "direct-image", direct_image(
+        helpers.fold_wedge(),
+        helpers.gauge_system(helpers.fold_wedge().source, 2, 2, random.Random(32)))
+    yield "last-vertex", system_from_diagram_last_vertex(
+        z2, helpers.sign_diagram(z2.op()), cubical_nerve(z2, 2))
+    yield "via-d", natural_system_via_d(
+        arrow, helpers.codomain_diagram(arrow, factorization_category(arrow),
+                                        helpers.constant_diagram(arrow, 2)),
+        cubical_nerve(arrow, 3))
+    yield "transpose", transpose_system(gauge)
+    yield "table-system", formats.parse_table_system(formats.table_system_to_data(gauge))
+
+
+class TestColumnLayout:
+    """Each system holds one column per operator of its table, one matrix per cube."""
+
+    @pytest.mark.parametrize("F", [pytest.param(F, id=name) for name, F in built_systems()])
+    def test_columns_follow_the_table(self, F):
+        base = F.base
+        assert set(F.face) == set(base.face)
+        assert set(F.degen) == set(base.degen_map)
+        for (n, i, eps), col in F.face.items():
+            assert len(col) == base.size(n)
+            for idx, m in enumerate(col):
+                assert isinstance(m, IntMatrix)
+                assert m is F.face_matrix(n, i, eps, idx)
+        for (m_, i), col in F.degen.items():
+            assert len(col) == base.size(m_)
+            for idx, m in enumerate(col):
+                assert isinstance(m, IntMatrix)
+                assert m is F.degen_matrix(m_, i, idx)
+        assert validate_functoriality(F) == []
+
+
 class TestValidateNegatives:
     def test_tampered_face_matrix_caught(self):
         base = helpers.torus().expand(2)
         F = constant_system(base, 1)
-        bad_face = dict(F.face)
-        bad_face[(1, 1, 0, base.index[1]["a@x1"])] = IntMatrix.from_rows([[2]])
+        bad_face = helpers.with_entry(F.face, (1, 1, 0), base.index[1]["a@x1"],
+                                      IntMatrix.from_rows([[2]]))
         G = ContravariantSystem(base, F.ranks, bad_face, F.degen)
         report = validate_functoriality(G)
         assert report != []
@@ -61,12 +109,15 @@ class TestValidateNegatives:
         # Products are formed once per pair of objects; every cube is still compared.
         base = helpers.torus().expand(2)
         F = constant_system(base, 1)
-        bad_face = dict(F.face)
-        bad_face[(1, 1, 0, base.index[1]["a@x1"])] = IntMatrix.from_rows([[2]])
+        bad_face = helpers.with_entry(F.face, (1, 1, 0), base.index[1]["a@x1"],
+                                      IntMatrix.from_rows([[2]]))
         shared = ContravariantSystem(base, F.ranks, bad_face, F.degen)
-        copies = ContravariantSystem(
-            base, F.ranks, {k: IntMatrix.from_rows(m.data) for k, m in bad_face.items()},
-            {k: IntMatrix.from_rows(m.data) for k, m in F.degen.items()})
+
+        def copied(columns):
+            return {k: tuple(IntMatrix.from_rows(m.data) for m in col)
+                    for k, col in columns.items()}
+
+        copies = ContravariantSystem(base, F.ranks, copied(bad_face), copied(F.degen))
         report = validate_functoriality(shared)
         assert len(report) > 1
         assert report == validate_functoriality(copies)
@@ -82,8 +133,8 @@ class TestValidateNegatives:
     def test_wrong_shape_caught(self):
         base = helpers.circle().expand(1)
         F = constant_system(base, 1)
-        bad_face = dict(F.face)
-        bad_face[(1, 1, 0, base.index[1]["e@x1"])] = IntMatrix.identity(2)
+        bad_face = helpers.with_entry(F.face, (1, 1, 0), base.index[1]["e@x1"],
+                                      IntMatrix.identity(2))
         G = ContravariantSystem(base, F.ranks, bad_face, F.degen)
         assert any("shape" in line for line in validate_functoriality(G))
 
@@ -111,12 +162,12 @@ class TestLocal:
     def test_degeneracies_are_identity(self):
         rng = random.Random(13)
         F = helpers.gauge_system(helpers.circle(), 2, 2, rng)
-        for mat in F.degen.values():
-            assert mat == IntMatrix.identity(2)
+        for col in F.degen.values():
+            assert all(mat == IntMatrix.identity(2) for mat in col)
 
     def test_equal_composites_are_one_object(self):
         F = helpers.gauge_system(helpers.torus(), 2, 2, random.Random(15))
-        mats = list(F.face.values()) + list(F.degen.values())
+        mats = helpers.operator_matrices(F)
         assert len({id(m) for m in mats}) == len(set(mats)) < len(mats)
 
     def test_non_unimodular_rejected(self):
@@ -150,8 +201,8 @@ class TestLocal:
     def test_is_local_tests_every_matrix_object(self):
         # Every other operator shares the constant system's one identity.
         F = constant_system(helpers.torus().expand(2), 1)
-        key = list(F.face)[-1]
-        F.face[key] = IntMatrix.from_rows([[2]])
+        op = list(F.face)[-1]
+        F.face = helpers.with_entry(F.face, op, len(F.face[op]) - 1, IntMatrix.from_rows([[2]]))
         assert not is_local(F)
 
 
@@ -196,7 +247,7 @@ class TestTranspose:
     def test_shared_matrix_transposed_once(self):
         F = constant_system(helpers.torus().expand(2), 2, "covariant")
         G = transpose_system(F)
-        assert len({id(m) for m in list(G.face.values()) + list(G.degen.values())}) == 1
+        assert len({id(m) for m in helpers.operator_matrices(G)}) == 1
 
 
 class TestPullback:
@@ -216,8 +267,8 @@ class TestPullback:
         assert validate_functoriality(G) == []
         # both wedge loops pick up the sign flip
         loops = G.base.index[1]
-        assert G.face[(1, 1, 1, loops["e1@x1"])] == IntMatrix.from_rows([[-1]])
-        assert G.face[(1, 1, 1, loops["e2@x1"])] == IntMatrix.from_rows([[-1]])
+        assert G.face[(1, 1, 1)][loops["e1@x1"]] == IntMatrix.from_rows([[-1]])
+        assert G.face[(1, 1, 1)][loops["e2@x1"]] == IntMatrix.from_rows([[-1]])
 
     def test_pullback_preserves_variance(self):
         base = helpers.circle().expand(1)
@@ -287,7 +338,7 @@ class TestSemiCubical:
         assert G.variance == "contravariant"
         assert validate_functoriality(G) == []
         assert G.rank_of(2, G.base.index[2]["t@x1,x2"]) == 1
-        mats = list(G.face.values()) + list(G.degen.values())
+        mats = helpers.operator_matrices(G)
         assert len({id(m) for m in mats}) == len(set(mats))
 
     def test_extension_with_varying_ranks(self):

@@ -116,7 +116,7 @@ class TestNormalized:
     def test_torsion_in_degenerate_quotient_raises(self):
         X = helpers.point().expand(2)
         F = constant_system(X, 1)
-        F.degen[(0, 1, 0)] = IntMatrix.from_rows([[2]])
+        F.degen = helpers.with_entry(F.degen, (0, 1), 0, IntMatrix.from_rows([[2]]))
         with pytest.raises(ValueError, match="has torsion"):
             normalized_complex(X, F)
 
@@ -125,7 +125,7 @@ class TestNormalized:
         # degenerate; the local route must refuse this as well
         X = helpers.point().expand(2)
         F = constant_system(X, 1)
-        F.face[(1, 1, 0, 0)] = IntMatrix.from_rows([[-1]])
+        F.face = helpers.with_entry(F.face, (1, 1, 0), 0, IntMatrix.from_rows([[-1]]))
         for build in (normalized_complex, normalized_complex_local):
             with pytest.raises(ValueError, match="does not preserve degenerate chains"):
                 build(X, F)
@@ -268,14 +268,14 @@ class TestCochain:
     def test_torsion_in_degenerate_quotient_raises(self):
         X = helpers.point().expand(2)
         G = constant_system(X, 1, "covariant")
-        G.degen[(0, 1, 0)] = IntMatrix.from_rows([[2]])
+        G.degen = helpers.with_entry(G.degen, (0, 1), 0, IntMatrix.from_rows([[2]]))
         with pytest.raises(ValueError, match="has torsion"):
             cohomology(X, G, 1)
 
     def test_coboundary_must_preserve_degenerate_chains(self):
         X = helpers.point().expand(2)
         G = constant_system(X, 1, "covariant")
-        G.face[(1, 1, 0, 0)] = IntMatrix.from_rows([[-1]])
+        G.face = helpers.with_entry(G.face, (1, 1, 0), 0, IntMatrix.from_rows([[-1]]))
         with pytest.raises(ValueError, match="does not preserve degenerate chains"):
             cohomology(X, G, 1)
 
