@@ -14,6 +14,7 @@ positive integer i means input coordinate number i (1-based).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, Sequence, Tuple
 
@@ -127,6 +128,58 @@ def degeneracy(n: int, slot: int) -> CubeMorphism:
         raise ValueError(f"slot {slot} out of range for source dimension {n}")
     toks = list(range(1, slot)) + list(range(slot + 1, n + 1))
     return CubeMorphism(n, n - 1, toks)
+
+
+IDENTITY_FAMILIES = ("face-face", "degeneracy-degeneracy", "face-degeneracy")
+
+
+@lru_cache(maxsize=None)
+def cubical_identities(top: int) -> tuple:
+    """Every instance of the cubical identities up to dimension top, in report order.
+
+    An entry (family, n, detail, lhs, rhs) says that the operator paths lhs
+    and rhs agree on every cube of dimension n. A path lists its steps in
+    the order they act, in the keys of a cubes table: (n, i, eps) is the
+    face (i, eps) of an n-cube, (m, i) the i-th degeneracy of an m-cube and
+    () the identity. The families (Grandis and Mauri, "Cubical sets and
+    their site", TAC 11, 2003) come in IDENTITY_FAMILIES order: two faces,
+    two degeneracies, and a face of a degeneracy, which is the identity when
+    both act on one coordinate. Within a family entries run by n, then in
+    the order of detail, which names the instance as reports print it.
+    """
+    out = []
+    for n in range(2, top + 1):
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                for a, b in product((0, 1), repeat=2):
+                    out.append(("face-face", n, f"i={i}, j={j}, alpha={a}, beta={b}",
+                                ((n, j, b), (n - 1, i, a)), ((n, i, a), (n - 1, j - 1, b))))
+    for m in range(top - 1):
+        for j in range(1, m + 2):
+            for i in range(1, j + 1):
+                out.append(("degeneracy-degeneracy", m, f"i={i}, j={j}",
+                            ((m, j), (m + 1, i)), ((m, i), (m + 1, j + 1))))
+    for m in range(top):
+        for j, i, eps in product(range(1, m + 2), range(1, m + 2), (0, 1)):
+            rhs = (() if i == j else ((m, i, eps), (m - 1, j - 1)) if i < j
+                   else ((m, i - 1, eps), (m - 1, j)))
+            out.append(("face-degeneracy", m, f"i={i}, j={j}, eps={eps}",
+                        ((m, j), (m + 1, i, eps)), rhs))
+    return tuple(out)
+
+
+def identity_failures(entries, ends) -> list:
+    """The failures of some entries of cubical_identities, in report order.
+
+    ends(n, path) lists what path gives on each cube of dimension n. A cube
+    on which lhs and rhs give different results fails; each failure is
+    (family, n, cube index, detail), sorted by family, n, cube and entry.
+    """
+    found = []
+    for k, (family, n, _, lhs, rhs) in enumerate(entries):
+        found += [(IDENTITY_FAMILIES.index(family), n, idx, k)
+                  for idx, (a, b) in enumerate(zip(ends(n, lhs), ends(n, rhs))) if a != b]
+    return [(entries[k][0], n, idx, entries[k][2]) for _, n, idx, k in sorted(found)]
 
 
 def epi_mono_factorize(f: CubeMorphism) -> Tuple[CubeMorphism, CubeMorphism]:

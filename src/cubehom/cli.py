@@ -77,8 +77,33 @@ def _load_system(path, base, presented):
     data = formats.load_document(path)
     F = formats.build_system(data, base, presented)
     if data["type"] == "table-system":
+        _check(F.base.validate())
         _check(validate_functoriality(F))
     return F
+
+
+def _table_and_system(table, system):
+    """Read --table and --system into a checked table and a checked system, or None.
+
+    A table-system document brings its own system unless --system replaces
+    it. The table is checked before any system on it.
+    """
+    data = formats.load_document(table)
+    t = data.get("type")
+    if t == "cubes-table":
+        base, F = formats.parse_cubes_table(data), None
+    elif t == "table-system":
+        F = formats.parse_table_system(data)
+        base = F.base
+    else:
+        raise FormatError(f"--table expects a cubes-table or table-system document, "
+                          f"got type {t!r}")
+    _check(base.validate())
+    if system:
+        return base, _load_system(system, base, None)
+    if F is not None:
+        _check(validate_functoriality(F))
+    return base, F
 
 
 def _carrier_and_system(args):
@@ -89,26 +114,12 @@ def _carrier_and_system(args):
         X = _load_set(args.set)
         base = X.expand(_truncation(args))
         return base, _load_system(args.system, base, X)
-    data = formats.load_document(args.table)
-    t = data.get("type")
-    if t == "cubes-table":
-        base = formats.parse_cubes_table(data)
-        _check(base.validate())
-        if not args.system:
-            raise FormatError("--table with a cubes-table document needs --system")
-        if args.truncate is not None:
-            raise ValueError("a prebuilt table cannot be re-truncated")
-        return base, _load_system(args.system, base, None)
-    if t == "table-system":
-        F = formats.parse_table_system(data)
-        if args.truncate is not None:
-            raise ValueError("a prebuilt table cannot be re-truncated")
-        if args.system:
-            return F.base, _load_system(args.system, F.base, None)
-        _check(validate_functoriality(F))
-        return F.base, F
-    raise FormatError(f"--table expects a cubes-table or table-system document, "
-                      f"got type {t!r}")
+    base, F = _table_and_system(args.table, args.system)
+    if F is None:
+        raise FormatError("--table with a cubes-table document needs --system")
+    if args.truncate is not None:
+        raise ValueError("a prebuilt table cannot be re-truncated")
+    return base, F
 
 
 def _emit(args, data) -> int:
@@ -153,11 +164,7 @@ def cmd_validate(args) -> int:
             D = formats.parse_diagram(formats.load_document(args.diagram), C)
             problems = D.validate()
     else:
-        T = formats.parse_cubes_table(formats.load_document(args.table))
-        problems = T.validate()
-        if args.system and not problems:
-            F = formats.build_system(formats.load_document(args.system), T, None)
-            problems = validate_functoriality(F)
+        _table_and_system(args.table, args.system)
     if problems:
         for p in problems:
             print(p)

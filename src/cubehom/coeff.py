@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from .boxcat import cubical_identities, identity_failures
 from .cubset import (
     CubesTable,
     CubicalMap,
@@ -90,11 +91,11 @@ def constant_system(base: CubesTable, rank: int, variance: str = "contravariant"
 
 
 def validate_functoriality(F) -> List[str]:
-    """Check shapes and all operator identities instance by instance.
+    """Check shapes, then every instance of cubical_identities on every cube.
 
-    Every identity is compared on every cube, but a product of two matrix
-    objects is formed once per call, since F holds every operand until the
-    call returns.
+    Each instance is evaluated column by column over the cubes of its
+    dimension. A product of two matrix objects is formed once per call,
+    since F holds every operand until the call returns.
     """
     base = F.base
     report = []
@@ -109,17 +110,6 @@ def validate_functoriality(F) -> List[str]:
             elif F.ranks[(n, idx)] < 0:
                 report.append(f"negative rank at {base.key(n, idx)}")
 
-    def shape_ok(mat, src_rank, dst_rank, what, n, idx):
-        if contra:
-            want = (dst_rank, src_rank)
-        else:
-            want = (src_rank, dst_rank)
-        if (mat.rows, mat.cols) != want:
-            report.append(f"{what} at {base.key(n, idx)} has shape {mat.rows}x{mat.cols}, "
-                          f"expected {want[0]}x{want[1]}")
-            return False
-        return True
-
     def column_fine(columns, table, op, dst, what):
         """Check the column of op; cube idx of dim op[0] goes to table[op][idx] at dim dst."""
         n, fine = op[0], True
@@ -128,9 +118,12 @@ def validate_functoriality(F) -> List[str]:
                 report.append(f"missing {what} at {base.key(n, idx)}")
                 fine = False
                 continue
-            image = (dst, table[op][idx])
-            if (n, idx) in F.ranks and image in F.ranks:
-                fine = shape_ok(mat, F.ranks[(n, idx)], F.ranks[image], what, n, idx) and fine
+            src, image = F.ranks.get((n, idx)), F.ranks.get((dst, table[op][idx]))
+            want = (image, src) if contra else (src, image)
+            if None not in want and (mat.rows, mat.cols) != want:
+                report.append(f"{what} at {base.key(n, idx)} has shape {mat.rows}x{mat.cols}, "
+                              f"expected {want[0]}x{want[1]}")
+                fine = False
         return fine
 
     shapes_fine = not report
@@ -146,82 +139,31 @@ def validate_functoriality(F) -> List[str]:
     if not shapes_fine:
         return report
 
-    fm, dm = F.face_matrix, F.degen_matrix
-
     products = {}
+    eyes = {r: IntMatrix.identity(r) for r in set(F.ranks.values())}
 
-    def mul(a, b):
-        key = (id(a), id(b))
+    def then(m, s):
+        """The matrix of an operator with matrix m followed by one with matrix s."""
+        key = (id(m), id(s))
         if key not in products:
-            products[key] = a * b
+            products[key] = s * m if contra else m * s
         return products[key]
 
-    # two faces commute
-    for n in range(2, base.top + 1):
-        for idx in range(base.size(n)):
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    for a in (0, 1):
-                        for b in (0, 1):
-                            fj = base.face_index(n, j, b, idx)
-                            fi = base.face_index(n, i, a, idx)
-                            if contra:
-                                lhs = mul(fm(n - 1, i, a, fj), fm(n, j, b, idx))
-                                rhs = mul(fm(n - 1, j - 1, b, fi), fm(n, i, a, idx))
-                            else:
-                                lhs = mul(fm(n, j, b, idx), fm(n - 1, i, a, fj))
-                                rhs = mul(fm(n, i, a, idx), fm(n - 1, j - 1, b, fi))
-                            if lhs != rhs:
-                                report.append(
-                                    f"face-face identity fails at dim {n} cube "
-                                    f"{base.key(n, idx)} (i={i}, j={j}, alpha={a}, beta={b})")
-    # two degeneracies commute
-    for m in range(base.top - 1):
-        for idx in range(base.size(m)):
-            for j in range(1, m + 2):
-                for i in range(1, j + 1):
-                    sj = base.degeneracy_index(m, j, idx)
-                    si = base.degeneracy_index(m, i, idx)
-                    if contra:
-                        lhs = mul(dm(m + 1, i, sj), dm(m, j, idx))
-                        rhs = mul(dm(m + 1, j + 1, si), dm(m, i, idx))
-                    else:
-                        lhs = mul(dm(m, j, idx), dm(m + 1, i, sj))
-                        rhs = mul(dm(m, i, idx), dm(m + 1, j + 1, si))
-                    if lhs != rhs:
-                        report.append(
-                            f"degeneracy-degeneracy identity fails at dim {m} cube "
-                            f"{base.key(m, idx)} (i={i}, j={j})")
-    # face of a degeneracy
-    for m in range(base.top):
-        for idx in range(base.size(m)):
-            for j in range(1, m + 2):
-                sj = base.degeneracy_index(m, j, idx)
-                for i in range(1, m + 2):
-                    for eps in (0, 1):
-                        if contra:
-                            lhs = mul(fm(m + 1, i, eps, sj), dm(m, j, idx))
-                        else:
-                            lhs = mul(dm(m, j, idx), fm(m + 1, i, eps, sj))
-                        if i == j:
-                            rhs = IntMatrix.identity(F.ranks[(m, idx)])
-                        elif i < j:
-                            fi = base.face_index(m, i, eps, idx)
-                            if contra:
-                                rhs = mul(dm(m - 1, j - 1, fi), fm(m, i, eps, idx))
-                            else:
-                                rhs = mul(fm(m, i, eps, idx), dm(m - 1, j - 1, fi))
-                        else:
-                            fi = base.face_index(m, i - 1, eps, idx)
-                            if contra:
-                                rhs = mul(dm(m - 1, j, fi), fm(m, i - 1, eps, idx))
-                            else:
-                                rhs = mul(fm(m, i - 1, eps, idx), dm(m - 1, j, fi))
-                        if lhs != rhs:
-                            report.append(
-                                f"face-degeneracy identity fails at dim {m} cube "
-                                f"{base.key(m, idx)} (i={i}, j={j}, eps={eps})")
-    return report
+    def values(n, path):
+        """The matrix of path at each cube of dimension n."""
+        if not path:
+            return [eyes[F.ranks[(n, idx)]] for idx in range(base.size(n))]
+        at, mats = range(base.size(n)), None
+        for op in path:
+            column, table = ((F.face[op], base.face[op]) if len(op) == 3
+                             else (F.degen[op], base.degen_map[op]))
+            step = [column[x] for x in at]
+            mats = step if mats is None else [then(m, s) for m, s in zip(mats, step)]
+            at = [table[x] for x in at]
+        return mats
+
+    return [f"{family} identity fails at dim {n} cube {base.key(n, idx)} ({detail})"
+            for family, n, idx, detail in identity_failures(cubical_identities(base.top), values)]
 
 
 def _distinct_matrices(F) -> Dict[int, IntMatrix]:
@@ -405,19 +347,14 @@ class SemiCubicalSystem:
                               f"{m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
         if report:
             return report
-        for n in range(2, S.top_dim + 1):
-            for x in S.levels[n]:
-                for i in range(1, n):
-                    for j in range(i + 1, n + 1):
-                        for a in (0, 1):
-                            for b in (0, 1):
-                                lhs = self.face[(S.face(x, j, b), i, a)] * self.face[(x, j, b)]
-                                rhs = self.face[(S.face(x, i, a), j - 1, b)] * self.face[(x, i, a)]
-                                if lhs != rhs:
-                                    report.append(
-                                        f"face-face identity fails at {x} "
-                                        f"(i={i}, j={j}, alpha={a}, beta={b})")
-        return report
+
+        def values(n, path):
+            (_, i, a), (_, j, b) = path
+            return [self.face[(S.face(x, i, a), j, b)] * self.face[(x, i, a)] for x in S.levels[n]]
+
+        face_face = [e for e in cubical_identities(S.top_dim) if e[0] == "face-face"]
+        return [f"face-face identity fails at {S.levels[n][p]} ({detail})"
+                for _, n, p, detail in identity_failures(face_face, values)]
 
 
 def extend_semicubical(F: SemiCubicalSystem, top: int) -> ContravariantSystem:

@@ -18,11 +18,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from .boxcat import (
     CubeMorphism,
+    cubical_identities,
     degeneracy,
     epi_mono_factorize,
     face,
     hom_set,
     identity,
+    identity_failures,
     mono_faces,
 )
 
@@ -271,67 +273,34 @@ class CubesTable:
     def nondegenerate_indices(self, n: int) -> Tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degenerate[n]) if not d)
 
+    def _ends(self, n: int, path) -> Sequence[int]:
+        """Where each cube of dimension n lands along an operator path (see cubical_identities)."""
+        ends = range(self.size(n))
+        for op in path:
+            column = self.face[op] if len(op) == 3 else self.degen_map[op]
+            ends = [column[x] for x in ends]
+        return ends
+
     def validate(self) -> List[str]:
         report = []
-        for n in range(1, self.top + 1):
-            for i in range(1, n + 1):
-                for eps in (0, 1):
-                    if (n, i, eps) not in self.face:
-                        report.append(f"missing face table ({n},{i},{eps})")
-                    elif len(self.face[(n, i, eps)]) != self.size(n):
-                        report.append(f"face table ({n},{i},{eps}) has wrong length")
-        for m in range(self.top):
-            for i in range(1, m + 2):
-                if (m, i) not in self.degen_map:
-                    report.append(f"missing degeneracy table ({m},{i})")
-                elif len(self.degen_map[(m, i)]) != self.size(m):
-                    report.append(f"degeneracy table ({m},{i}) has wrong length")
+        ops = [((n, i, eps), "face", self.face)
+               for n in range(1, self.top + 1) for i in range(1, n + 1) for eps in (0, 1)]
+        ops += [((m, i), "degeneracy", self.degen_map)
+                for m in range(self.top) for i in range(1, m + 2)]
+        for op, what, columns in ops:
+            sel = ",".join(map(str, op))
+            if op not in columns:
+                report.append(f"missing {what} table ({sel})")
+            elif len(columns[op]) != self.size(op[0]):
+                report.append(f"{what} table ({sel}) has wrong length")
         if report:
             return report
-
-        for n in range(2, self.top + 1):
-            for idx in range(self.size(n)):
-                for i in range(1, n):
-                    for j in range(i + 1, n + 1):
-                        for a in (0, 1):
-                            for b in (0, 1):
-                                lhs = self.face_index(n - 1, i, a, self.face_index(n, j, b, idx))
-                                rhs = self.face_index(n - 1, j - 1, b, self.face_index(n, i, a, idx))
-                                if lhs != rhs:
-                                    report.append(
-                                        f"face commutation fails at dim {n} cube "
-                                        f"{self.key(n, idx)} (i={i}, j={j}, alpha={a}, beta={b})")
-        for m in range(self.top - 1):
-            for idx in range(self.size(m)):
-                for j in range(1, m + 2):
-                    for i in range(1, j + 1):
-                        lhs = self.degeneracy_index(m + 1, i, self.degeneracy_index(m, j, idx))
-                        rhs = self.degeneracy_index(m + 1, j + 1, self.degeneracy_index(m, i, idx))
-                        if lhs != rhs:
-                            report.append(
-                                f"degeneracy commutation fails at dim {m} cube "
-                                f"{self.key(m, idx)} (i={i}, j={j})")
-        for m in range(self.top):
-            for idx in range(self.size(m)):
-                for j in range(1, m + 2):
-                    s = self.degeneracy_index(m, j, idx)
-                    for i in range(1, m + 2):
-                        for eps in (0, 1):
-                            got = self.face_index(m + 1, i, eps, s)
-                            if i == j:
-                                want = idx
-                            elif i < j:
-                                if m == 0:
-                                    continue
-                                want = self.degeneracy_index(
-                                    m - 1, j - 1, self.face_index(m, i, eps, idx))
-                            else:
-                                want = self.degeneracy_index(
-                                    m - 1, j, self.face_index(m, i - 1, eps, idx))
-                            if got != want:
-                                report.append(
-                                    f"face-degeneracy identity fails at dim {m} cube "
-                                    f"{self.key(m, idx)} (i={i}, j={j}, eps={eps})")
+        words = {"face-face": "face commutation",
+                 "degeneracy-degeneracy": "degeneracy commutation",
+                 "face-degeneracy": "face-degeneracy identity"}
+        report = [f"{words[family]} fails at dim {n} cube {self.key(n, idx)} ({detail})"
+                  for family, n, idx, detail
+                  in identity_failures(cubical_identities(self.top), self._ends)]
         for n in range(self.top + 1):
             for idx in range(self.size(n)):
                 flag = self.is_degenerate(n, idx)
@@ -402,18 +371,14 @@ class SemiCubicalSet:
                               f"expected {self._dims[x] - 1}")
         if report:
             return report
-        for n in range(2, self.top_dim + 1):
-            for x in self.levels[n]:
-                for i in range(1, n):
-                    for j in range(i + 1, n + 1):
-                        for a in (0, 1):
-                            for b in (0, 1):
-                                if self.face(self.face(x, j, b), i, a) != \
-                                        self.face(self.face(x, i, a), j - 1, b):
-                                    report.append(
-                                        f"face commutation fails on {x!r} at "
-                                        f"(i={i}, j={j}, alpha={a}, beta={b})")
-        return report
+
+        def ends(n, path):
+            (_, i, a), (_, j, b) = path
+            return [self.faces[(self.faces[(x, i, a)], j, b)] for x in self.levels[n]]
+
+        face_face = [e for e in cubical_identities(self.top_dim) if e[0] == "face-face"]
+        return [f"face commutation fails on {self.levels[n][p]!r} at ({detail})"
+                for _, n, p, detail in identity_failures(face_face, ends)]
 
 
 def universal_from_semicubical(S: SemiCubicalSet) -> PresentedCubicalSet:
@@ -711,10 +676,3 @@ def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = No
             src, comp = tx.degen_map[(m, i)], composite[i]
             degen[(m, i)] = tuple(above[src[ix] * width + comp[a]] for ix, a in cells[m])
     return CubesTable(top, keys, elements, degenerate, faces, degen)
-
-
-def validate(obj) -> List[str]:
-    """Run the invariant checks of any cubical-side object."""
-    if isinstance(obj, (PresentedCubicalSet, CubesTable, SemiCubicalSet, CubicalMap)):
-        return obj.validate()
-    raise TypeError(f"no validator for {type(obj).__name__}")

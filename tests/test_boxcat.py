@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -8,6 +9,7 @@ from cubehom.boxcat import (
     CanonicalFactorization,
     CubeMorphism,
     FormalMorphismSum,
+    cubical_identities,
     degeneracy,
     degeneracy_idempotent,
     epi_mono_factorize,
@@ -126,6 +128,40 @@ class TestRelations:
                             assert got == face(n - 1, i, eps).compose(degeneracy(n - 1, j - 1))
                         else:
                             assert got == face(n - 1, i - 1, eps).compose(degeneracy(n - 1, j))
+
+
+class TestCubicalIdentities:
+    """The identity list against composition in the cube category, for top <= 5."""
+
+    @staticmethod
+    def morphism(n, path):
+        # a path acts on a cube of dimension n; each step composes on the right
+        f = identity(n)
+        for step in path:
+            f = f.compose(face(*step) if len(step) == 3 else degeneracy(step[0] + 1, step[1]))
+        return f
+
+    @pytest.mark.parametrize("top", range(6))
+    def test_both_sides_are_one_morphism(self, top):
+        for family, n, detail, lhs, rhs in cubical_identities(top):
+            assert self.morphism(n, lhs) == self.morphism(n, rhs), (family, n, detail)
+
+    @pytest.mark.parametrize("top", range(6))
+    def test_instances_per_dimension(self, top):
+        want = Counter()
+        for n in range(2, top + 1):
+            want["face-face", n] = 4 * comb(n, 2)
+        for m in range(top - 1):
+            want["degeneracy-degeneracy", m] = (m + 1) * (m + 2) // 2
+        for m in range(top):
+            want["face-degeneracy", m] = 2 * (m + 1) ** 2
+        assert Counter((family, n) for family, n, *_ in cubical_identities(top)) == want
+
+    @pytest.mark.parametrize("top", range(6))
+    def test_no_entry_repeats(self, top):
+        entries = cubical_identities(top)
+        assert len({(n, lhs, rhs) for _, n, _, lhs, rhs in entries}) == len(entries)
+        assert len({(family, detail, n) for family, n, detail, *_ in entries}) == len(entries)
 
 
 class TestHomSets:

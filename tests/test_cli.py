@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import formats
-from cubehom.catalg import factorization_category
+from cubehom.catalg import cubical_nerve, factorization_category
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
@@ -381,6 +381,74 @@ class TestSemiCubicalSystemFuzz:
                 assert text.strip(), argv
 
 
+def swap_in_base(data, sel="3,1,0", a=0, b=2):
+    """Swap two entries of one face column of a table-system's embedded base."""
+    column = data["base"]["faces"][sel]
+    column[a], column[b] = column[b], column[a]
+    return data
+
+
+# the first report line of swap_in_base on the constant torus system at top 3
+TORUS_SWAP_REPORT = "face commutation fails at dim 3 cube v@del:1,2,3 (i=1, j=3, alpha=0, beta=0)"
+
+
+class TestCubesTableFuzz:
+    """Mutated cubes-table documents through validate and homology in-process."""
+
+    CASES = [(formats.cubes_table_to_data(helpers.torus().expand(3)), "2"),
+             (formats.cubes_table_to_data(cubical_nerve(helpers.square_poset(), 2)), "1")]
+
+    @staticmethod
+    def mutate(doc, data):
+        """One mutation the parser accepts: swap, set, flag or drop."""
+        op = data.draw(st.sampled_from(["swap", "set", "flag", "drop"]))
+        if op == "flag":
+            level = doc["degenerate"][data.draw(st.integers(0, doc["top"]))]
+            i = data.draw(st.integers(0, len(level) - 1))
+            level[i] = not level[i]
+            return
+        part = data.draw(st.sampled_from([p for p in ("faces", "degens") if doc[p]]))
+        sel = data.draw(st.sampled_from(sorted(doc[part])))
+        if op == "drop":
+            del doc[part][sel]
+            return
+        column = doc[part][sel]
+        i = data.draw(st.integers(0, len(column) - 1))
+        if op == "swap":
+            j = data.draw(st.integers(0, len(column) - 1))
+            column[i], column[j] = column[j], column[i]
+        else:
+            n = int(sel.split(",")[0])
+            size = len(doc["keys"][n - 1 if part == "faces" else n + 1])
+            column[i] = (column[i] + data.draw(st.integers(1, max(size - 1, 1)))) % size
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invalid_tables_never_give_groups(self, tmp_path_factory, data):
+        # Every command exits 0, 1 with a message, or 2. A table that
+        # validate refuses is refused by homology too, whether it comes as a
+        # cubes-table or as the base of a table-system.
+        clean, max_dim = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(clean)
+        for _ in range(data.draw(st.integers(1, 3))):
+            self.mutate(doc, data)
+        system = formats.table_system_to_data(
+            constant_system(formats.parse_cubes_table(clean), 1))
+        system["base"] = doc
+        folder = tmp_path_factory.mktemp("table-fuzz")
+        table = write(folder, "table.json", doc)
+        outcomes = [TestSemiCubicalSystemFuzz.outcome(argv) for argv in (
+            ["validate", "--table", table],
+            ["homology", "--table", table, "--system", const_doc(folder), "--max-dim", max_dim],
+            ["homology", "--table", write(folder, "ts.json", system), "--max-dim", max_dim])]
+        for code, text in outcomes:
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert text.strip()
+        if outcomes[0][0] == 1:
+            assert 0 not in (outcomes[1][0], outcomes[2][0]), outcomes[0][1]
+
+
 class TestCommands:
     def test_torus_homology(self, tmp_path, capsys):
         tor = write(tmp_path, "torus.json",
@@ -453,6 +521,21 @@ class TestCommands:
             "identities": {}, "composition": []})
         code, out = run(capsys, "validate", "--category", C)
         assert code == 1
+
+    def test_validate_table_system(self, tmp_path, capsys):
+        # the base's defects come first; the system is checked on a sound base
+        data = formats.table_system_to_data(constant_system(helpers.torus().expand(3), 1))
+        assert run(capsys, "validate", "--table", write(tmp_path, "ts.json", data)) == (0, "ok")
+        data["faces"]["2,1,0"]["t@x1,x2"] = [[-1]]
+        code, out = run(capsys, "validate", "--table", write(tmp_path, "sys.json", data))
+        assert code == 1
+        assert out.splitlines()[0] == \
+            "face-face identity fails at dim 2 cube t@x1,x2 (i=1, j=2, alpha=0, beta=0)"
+        code, out = run(capsys, "validate", "--table",
+                        write(tmp_path, "both.json", swap_in_base(data)))
+        assert code == 1
+        assert out.splitlines()[0] == TORUS_SWAP_REPORT
+        assert not any(line.startswith("face-face identity") for line in out.splitlines())
 
     def test_validate_set_with_system(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",
@@ -735,6 +818,19 @@ class TestExitCodes:
         assert main(["homology", "--table", write(tmp_path, "bad.json", data),
                      "--max-dim", "1"]) == 2
         assert "key level 1 repeats the key 'b@x1'" in capsys.readouterr().err
+
+    def test_table_system_base_is_validated(self, tmp_path, capsys):
+        # one swap in a face column of the embedded base: the document used
+        # to give groups with exit 0 however it was passed
+        X = helpers.torus()
+        bad = write(tmp_path, "bad.json", swap_in_base(
+            formats.table_system_to_data(constant_system(X.expand(3), 1))))
+        table = write(tmp_path, "torus.json", formats.cubes_table_to_data(X.expand(3)))
+        torus = write(tmp_path, "torus-set.json", formats.cubical_set_to_data(X))
+        for argv in (["--table", bad], ["--table", table, "--system", bad],
+                     ["--set", torus, "--system", bad, "--truncate", "3"]):
+            assert main(["homology", *argv, "--max-dim", "2"]) == 1, argv
+            assert capsys.readouterr().out.splitlines()[0] == TORUS_SWAP_REPORT
 
     def test_contract_missing_flags(self, capsys):
         assert main(["compare", "--contract", "dirhomol", "--max-dim", "1"]) == 2

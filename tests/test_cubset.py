@@ -20,7 +20,6 @@ from cubehom.cubset import (
     pullback_fiber,
     standard_cube,
     universal_from_semicubical,
-    validate,
 )
 
 import helpers
@@ -233,11 +232,6 @@ class TestValidateNegatives:
     def test_semicubical_duplicate_name(self):
         S = SemiCubicalSet([["v", "v"]], {})
         assert any("twice" in line for line in S.validate())
-
-    def test_dispatch(self):
-        assert validate(helpers.circle()) == []
-        with pytest.raises(TypeError):
-            validate(42)
 
 
 class TestUniversal:
