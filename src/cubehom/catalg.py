@@ -2,9 +2,11 @@
 
 A cube of the nerve is a functor from the poset {0,1}^n, held as a tuple of
 vertex labels and a tuple of edge labels in the fixed order of _points(n)
-and _cube_edges(n). Faces and degeneracies gather those tuples through
-position maps computed once per operator, and each key string is built once
-per cube from prefixes computed once per dimension.
+and _cube_edges(n). Other modules read a label by its point or its edge
+through CubeFunctor.vertex and CubeFunctor.edge, so only this module knows
+that order. Faces and degeneracies gather those tuples through position
+maps computed once per operator, and each key string is built once per cube
+from prefixes computed once per dimension.
 """
 
 from dataclasses import dataclass
@@ -303,23 +305,9 @@ class CubeFunctor:
     def vertex(self, point) -> str:
         return self.vertex_labels[_positions(self.dim)[0][tuple(point)]]
 
-    def value_on_leq(self, p, q) -> str:
-        """Name of the composite morphism from the image of p to the image of q."""
-        p, q = tuple(p), tuple(q)
-        if len(p) != self.dim or len(q) != self.dim:
-            raise ValueError("points must have the cube's dimension")
-        if any(a > b for a, b in zip(p, q)):
-            raise ValueError(f"{p} is not below {q}")
-        C = self.category
-        vpos, epos = _positions(self.dim)
-        cur = p
-        result = C.identity_of(self.vertex_labels[vpos[p]])
-        for i in range(self.dim):
-            if cur[i] < q[i]:
-                nxt = cur[:i] + (1,) + cur[i + 1:]
-                result = C.compose(self.edge_labels[epos[(cur, nxt)]], result)
-                cur = nxt
-        return result
+    def edge(self, p, q) -> str:
+        """Morphism name on the edge from point p up to point q, one coordinate apart."""
+        return self.edge_labels[_positions(self.dim)[1][(tuple(p), tuple(q))]]
 
     def face(self, i: int, eps: int) -> "CubeFunctor":
         """Restrict to the sub-cube with coordinate i frozen at eps."""
@@ -467,10 +455,15 @@ def factorization_category(C: FiniteCategory) -> FiniteCategory:
     """Category of two-sided decompositions: objects are the morphisms of C.
 
     An arrow from alpha to beta is a pair (u, v) with beta = v . alpha . u,
-    named "alpha|beta|u|v"; pairs compose by stacking on both sides. Morphism
-    names of C must therefore avoid the bar character.
+    named "alpha|beta|u|v"; pairs compose by stacking on both sides. Such
+    names would collide if a morphism name of C held the bar, so that is
+    refused.
     """
     objects = sorted(C.morphisms)
+    for name in objects:
+        if "|" in name:
+            raise ValueError(f"morphism name {name!r} contains '|', which "
+                             f"separates the parts of factorization arrow names")
     parts = {}
     morphisms = {}
     for alpha in objects:

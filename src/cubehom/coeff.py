@@ -336,7 +336,7 @@ class SemiCubicalSystem:
                     for n, level in enumerate(S.levels) if n >= 1
                     for x in level
                     for i in range(1, n + 1) for eps in (0, 1)}
-        for k in expected - set(self.face):
+        for k in sorted(expected - set(self.face)):
             report.append(f"missing face matrix {k}")
         if report:
             return report
@@ -420,24 +420,26 @@ class FiniteDiagram:
 def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> ContravariantSystem:
     """Coefficients on a nerve table from a diagram on the opposite category.
 
-    The value on a cube is the diagram's value at the cube's final vertex;
-    a face matrix is the diagram's matrix for the connecting morphism from
-    the face's final vertex up to the cube's, read in the opposite category.
+    The value on a cube is the diagram's value at the cube's final vertex.
+    Face (i, 1) shares that vertex, so its matrix is the diagram's identity
+    there; face (i, 0) ends one edge below it in direction i, and its matrix
+    is the diagram's matrix on that edge, read in the opposite category.
     Degeneracies keep the final vertex, so their matrices are identities,
     one shared matrix per rank.
     """
-    ranks = {(n, idx): F.rank_of(x.vertex((1,) * n))
-             for n in range(N.top + 1) for idx, x in enumerate(N.elements[n])}
+    last = [[x.vertex((1,) * n) for x in N.elements[n]] for n in range(N.top + 1)]
+    ranks = {(n, idx): F.rank_of(v) for n, level in enumerate(last) for idx, v in enumerate(level)}
+    identities = [tuple(F.matrix(C.identity_of(v)) for v in level) for level in last]
 
-    def connecting(x, n, i, eps):
+    def column(n, i, eps):
         ones = (1,) * n
-        return F.matrix(x.value_on_leq(ones[:i - 1] + (eps,) + ones[i:], ones))
+        below = ones[:i - 1] + (0,) + ones[i:]
+        return identities[n] if eps else tuple(F.matrix(x.edge(below, ones))
+                                               for x in N.elements[n])
 
     eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
     return ContravariantSystem(
-        N, ranks,
-        {(n, i, eps): tuple(connecting(x, n, i, eps) for x in N.elements[n])
-         for n, i, eps in N.face},
+        N, ranks, {op: column(*op) for op in N.face},
         {(m, i): tuple(eyes[ranks[(m, idx)]] for idx in range(N.size(m)))
          for m, i in N.degen_map})
 
@@ -445,29 +447,32 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
 def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
     """Coefficients on a nerve table from a diagram on the factorization category.
 
-    The value on a cube is the diagram's value at the cube's long diagonal;
-    operators give two-sided factorizations of one diagonal through another,
-    and the matrices are the diagram's matrices on those.
+    The value on a cube is the diagram's value at the cube's long diagonal,
+    tabulated level by level: an n-cube's diagonal is its last edge after
+    the diagonal of its face (n, 0). Face (i, eps) factors the cube's
+    diagonal beta as v . alpha . u, with alpha the face's diagonal and one
+    of u, v an edge in direction i (u out of the first vertex for eps = 1, v
+    into the final vertex for eps = 0), the other an identity. Its matrix
+    is the diagram's matrix on "alpha|beta|u|v".
     """
-    fc = G.category
-    diagonals = [[x.value_on_leq((0,) * n, (1,) * n) for x in N.elements[n]]
-                 for n in range(N.top + 1)]
+    diagonals = [[C.identity_of(x.vertex(())) for x in N.elements[0]]]
+    for n in range(1, N.top + 1):
+        ones = (1,) * n
+        diagonals.append([C.compose(x.edge(ones[:-1] + (0,), ones), diagonals[n - 1][f])
+                          for x, f in zip(N.elements[n], N.face[(n, n, 0)])])
     ranks = {(n, idx): G.rank_of(d)
              for n, level in enumerate(diagonals) for idx, d in enumerate(level)}
 
-    def factorization(x, beta, n, i, eps):
+    def column(n, i, eps):
         zeros, ones = (0,) * n, (1,) * n
-        lo = zeros[:i - 1] + (eps,) + zeros[i:]
-        hi = ones[:i - 1] + (eps,) + ones[i:]
-        u = x.value_on_leq(zeros, lo)
-        v = x.value_on_leq(hi, ones)
-        alpha = x.value_on_leq(lo, hi)
-        return G.matrix(f"{alpha}|{beta}|{u}|{v}")
+        up, down = zeros[:i - 1] + (1,) + zeros[i:], ones[:i - 1] + (0,) + ones[i:]
+        out = []
+        for x, beta, f in zip(N.elements[n], diagonals[n], N.face[(n, i, eps)]):
+            u, v = ((x.edge(zeros, up), C.identity_of(x.vertex(ones))) if eps
+                    else (C.identity_of(x.vertex(zeros)), x.edge(down, ones)))
+            out.append(G.matrix(f"{diagonals[n - 1][f]}|{beta}|{u}|{v}"))
+        return tuple(out)
 
-    identities = [tuple(G.matrix(fc.identity_of(d)) for d in level) for level in diagonals]
-    return CovariantSystem(
-        N, ranks,
-        {(n, i, eps): tuple(factorization(x, beta, n, i, eps)
-                            for x, beta in zip(N.elements[n], diagonals[n]))
-         for n, i, eps in N.face},
-        {(m, i): identities[m] for m, i in N.degen_map})
+    identities = [tuple(G.matrix(G.category.identity_of(d)) for d in level) for level in diagonals]
+    return CovariantSystem(N, ranks, {op: column(*op) for op in N.face},
+                           {(m, i): identities[m] for m, i in N.degen_map})

@@ -129,9 +129,9 @@ class PresentedCubicalSet:
             for i in range(1, d + 1)
             for eps in (0, 1)
         }
-        for k in expected - set(self.faces):
+        for k in sorted(expected - set(self.faces)):
             report.append(f"missing face entry {k}")
-        for k in set(self.faces) - expected:
+        for k in sorted(set(self.faces) - expected):
             report.append(f"unexpected face entry {k}")
         structurally_ok = not report
         for (g, i, eps), c in self.faces.items():
@@ -357,9 +357,9 @@ class SemiCubicalSet:
             for i in range(1, n + 1)
             for eps in (0, 1)
         }
-        for k in expected - set(self.faces):
+        for k in sorted(expected - set(self.faces)):
             report.append(f"missing face entry {k}")
-        for k in set(self.faces) - expected:
+        for k in sorted(set(self.faces) - expected):
             report.append(f"unexpected face entry {k}")
         if report:
             return report
@@ -431,9 +431,9 @@ class CubicalMap:
     def validate(self) -> List[str]:
         report = []
         src_gens = set(self.source.generators)
-        for g in src_gens - set(self.assignment):
+        for g in sorted(src_gens - set(self.assignment)):
             report.append(f"no value assigned to generator {g!r}")
-        for g in set(self.assignment) - src_gens:
+        for g in sorted(set(self.assignment) - src_gens):
             report.append(f"value assigned to unknown generator {g!r}")
         if report:
             return report

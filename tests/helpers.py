@@ -10,6 +10,7 @@ from cubehom.boxcat import (CubeMorphism, degeneracy, epi_mono_factorize, face, 
                             identity, mono_faces)
 from cubehom.catalg import CubeFunctor, FiniteCategory
 from cubehom.coeff import (
+    ContravariantSystem,
     CovariantSystem,
     FiniteDiagram,
     SemiCubicalSystem,
@@ -477,6 +478,87 @@ def codomain_diagram(C, fc, F):
     ranks = {alpha: F.rank_of(C.morphisms[alpha][1]) for alpha in fc.objects}
     mats = {name: F.matrix(name.split("|")[3]) for name in fc.morphisms}
     return FiniteDiagram(fc, ranks, mats)
+
+
+def value_on_leq(x: CubeFunctor, p, q) -> str:
+    """Name of the composite morphism of the cube x from the image of p to that of q.
+
+    Walks the monotone path from p to q that raises coordinates in
+    increasing order, composing one edge at a time.
+    """
+    p, q = tuple(p), tuple(q)
+    if len(p) != x.dim or len(q) != x.dim:
+        raise ValueError("points must have the cube's dimension")
+    if any(a > b for a, b in zip(p, q)):
+        raise ValueError(f"{p} is not below {q}")
+    C, edges = x.category, x.edges
+    cur = p
+    result = C.identity_of(x.vertices[p])
+    for i in range(x.dim):
+        if cur[i] < q[i]:
+            nxt = cur[:i] + (1,) + cur[i + 1:]
+            result = C.compose(edges[(cur, nxt)], result)
+            cur = nxt
+    return result
+
+
+def reference_last_vertex_system(C, F: FiniteDiagram, N: CubesTable) -> ContravariantSystem:
+    """coeff.system_from_diagram_last_vertex by a path walk per face per cube.
+
+    A face matrix is the diagram's matrix on the composite from the face's
+    final vertex up to the cube's, found with value_on_leq.
+    """
+    ranks = {(n, idx): F.rank_of(x.vertex((1,) * n))
+             for n in range(N.top + 1) for idx, x in enumerate(N.elements[n])}
+
+    def connecting(x, n, i, eps):
+        ones = (1,) * n
+        return F.matrix(value_on_leq(x, ones[:i - 1] + (eps,) + ones[i:], ones))
+
+    eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
+    return ContravariantSystem(
+        N, ranks,
+        {(n, i, eps): tuple(connecting(x, n, i, eps) for x in N.elements[n])
+         for n, i, eps in N.face},
+        {(m, i): tuple(eyes[ranks[(m, idx)]] for idx in range(N.size(m)))
+         for m, i in N.degen_map})
+
+
+def reference_natural_system(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
+    """coeff.natural_system_via_d with every diagonal and side found by value_on_leq."""
+    fc = G.category
+    diagonals = [[value_on_leq(x, (0,) * n, (1,) * n) for x in N.elements[n]]
+                 for n in range(N.top + 1)]
+    ranks = {(n, idx): G.rank_of(d)
+             for n, level in enumerate(diagonals) for idx, d in enumerate(level)}
+
+    def factorization(x, beta, n, i, eps):
+        zeros, ones = (0,) * n, (1,) * n
+        lo = zeros[:i - 1] + (eps,) + zeros[i:]
+        hi = ones[:i - 1] + (eps,) + ones[i:]
+        u = value_on_leq(x, zeros, lo)
+        v = value_on_leq(x, hi, ones)
+        alpha = value_on_leq(x, lo, hi)
+        return G.matrix(f"{alpha}|{beta}|{u}|{v}")
+
+    identities = [tuple(G.matrix(fc.identity_of(d)) for d in level) for level in diagonals]
+    return CovariantSystem(
+        N, ranks,
+        {(n, i, eps): tuple(factorization(x, beta, n, i, eps)
+                            for x, beta in zip(N.elements[n], diagonals[n]))
+         for n, i, eps in N.face},
+        {(m, i): identities[m] for m, i in N.degen_map})
+
+
+def numbered_diagram(C):
+    """Rank-1 diagram, not functorial, with the matrix [k + 2] on the k-th morphism by name.
+
+    Every morphism gets its own matrix, so a builder that reads the wrong
+    morphism shows it in the entries and not only in the object ids.
+    """
+    return FiniteDiagram(C, {obj: 1 for obj in C.objects},
+                         {name: IntMatrix.from_rows([[k + 2]])
+                          for k, name in enumerate(sorted(C.morphisms))})
 
 
 def weighted_torus_system():

@@ -266,16 +266,26 @@ class TestCubeFunctor:
 
     def test_value_on_leq_composes_paths(self):
         x = self.tautological_square()
-        assert x.value_on_leq((0, 0), (1, 1)) == "00_11"
-        assert x.value_on_leq((0, 1), (0, 1)) == "01_01"
-        assert x.value_on_leq((0, 0), (0, 1)) == "00_01"
+        assert helpers.value_on_leq(x, (0, 0), (1, 1)) == "00_11"
+        assert helpers.value_on_leq(x, (0, 1), (0, 1)) == "01_01"
+        assert helpers.value_on_leq(x, (0, 0), (0, 1)) == "00_01"
 
     def test_value_on_leq_rejects_bad_points(self):
         x = self.tautological_square()
         with pytest.raises(ValueError, match="not below"):
-            x.value_on_leq((1, 0), (0, 1))
+            helpers.value_on_leq(x, (1, 0), (0, 1))
         with pytest.raises(ValueError, match="dimension"):
-            x.value_on_leq((0,), (1,))
+            helpers.value_on_leq(x, (0,), (1,))
+
+    def test_edge_reads_one_label(self):
+        x = self.tautological_square()
+        assert x.edge((0, 0), (0, 1)) == "00_01"
+        assert x.edge([1, 0], [1, 1]) == "10_11"
+        assert all(x.edge(p, q) == name for (p, q), name in x.edges.items())
+        # a diagonal or a pair of equal points is not an edge
+        for p, q in (((0, 0), (1, 1)), ((0, 1), (0, 1)), ((0, 1), (0, 0))):
+            with pytest.raises(KeyError):
+                x.edge(p, q)
 
     def test_faces_restrict(self):
         x = self.tautological_square()
@@ -485,6 +495,48 @@ class TestNerveSystems:
             G = helpers.codomain_diagram(C, fc, helpers.constant_diagram(C, 2))
             sys = natural_system_via_d(C, G, nerve)
             assert validate_functoriality(sys) == []
+
+
+FIXTURE_CATEGORIES = [helpers.point_category, helpers.arrow_category, helpers.square_poset,
+                      helpers.cyclic2_monoid, helpers.idempotent_monoid]
+
+
+class TestNerveSystemsMatchPathWalks:
+    """Both nerve builders against the path-walk references of tests/helpers.
+
+    Every morphism carries its own 1x1 matrix, so reading the wrong edge or
+    the wrong diagonal changes an entry; the builders must also return the
+    diagram's own matrix objects, which transpose_system shares by id.
+    """
+
+    @staticmethod
+    def assert_same(F, R, diagram):
+        assert type(F) is type(R)
+        assert F.ranks == R.ranks
+        own = {id(m) for m in diagram.matrices.values()}
+        for ours, theirs in ((F.face, R.face), (F.degen, R.degen)):
+            assert sorted(ours) == sorted(theirs)
+            for op, col in theirs.items():
+                assert ours[op] == col, op
+                assert all(a is b for a, b in zip(ours[op], col) if id(b) in own), op
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("make", FIXTURE_CATEGORIES)
+    def test_last_vertex(self, make, top):
+        C = make()
+        N = cubical_nerve(C, top)
+        F = helpers.numbered_diagram(C.op())
+        self.assert_same(system_from_diagram_last_vertex(C, F, N),
+                         helpers.reference_last_vertex_system(C, F, N), F)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("make", FIXTURE_CATEGORIES)
+    def test_natural_system(self, make, top):
+        C = make()
+        N = cubical_nerve(C, top)
+        G = helpers.numbered_diagram(factorization_category(C))
+        self.assert_same(natural_system_via_d(C, G, N),
+                         helpers.reference_natural_system(C, G, N), G)
 
 
 class TestComparisons:

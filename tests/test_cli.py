@@ -8,7 +8,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -449,6 +453,116 @@ class TestCubesTableFuzz:
             assert 0 not in (outcomes[1][0], outcomes[2][0]), outcomes[0][1]
 
 
+def category_case(C, F):
+    """Documents of C, of a diagram F on it, and of its codomain diagram on C's factorizations."""
+    fc = factorization_category(C)
+    return (formats.category_to_data(C), formats.diagram_to_data(F),
+            formats.diagram_to_data(helpers.codomain_diagram(C, fc, F)))
+
+
+def rename_parts(node, old, new):
+    """Replace old by new in every string and key of a document, part by part between bars."""
+    def name(s):
+        return "|".join(new if part == old else part for part in s.split("|"))
+    if isinstance(node, dict):
+        return {name(k) if isinstance(k, str) else k: rename_parts(v, old, new)
+                for k, v in node.items()}
+    if isinstance(node, list):
+        return [rename_parts(v, old, new) for v in node]
+    return name(node) if isinstance(node, str) else node
+
+
+class TestCategoryDiagramFuzz:
+    """Mutated category and diagram documents through four commands in-process."""
+
+    CASES = [category_case(helpers.square_poset(),
+                           helpers.constant_diagram(helpers.square_poset(), 2)),
+             category_case(helpers.cyclic2_monoid(), helpers.sign_diagram())]
+    NAMES = ["00", "01", "11", "00_01", "01_11", "00_11", "o", "e", "g", "e|e|e|e", "g|e|e|g",
+             "", "|", "x|y", "type", "objects", "morphisms", "identities", "composition",
+             "ranks", "matrices"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.sampled_from(NAMES), st.lists(st.sampled_from(NAMES), max_size=3),
+                     st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 2), max_size=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, put junk where a value was, or rename one or
+        # two morphisms everywhere to names with a bar in them. Every
+        # command exits 0, 1 with a message, or 2; an exception escaping
+        # main fails the test with its traceback. Both contracts are
+        # theorems, so a comparison that runs must find its sides equal.
+        docs = copy.deepcopy(list(data.draw(st.sampled_from(self.CASES))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk", "bar"]))
+            morphisms = docs[0].get("morphisms")
+            if op == "bar" and isinstance(morphisms, dict) and morphisms:
+                for old in data.draw(st.lists(st.sampled_from(sorted(morphisms)),
+                                              min_size=1, max_size=2, unique=True)):
+                    new = data.draw(st.sampled_from(["|", "||", "|" + old, old + "|", "a|b"]))
+                    docs = [rename_parts(doc, old, new) for doc in docs]
+                continue
+            k = data.draw(st.integers(0, 2))
+            nonempty = [c for c in _containers(docs[k]) if c]
+            if not nonempty:
+                continue
+            node = data.draw(st.sampled_from(nonempty))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        folder = tmp_path_factory.mktemp("category-fuzz")
+        cat, diag, fc_diag = (write(folder, f"{k}.json", doc) for k, doc in enumerate(docs))
+        max_dim = str(data.draw(st.integers(0, 1)))
+        for argv in (["validate", "--category", cat, "--diagram", diag],
+                     ["cat-homology", "--category", cat, "--diagram", diag, "--max-dim", max_dim],
+                     ["compare", "--contract", "homolcatcub", "--category", cat,
+                      "--diagram", diag, "--max-dim", max_dim],
+                     ["compare", "--contract", "homolbwcub", "--category", cat,
+                      "--diagram", fc_diag, "--max-dim", max_dim]):
+            code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+            assert text.splitlines()[-1:] != ["unequal"], (argv, text)
+
+
+class TestDeterministicReports:
+    """Validation reports print in the same order under every hash seed."""
+
+    @staticmethod
+    def documents(tmp_path):
+        torus = formats.cubical_set_to_data(helpers.torus())
+        del torus["faces"]["t"]["1,0"], torus["faces"]["t"]["2,1"], torus["faces"]["a"]["1,1"]
+        torus["faces"]["b"]["2,0"] = "v@"
+        semi = formats.semicubical_set_to_data(helpers.torus_semi())
+        del semi["faces"]["t"]["1,1"], semi["faces"]["t"]["2,0"], semi["faces"]["b"]["1,0"]
+        fold = formats.cubical_map_to_data(helpers.fold_wedge())
+        fold["assignment"] = {}
+        return [["validate", "--set", write(tmp_path, "set.json", torus)],
+                ["validate", "--semi", write(tmp_path, "semi.json", semi)],
+                ["validate", "--map", write(tmp_path, "map.json", fold)]]
+
+    def test_same_stdout_under_four_hash_seeds(self, tmp_path):
+        src = str(pathlib.Path(formats.__file__).resolve().parents[1])
+        for argv in self.documents(tmp_path):
+            outputs = set()
+            for seed in "0123":
+                env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+                done = subprocess.run([sys.executable, "-m", "cubehom.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=60)
+                assert done.returncode == 1, done.stderr
+                outputs.add(done.stdout)
+            assert len(outputs) == 1, (argv, outputs)
+            assert len(outputs.pop().splitlines()) >= 3, argv
+
+
 class TestCommands:
     def test_torus_homology(self, tmp_path, capsys):
         tor = write(tmp_path, "torus.json",
@@ -845,6 +959,31 @@ class TestExitCodes:
                      formats.cubical_set_to_data(helpers.circle()))
         assert main(["homology", "--set", circ, "--system", const_doc(tmp_path),
                      "--max-dim", "2", "--truncate", "1"]) == 1
+
+    @pytest.mark.parametrize("e, g", [("|", "||"), ("||", "|")])
+    def test_bar_in_morphism_name_is_refused(self, tmp_path, capsys, e, g):
+        # Z/2 and its constant codomain diagram with e and g renamed; the
+        # factorization arrow names "alpha|beta|u|v" would collide
+        z2 = helpers.cyclic2_monoid()
+        fc = factorization_category(z2)
+        D = formats.diagram_to_data(
+            helpers.codomain_diagram(z2, fc, helpers.constant_diagram(z2)))
+
+        def rename(name):
+            return "|".join({"e": e, "g": g}[part] for part in name.split("|"))
+        C = formats.category_to_data(z2)
+        C["morphisms"] = {rename(k): v for k, v in C["morphisms"].items()}
+        C["identities"] = {"o": e}
+        C["composition"] = [[rename(x) for x in row] for row in C["composition"]]
+        D["ranks"] = {rename(k): r for k, r in D["ranks"].items()}
+        D["matrices"] = {rename(k): m for k, m in D["matrices"].items()}
+        code = main(["compare", "--contract", "homolbwcub", "--category",
+                     write(tmp_path, "z2.json", C), "--diagram", write(tmp_path, "d.json", D),
+                     "--max-dim", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("error: morphism name '|' contains '|', which separates "
+                       "the parts of factorization arrow names\n")
 
     def test_local_system_on_bare_table_fails(self, tmp_path, capsys):
         table = write(tmp_path, "table.json", formats.cubes_table_to_data(
