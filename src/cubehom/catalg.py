@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from .coeff import (FiniteDiagram, natural_system_via_d,
                     system_from_diagram_last_vertex)
-from .cubset import CubesTable
+from .cubset import CubesTable, degeneracy_masks
 from .homcalc import cohomology, homology
 from .zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
                       assemble_blocks, cohomology_of_complex,
@@ -410,8 +410,8 @@ def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     Each level is found and sorted by key once. A face or a degeneracy of a
     cube gathers its label tuples through the position maps of the operator,
     and is found in the level below or above by its edge labels, which fix
-    the vertices (by vertex labels on level 0). A cube x is degenerate when
-    x = deg_i(face_{i,0}(x)) for some i, read off the index tables.
+    the vertices (by vertex labels on level 0). Degenerate flags are read
+    off the index tables by cubset.degeneracy_masks.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")
@@ -443,11 +443,8 @@ def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
         keys.append(level_keys)
         levels.append(level)
     del lookup  # freed before CubesTable builds its key index
-    degenerate = [[False] * len(keys[0])]
-    for n in range(1, top + 1):
-        maps = [(face[(n, i, 0)], degen_map[(n - 1, i)]) for i in range(1, n + 1)]
-        degenerate.append([any(up[down[k]] == k for down, up in maps)
-                           for k in range(len(keys[n]))])
+    degenerate = [[mask != 0 for mask in level]
+                  for level in degeneracy_masks(face, degen_map, [len(level) for level in keys])]
     return CubesTable(top, keys, levels, degenerate, face, degen_map)
 
 

@@ -4,8 +4,12 @@ Two representations are used. A PresentedCubicalSet lists generators plus a
 face table; every cube of the set is then a pair (generator, deletion map)
 and the contravariant action is computed by epi-mono factorization. A
 CubesTable is the fully expanded, index-based form truncated at some
-dimension; products, pullback fibers, and category nerves live there, and
-all chain builders consume tables.
+dimension; category nerves live there, and all chain builders consume
+tables. Products and fibers are one construction on tables, the fiber
+product: a product is taken over a point, and the fiber of a map over a
+cube y is taken against the table of the representable I^dim(y), whose
+cubes are the arrows into it (Grandis and Mauri, "Cubical sets and their
+site", TAC 11, 2003). Maps act on tables by index.
 """
 
 from __future__ import annotations
@@ -239,6 +243,25 @@ def apply_morphism(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube) -> Cube
         gen = fc.gen
 
 
+def degeneracy_masks(face, degen_map, sizes) -> List[List[int]]:
+    """Per dimension and cube z of a table, bit i set when s_i(d_{i,0} z) = z.
+
+    face and degen_map are the table's index columns and sizes its number
+    of cubes per dimension. A cube is degenerate exactly when its mask is
+    nonzero: z = s_i(w) forces w = d_{i,0} z.
+    """
+    masks = [[0] * sizes[0]]
+    for n in range(1, len(sizes)):
+        level = [0] * sizes[n]
+        for i in range(1, n + 1):
+            up, bit = degen_map[(n - 1, i)], 1 << i
+            for z, w in enumerate(face[(n, i, 0)]):
+                if up[w] == z:
+                    level[z] |= bit
+        masks.append(level)
+    return masks
+
+
 class CubesTable:
     """A dimension-truncated cubical set with all operators resolved to indices."""
 
@@ -273,6 +296,9 @@ class CubesTable:
     def nondegenerate_indices(self, n: int) -> Tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degenerate[n]) if not d)
 
+    def degeneracy_masks(self) -> List[List[int]]:
+        return degeneracy_masks(self.face, self.degen_map, [len(level) for level in self.keys])
+
     def _ends(self, n: int, path) -> Sequence[int]:
         """Where each cube of dimension n lands along an operator path (see cubical_identities)."""
         ends = range(self.size(n))
@@ -301,16 +327,13 @@ class CubesTable:
         report = [f"{words[family]} fails at dim {n} cube {self.key(n, idx)} ({detail})"
                   for family, n, idx, detail
                   in identity_failures(cubical_identities(self.top), self._ends)]
-        for n in range(self.top + 1):
-            for idx in range(self.size(n)):
+        for n, masks in enumerate(self.degeneracy_masks()):
+            for idx, mask in enumerate(masks):
                 flag = self.is_degenerate(n, idx)
-                hit = n >= 1 and any(
-                    self.degeneracy_index(n - 1, i, self.face_index(n, i, 0, idx)) == idx
-                    for i in range(1, n + 1))
-                if flag != hit:
+                if flag != bool(mask):
                     report.append(
                         f"degeneracy tag mismatch at dim {n} cube {self.key(n, idx)}: "
-                        f"tagged {flag}, operators say {hit}")
+                        f"tagged {flag}, operators say {bool(mask)}")
         return report
 
 
@@ -429,7 +452,12 @@ class CubicalMap:
         return apply_morphism(self.target, c.epi, self.assignment[c.gen])
 
     def validate(self) -> List[str]:
-        report = []
+        """The problems of the source and target sets, else those of the assignment."""
+        report = [f"{side}: {problem}"
+                  for side, X in (("source", self.source), ("target", self.target))
+                  for problem in X.validate()]
+        if report:
+            return report
         src_gens = set(self.source.generators)
         for g in sorted(src_gens - set(self.assignment)):
             report.append(f"no value assigned to generator {g!r}")
@@ -457,122 +485,95 @@ class CubicalMap:
         return report
 
     def table_map(self, tx: CubesTable, ty: CubesTable) -> List[Tuple[int, ...]]:
-        """Per dimension, the target index of the image of each source cube."""
+        """Per dimension, the target index of the image of each source cube.
+
+        The image of a generator is looked up by key once. The source cube
+        (g, epi) goes to the image of g degenerated along each coordinate
+        epi deletes, in increasing order, one target degeneracy column each.
+        """
         top = min(tx.top, ty.top)
+        start = {g: ty.index[c.dim][c.key()] for g, c in self.assignment.items() if c.dim <= top}
         out = []
         for n in range(top + 1):
             imgs = []
-            for c in tx.elements[n]:
-                img = self.apply_to_cube(c)
-                imgs.append(ty.index[n][img.key()])
+            for x in tx.elements[n]:
+                if x.gen not in start:
+                    raise ValueError(f"map not defined on generator {x.gen!r}")
+                z, m = start[x.gen], x.gen_dim
+                for c in range(1, n + 1):
+                    if c not in x.epi.tokens:
+                        z, m = ty.degen_map[(m, c)][z], m + 1
+                imgs.append(z)
             out.append(tuple(imgs))
         return out
 
 
+def _pullback(a, b, sep: str) -> CubesTable:
+    """The fiber product of two tables over a common base, up to the first one's top.
+
+    a and b are (table, images, masks) with images[k][z] the index in the
+    base of the k-cube z and masks the table's degeneracy_masks(), which a
+    sweep reads once. The k-cubes are the pairs (ia, ib) with equal images,
+    ordered by ia and then ib and keyed key_a + sep + key_b. Operators act
+    on both parts by index, and a pair is degenerate when both parts are
+    degenerate along a common coordinate. b's table may run higher.
+    """
+    (ta, images_a, masks_a), (tb, images_b, masks_b) = a, b
+    keys, elements, degenerate, pos, cells = [], [], [], [], []
+    for k in range(ta.top + 1):
+        over = {}
+        for ib, img in enumerate(images_b[k]):
+            over.setdefault(img, []).append(ib)
+        level = [(ia, ib) for ia, img in enumerate(images_a[k]) for ib in over.get(img, ())]
+        key_a, key_b, elem_a, elem_b = ta.keys[k], tb.keys[k], ta.elements[k], tb.elements[k]
+        mask_a, mask_b, width = masks_a[k], masks_b[k], tb.size(k)
+        keys.append([key_a[ia] + sep + key_b[ib] for ia, ib in level])
+        elements.append([(elem_a[ia], elem_b[ib]) for ia, ib in level])
+        degenerate.append([bool(mask_a[ia] & mask_b[ib]) for ia, ib in level])
+        pos.append({ia * width + ib: p for p, (ia, ib) in enumerate(level)})
+        cells.append(level)
+
+    def column(op, col_a, col_b, dst):
+        into, width = pos[dst], tb.size(dst)
+        return tuple(into[col_a[ia] * width + col_b[ib]] for ia, ib in cells[op[0]])
+
+    return CubesTable(ta.top, keys, elements, degenerate,
+                      {op: column(op, col, tb.face[op], op[0] - 1) for op, col in ta.face.items()},
+                      {op: column(op, col, tb.degen_map[op], op[0] + 1)
+                       for op, col in ta.degen_map.items()})
+
+
 def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTable:
-    """Levelwise product table; a pair is degenerate iff the two deletion maps
-    share a deleted coordinate."""
-    ta = A.expand(top)
-    tb = B.expand(top)
-    keys, elements, degenerate = [], [], []
-    pos = []
-    for n in range(top + 1):
-        level_keys, level_elems, level_deg = [], [], []
-        level_pos = {}
-        for ia, a in enumerate(ta.elements[n]):
-            deleted_a = set(range(1, n + 1)) - set(a.epi.tokens)
-            for ib, b in enumerate(tb.elements[n]):
-                deleted_b = set(range(1, n + 1)) - set(b.epi.tokens)
-                level_pos[(ia, ib)] = len(level_keys)
-                level_keys.append(f"{a.key()}|{b.key()}")
-                level_elems.append((a, b))
-                level_deg.append(bool(deleted_a & deleted_b))
-        keys.append(level_keys)
-        elements.append(level_elems)
-        degenerate.append(level_deg)
-        pos.append(level_pos)
-    faces = {}
-    for n in range(1, top + 1):
-        for i in range(1, n + 1):
-            for eps in (0, 1):
-                fa = ta.face[(n, i, eps)]
-                fb = tb.face[(n, i, eps)]
-                col = []
-                for ia in range(ta.size(n)):
-                    for ib in range(tb.size(n)):
-                        col.append(pos[n - 1][(fa[ia], fb[ib])])
-                faces[(n, i, eps)] = tuple(col)
-    degen = {}
-    for m in range(top):
-        for i in range(1, m + 2):
-            sa = ta.degen_map[(m, i)]
-            sb = tb.degen_map[(m, i)]
-            col = []
-            for ia in range(ta.size(m)):
-                for ib in range(tb.size(m)):
-                    col.append(pos[m + 1][(sa[ia], sb[ib])])
-            degen[(m, i)] = tuple(col)
-    return CubesTable(top, keys, elements, degenerate, faces, degen)
+    """The product A x B tabulated up to top, keyed "a|b".
+
+    It is the fiber product of the two tables over a point, so a pair is
+    degenerate iff the two deletion maps share a deleted coordinate.
+    """
+    legs = [(t, [[0] * t.size(k) for k in range(top + 1)], t.degeneracy_masks())
+            for t in (A.expand(top), B.expand(top))]
+    return _pullback(*legs, "|")
 
 
 @lru_cache(maxsize=None)
-def _homs(k: int, d: int):
-    """hom_set(k, d) numbered once per process, with what a fiber reads of each arrow.
+def _representable(d: int, top: int) -> Tuple[CubesTable, List[List[int]]]:
+    """The representable I^d tabulated up to top, with its degeneracy masks.
 
-    Returns the arrows, their token words, the bitmask of the input
-    coordinates each arrow uses (bit t for coordinate t), and the number of
-    each arrow by token tuple. All four are shared by every caller, which
+    Its k-cubes are hom_set(k, d) in token order, keyed by token words; face
+    (i, eps) of alpha is alpha . face(k, i, eps) and its i-th degeneracy is
+    alpha . degeneracy(k + 1, i). Both are shared by every caller, which
     only reads them.
     """
-    arrows = hom_set(k, d)
-    return (arrows, tuple(a.token_word() for a in arrows),
-            tuple(sum(1 << t for t in a.tokens if t >= 1) for a in arrows),
-            {a.tokens: n for n, a in enumerate(arrows)})
-
-
-@lru_cache(maxsize=None)
-def _hom_faces(k: int, d: int):
-    """Per (i, eps), the index in hom_set(k-1, d) of alpha . face(k, i, eps), per alpha."""
-    arrows, index = _homs(k, d)[0], _homs(k - 1, d)[3]
-    return {(i, eps): tuple(index[a.compose(face(k, i, eps)).tokens] for a in arrows)
-            for i in range(1, k + 1) for eps in (0, 1)}
-
-
-@lru_cache(maxsize=None)
-def _hom_degens(k: int, d: int):
-    """Per i, the index in hom_set(k+1, d) of alpha . degeneracy(k+1, i), per alpha."""
-    arrows, index = _homs(k, d)[0], _homs(k + 1, d)[3]
-    return {i: tuple(index[a.compose(degeneracy(k + 1, i)).tokens] for a in arrows)
-            for i in range(1, k + 2)}
-
-
-@lru_cache(maxsize=None)
-def _hom_steps(k: int, d: int):
-    """One step of the action y -> y.alpha on a table, per alpha in hom_set(k, d).
-
-    None for the identity. If alpha has a constant at its last constant
-    position p, alpha = face(d, p, bit) . beta and y.alpha = (face_{p,bit} y).beta:
-    the step is (True, (d, p, bit), index of beta in hom_set(k, d-1)). If alpha
-    is epi and misses its last unused coordinate c, alpha = beta . degeneracy(k, c)
-    and y.alpha = s_c(y.beta): the step is (False, (k-1, c), index of beta in
-    hom_set(k-1, d)).
-    """
-    steps = []
-    for a in _homs(k, d)[0]:
-        toks = a.tokens
-        consts = [p for p, t in enumerate(toks, start=1) if t <= 0]
-        if consts:
-            p = consts[-1]
-            beta = toks[:p - 1] + toks[p:]
-            steps.append((True, (d, p, 0 if toks[p - 1] == 0 else 1),
-                          _homs(k, d - 1)[3][beta]))
-        elif k > d:
-            c = max(set(range(1, k + 1)) - set(toks))
-            beta = tuple(t if t < c else t - 1 for t in toks)
-            steps.append((False, (k - 1, c), _homs(k - 1, d)[3][beta]))
-        else:
-            steps.append(None)
-    return tuple(steps)
+    arrows = [hom_set(k, d) for k in range(top + 1)]
+    index = [{a.tokens: n for n, a in enumerate(level)} for level in arrows]
+    faces = {(k, i, eps): tuple(index[k - 1][a.compose(face(k, i, eps)).tokens] for a in arrows[k])
+             for k in range(1, top + 1) for i in range(1, k + 1) for eps in (0, 1)}
+    degens = {(m, i): tuple(index[m + 1][a.compose(degeneracy(m + 1, i)).tokens]
+                            for a in arrows[m])
+              for m in range(top) for i in range(1, m + 2)}
+    cube = CubesTable(top, [[a.token_word() for a in level] for level in arrows],
+                      [list(level) for level in arrows],
+                      [[not a.is_mono() for a in level] for level in arrows], faces, degens)
+    return cube, cube.degeneracy_masks()
 
 
 class FiberSource:
@@ -580,20 +581,16 @@ class FiberSource:
 
     table is the source tabulated up to top and target the target tabulated
     at least that far. images[k][ix] is the target index of f applied to
-    source cube ix of dimension k, and deleted[k][ix] the bitmask of the
-    coordinates its deletion map drops. action memoizes y.alpha as a target
-    index, per (k, d, alpha index, y index), filled as fibers ask for it.
+    source cube ix of dimension k, and masks the table's degeneracy_masks().
     """
 
-    __slots__ = ("table", "target", "images", "deleted", "action")
+    __slots__ = ("table", "target", "images", "masks")
 
-    def __init__(self, table: CubesTable, target: CubesTable,
-                 images: List[Tuple[int, ...]], deleted: List[Tuple[int, ...]]):
+    def __init__(self, table: CubesTable, target: CubesTable, images: List[Tuple[int, ...]]):
         self.table = table
         self.target = target
         self.images = images
-        self.deleted = deleted
-        self.action: Dict[Tuple[int, int, int, int], int] = {}
+        self.masks = table.degeneracy_masks()
 
 
 def fiber_source(f: CubicalMap, top: int, target: CubesTable = None) -> FiberSource:
@@ -607,72 +604,41 @@ def fiber_source(f: CubicalMap, top: int, target: CubesTable = None) -> FiberSou
     ty = f.target.expand(top) if target is None else target
     if ty.top < top:
         raise ValueError(f"target table stops at {ty.top}, fibers need {top}")
-    deleted = [tuple(((1 << (k + 1)) - 2) & ~sum(1 << t for t in x.epi.tokens)
-                     for x in level) for k, level in enumerate(tx.elements)]
-    return FiberSource(tx, ty, f.table_map(tx, ty), deleted)
-
-
-def _act(source: FiberSource, k: int, d: int, a: int, iy: int) -> int:
-    """Target index of y.alpha for alpha = hom_set(k, d)[a] and y = cube iy of dim d."""
-    memo = source.action
-    key = (k, d, a, iy)
-    got = memo.get(key)
-    if got is None:
-        step = _hom_steps(k, d)[a]
-        if step is None:
-            got = iy
-        elif step[0]:
-            got = _act(source, k, d - 1, step[2], source.target.face[step[1]][iy])
-        else:
-            got = source.target.degen_map[step[1]][_act(source, k - 1, d, step[2], iy)]
-        memo[key] = got
-    return got
+    return FiberSource(tx, ty, f.table_map(tx, ty))
 
 
 def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = None) -> CubesTable:
     """The fiber of f over the single cube y, tabulated up to dimension top.
 
-    A k-cube is a pair (x, alpha) with x a k-cube of the source and
-    alpha: I^k -> I^dim(y) satisfying f(x) = y.alpha; operators act on both
-    components at once. Internally a fiber cube is the pair (source index,
-    index in the numbered hom_set(k, dim y)), so faces and degeneracies are
-    gathers through the source's tables and the per-(k, d) composite
-    tables. source is fiber_source(f, top), built here when not given.
+    It is the pullback of f along the map I^d -> Y that picks y, d = dim y:
+    a k-cube is a pair (x, alpha) with x a k-cube of the source and
+    alpha: I^k -> I^d satisfying f(x) = y.alpha, keyed "x;alpha". y.alpha
+    is read off the target's columns for every alpha, and _pullback pairs
+    the source's table with the table of I^d. source is fiber_source(f,
+    top), built here when not given.
     """
     d = y.dim
     if source is None:
         source = fiber_source(f, top, f.target.expand(max(top, d)))
-    tx, ty, images, deleted = source.table, source.target, source.images, source.deleted
+    tx, ty = source.table, source.target
     if tx.top != top:
         raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
     iy = ty.index[d].get(y.key()) if d <= ty.top else None
     if iy is None:
         raise ValueError(f"{y!r} is not a cube of the target's table")
-    keys, elements, degenerate, pos, cells = [], [], [], [], []
-    for k in range(top + 1):
-        arrows, words, used, _ = _homs(k, d)
-        over = {}
-        for a in range(len(arrows)):
-            over.setdefault(_act(source, k, d, a, iy), []).append(a)
-        level = [(ix, a) for ix, img in enumerate(images[k]) for a in over.get(img, ())]
-        xkeys, xelems, xdel, width = tx.keys[k], tx.elements[k], deleted[k], len(arrows)
-        keys.append([f"{xkeys[ix]};{words[a]}" for ix, a in level])
-        elements.append([(xelems[ix], arrows[a]) for ix, a in level])
-        degenerate.append([bool(xdel[ix] & ~used[a]) for ix, a in level])
-        pos.append({ix * width + a: p for p, (ix, a) in enumerate(level)})
-        cells.append(level)
-    faces = {}
-    for k in range(1, top + 1):
-        below, width, composite = pos[k - 1], len(_homs(k - 1, d)[0]), _hom_faces(k, d)
-        for i in range(1, k + 1):
-            for eps in (0, 1):
-                src, comp = tx.face[(k, i, eps)], composite[(i, eps)]
-                faces[(k, i, eps)] = tuple(below[src[ix] * width + comp[a]]
-                                           for ix, a in cells[k])
-    degen = {}
-    for m in range(top):
-        above, width, composite = pos[m + 1], len(_homs(m + 1, d)[0]), _hom_degens(m, d)
-        for i in range(1, m + 2):
-            src, comp = tx.degen_map[(m, i)], composite[i]
-            degen[(m, i)] = tuple(above[src[ix] * width + comp[a]] for ix, a in cells[m])
-    return CubesTable(top, keys, elements, degenerate, faces, degen)
+    cube, cube_masks = _representable(d, max(top, d))
+    y_alpha = [[None] * cube.size(k) for k in range(cube.top + 1)]
+    # the identity goes to y, and a mono below d to a face of a mono one level up
+    y_alpha[d][cube.index[d][identity(d).token_word()]] = iy
+    for k in range(d, 0, -1):
+        for b in cube.nondegenerate_indices(k):
+            for i in range(1, k + 1):
+                for eps in (0, 1):
+                    y_alpha[k - 1][cube.face[(k, i, eps)][b]] = ty.face[(k, i, eps)][y_alpha[k][b]]
+    # alpha not using coordinate i is s_i of its face (i, 0)
+    for k, masks in enumerate(cube_masks[1:top + 1], start=1):
+        for a, mask in enumerate(masks):
+            if mask:
+                i = (mask & -mask).bit_length() - 1
+                y_alpha[k][a] = ty.degen_map[(k - 1, i)][y_alpha[k - 1][cube.face[(k, i, 0)][a]]]
+    return _pullback((tx, source.images, source.masks), (cube, y_alpha, cube_masks), ";")

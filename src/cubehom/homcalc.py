@@ -298,8 +298,8 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
 
     Every cube of the target's truncation at top is tested; fibers are
     truncated at top as well, so top must be at least max_dim + 1. Source
-    and target are expanded once, and the source's images, the memoized
-    target action and the numbered hom-sets are shared by every fiber.
+    and target are expanded once, and the source's table and images are
+    shared by every fiber, as are the tables of the representables.
     """
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")

@@ -162,6 +162,62 @@ def square_to_interval():
     return CubicalMap(standard_cube(2), standard_cube(1), assignment)
 
 
+def reference_product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTable:
+    """The product table by the definition, with its own loop over cube pairs.
+
+    A pair is degenerate iff the two deletion maps share a deleted
+    coordinate, and every operator is read off both factors' tables and
+    found by the pair. Independent of the fiber product cubset.product uses.
+    """
+    ta = A.expand(top)
+    tb = B.expand(top)
+    keys, elements, degenerate = [], [], []
+    pos = []
+    for n in range(top + 1):
+        level_keys, level_elems, level_deg = [], [], []
+        level_pos = {}
+        for ia, a in enumerate(ta.elements[n]):
+            deleted_a = set(range(1, n + 1)) - set(a.epi.tokens)
+            for ib, b in enumerate(tb.elements[n]):
+                deleted_b = set(range(1, n + 1)) - set(b.epi.tokens)
+                level_pos[(ia, ib)] = len(level_keys)
+                level_keys.append(f"{a.key()}|{b.key()}")
+                level_elems.append((a, b))
+                level_deg.append(bool(deleted_a & deleted_b))
+        keys.append(level_keys)
+        elements.append(level_elems)
+        degenerate.append(level_deg)
+        pos.append(level_pos)
+    faces = {}
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                fa = ta.face[(n, i, eps)]
+                fb = tb.face[(n, i, eps)]
+                col = []
+                for ia in range(ta.size(n)):
+                    for ib in range(tb.size(n)):
+                        col.append(pos[n - 1][(fa[ia], fb[ib])])
+                faces[(n, i, eps)] = tuple(col)
+    degen = {}
+    for m in range(top):
+        for i in range(1, m + 2):
+            sa = ta.degen_map[(m, i)]
+            sb = tb.degen_map[(m, i)]
+            col = []
+            for ia in range(ta.size(m)):
+                for ib in range(tb.size(m)):
+                    col.append(pos[m + 1][(sa[ia], sb[ib])])
+            degen[(m, i)] = tuple(col)
+    return CubesTable(top, keys, elements, degenerate, faces, degen)
+
+
+def reference_table_map(f: CubicalMap, tx: CubesTable, ty: CubesTable):
+    """CubicalMap.table_map by the definition: apply f to each cube, then find it by key."""
+    return [tuple(ty.index[n][f.apply_to_cube(c).key()] for c in tx.elements[n])
+            for n in range(min(tx.top, ty.top) + 1)]
+
+
 def reference_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
     """The fiber of f over y by the definition, one cube pair at a time.
 

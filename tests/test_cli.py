@@ -23,6 +23,7 @@ from cubehom.catalg import cubical_nerve, factorization_category
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
+from cubehom.cubset import standard_cube
 from cubehom.formats import FormatError
 from cubehom.zlinalg import HomologyGroup, IntMatrix
 
@@ -533,6 +534,85 @@ class TestCategoryDiagramFuzz:
             assert text.splitlines()[-1:] != ["unequal"], (argv, text)
 
 
+def map_case(f):
+    """A map document and the keys of its target's cubes up to dimension 2."""
+    return (formats.cubical_map_to_data(f),
+            sorted(key for level in f.target.expand(2).keys for key in level))
+
+
+class TestCubicalMapFuzz:
+    """Mutated cubical-map documents through six map commands in-process."""
+
+    CASES = [map_case(helpers.fold_wedge()),
+             map_case(helpers.collapse_to_point(standard_cube(2))),
+             map_case(helpers.identity_map(helpers.squashed_square())),
+             map_case(helpers.identity_map(standard_cube(2))),
+             map_case(helpers.square_to_interval()),
+             map_case(helpers.endpoint_inclusion())]
+    NAMES = ["v", "e", "e1", "e2", "a", "b", "q", "c0", "cx", "c0x", "cxx", "", "@",
+             "1,0", "1,1", "2,0", "2,1", "type", "source", "target", "assignment",
+             "generators", "faces"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.sampled_from(NAMES), st.sampled_from(["v@del:1", "e@del:2", "q@x2,x1"]),
+                     st.lists(st.sampled_from(NAMES), max_size=2),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 2), max_size=2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, put junk where a value was, or assign a
+        # generator or a face of the source or target set another cube of
+        # the target. Every command exits 0, 1 with a message, or 2; an
+        # exception escaping main fails the test with its traceback.
+        clean, cubes = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(clean)
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk", "assign", "face"]))
+            assignment = doc.get("assignment")
+            if op == "assign" and isinstance(assignment, dict) and assignment:
+                assignment[data.draw(st.sampled_from(sorted(assignment)))] = \
+                    data.draw(st.sampled_from(cubes))
+                continue
+            sides = [doc[side]["faces"] for side in ("source", "target")
+                     if isinstance(doc.get(side), dict) and isinstance(doc[side].get("faces"), dict)]
+            entries = sorted({(g, sel) for faces in sides for g, row in faces.items()
+                              if isinstance(row, dict) for sel in row})
+            if op == "face" and entries:
+                # the same entry of both sets, so an identity map stays natural
+                g, sel = data.draw(st.sampled_from(entries))
+                new = data.draw(st.sampled_from(cubes))
+                for faces in sides:
+                    if isinstance(faces.get(g), dict) and sel in faces[g]:
+                        faces[g][sel] = new
+                continue
+            nonempty = [c for c in _containers(doc) if c]
+            if not nonempty:
+                break
+            node = data.draw(st.sampled_from(nonempty))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        folder = tmp_path_factory.mktemp("map-fuzz")
+        fmap, const = write(folder, "map.json", doc), const_doc(folder)
+        cube, max_dim = data.draw(st.sampled_from(cubes)), str(data.draw(st.integers(0, 1)))
+        for argv in (["validate", "--map", fmap],
+                     ["fiber", "--map", fmap, "--cube", cube, "--max-dim", "1"],
+                     ["fiber-criterion", "--map", fmap, "--max-dim", max_dim],
+                     ["direct-image", "--map", fmap, "--system", const, "--truncate", "1"],
+                     ["pullback-system", "--map", fmap, "--system", const, "--truncate", "1"],
+                     ["compare", "--contract", "dirhomol", "--map", fmap, "--system", const,
+                      "--max-dim", max_dim]):
+            code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+
+
 class TestDeterministicReports:
     """Validation reports print in the same order under every hash seed."""
 
@@ -858,6 +938,21 @@ class TestCompareContracts:
 
 
 class TestExitCodes:
+    def test_map_between_invalid_sets_is_refused(self, tmp_path, capsys):
+        # The identity of the square with face (1,0) of the edge c0x moved
+        # from c00 to c10 in both sets: the assignment is natural, but the
+        # sets are not cubical, so the map is refused before any fiber of
+        # it is built.
+        data = formats.cubical_map_to_data(helpers.identity_map(standard_cube(2)))
+        for side in ("source", "target"):
+            data[side]["faces"]["c0x"]["1,0"] = "c10@"
+        bad = write(tmp_path, "bad-map.json", data)
+        assert main(["validate", "--map", bad]) == 1
+        assert capsys.readouterr().out.splitlines()[0].startswith("source: face commutation fails")
+        for argv in (["fiber-criterion", "--map", bad, "--max-dim", "1"],
+                     ["fiber", "--map", bad, "--cube", "cxx@x1,x2", "--max-dim", "1"]):
+            assert main(argv) == 1
+
     def test_set_without_system_is_usage_error(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",
                      formats.cubical_set_to_data(helpers.circle()))

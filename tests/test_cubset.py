@@ -290,7 +290,24 @@ class TestCubicalMap:
                             == ty.face_index(n, i, eps, tm[n][idx])
 
 
+PRODUCT_PAIRS = {
+    "interval-interval": (helpers.interval(), helpers.interval()),
+    "circle-circle": (helpers.circle(), helpers.circle()),
+    "point-torus": (helpers.point(), helpers.torus()),
+    "I3-I2": (standard_cube(3), standard_cube(2)),
+    "torus-squashed": (helpers.torus(), helpers.squashed_square()),
+}
+
+
 class TestProduct:
+    @pytest.mark.parametrize("top", range(5))
+    @pytest.mark.parametrize("name", sorted(PRODUCT_PAIRS))
+    def test_matches_reference(self, name, top):
+        A, B = PRODUCT_PAIRS[name]
+        got, want = product(A, B, top), helpers.reference_product(A, B, top)
+        assert table_parts(got) == table_parts(want)
+        assert (list(got.face), list(got.degen_map)) == (list(want.face), list(want.degen_map))
+
     def test_square_as_product_of_intervals(self):
         table = product(standard_cube(1), standard_cube(1), 2)
         assert table.size(0) == 4
@@ -435,6 +452,30 @@ class TestPullbackFiber:
         for m in range(2):
             for x, alpha in fib.elements[m]:
                 assert f.apply_to_cube(x) == apply_morphism(f.target, alpha, y)
+
+
+class TestTableMap:
+    @pytest.mark.parametrize("top", (1, 2, 3, 4))
+    @pytest.mark.parametrize("name", sorted(FIBER_MAPS))
+    def test_fiber_maps_match_reference(self, name, top):
+        f = FIBER_MAPS[name]
+        tx = f.source.expand(top)
+        for ty in (f.target.expand(top), f.target.expand(top + 1)):
+            assert f.table_map(tx, ty) == helpers.reference_table_map(f, tx, ty)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2).flatmap(lambda n: st.integers(0, 2).flatmap(
+        lambda m: st.sampled_from(hom_set(n, m)))), st.integers(0, 3))
+    def test_representable_maps_match_reference(self, phi, top):
+        f = representable_map(phi)
+        tx, ty = f.source.expand(top), f.target.expand(top)
+        assert f.table_map(tx, ty) == helpers.reference_table_map(f, tx, ty)
+
+    def test_generator_without_value_refused(self):
+        f = helpers.fold_wedge()
+        del f.assignment["e2"]
+        with pytest.raises(ValueError, match="map not defined on generator 'e2'"):
+            f.table_map(f.source.expand(1), f.target.expand(1))
 
 
 class TestKeys:
