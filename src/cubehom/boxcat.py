@@ -13,10 +13,9 @@ positive integer i means input coordinate number i (1-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 
 class CubeMorphism:
@@ -180,75 +179,6 @@ def identity_failures(entries, ends) -> list:
         found += [(IDENTITY_FAMILIES.index(family), n, idx, k)
                   for idx, (a, b) in enumerate(zip(ends(n, lhs), ends(n, rhs))) if a != b]
     return [(entries[k][0], n, idx, entries[k][2]) for _, n, idx, k in sorted(found)]
-
-
-def epi_mono_factorize(f: CubeMorphism) -> Tuple[CubeMorphism, CubeMorphism]:
-    """Split f as (deletions, insertions) with f = mono . epi.
-
-    The epi deletes the unused input coordinates; the mono renumbers the
-    survivors and inserts the constants. Both parts are uniquely determined.
-    """
-    used = f.used_coordinates()
-    rank = {c: k + 1 for k, c in enumerate(used)}
-    epi = CubeMorphism(f.src_dim, len(used), used)
-    mono = CubeMorphism(len(used), f.dst_dim, tuple(t if t <= 0 else rank[t] for t in f.tokens))
-    return epi, mono
-
-
-@dataclass(frozen=True)
-class CanonicalFactorization:
-    """f written as insertions after deletions, in normalized order.
-
-    insertions: (output slot, bit) pairs with slots strictly decreasing;
-    applied innermost-last, so the smallest slot is inserted first.
-    deletions: input coordinates in strictly increasing order; applied
-    innermost-first starting with the largest, so each listed index refers
-    to the original input cube.
-    """
-
-    src_dim: int
-    dst_dim: int
-    insertions: tuple
-    deletions: tuple
-
-
-def normal_form(f: CubeMorphism) -> CanonicalFactorization:
-    insertions = tuple(
-        (pos, 0 if t == 0 else 1)
-        for pos, t in sorted(enumerate(f.tokens, start=1), reverse=True)
-        if t <= 0
-    )
-    used = set(f.used_coordinates())
-    deletions = tuple(c for c in range(1, f.src_dim + 1) if c not in used)
-    return CanonicalFactorization(f.src_dim, f.dst_dim, insertions, deletions)
-
-
-def rebuild(cf: CanonicalFactorization) -> CubeMorphism:
-    """Compose the generators listed in a canonical factorization."""
-    cur = identity(cf.src_dim)
-    for slot in sorted(cf.deletions, reverse=True):
-        cur = degeneracy(cur.dst_dim, slot).compose(cur)
-    for slot, bit in sorted(cf.insertions):
-        cur = face(cur.dst_dim + 1, slot, bit).compose(cur)
-    if cur.dst_dim != cf.dst_dim:
-        raise ValueError("factorization data inconsistent with target dimension")
-    return cur
-
-
-def mono_faces(f: CubeMorphism) -> tuple:
-    """Write a mono as (slot, bit) insertions, outermost (largest slot) first.
-
-    Peeling the largest slot first means the remaining slots keep their
-    positions in the smaller cube, so a contravariant action can apply the
-    listed single-coordinate faces in order, left to right.
-    """
-    if not f.is_mono():
-        raise ValueError("mono_faces needs a mono (every input coordinate used)")
-    return tuple(
-        (pos, 0 if t == 0 else 1)
-        for pos, t in sorted(enumerate(f.tokens, start=1), reverse=True)
-        if t <= 0
-    )
 
 
 def hom_set(m: int, n: int) -> tuple:

@@ -46,20 +46,6 @@ def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
             for w, t in terms.items()}
 
 
-def unnormalized_complex(X: CubesTable, F: ContravariantSystem) -> FreeChainComplex:
-    """One summand per cube, degenerate ones included."""
-    _check_base(X, F)
-    if F.variance != "contravariant":
-        raise ValueError("chain complexes take contravariant coefficients")
-    sizes = [[F.rank_of(n, z) for z in range(X.size(n))] for n in range(X.top + 1)]
-    boundaries = []
-    for n in range(1, X.top + 1):
-        blocks = [(w, z, d, sign) for z in range(X.size(n))
-                  for w, (d, sign) in _signed_faces(X, F, n, z, sizes[n - 1]).items()]
-        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
-    return FreeChainComplex([sum(level) for level in sizes], boundaries)
-
-
 @dataclass
 class ComplexBuildReport:
     """A normalized complex plus the per-cube maps relating it to the raw one.

@@ -5,9 +5,9 @@ the test modules were computed on paper from these presentations.
 """
 
 from itertools import product as iter_product
+from typing import Tuple
 
-from cubehom.boxcat import (CubeMorphism, degeneracy, epi_mono_factorize, face, hom_set,
-                            identity, mono_faces)
+from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
 from cubehom.catalg import CubeFunctor, FiniteCategory
 from cubehom.coeff import (
     ContravariantSystem,
@@ -22,7 +22,6 @@ from cubehom.cubset import (
     CubicalMap,
     PresentedCubicalSet,
     SemiCubicalSet,
-    apply_morphism,
     standard_cube,
     universal_from_semicubical,
 )
@@ -212,9 +211,117 @@ def reference_product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) 
     return CubesTable(top, keys, elements, degenerate, faces, degen)
 
 
+# The general contravariant action: a morphism is split into deletions after
+# insertions and the insertions are peeled through the face table one at a
+# time. src/ resolves single faces with PresentedCubicalSet._face_of; these
+# are the independent reference its tables, maps, fibers and validators are
+# compared against.
+
+
+def epi_mono_factorize(f: CubeMorphism) -> Tuple[CubeMorphism, CubeMorphism]:
+    """Split f as (deletions, insertions) with f = mono . epi.
+
+    The epi deletes the unused input coordinates; the mono renumbers the
+    survivors and inserts the constants. Both parts are uniquely determined.
+    """
+    used = f.used_coordinates()
+    rank = {c: k + 1 for k, c in enumerate(used)}
+    epi = CubeMorphism(f.src_dim, len(used), used)
+    mono = CubeMorphism(len(used), f.dst_dim, tuple(t if t <= 0 else rank[t] for t in f.tokens))
+    return epi, mono
+
+
+def mono_faces(f: CubeMorphism) -> tuple:
+    """Write a mono as (slot, bit) insertions, outermost (largest slot) first.
+
+    Peeling the largest slot first means the remaining slots keep their
+    positions in the smaller cube, so a contravariant action can apply the
+    listed single-coordinate faces in order, left to right.
+    """
+    if not f.is_mono():
+        raise ValueError("mono_faces needs a mono (every input coordinate used)")
+    return tuple(
+        (pos, 0 if t == 0 else 1)
+        for pos, t in sorted(enumerate(f.tokens, start=1), reverse=True)
+        if t <= 0
+    )
+
+
+def apply_morphism(X: PresentedCubicalSet, alpha: CubeMorphism, c: Cube) -> Cube:
+    """Contravariant action of alpha: I^m -> I^n on a dim-n cube of X.
+
+    Splits c.epi . alpha into deletions after insertions, peels the
+    outermost insertion through the face table, folds the face's own
+    deletion map in, and repeats; the generator dimension drops every round.
+    """
+    if alpha.dst_dim != c.dim:
+        raise ValueError(f"cannot act by I^{alpha.src_dim}->I^{alpha.dst_dim} "
+                         f"on a cube of dimension {c.dim}")
+    X.generator_dim(c.gen)
+    beta, gen = c.epi.compose(alpha), c.gen
+    while True:
+        epi, mono = epi_mono_factorize(beta)
+        if mono.is_identity():
+            return Cube(gen, epi)
+        slot, bit = mono_faces(mono)[0]
+        fc = X.face_cube(gen, slot, bit)
+        rest = CubeMorphism(
+            mono.src_dim, mono.dst_dim - 1,
+            tuple(t for pos, t in enumerate(mono.tokens, start=1) if pos != slot))
+        beta = fc.epi.compose(rest).compose(epi)
+        gen = fc.gen
+
+
+def apply_to_cube(f: CubicalMap, c: Cube) -> Cube:
+    if c.gen not in f.assignment:
+        raise ValueError(f"map not defined on generator {c.gen!r}")
+    return apply_morphism(f.target, c.epi, f.assignment[c.gen])
+
+
+def reference_set_report(X: PresentedCubicalSet) -> list:
+    """The face-commutation failures of X by the general action, in report order.
+
+    X must pass PresentedCubicalSet.validate's structural checks; on such a
+    set validate() must return exactly this list.
+    """
+    report = []
+    for g, d in X.generators.items():
+        for i in range(1, d):
+            for j in range(i + 1, d + 1):
+                for alpha in (0, 1):
+                    for beta in (0, 1):
+                        lhs = apply_morphism(X, face(d - 1, i, alpha), X.faces[(g, j, beta)])
+                        rhs = apply_morphism(X, face(d - 1, j - 1, beta), X.faces[(g, i, alpha)])
+                        if lhs != rhs:
+                            report.append(
+                                f"face commutation fails on generator {g!r} at "
+                                f"(i={i}, j={j}, alpha={alpha}, beta={beta}): "
+                                f"{lhs.key()} != {rhs.key()}")
+    return report
+
+
+def reference_map_report(f: CubicalMap) -> list:
+    """The naturality failures of f by the general action, in report order.
+
+    f's sets must be valid and every value of the right dimension; on such
+    a map validate() must return exactly this list.
+    """
+    report = []
+    for g, d in f.source.generators.items():
+        for i in range(1, d + 1):
+            for eps in (0, 1):
+                lhs = apply_to_cube(f, f.source.face_cube(g, i, eps))
+                rhs = apply_morphism(f.target, face(d, i, eps), f.assignment[g])
+                if lhs != rhs:
+                    report.append(
+                        f"naturality fails on generator {g!r} at (i={i}, eps={eps}): "
+                        f"{lhs.key()} != {rhs.key()}")
+    return report
+
+
 def reference_table_map(f: CubicalMap, tx: CubesTable, ty: CubesTable):
     """CubicalMap.table_map by the definition: apply f to each cube, then find it by key."""
-    return [tuple(ty.index[n][f.apply_to_cube(c).key()] for c in tx.elements[n])
+    return [tuple(ty.index[n][apply_to_cube(f, c).key()] for c in tx.elements[n])
             for n in range(min(tx.top, ty.top) + 1)]
 
 
@@ -234,7 +341,7 @@ def reference_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
         # y.alpha does not depend on x, so it is computed once per level
         over = [(alpha, apply_morphism(f.target, alpha, y)) for alpha in hom_set(k, d)]
         for x in tx.elements[k]:
-            fx = f.apply_to_cube(x)
+            fx = apply_to_cube(f, x)
             deleted_x = set(range(1, k + 1)) - set(x.epi.tokens)
             for alpha, y_alpha in over:
                 if y_alpha != fx:

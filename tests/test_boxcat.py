@@ -6,20 +6,17 @@ from math import comb
 import pytest
 
 from cubehom.boxcat import (
-    CanonicalFactorization,
     CubeMorphism,
     FormalMorphismSum,
     cubical_identities,
     degeneracy,
     degeneracy_idempotent,
-    epi_mono_factorize,
     face,
     hom_set,
     identity,
-    mono_faces,
-    normal_form,
-    rebuild,
 )
+
+from helpers import epi_mono_factorize, mono_faces
 
 
 class TestBasics:
@@ -233,21 +230,6 @@ class TestFactorization:
         assert not degeneracy(2, 1).is_mono()
         assert face(2, 1, 0).is_mono()
         assert not face(2, 1, 0).is_epi()
-
-    def test_normal_form_roundtrip(self):
-        for m in range(4):
-            for n in range(4):
-                for f in hom_set(m, n):
-                    cf = normal_form(f)
-                    assert rebuild(cf) == f
-                    assert list(cf.deletions) == sorted(cf.deletions)
-                    slots = [s for s, _ in cf.insertions]
-                    assert slots == sorted(slots, reverse=True)
-
-    def test_rebuild_rejects_inconsistent(self):
-        cf = CanonicalFactorization(1, 3, ((1, 0),), ())
-        with pytest.raises(ValueError):
-            rebuild(cf)
 
     def test_mono_faces_recompose(self):
         for r in range(3):

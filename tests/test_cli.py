@@ -613,6 +613,70 @@ class TestCubicalMapFuzz:
                 assert text.strip(), argv
 
 
+def set_case(X):
+    """A cubical-set document and the keys of its cubes up to dimension 2."""
+    return (formats.cubical_set_to_data(X),
+            sorted(key for level in X.expand(2).keys for key in level))
+
+
+class TestCubicalSetFuzz:
+    """Mutated cubical-set documents through validate and homology in-process."""
+
+    CASES = [set_case(helpers.interval()), set_case(helpers.torus()),
+             set_case(helpers.twisted_square()), set_case(helpers.squashed_square()),
+             set_case(standard_cube(2))]
+    CUBES = sorted({key for _, keys in CASES for key in keys})
+    NAMES = ["v", "e", "a", "b", "t", "x", "y", "q", "cx", "cxx", "", "@", "1,0", "1,1",
+             "2,0", "2,1", "3,0", "0,0", "type", "generators", "faces"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.sampled_from(NAMES), st.sampled_from(["v@del:1", "e@del:2", "q@x2,x1"]),
+                     st.lists(st.sampled_from(NAMES), max_size=2),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 2), max_size=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, put junk where a value was, set a face entry
+        # to a cube of another fixture, or set a generator's dimension to
+        # -1..4. Every command exits 0, 1 with a message, or 2; an exception
+        # escaping main fails the test with its traceback.
+        clean, _ = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(clean)
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk", "face", "dim"]))
+            gens, faces = doc.get("generators"), doc.get("faces")
+            if op == "dim" and isinstance(gens, dict) and gens:
+                gens[data.draw(st.sampled_from(sorted(gens)))] = data.draw(st.integers(-1, 4))
+                continue
+            entries = sorted((g, sel) for g, row in faces.items() if isinstance(row, dict)
+                             for sel in row) if isinstance(faces, dict) else []
+            if op == "face" and entries:
+                g, sel = data.draw(st.sampled_from(entries))
+                faces[g][sel] = data.draw(st.sampled_from(self.CUBES))
+                continue
+            nonempty = [c for c in _containers(doc) if c]
+            if not nonempty:
+                break
+            node = data.draw(st.sampled_from(nonempty))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        folder = tmp_path_factory.mktemp("set-fuzz")
+        fset, const = write(folder, "set.json", doc), const_doc(folder)
+        max_dim = str(data.draw(st.integers(0, 2)))
+        for argv in (["validate", "--set", fset],
+                     ["homology", "--set", fset, "--system", const, "--max-dim", max_dim]):
+            code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+
+
 class TestDeterministicReports:
     """Validation reports print in the same order under every hash seed."""
 
@@ -705,9 +769,21 @@ class TestCommands:
             "faces": {"e": {"1,0": "u@", "1,1": "v@"},
                       "q": {"1,0": "e@x1", "1,1": "e@x1",
                             "2,0": "e@x1", "2,1": "e@x1"}}})
-        code, out = run(capsys, "validate", "--set", broken)
-        assert code == 1
-        assert "face commutation fails" in out
+        assert main(["validate", "--set", broken]) == 1
+        assert capsys.readouterr().out == (
+            "face commutation fails on generator 'q' at (i=1, j=2, alpha=0, beta=1): u@ != v@\n"
+            "face commutation fails on generator 'q' at (i=1, j=2, alpha=1, beta=0): v@ != u@\n")
+
+    def test_validate_unnatural_map(self, tmp_path, capsys):
+        # the square projected onto its second coordinate on cxx only
+        data = formats.cubical_map_to_data(helpers.square_to_interval())
+        data["assignment"]["cxx"] = "cx@x2"
+        assert main(["validate", "--map", write(tmp_path, "map.json", data)]) == 1
+        assert capsys.readouterr().out == (
+            "naturality fails on generator 'cxx' at (i=1, eps=0): c0@del:1 != cx@x1\n"
+            "naturality fails on generator 'cxx' at (i=1, eps=1): c1@del:1 != cx@x1\n"
+            "naturality fails on generator 'cxx' at (i=2, eps=0): cx@x1 != c0@del:1\n"
+            "naturality fails on generator 'cxx' at (i=2, eps=1): cx@x1 != c1@del:1\n")
 
     def test_validate_category_without_identity(self, tmp_path, capsys):
         C = write(tmp_path, "cat.json", {
@@ -948,7 +1024,11 @@ class TestExitCodes:
             data[side]["faces"]["c0x"]["1,0"] = "c10@"
         bad = write(tmp_path, "bad-map.json", data)
         assert main(["validate", "--map", bad]) == 1
-        assert capsys.readouterr().out.splitlines()[0].startswith("source: face commutation fails")
+        assert capsys.readouterr().out == (
+            "source: face commutation fails on generator 'cxx' at "
+            "(i=1, j=2, alpha=0, beta=0): c00@ != c10@\n"
+            "target: face commutation fails on generator 'cxx' at "
+            "(i=1, j=2, alpha=0, beta=0): c00@ != c10@\n")
         for argv in (["fiber-criterion", "--map", bad, "--max-dim", "1"],
                      ["fiber", "--map", bad, "--cube", "cxx@x1,x2", "--max-dim", "1"]):
             assert main(argv) == 1

@@ -6,13 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubehom.boxcat import CubeMorphism, epi_mono_factorize, face, degeneracy, hom_set, identity
+from cubehom.boxcat import CubeMorphism, face, degeneracy, hom_set, identity
 from cubehom.cubset import (
     Cube,
     CubicalMap,
     PresentedCubicalSet,
     SemiCubicalSet,
-    apply_morphism,
     epi_from_wire,
     epi_wire,
     fiber_source,
@@ -23,6 +22,7 @@ from cubehom.cubset import (
 )
 
 import helpers
+from helpers import apply_morphism, apply_to_cube, epi_mono_factorize
 
 
 def hom_count(m, n):
@@ -234,6 +234,50 @@ class TestValidateNegatives:
         assert any("twice" in line for line in S.validate())
 
 
+SWAP_SETS = {"torus": helpers.torus, "twisted_square": helpers.twisted_square,
+             "squashed_square": helpers.squashed_square,
+             "I2": lambda: standard_cube(2), "I3": lambda: standard_cube(3)}
+SWAP_MAPS = {"fold_wedge": helpers.fold_wedge,
+             "endpoint_inclusion": helpers.endpoint_inclusion,
+             "square_to_interval": helpers.square_to_interval,
+             "collapse_torus": lambda: helpers.collapse_to_point(helpers.torus()),
+             "id_I2": lambda: helpers.identity_map(standard_cube(2)),
+             "id_I3": lambda: helpers.identity_map(standard_cube(3)),
+             "id_torus": lambda: helpers.identity_map(helpers.torus())}
+
+
+def swap_entries(table, draw, count, dim):
+    """Swap count pairs of entries of table whose keys have equal dim(key)."""
+    for _ in range(count):
+        a = draw(st.sampled_from(sorted(table)))
+        b = draw(st.sampled_from(sorted(k for k in table if dim(k) == dim(a))))
+        table[a], table[b] = table[b], table[a]
+
+
+class TestValidatorReports:
+    """validate() against the general action's reports, list for list.
+
+    Swaps keep every entry's dimension, so the structural checks pass and
+    the reports are face commutation or naturality only.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SWAP_SETS)), st.data())
+    def test_set_reports_match_reference(self, name, data):
+        X = SWAP_SETS[name]()
+        swap_entries(X.faces, data.draw, data.draw(st.integers(1, 3)),
+                     lambda k: X.generators[k[0]])
+        assert X.validate() == helpers.reference_set_report(X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SWAP_MAPS)), st.data())
+    def test_map_reports_match_reference(self, name, data):
+        f = SWAP_MAPS[name]()
+        swap_entries(f.assignment, data.draw, data.draw(st.integers(1, 2)),
+                     f.source.generators.get)
+        assert f.validate() == helpers.reference_map_report(f)
+
+
 class TestUniversal:
     def test_from_torus(self):
         X = helpers.torus()
@@ -260,7 +304,7 @@ class TestCubicalMap:
     def test_apply_to_degenerate_cube(self):
         f = helpers.fold_wedge()
         c = Cube("e1", CubeMorphism(2, 1, (2,)))
-        assert f.apply_to_cube(c) == Cube("e", CubeMorphism(2, 1, (2,)))
+        assert apply_to_cube(f, c) == Cube("e", CubeMorphism(2, 1, (2,)))
 
     def test_naturality_violation_reported(self):
         X = helpers.interval()
@@ -451,7 +495,7 @@ class TestPullbackFiber:
         fib = pullback_fiber(f, y, 1)
         for m in range(2):
             for x, alpha in fib.elements[m]:
-                assert f.apply_to_cube(x) == apply_morphism(f.target, alpha, y)
+                assert apply_to_cube(f, x) == apply_morphism(f.target, alpha, y)
 
 
 class TestTableMap:

@@ -25,7 +25,6 @@ from cubehom.homcalc import (
     normalized_complex,
     normalized_complex_local,
     semicubical_homology,
-    unnormalized_complex,
 )
 from cubehom.zlinalg import (HomologyGroup, IntMatrix, cohomology_of_complex,
                               homology_of_complex)
@@ -45,27 +44,18 @@ def assert_blocks_split(X, rep):
             assert p * s == IntMatrix.identity(p.rows)
 
 
-class TestUnnormalized:
-    def test_point_keeps_degenerate_cubes(self):
-        X = helpers.point().expand(2)
-        cx = unnormalized_complex(X, constant_system(X, 1))
-        assert cx.ranks == (1, 1, 1)
-        assert cx.boundary(1).is_zero()
-        assert cx.boundary(2).is_zero()
-
+class TestNormalized:
     def test_rejects_covariant(self):
         X = helpers.point().expand(1)
-        with pytest.raises(ValueError):
-            unnormalized_complex(X, constant_system(X, 1, "covariant"))
+        with pytest.raises(ValueError, match="contravariant coefficients"):
+            normalized_complex(X, constant_system(X, 1, "covariant"))
 
     def test_rejects_foreign_base(self):
         X = helpers.point().expand(1)
         Y = helpers.circle().expand(1)
-        with pytest.raises(ValueError):
-            unnormalized_complex(Y, constant_system(X, 1))
+        with pytest.raises(ValueError, match="different table"):
+            normalized_complex(Y, constant_system(X, 1))
 
-
-class TestNormalized:
     def test_point_collapses(self):
         X = helpers.point().expand(2)
         F = constant_system(X, 1)
