@@ -368,19 +368,48 @@ class CokernelPresentation:
 
 
 def cokernel_projection(a: IntMatrix) -> CokernelPresentation:
-    """Free part and torsion of coker(A) from the pivot loop with U only.
+    """Free part and torsion of coker(A) from row operations alone.
 
-    With U * A * V = D and r pivots, rows r.. of U * A are zero whatever V
-    is, so they project onto the free part and the matching columns of
-    U_inv are a section; the torsion comes from the pivots.
+    Unit pivots go first on A's sparse rows, with their row operations
+    applied to the sparse rows of U and the sparse columns of U_inv. The
+    rows that still hold entries form a residual, which the dense pivot
+    loop reduces with its own U and U_inv; these are composed into the
+    sparse ones, and the residual's pivots give the torsion. With U * A * V
+    = D, a row of U * A that is zero stays zero whatever V is, so the rows
+    of U that are not pivot rows project onto the free part, and the
+    matching columns of U_inv are a section.
     """
     m = a.rows
-    d = [list(row) for row in a.data]
-    r, (u, uinv_t), _ = _reduce(d, a.cols, rows=True)
-    torsion = tuple(x for x in _smith_factors([d[k][k] for k in range(r)]) if x > 1)
-    return CokernelPresentation(projection=IntMatrix(m - r, m, u[r:]),
-                                section=IntMatrix(m - r, m, uinv_t[r:]).transpose(),
-                                torsion=torsion)
+    rows = a.sparse_rows()
+    u = [{i: 1} for i in range(m)]
+    u_inv = [{i: 1} for i in range(m)]
+    pivots = set(_unit_pivots(rows, (u, u_inv)))
+    left = [i for i in range(m) if rows[i]]
+    r, torsion = 0, ()
+    if left:
+        columns = sorted({j for i in left for j in rows[i]})
+        residual = [[rows[i].get(j, 0) for j in columns] for i in left]
+        r, (ur, ur_inv_t), _ = _reduce(residual, len(columns), rows=True)
+        u_left = [_combine(line, u, left) for line in ur]
+        u_inv_left = [_combine(line, u_inv, left) for line in ur_inv_t]
+        for k, i in enumerate(left):
+            u[i], u_inv[i] = u_left[k], u_inv_left[k]
+        torsion = tuple(x for x in _smith_factors([residual[k][k] for k in range(r)])
+                        if x > 1)
+    free = sorted(set(range(m)) - pivots - set(left[:r]))
+    return CokernelPresentation(
+        projection=_wrap(len(free), m, tuple(u[i] for i in free)),
+        section=_wrap(len(free), m, tuple(u_inv[i] for i in free)).transpose(),
+        torsion=torsion)
+
+
+def _combine(line: list, lines: list, index: list) -> dict:
+    """The sparse sum of line[k] * lines[index[k]] over k."""
+    out = {}
+    for k, q in enumerate(line):
+        if q:
+            _add_sparse(out, lines[index[k]], q)
+    return out
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -467,8 +496,8 @@ class FreeChainComplex:
         return tuple(self.boundary(n) for n in range(1, self.top + 1))
 
 
-def _unit_pivots(rows: list) -> int:
-    """Eliminate unit pivots from sparse rows in place; return their number.
+def _unit_pivots(rows: list, record=None) -> list:
+    """Eliminate unit pivots from sparse rows in place; return the pivot rows.
 
     Rows are visited in order, pass after pass, until none holds a +-1. A
     row's unit pivot is taken in its column with the fewest rows on record
@@ -477,12 +506,18 @@ def _unit_pivots(rows: list) -> int:
     the rest of the row without touching any other row. Every pivot adds 1
     to the rank and the invariant factor 1. The record of rows per column
     may keep rows that have since lost their entry there.
+
+    record, if given, is a pair (u, u_inv) of lists of sparse dicts: the
+    rows of a row transform U and the columns of its inverse. Each row
+    operation row k -= q * row i is applied to both, as u[k] -= q * u[i]
+    and u_inv[i] += q * u_inv[k], so U * A is the matrix of the rows, each
+    pivot row as it stood when it was taken.
     """
     where = {}
     for i, row in enumerate(rows):
         for j in row:
             where.setdefault(j, set()).add(i)
-    pivots = 0
+    pivots = []
     found = True
     while found:
         found = False
@@ -503,24 +538,39 @@ def _unit_pivots(rows: list) -> int:
                         where[c].add(k)
                     else:
                         del target[c]
+                if record is not None:
+                    u, u_inv = record
+                    _add_sparse(u[k], u[i], -q)
+                    _add_sparse(u_inv[i], u_inv[k], q)
             rows[i] = {}
-            pivots += 1
+            pivots.append(i)
             found = True
     return pivots
+
+
+def _add_sparse(target: dict, row: dict, q: int) -> None:
+    """target += q * row on sparse rows, dropping entries that cancel."""
+    for c, x in row.items():
+        y = target.get(c, 0) + q * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
 
 
 def _smith_factors(diagonal: list) -> list:
     """Invariant factors of a diagonal matrix, by pairwise gcd and lcm.
 
     Z/a + Z/b is Z/gcd + Z/lcm, so after position i has met every later one
-    it divides all of them.
+    it divides all of them. Units are set aside first: a unit divides
+    everything, and the pass is quadratic.
     """
-    f = sorted(diagonal)
+    f = sorted(x for x in diagonal if x != 1)
     for i in range(len(f)):
         for k in range(i + 1, len(f)):
             g = gcd(f[i], f[k])
             f[i], f[k] = g, f[i] * f[k] // g
-    return f
+    return [1] * (len(diagonal) - len(f)) + f
 
 
 def _eliminate(maps: Sequence[Sequence[dict]]):
@@ -533,7 +583,7 @@ def _eliminate(maps: Sequence[Sequence[dict]]):
     ranks, torsion = [0], [()]
     for m in maps:
         rows = [dict(row) for row in m]
-        units = _unit_pivots(rows)
+        units = len(_unit_pivots(rows))
         columns = sorted({j for row in rows for j in row})
         residual = [[row.get(j, 0) for j in columns] for row in rows if row]
         r, _, _ = _reduce(residual, len(columns))

@@ -25,7 +25,13 @@ from cubehom.cubset import (
     standard_cube,
     universal_from_semicubical,
 )
-from cubehom.zlinalg import IntMatrix, solve_exact
+from cubehom.zlinalg import (
+    CokernelPresentation,
+    IntMatrix,
+    _reduce,
+    _smith_factors,
+    solve_exact,
+)
 
 
 def point():
@@ -748,3 +754,19 @@ def assert_universal_coefficients(hom, cohom):
     for n, group in enumerate(cohom):
         assert group.betti == hom[n].betti
         assert group.torsion == (hom[n - 1].torsion if n else ())
+
+
+def dense_cokernel_projection(a: IntMatrix) -> CokernelPresentation:
+    """coker(A) by the dense pivot loop with U and U_inv, as a reference.
+
+    With U * A * V = D and r pivots, rows r.. of U * A are zero whatever V
+    is, so they project onto the free part and the matching columns of
+    U_inv are a section; the torsion comes from the pivots.
+    """
+    m = a.rows
+    d = [list(row) for row in a.data]
+    r, (u, uinv_t), _ = _reduce(d, a.cols, rows=True)
+    torsion = tuple(x for x in _smith_factors([d[k][k] for k in range(r)]) if x > 1)
+    return CokernelPresentation(projection=IntMatrix(m - r, m, u[r:]),
+                                section=IntMatrix(m - r, m, uinv_t[r:]).transpose(),
+                                torsion=torsion)

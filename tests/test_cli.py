@@ -963,6 +963,21 @@ class TestCompareContracts:
         assert out.endswith("equal")
         assert "source: H_0 = Z; H_1 = Z^2" in out
 
+    def test_dirhomol_on_a_collapsed_four_cube(self, tmp_path, capsys):
+        # The direct image of I^4 to the point is on the generic route; each
+        # degenerate cube's cokernel is taken by sparse unit pivots.
+        X = standard_cube(4)
+        mats = helpers.gauge_matrices(X, 2, random.Random(17))
+        fmap = write(tmp_path, "collapse.json",
+                     formats.cubical_map_to_data(helpers.collapse_to_point(X)))
+        gauge = write(tmp_path, "gauge.json",
+                      formats.local_system_to_data(2, "contravariant", mats))
+        code, out = run(capsys, "compare", "--contract", "dirhomol", "--map", fmap,
+                        "--system", gauge, "--max-dim", "4", "--truncate", "5")
+        groups = "H_0 = Z^2; H_1 = 0; H_2 = 0; H_3 = 0; H_4 = 0"
+        assert code == 0
+        assert out.splitlines() == [f"source: {groups}", f"direct image: {groups}", "equal"]
+
     def test_comloc(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",
                      formats.cubical_set_to_data(helpers.circle()))

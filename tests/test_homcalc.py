@@ -6,6 +6,7 @@ normalized complexes; the twisted square in particular has boundary
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,53 @@ class TestHomologyOracles:
         X = helpers.torus()
         F = helpers.gauge_system(X, 3, 1, rng)
         assert homology(F.base, F, 2) == groups((1, ()), (2, ()), (1, ()))
+
+
+def rational_rank(rows, cols):
+    """Rank over Q of sparse rows {column: entry}, by Gaussian elimination."""
+    dense = [[Fraction(row.get(j, 0)) for j in range(cols)] for row in rows]
+    rank = 0
+    for j in range(cols):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][j]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        for i in range(rank + 1, len(dense)):
+            q = dense[i][j] / dense[rank][j]
+            dense[i] = [x - q * y for x, y in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+EULER_FIXTURES = {
+    "point": helpers.point,
+    "interval": helpers.interval,
+    "circle": helpers.circle,
+    "torus": helpers.torus,
+    "twisted_square": helpers.twisted_square,
+    "squashed_square": helpers.squashed_square,
+    "I^2": lambda: standard_cube(2),
+}
+
+
+class TestEulerCharacteristic:
+    @pytest.mark.parametrize("system", ["constant", "gauge"])
+    @pytest.mark.parametrize("name", sorted(EULER_FIXTURES))
+    def test_chain_ranks_match_betti_numbers(self, name, system):
+        # The complex cut at top T has H_T = ker d_T, so its Euler
+        # characteristic is sum_{n<T} (-1)^n b_n + (-1)^T (c_T - rk d_T).
+        top = 3
+        X = EULER_FIXTURES[name]()
+        if system == "constant":
+            F = constant_system(X.expand(top), 1)
+        else:
+            F = helpers.gauge_system(X, top, 2, random.Random(top))
+        cx = normalized_complex(F.base, F).complex
+        chi = sum((-1) ** n * c for n, c in enumerate(cx.ranks))
+        betti = [g.betti for g in homology_of_complex(cx)]
+        kernel_top = cx.ranks[top] - rational_rank(cx.sparse[top - 1], cx.ranks[top])
+        assert len(betti) == top
+        assert chi == sum((-1) ** n * b for n, b in enumerate(betti)) + (-1) ** top * kernel_top
 
 
 class TestHomologyValidation:

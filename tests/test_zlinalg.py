@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from cubehom import zlinalg
 from cubehom.zlinalg import (
     CokernelPresentation,
     FreeChainComplex,
@@ -253,6 +254,70 @@ class TestKernelCokernel:
         assert pres.torsion == (2,)
         assert pres.projection.rows == 1
         assert (pres.projection * BLOW_UP).is_zero()
+        assert pres.projection * pres.section == IntMatrix.identity(1)
+
+
+@st.composite
+def sparse_span(draw):
+    """Up to 8 x 10, mostly zero, with units and non-units among the entries,
+    so that unit pivots leave a residual on some draws and none on others."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 1, 2, -2, 3, 4, -6))
+    return IntMatrix(m, n, [[draw(entry) for _ in range(n)] for _ in range(m)])
+
+
+class TestSparseCokernel:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_span())
+    def test_matches_dense_loop(self, a):
+        pres = cokernel_projection(a)
+        dense = helpers.dense_cokernel_projection(a)
+        free = pres.projection.rows
+        assert (pres.projection * a).is_zero()
+        assert pres.projection * pres.section == IntMatrix.identity(free)
+        assert (pres.projection.cols, pres.section.rows) == (a.rows, a.rows)
+        assert pres.torsion == dense.torsion
+        assert free == dense.projection.rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_span())
+    def test_record_is_a_transform_pair(self, a):
+        rows = a.sparse_rows()
+        u = [{i: 1} for i in range(a.rows)]
+        u_inv = [{i: 1} for i in range(a.rows)]
+        pivots = zlinalg._unit_pivots(rows, (u, u_inv))
+        U = IntMatrix.from_sparse(u, a.rows)
+        assert U * IntMatrix.from_sparse(u_inv, a.rows).transpose() == IntMatrix.identity(a.rows)
+        # U * A holds the rows that are left, and each pivot row has a unit
+        # in a column that is zero in every row not taken before it
+        ua = U * a
+        for i in range(a.rows):
+            if i not in pivots:
+                assert ua.sparse[i] == rows[i]
+        for t, i in enumerate(pivots):
+            later = [k for k in range(a.rows) if k != i and k not in pivots[:t]]
+            assert any(abs(x) == 1 and all(j not in ua.sparse[k] for k in later)
+                       for j, x in ua.sparse[i].items())
+
+    def test_unit_span_skips_dense_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense loop reached without a residual")
+
+        monkeypatch.setattr(zlinalg, "_reduce", refuse)
+        span = IntMatrix.from_rows([[1, 0, 2], [0, -1, 0], [1, 0, 1], [0, 0, 0]])
+        pres = cokernel_projection(span)
+        assert pres.projection.rows == 1
+        assert pres.torsion == ()
+        assert (pres.projection * span).is_zero()
+
+    def test_residual_torsion_and_transforms(self):
+        # one unit pivot clears the first column; the residual
+        # [[2, 4], [0, 6]] has invariant factors 2 and 6
+        span = IntMatrix.from_rows([[1, 2, 0], [-1, 0, 4], [0, 0, 6], [0, 0, 0]])
+        pres = cokernel_projection(span)
+        assert pres.torsion == (2, 6)
+        assert pres.projection.rows == 1
+        assert (pres.projection * span).is_zero()
         assert pres.projection * pres.section == IntMatrix.identity(1)
 
 
