@@ -8,9 +8,10 @@ blocks. Dense rows are made only for det, for the JSON boundary and for the
 one deterministic pivot loop of every dense reduction. Each caller of that
 loop says which transforms it keeps: the Smith normal form keeps all four
 (exact solving needs them), cokernels keep only the row transforms, and
-homology keeps none. Homology and cohomology take the rank and the
-invariant factors of each boundary from sparse unit-pivot elimination, then
-that loop on whatever is left.
+homology keeps none. Homology, cohomology and cokernels start with sparse
+unit-pivot elimination and hand that loop only the residual it leaves;
+cokernels record the row operations of both on the sparse rows of U and
+the sparse columns of U_inv.
 """
 
 from __future__ import annotations
