@@ -6,7 +6,9 @@ and _cube_edges(n). Other modules read a label by its point or its edge
 through CubeFunctor.vertex and CubeFunctor.edge, so only this module knows
 that order. Faces and degeneracies gather those tuples through position
 maps computed once per operator, and each key string is built once per cube
-from prefixes computed once per dimension.
+from prefixes computed once per dimension. Level n is grown from level n-1
+by the exponential law (Mac Lane, Categories for the Working Mathematician,
+1971): an n-cube is an arrow between two (n-1)-cubes.
 """
 
 from dataclasses import dataclass
@@ -342,62 +344,59 @@ class CubeFunctor:
         return f"CubeFunctor({self.key()!r})"
 
 
-def _functors(C: FiniteCategory, n: int) -> Tuple[List[str], List[CubeFunctor]]:
-    """All functors from the n-cube poset to C with their keys, sorted by key."""
-    pts = _points(n)
-    edge_list = _cube_edges(n)
-    vpos, epos = _positions(n)
-    ends = [(vpos[p], vpos[q]) for p, q in edge_list]
-    below = [[vpos[p[:j] + (0,) + p[j + 1:]] for j in range(n) if p[j] == 1]
-             for p in pts]
-    squares = []
-    for p in pts:
-        free = [j for j in range(n) if p[j] == 0]
-        for x in range(len(free)):
-            for y in range(x + 1, len(free)):
-                a, b = free[x], free[y]
-                pa = p[:a] + (1,) + p[a + 1:]
-                pb = p[:b] + (1,) + p[b + 1:]
-                pab = pa[:b] + (1,) + pa[b + 1:]
-                squares.append((epos[(p, pa)], epos[(pa, pab)],
-                                epos[(p, pb)], epos[(pb, pab)]))
-    pending = [[] for _ in edge_list]
-    for sq in squares:
-        pending[max(sq)].append(sq)
+NERVE_CUBE_BUDGET = 50_000  # the most cubes one level of the nerve may hold
 
-    homs = {}
-    for name in sorted(C.morphisms):
-        homs.setdefault(C.morphisms[name], []).append(name)
-    objects = sorted(C.objects)
 
-    found = []
-    vtx: List = [None] * len(pts)
-    lab: List = [None] * len(edge_list)
+@lru_cache(maxsize=None)
+def _arrow_positions(n: int):
+    """Where an n-cube, an arrow a -> b of (n-1)-cubes along coordinate 1, reads its edges.
 
-    def assign_edges(k):
-        if k == len(edge_list):
-            found.append((tuple(vtx), tuple(lab)))
-            return
-        p, q = ends[k]
-        for name in homs.get((vtx[p], vtx[q]), ()):
-            lab[k] = name
-            if all(C.composition[(lab[s2], lab[s1])]
-                   == C.composition[(lab[s4], lab[s3])]
-                   for s1, s2, s3, s4 in pending[k]):
-                assign_edges(k + 1)
-        lab[k] = None
+    Edge labels are gathered from a's edges, b's, then the arrow's morphism at
+    each vertex; also the edges into each vertex of a and b, as (edge, lower vertex).
+    """
+    vpos, epos = _positions(n - 1)
+    m = len(epos)
+    gather = tuple(2 * m + vpos[p[1:]] if p[0] != q[0]
+                   else p[0] * m + epos[(p[1:], q[1:])]
+                   for p, q in _cube_edges(n))
+    into = [[] for _ in vpos]
+    for k, (p, q) in enumerate(_cube_edges(n - 1)):
+        into[vpos[q]].append((k, vpos[p]))
+    return gather, tuple(map(tuple, into))
 
-    def assign_vertices(m):
-        if m == len(pts):
-            assign_edges(0)
-            return
-        for obj in objects:
-            if all(homs.get((vtx[q], obj)) for q in below[m]):
-                vtx[m] = obj
-                assign_vertices(m + 1)
-        vtx[m] = None
 
-    assign_vertices(0)
+def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[CubeFunctor]]:
+    """Level n of the nerve and its keys, sorted by key, from the level below.
+
+    An n-cube is a pair (a, b) of (n-1)-cubes and one morphism a(p) -> b(p) per
+    vertex p, kept when each edge's naturality square commutes; a square is
+    checked as soon as its upper vertex is chosen.
+    """
+    if n == 0:
+        found = [((obj,), ()) for obj in C.objects]
+    else:
+        gather, into = _arrow_positions(n)
+        homs = {}
+        for name, ends in C.morphisms.items():
+            homs.setdefault(ends, []).append(name)
+        comp = C.composition
+        found = []
+        for a in below:
+            av, ae = a.vertex_labels, a.edge_labels
+            for b in below:
+                bv, be = b.vertex_labels, b.edge_labels
+                arrows = [()]
+                for p, edges in enumerate(into):
+                    arrows = [t + (f,) for t in arrows for f in homs.get((av[p], bv[p]), ())
+                              if all(comp[(be[e], t[k])] == comp[(f, ae[e])] for e, k in edges)]
+                    if not arrows:
+                        break
+                for t in arrows:
+                    labels = ae + be + t
+                    found.append((av + bv, tuple([labels[k] for k in gather])))
+                if len(found) > NERVE_CUBE_BUDGET:
+                    raise ValueError(f"nerve level {n} has more than {NERVE_CUBE_BUDGET} "
+                                     f"cubes, the budget of one level")
     keys = [_key(n, v, e) for v, e in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
     return ([keys[k] for k in order],
@@ -407,21 +406,19 @@ def _functors(C: FiniteCategory, n: int) -> Tuple[List[str], List[CubeFunctor]]:
 def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     """Table of cube-shaped diagrams in C with precomposition operators.
 
-    Each level is found and sorted by key once. A face or a degeneracy of a
-    cube gathers its label tuples through the position maps of the operator,
-    and is found in the level below or above by its edge labels, which fix
-    the vertices (by vertex labels on level 0). Degenerate flags are read
-    off the index tables by cubset.degeneracy_masks.
+    Level n is grown from pairs of (n-1)-cubes by _nerve_level, which raises
+    ValueError past NERVE_CUBE_BUDGET cubes, and sorted by key once. A face
+    or a degeneracy of a cube gathers its label tuples through the position
+    maps of the operator, and is found in the level below or above by its
+    edge labels, which fix the vertices (by vertex labels on level 0).
+    Degenerate flags are read off the index tables by cubset.degeneracy_masks.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")
-    if top > 3 and len(C.morphisms) > 2:
-        raise ValueError("nerve truncation above dimension 3 is only supported "
-                         "for categories with at most 2 morphisms")
     keys, levels, face, degen_map = [], [], {}, {}
     lookup = None
     for n in range(top + 1):
-        level_keys, level = _functors(C, n)
+        level_keys, level = _nerve_level(C, n, levels[n - 1] if n else None)
         below, lookup = lookup, {(x.edge_labels if n else x.vertex_labels): k
                                  for k, x in enumerate(level)}
         if n:

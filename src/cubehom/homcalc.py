@@ -8,7 +8,7 @@ the table, because the top-degree boundary out of unseen cubes is unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
@@ -42,7 +42,8 @@ def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
             w = X.face_index(n, i, eps, z)
             if rows[w]:
                 terms.setdefault(w, []).append((F.face_matrix(n, i, eps, z), (-1) ** (i + eps)))
-    return {w: t[0] if len(t) == 1 else (reduce(IntMatrix.__add__, (d.scale(s) for d, s in t)), 1)
+    return {w: t[0] if len(t) == 1 else (IntMatrix.from_blocks(
+                [t[0][0].rows], [t[0][0].cols], [(0, 0, d, s) for d, s in t]), 1)
             for w, t in terms.items()}
 
 

@@ -6,9 +6,11 @@ alternate between Z/2 and 0 depending on the coefficient twist.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubehom import homcalc
 from cubehom.catalg import (
+    NERVE_CUBE_BUDGET,
     ComparisonReport,
     CubeFunctor,
     FiniteCategory,
@@ -354,10 +356,13 @@ class TestNerve:
         assert nerve.validate() == []
 
     def test_truncation_guard(self):
-        with pytest.raises(ValueError, match="at most 2 morphisms"):
-            cubical_nerve(helpers.square_poset(), 4)
-        with pytest.raises(ValueError, match="at most 2 morphisms"):
-            cubical_nerve(helpers.arrow_category(), 4)
+        # the idempotent monoid has 2,043,308 4-cubes; the level is refused
+        # as soon as its count passes the budget, which the message states;
+        # the budget admits the 32,768 4-cubes of Z/2
+        assert NERVE_CUBE_BUDGET >= 32768
+        with pytest.raises(ValueError, match=f"nerve level 4 has more than "
+                                             f"{NERVE_CUBE_BUDGET} cubes"):
+            cubical_nerve(helpers.idempotent_monoid(), 4)
 
     def test_point_nerve_allowed_above_three(self):
         nerve = cubical_nerve(helpers.point_category(), 4)
@@ -386,20 +391,49 @@ NERVE_FIXTURES = {"point": helpers.point_category, "arrow": helpers.arrow_catego
                   "arrow a<a+": lambda: helpers.poset_category(["a", "a+"], [("a", "a+")])}
 
 
+def assert_matches_reference(C, top):
+    got, want = cubical_nerve(C, top), helpers.reference_nerve(C, top)
+    assert got.keys == want.keys
+    assert got.degenerate == want.degenerate
+    assert list(got.face.items()) == list(want.face.items())
+    assert list(got.degen_map.items()) == list(want.degen_map.items())
+    for level, ref in zip(got.elements, want.elements):
+        assert [(x.vertices, x.edges) for x in level] == \
+            [(y.vertices, y.edges) for y in ref]
+    assert got.validate() == []
+
+
+# names chosen so that key order differs from label order ("+" < "," < "0")
+POSET_NAMES = ["a", "a+", "a0", "b"]
+
+
+@st.composite
+def random_posets(draw):
+    """A poset on at most 4 objects: a random relation along a random order, closed."""
+    objects = draw(st.permutations(POSET_NAMES))[:draw(st.integers(1, 4))]
+    pairs = [(x, y) for i, x in enumerate(objects) for y in objects[i + 1:]]
+    relation = {pair for pair in pairs if draw(st.booleans())}
+    for y in objects:  # transitive closure, one middle object at a time
+        relation |= {(x, z) for x, y1 in relation for y2, z in relation
+                     if y1 == y == y2}
+    return helpers.poset_category(objects, sorted(relation))
+
+
 class TestNerveReference:
     @pytest.mark.parametrize("top", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(NERVE_FIXTURES))
     def test_tables_match_reference(self, name, top):
-        C = NERVE_FIXTURES[name]()
-        got, want = cubical_nerve(C, top), helpers.reference_nerve(C, top)
-        assert got.keys == want.keys
-        assert got.degenerate == want.degenerate
-        assert list(got.face.items()) == list(want.face.items())
-        assert list(got.degen_map.items()) == list(want.degen_map.items())
-        for level, ref in zip(got.elements, want.elements):
-            assert [(x.vertices, x.edges) for x in level] == \
-                [(y.vertices, y.edges) for y in ref]
-        assert got.validate() == []
+        assert_matches_reference(NERVE_FIXTURES[name](), top)
+
+    @pytest.mark.parametrize("name", ["point", "arrow", "arrow a<a+"])
+    def test_tables_match_reference_at_top_four(self, name):
+        assert_matches_reference(NERVE_FIXTURES[name](), 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_posets(), st.integers(0, 3))
+    def test_random_posets_match_reference(self, C, top):
+        assert C.validate() == []
+        assert_matches_reference(C, top)
 
     def test_idempotent_decides_degeneracy(self):
         # the square with e on all four edges commutes (e e = e) and is not

@@ -13,13 +13,14 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import formats
-from cubehom.catalg import cubical_nerve, factorization_category
+from cubehom.catalg import NERVE_CUBE_BUDGET, cubical_nerve, factorization_category
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
@@ -901,6 +902,17 @@ class TestCommands:
         run(capsys, "nerve", "--category", C, "--truncate", "2", "--out", a)
         run(capsys, "nerve", "--category", C, "--truncate", "2", "--out", b)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_nerve_over_budget_refused_quickly(self, tmp_path, capsys):
+        C = write(tmp_path, "idem.json",
+                  formats.category_to_data(helpers.idempotent_monoid()))
+        start = time.perf_counter()
+        code = main(["nerve", "--category", C, "--truncate", "4",
+                     "--out", str(tmp_path / "nerve.json")])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert f"more than {NERVE_CUBE_BUDGET} cubes" in capsys.readouterr().err
+        assert not (tmp_path / "nerve.json").exists()
 
     def test_cat_homology_sign(self, tmp_path, capsys):
         C = write(tmp_path, "z2.json",
