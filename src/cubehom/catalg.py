@@ -8,7 +8,8 @@ that order. Faces and degeneracies gather those tuples through position
 maps computed once per operator, and each key string is built once per cube
 from prefixes computed once per dimension. Level n is grown from level n-1
 by the exponential law (Mac Lane, Categories for the Working Mathematician,
-1971): an n-cube is an arrow between two (n-1)-cubes.
+1971): an n-cube is an arrow between two (n-1)-cubes. A level that passes
+NERVE_CUBE_BUDGET cubes is refused while it is searched.
 """
 
 from dataclasses import dataclass
@@ -406,12 +407,12 @@ def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[Cube
 def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     """Table of cube-shaped diagrams in C with precomposition operators.
 
-    Level n is grown from pairs of (n-1)-cubes by _nerve_level, which raises
-    ValueError past NERVE_CUBE_BUDGET cubes, and sorted by key once. A face
-    or a degeneracy of a cube gathers its label tuples through the position
-    maps of the operator, and is found in the level below or above by its
-    edge labels, which fix the vertices (by vertex labels on level 0).
-    Degenerate flags are read off the index tables by cubset.degeneracy_masks.
+    Level n is grown from pairs of (n-1)-cubes by the exponential law in
+    _nerve_level, which raises ValueError past NERVE_CUBE_BUDGET cubes, and
+    is sorted by key once. A face or a degeneracy of a cube gathers its
+    label tuples through the operator's position maps and is found in the
+    level below or above by its edge labels, which fix the vertices (by
+    vertex labels on level 0). Degenerate flags come from degeneracy_masks.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")
