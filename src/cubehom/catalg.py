@@ -371,20 +371,25 @@ def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[Cube
 
     An n-cube is a pair (a, b) of (n-1)-cubes and one morphism a(p) -> b(p) per
     vertex p, kept when each edge's naturality square commutes; a square is
-    checked as soon as its upper vertex is chosen.
+    checked as soon as its upper vertex is chosen. a is paired only with the
+    b whose first vertex is the target of a morphism out of a's first vertex.
     """
     if n == 0:
         found = [((obj,), ()) for obj in C.objects]
     else:
         gather, into = _arrow_positions(n)
-        homs = {}
+        homs, targets, starting_at = {}, {}, {}
         for name, ends in C.morphisms.items():
             homs.setdefault(ends, []).append(name)
+        for src, dst in homs:
+            targets.setdefault(src, []).append(dst)
+        for b in below:
+            starting_at.setdefault(b.vertex_labels[0], []).append(b)
         comp = C.composition
         found = []
         for a in below:
             av, ae = a.vertex_labels, a.edge_labels
-            for b in below:
+            for b in [b for dst in targets[av[0]] for b in starting_at.get(dst, ())]:
                 bv, be = b.vertex_labels, b.edge_labels
                 arrows = [()]
                 for p, edges in enumerate(into):

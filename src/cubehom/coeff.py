@@ -11,6 +11,11 @@ column with a matrix per cube, indexed like the operator's index column in
 the table. Cube keys appear only in error messages here, and the JSON
 documents of formats are the one place that converts between keys and
 indices.
+
+validate_functoriality checks a system against every instance of the
+cubical identities on every cube. A system that local_system generates from
+face matrices on generators is checked on the generators only; its
+docstring says why the other instances hold.
 """
 
 from __future__ import annotations
@@ -94,8 +99,7 @@ def validate_functoriality(F) -> List[str]:
     """Check shapes, then every instance of cubical_identities on every cube.
 
     Each instance is evaluated column by column over the cubes of its
-    dimension. A product of two matrix objects is formed once per call,
-    since F holds every operand until the call returns.
+    dimension, by _path_values.
     """
     base = F.base
     report = []
@@ -139,6 +143,22 @@ def validate_functoriality(F) -> List[str]:
     if not shapes_fine:
         return report
 
+    values = _path_values(F)
+    failures = identity_failures(cubical_identities(base.top),
+                                 lambda n, path: values(n, path, range(base.size(n))))
+    return [f"{family} identity fails at dim {n} cube {base.key(n, idx)} ({detail})"
+            for family, n, idx, detail in failures]
+
+
+def _path_values(F):
+    """values(n, path, at): the matrix of path at each cube index in at, of dimension n.
+
+    This is the one evaluator of cubical_identities on a system; F's shapes
+    must be checked first. A product of two matrix objects is formed once
+    per _path_values call, since F holds every operand while values lives.
+    """
+    base = F.base
+    contra = F.variance == "contravariant"
     products = {}
     eyes = {r: IntMatrix.identity(r) for r in set(F.ranks.values())}
 
@@ -149,11 +169,10 @@ def validate_functoriality(F) -> List[str]:
             products[key] = s * m if contra else m * s
         return products[key]
 
-    def values(n, path):
-        """The matrix of path at each cube of dimension n."""
+    def values(n, path, at):
         if not path:
-            return [eyes[F.ranks[(n, idx)]] for idx in range(base.size(n))]
-        at, mats = range(base.size(n)), None
+            return [eyes[F.ranks[(n, idx)]] for idx in at]
+        mats = None
         for op in path:
             column, table = ((F.face[op], base.face[op]) if len(op) == 3
                              else (F.degen[op], base.degen_map[op]))
@@ -162,8 +181,7 @@ def validate_functoriality(F) -> List[str]:
             at = [table[x] for x in at]
         return mats
 
-    return [f"{family} identity fails at dim {n} cube {base.key(n, idx)} ({detail})"
-            for family, n, idx, detail in identity_failures(cubical_identities(base.top), values)]
+    return values
 
 
 def _distinct_matrices(F) -> Dict[int, IntMatrix]:
@@ -222,6 +240,18 @@ def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
                 for m, i in base.degen_map})
 
 
+def _generator_failures(F) -> list:
+    """identity_failures of the face-face instances on the non-degenerate cubes of F.base.
+
+    A failure's cube index counts the non-degenerate cubes of its dimension.
+    """
+    base = F.base
+    values = _path_values(F)
+    at = [base.nondegenerate_indices(n) for n in range(base.top + 1)]
+    face_face = [e for e in cubical_identities(base.top) if e[0] == "face-face"]
+    return identity_failures(face_face, lambda n, path: values(n, path, at[n]))
+
+
 def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
                  gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix],
                  variance: str = "contravariant"):
@@ -232,6 +262,18 @@ def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
     _generated_system reads off epi; equal matrices are one shared object.
     Raises if a matrix is not square of size rank or not unimodular, or if
     the result fails functoriality.
+
+    Functoriality is checked on the generators only (_generator_failures):
+    the face-face instances of cubical_identities at the non-degenerate cube
+    of each generator of dimension 2 up to base.top, read off the built
+    columns. The other instances hold by construction. Shapes agree, since
+    every matrix is rank x rank. Degeneracies are identities, and so is a
+    face along a coordinate that epi deletes. So on a cube (g, epi), an
+    instance whose faces act on kept coordinates is a face-face instance on
+    g's own cube, renumbered, and any other instance has the same one
+    generator matrix of g, or none, between identities on both sides. A
+    failure, or a negative rank, runs the full validate_functoriality, whose
+    report words the error.
     """
     cls = _system_class(variance)
     expected = {(g, i, eps) for g, d in X.generators.items()
@@ -247,9 +289,9 @@ def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
         if det(m) not in (1, -1):
             raise ValueError(f"matrix at {k} has determinant {det(m)}, not a unit")
     out = _generated_system(cls, base, {g: rank for g in X.generators}, gen_face_matrices)
-    problems = validate_functoriality(out)
-    if problems:
-        raise ValueError("generator matrices are not functorial: " + "; ".join(problems[:3]))
+    if rank < 0 or _generator_failures(out):
+        raise ValueError("generator matrices are not functorial: "
+                         + "; ".join(validate_functoriality(out)[:3]))
     return out
 
 
