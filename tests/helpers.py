@@ -406,12 +406,16 @@ def inverse_unimodular(m):
 
 
 def gauge_matrices(X, r, rng, variance="contravariant"):
-    """Generator face matrices that telescope through one unit per generator.
+    """Generator face matrices that telescope through one random unit per generator."""
+    return telescoping_matrices(X, {g: random_unimodular(rng, r) for g in X.generators}, variance)
+
+
+def telescoping_matrices(X, gamma, variance="contravariant"):
+    """Generator face matrices that telescope through the unit gamma[g] of each generator.
 
     Every relation instance reduces to a difference of endpoints, so the
-    local system they generate is functorial no matter which units are drawn.
+    local system they generate is functorial no matter which units are given.
     """
-    gamma = {g: random_unimodular(rng, r) for g in X.generators}
     gamma_inv = {g: inverse_unimodular(gamma[g]) for g in X.generators}
     mats = {}
     for (g, i, eps), c in X.faces.items():
@@ -425,6 +429,25 @@ def gauge_matrices(X, r, rng, variance="contravariant"):
 def gauge_system(X, top, r, rng, variance="contravariant"):
     """The local system on X.expand(top) of gauge_matrices(X, r, rng, variance)."""
     return local_system(X, X.expand(top), r, gauge_matrices(X, r, rng, variance), variance)
+
+
+def flipped_torus_matrices():
+    """Rank-1 torus face matrices whose square flips one side of a loop: not functorial."""
+    one, minus = IntMatrix.identity(1), IntMatrix.from_rows([[-1]])
+    mats = {(g, i, eps): one for g, i in (("a", 1), ("b", 1), ("t", 1), ("t", 2))
+            for eps in (0, 1)}
+    mats[("t", 1, 1)] = minus
+    return mats
+
+
+# local_system's refusals of flipped_torus_matrices at top 2 and of rank -1 on
+# the point, as the full check at every cube words them
+NON_FUNCTORIAL_TORUS = (
+    "generator matrices are not functorial: "
+    "face-face identity fails at dim 2 cube t@x1,x2 (i=1, j=2, alpha=1, beta=0); "
+    "face-face identity fails at dim 2 cube t@x1,x2 (i=1, j=2, alpha=1, beta=1)")
+NEGATIVE_RANK_POINT = ("generator matrices are not functorial: "
+                       "negative rank at v@; negative rank at v@del:1")
 
 
 def monodromy_circle(top=2, variance="contravariant"):

@@ -678,6 +678,79 @@ class TestCubicalSetFuzz:
                 assert text.strip(), argv
 
 
+class TestLocalSystemFuzz:
+    """Mutated local-system documents through homology and the comloc contract in-process."""
+
+    CASES = [(formats.cubical_set_to_data(X),
+              formats.local_system_to_data(2, "contravariant",
+                                           helpers.gauge_matrices(X, 2, random.Random(k))))
+             for k, X in enumerate((helpers.torus(), helpers.twisted_square(), standard_cube(2)))]
+    NAMES = ["a", "b", "t", "x", "y", "q", "c0x", "cxx", "", "1,0", "1,1", "2,0", "2,1", "3,0",
+             "0,0", "1", "type", "rank", "variance", "faces"]
+    # units, which mostly break functoriality, non-units, and wrong shapes
+    UNITS = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[-1, 0], [0, 1]]]
+    NON_UNITS = [[[2, 0], [0, 1]], [[1, 1], [1, 1]], [[0, 0], [0, 0]]]
+    SHAPES = [[[1]], [[1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [], [[]]]
+    # a copy, since later steps may mutate a matrix put in the document
+    MATRICES = st.one_of(st.sampled_from(UNITS), st.sampled_from(NON_UNITS),
+                         st.sampled_from(SHAPES)).map(copy.deepcopy)
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.sampled_from(NAMES), MATRICES, st.lists(st.integers(-2, 2), max_size=2),
+                     st.dictionaries(st.sampled_from(NAMES), MATRICES, max_size=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, put junk where a value was, set the rank to
+        # -2..3 or the variance to another word, or set a face matrix to a
+        # unit that breaks functoriality, a non-unit or a wrong shape. Every
+        # command exits 0, 1 with a message, or 2, and a system that builds
+        # gives equal groups on both routes of comloc; an exception escaping
+        # main fails the test with its traceback.
+        carrier, clean = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(clean)
+        for _ in range(data.draw(st.integers(1, 3))):
+            # half the steps set a matrix, so that most documents reach the builder
+            op = data.draw(st.one_of(st.just("matrix"), st.sampled_from(
+                ["drop", "rename", "junk", "rank", "variance"])))
+            faces = doc.get("faces")
+            entries = sorted((g, sel) for g, row in faces.items() if isinstance(row, dict)
+                             for sel in row) if isinstance(faces, dict) else []
+            if op == "rank":
+                doc["rank"] = data.draw(st.integers(-2, 3))
+                continue
+            if op == "variance":
+                doc["variance"] = data.draw(st.sampled_from(["covariant", "contravariant", "x"]))
+                continue
+            if op == "matrix" and entries:
+                g, sel = data.draw(st.sampled_from(entries))
+                faces[g][sel] = data.draw(self.MATRICES)
+                continue
+            nonempty = [c for c in _containers(doc) if c]
+            if not nonempty:
+                break
+            node = data.draw(st.sampled_from(nonempty))
+            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                              else range(len(node))))
+            if op == "drop":
+                del node[where]
+            elif op == "rename" and isinstance(node, dict):
+                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
+            else:
+                node[where] = data.draw(self.JUNK)
+        folder = tmp_path_factory.mktemp("local-fuzz")
+        fset, fsys = write(folder, "set.json", carrier), write(folder, "system.json", doc)
+        max_dim = str(data.draw(st.integers(0, 2)))
+        for argv in (["homology", "--set", fset, "--system", fsys, "--max-dim", max_dim],
+                     ["compare", "--contract", "comloc", "--set", fset, "--system", fsys,
+                      "--max-dim", max_dim]):
+            code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+                assert "unequal" not in text, argv
+
+
 class TestDeterministicReports:
     """Validation reports print in the same order under every hash seed."""
 
@@ -1059,6 +1132,19 @@ class TestExitCodes:
         for argv in (["fiber-criterion", "--map", bad, "--max-dim", "1"],
                      ["fiber", "--map", bad, "--cube", "cxx@x1,x2", "--max-dim", "1"]):
             assert main(argv) == 1
+
+    def test_non_functorial_local_system_message(self, tmp_path, capsys):
+        torus = write(tmp_path, "torus.json", formats.cubical_set_to_data(helpers.torus()))
+        flip = write(tmp_path, "flip.json", formats.local_system_to_data(
+            1, "contravariant", helpers.flipped_torus_matrices()))
+        assert main(["homology", "--set", torus, "--system", flip, "--max-dim", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {helpers.NON_FUNCTORIAL_TORUS}\n")
+
+    def test_negative_rank_local_system_message(self, tmp_path, capsys):
+        point = write(tmp_path, "point.json", formats.cubical_set_to_data(helpers.point()))
+        minus = write(tmp_path, "minus.json", formats.local_system_to_data(-1, "contravariant", {}))
+        assert main(["homology", "--set", point, "--system", minus, "--max-dim", "0"]) == 1
+        assert capsys.readouterr() == ("", f"error: {helpers.NEGATIVE_RANK_POINT}\n")
 
     def test_set_without_system_is_usage_error(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",

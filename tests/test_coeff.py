@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubehom.coeff import (
     ContravariantSystem,
@@ -18,6 +19,8 @@ from cubehom.coeff import (
     system_from_diagram_last_vertex,
     transpose_system,
     validate_functoriality,
+    _generated_system,
+    _generator_failures,
 )
 from cubehom import formats
 from cubehom.catalg import cubical_nerve, factorization_category
@@ -184,15 +187,18 @@ class TestLocal:
 
     def test_non_functorial_matrices_rejected(self):
         # the torus square forces its two directions to commute with the loops
-        one = IntMatrix.identity(1)
-        minus = IntMatrix.from_rows([[-1]])
-        mats = {("a", 1, 0): one, ("a", 1, 1): one,
-                ("b", 1, 0): one, ("b", 1, 1): one,
-                ("t", 1, 0): one, ("t", 1, 1): minus,
-                ("t", 2, 0): one, ("t", 2, 1): one}
-        with pytest.raises(ValueError):
-            X = helpers.torus()
-            local_system(X, X.expand(2), 1, mats)
+        X = helpers.torus()
+        with pytest.raises(ValueError) as err:
+            local_system(X, X.expand(2), 1, helpers.flipped_torus_matrices())
+        assert str(err.value) == helpers.NON_FUNCTORIAL_TORUS
+
+    def test_negative_rank_rejected(self):
+        # The point has no face matrices, so no generator instance sees the
+        # rank; the full check words the refusal.
+        X = helpers.point()
+        with pytest.raises(ValueError) as err:
+            local_system(X, X.expand(1), -1, {})
+        assert str(err.value) == helpers.NEGATIVE_RANK_POINT
 
     def test_is_local_false_for_scaling(self):
         F = extend_semicubical(helpers.weighted_torus_system(), 2)
@@ -204,6 +210,52 @@ class TestLocal:
         op = list(F.face)[-1]
         F.face = helpers.with_entry(F.face, op, len(F.face[op]) - 1, IntMatrix.from_rows([[2]]))
         assert not is_local(F)
+
+
+UNIMODULAR = st.integers(0, 2**32).map(lambda seed: helpers.random_unimodular(random.Random(seed), 2))
+
+
+class TestGeneratorCheck:
+    """local_system checks generator cubes only; the full check must agree."""
+
+    CARRIERS = [helpers.torus(), helpers.twisted_square(), helpers.squashed_square(),
+                standard_cube(3)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_full_check(self, data):
+        # Half the draws telescope through one unit per generator and are
+        # functorial; the other half draw every face matrix on its own.
+        X = data.draw(st.sampled_from(self.CARRIERS))
+        variance = data.draw(st.sampled_from(["contravariant", "covariant"]))
+        base = X.expand(max(X.generators.values()) + data.draw(st.integers(0, 1)))
+        telescoped = data.draw(st.booleans())
+        if telescoped:
+            mats = helpers.telescoping_matrices(
+                X, {g: data.draw(UNIMODULAR) for g in sorted(X.generators)}, variance)
+        else:
+            mats = {k: data.draw(UNIMODULAR) for k in sorted(X.faces)}
+        cls = ContravariantSystem if variance == "contravariant" else CovariantSystem
+        F = _generated_system(cls, base, dict.fromkeys(X.generators, 2), mats)
+        full = validate_functoriality(F)
+        on_generators = [f"{family} identity fails at dim {n} cube "
+                         f"{base.key(n, base.nondegenerate_indices(n)[p])} ({detail})"
+                         for family, n, p, detail in _generator_failures(F)]
+        # the generator check finds the full check's face-face failures on
+        # generator cubes, and fails exactly when the full check fails
+        generators = {base.key(n, idx) for n in range(base.top + 1)
+                      for idx in base.nondegenerate_indices(n)}
+        assert on_generators == [line for line in full if line.startswith("face-face")
+                                 and line.split(" cube ")[1].split(" (")[0] in generators]
+        assert bool(on_generators) == bool(full)
+        if telescoped:
+            assert full == []
+        if full:
+            with pytest.raises(ValueError) as err:
+                local_system(X, base, 2, mats, variance)
+            assert str(err.value) == "generator matrices are not functorial: " + "; ".join(full[:3])
+        else:
+            assert local_system(X, base, 2, mats, variance).face == F.face
 
 
 class TestGeneratedFaces:
