@@ -8,8 +8,11 @@ that order. Faces and degeneracies gather those tuples through position
 maps computed once per operator, and each key string is built once per cube
 from prefixes computed once per dimension. Level n is grown from level n-1
 by the exponential law (Mac Lane, Categories for the Working Mathematician,
-1971): an n-cube is an arrow between two (n-1)-cubes. A level that passes
-NERVE_CUBE_BUDGET cubes is refused while it is searched.
+1971): an n-cube is an arrow between two (n-1)-cubes. A level whose cubes
+carry more than NERVE_LABEL_BUDGET labels each is refused before anything of
+it is built, and a level that passes NERVE_CUBE_BUDGET cubes is refused while
+it is searched. The string complex refuses a degree past STRING_BUDGET
+strings in the same way.
 """
 
 from dataclasses import dataclass
@@ -117,8 +120,14 @@ class FiniteCategory:
         return report
 
 
+STRING_BUDGET = 50_000  # the most strings one degree of the string complex may hold
+
+
 def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, ...]]]:
-    """All length-n strings of composable morphisms as (start object, names)."""
+    """All length-n strings of composable morphisms as (start object, names).
+
+    Raises ValueError as soon as there are more than STRING_BUDGET of them.
+    """
     if n == 0:
         return [(obj, ()) for obj in sorted(C.objects)]
     out = []
@@ -127,6 +136,9 @@ def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, .
         for name in sorted(C.morphisms):
             if C.morphisms[name][0] == tail:
                 out.append((start, arrows + (name,)))
+        if len(out) > STRING_BUDGET:
+            raise ValueError(f"string level {n} has more than {STRING_BUDGET} "
+                             f"strings, the budget of one degree")
     return out
 
 
@@ -346,6 +358,7 @@ class CubeFunctor:
 
 
 NERVE_CUBE_BUDGET = 50_000  # the most cubes one level of the nerve may hold
+NERVE_LABEL_BUDGET = 8_192  # the most labels, vertices and edges, one cube may carry
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +386,14 @@ def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[Cube
     vertex p, kept when each edge's naturality square commutes; a square is
     checked as soon as its upper vertex is chosen. a is paired only with the
     b whose first vertex is the target of a morphism out of a's first vertex.
+    An n-cube carries 2^n vertex and n 2^(n-1) edge labels, and so does each
+    position map of the level, so a level past NERVE_LABEL_BUDGET labels a
+    cube is refused before its maps are built.
     """
+    labels = 2 ** n + n * 2 ** n // 2
+    if labels > NERVE_LABEL_BUDGET:
+        raise ValueError(f"nerve level {n} has cubes of {labels} labels, more than "
+                         f"{NERVE_LABEL_BUDGET}, the budget of one cube")
     if n == 0:
         found = [((obj,), ()) for obj in C.objects]
     else:
@@ -413,11 +433,12 @@ def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     """Table of cube-shaped diagrams in C with precomposition operators.
 
     Level n is grown from pairs of (n-1)-cubes by the exponential law in
-    _nerve_level, which raises ValueError past NERVE_CUBE_BUDGET cubes, and
-    is sorted by key once. A face or a degeneracy of a cube gathers its
-    label tuples through the operator's position maps and is found in the
-    level below or above by its edge labels, which fix the vertices (by
-    vertex labels on level 0). Degenerate flags come from degeneracy_masks.
+    _nerve_level, which raises ValueError past NERVE_LABEL_BUDGET labels a
+    cube or NERVE_CUBE_BUDGET cubes, and is sorted by key once. A face or a
+    degeneracy of a cube gathers its label tuples through the operator's
+    position maps and is found in the level below or above by its edge
+    labels, which fix the vertices (by vertex labels on level 0). Degenerate
+    flags come from degeneracy_masks.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")

@@ -1,5 +1,8 @@
 """Batch front-end: read documents, run one computation, print a report.
 
+validate runs the loaders of the computing commands (_load, _load_system)
+and prints ok, so it checks exactly what they check.
+
 Exit codes: 0 on success or a passing check, 1 when validation or a
 comparison fails, 2 when a document or flag cannot be parsed.
 """
@@ -31,34 +34,11 @@ def _check(problems):
         raise ValidationFailure(problems)
 
 
-def _load_set(path):
-    X = formats.parse_cubical_set(formats.load_document(path))
-    _check(X.validate())
-    return X
-
-
-def _load_semi(path):
-    S = formats.parse_semicubical_set(formats.load_document(path))
-    _check(S.validate())
-    return S
-
-
-def _load_map(path):
-    f = formats.parse_cubical_map(formats.load_document(path))
-    _check(f.validate())
-    return f
-
-
-def _load_category(path):
-    C = formats.parse_category(formats.load_document(path))
-    _check(C.validate())
-    return C
-
-
-def _load_diagram(path, C):
-    D = formats.parse_diagram(formats.load_document(path), C)
-    _check(D.validate())
-    return D
+def _load(parse, path, *context):
+    """Parse the document at path, against context such as a diagram's category, and check it."""
+    x = parse(formats.load_document(path), *context)
+    _check(x.validate())
+    return x
 
 
 def _truncation(args) -> int:
@@ -68,13 +48,21 @@ def _truncation(args) -> int:
     return t
 
 
-def _load_system(path, base, presented):
+def _load_system(path, base, presented=None):
     """Build a --system document on base; a table-system is checked in full.
 
     Constant systems are functorial by construction and local systems are
     validated by their builder, so only a table-system needs the check.
+    With base None, presented is expanded as deep as the document reaches:
+    to the top of a table-system's embedded base, otherwise to presented's
+    largest generator dimension, and at least to 2.
     """
     data = formats.load_document(path)
+    if base is None:
+        embedded = data.get("base") if data.get("type") == "table-system" else None
+        top = (formats.parse_cubes_table(embedded).top if embedded is not None
+               else max([2, *presented.generators.values()]))
+        base = presented.expand(top)
     F = formats.build_system(data, base, presented)
     if data["type"] == "table-system":
         _check(F.base.validate())
@@ -100,7 +88,7 @@ def _table_and_system(table, system):
                           f"got type {t!r}")
     _check(base.validate())
     if system:
-        return base, _load_system(system, base, None)
+        return base, _load_system(system, base)
     if F is not None:
         _check(validate_functoriality(F))
     return base, F
@@ -111,7 +99,7 @@ def _carrier_and_system(args):
     if args.set:
         if not args.system:
             raise FormatError("--set needs a --system document")
-        X = _load_set(args.set)
+        X = _load(formats.parse_cubical_set, args.set)
         base = X.expand(_truncation(args))
         return base, _load_system(args.system, base, X)
     base, F = _table_and_system(args.table, args.system)
@@ -132,84 +120,67 @@ def _emit(args, data) -> int:
     return 0
 
 
-def _print_groups(args, groups, kind) -> int:
+def _print_groups(args, groups) -> int:
     if args.format == "json":
-        sys.stdout.write(formats.dumps_document(formats.groups_to_data(groups, kind)))
+        sys.stdout.write(formats.dumps_document(formats.groups_to_data(groups, args.kind)))
     else:
-        print(formats.format_groups(groups, kind))
+        print(formats.format_groups(groups, args.kind))
     return 0
 
 
 def cmd_validate(args) -> int:
-    problems = []
     if args.set:
-        X = formats.parse_cubical_set(formats.load_document(args.set))
-        problems = X.validate()
-        if args.system and not problems:
-            base = X.expand(args.truncate)
-            F = formats.build_system(formats.load_document(args.system), base, X)
-            problems = validate_functoriality(F)
+        X = _load(formats.parse_cubical_set, args.set)
+        if args.system:
+            base = None if args.truncate is None else X.expand(args.truncate)
+            _load_system(args.system, base, X)
     elif args.semi:
-        S = formats.parse_semicubical_set(formats.load_document(args.semi))
-        problems = S.validate()
-        if args.system and not problems:
-            F = formats.build_semicubical_system(formats.load_document(args.system), S)
-            problems = F.validate()
+        S = _load(formats.parse_semicubical_set, args.semi)
+        if args.system:
+            _load(formats.build_semicubical_system, args.system, S)
     elif args.map:
-        problems = formats.parse_cubical_map(formats.load_document(args.map)).validate()
+        _load(formats.parse_cubical_map, args.map)
     elif args.category:
-        C = formats.parse_category(formats.load_document(args.category))
-        problems = C.validate()
-        if args.diagram and not problems:
-            D = formats.parse_diagram(formats.load_document(args.diagram), C)
-            problems = D.validate()
+        C = _load(formats.parse_category, args.category)
+        if args.diagram:
+            _load(formats.parse_diagram, args.diagram, C)
     else:
         _table_and_system(args.table, args.system)
-    if problems:
-        for p in problems:
-            print(p)
-        return 1
     print("ok")
     return 0
 
 
-def cmd_homology(args) -> int:
+def cmd_groups(args) -> int:
     base, F = _carrier_and_system(args)
-    return _print_groups(args, homology(base, F, args.max_dim, args.path), "homology")
-
-
-def cmd_cohomology(args) -> int:
-    base, G = _carrier_and_system(args)
-    return _print_groups(args, cohomology(base, G, args.max_dim), "cohomology")
+    return _print_groups(args, args.compute(base, F, args.max_dim))
 
 
 def cmd_semicubical_homology(args) -> int:
-    S = _load_semi(args.semi)
-    F = formats.build_semicubical_system(formats.load_document(args.system), S)
-    _check(F.validate())
-    return _print_groups(args, semicubical_homology(S, F, args.max_dim), "homology")
+    S = _load(formats.parse_semicubical_set, args.semi)
+    F = _load(formats.build_semicubical_system, args.system, S)
+    return _print_groups(args, semicubical_homology(S, F, args.max_dim))
 
 
 def cmd_universal(args) -> int:
-    S = _load_semi(args.semi)
+    S = _load(formats.parse_semicubical_set, args.semi)
     return _emit(args, formats.cubical_set_to_data(universal_from_semicubical(S)))
 
 
 def cmd_product(args) -> int:
-    A = _load_set(args.left)
-    B = _load_set(args.right)
+    A = _load(formats.parse_cubical_set, args.left)
+    B = _load(formats.parse_cubical_set, args.right)
     return _emit(args, formats.cubes_table_to_data(product(A, B, args.truncate)))
 
 
 def cmd_fiber(args) -> int:
-    f = _load_map(args.map)
+    f = _load(formats.parse_cubical_map, args.map)
     y = formats.resolve_cube_key(f.target, args.cube)
     fib = pullback_fiber(f, y, args.max_dim)
     return _emit(args, formats.cubes_table_to_data(fib))
 
 
 def cmd_fiber_criterion(args) -> int:
-    f = _load_map(args.map)
+    f = _load(formats.parse_cubical_map, args.map)
     report = fiber_criterion(f, args.max_dim, _truncation(args))
     for row in report.rows:
         if not row.ok:
@@ -220,46 +191,34 @@ def cmd_fiber_criterion(args) -> int:
 
 
 def cmd_direct_image(args) -> int:
-    f = _load_map(args.map)
+    f = _load(formats.parse_cubical_map, args.map)
     base = f.source.expand(args.truncate)
     F = _load_system(args.system, base, f.source)
     return _emit(args, formats.table_system_to_data(direct_image(f, F)))
 
 
 def cmd_pullback_system(args) -> int:
-    f = _load_map(args.map)
+    f = _load(formats.parse_cubical_map, args.map)
     base = f.target.expand(args.truncate)
     F = _load_system(args.system, base, f.target)
     return _emit(args, formats.table_system_to_data(pullback_system(f, F)))
 
 
-def cmd_cat_homology(args) -> int:
-    C = _load_category(args.category)
-    D = _load_diagram(args.diagram, C)
-    return _print_groups(args, category_homology(C, D, args.max_dim), "homology")
-
-
-def cmd_cat_cohomology(args) -> int:
-    C = _load_category(args.category)
-    D = _load_diagram(args.diagram, C)
-    return _print_groups(args, category_cohomology(C, D, args.max_dim), "cohomology")
+def cmd_cat_groups(args) -> int:
+    C = _load(formats.parse_category, args.category)
+    D = _load(formats.parse_diagram, args.diagram, C)
+    return _print_groups(args, args.compute(C, D, args.max_dim))
 
 
 def cmd_nerve(args) -> int:
-    C = _load_category(args.category)
+    C = _load(formats.parse_category, args.category)
     return _emit(args, formats.cubes_table_to_data(cubical_nerve(C, args.truncate)))
 
 
 def cmd_bw(args) -> int:
-    C = _load_category(args.category)
-    D = _load_diagram(args.diagram, factorization_category(C))
-    return _print_groups(args, bw_cohomology_cubical(C, D, args.max_dim), "cohomology")
-
-
-def cmd_bw_oracle(args) -> int:
-    C = _load_category(args.category)
-    D = _load_diagram(args.diagram, factorization_category(C))
-    return _print_groups(args, bw_cohomology_oracle(C, D, args.max_dim), "cohomology")
+    C = _load(formats.parse_category, args.category)
+    D = _load(formats.parse_diagram, args.diagram, factorization_category(C))
+    return _print_groups(args, args.compute(C, D, args.max_dim))
 
 
 def _need(args, contract, **flags):
@@ -274,7 +233,7 @@ def cmd_compare(args) -> int:
     kind = "homology"
     if contract == "dirhomol":
         _need(args, contract, map=True, system=True)
-        f = _load_map(args.map)
+        f = _load(formats.parse_cubical_map, args.map)
         t = _truncation(args)
         src = f.source.expand(t)
         F = _load_system(args.system, src, f.source)
@@ -284,7 +243,7 @@ def cmd_compare(args) -> int:
         labels = ("source", "direct image")
     elif contract == "comloc":
         _need(args, contract, set=True, system=True)
-        X = _load_set(args.set)
+        X = _load(formats.parse_cubical_set, args.set)
         base = X.expand(_truncation(args))
         F = _load_system(args.system, base, X)
         if not is_local(F):
@@ -294,24 +253,23 @@ def cmd_compare(args) -> int:
         labels = ("local", "generic")
     elif contract == "semicubecube":
         _need(args, contract, semi=True, system=True)
-        S = _load_semi(args.semi)
-        F = formats.build_semicubical_system(formats.load_document(args.system), S)
-        _check(F.validate())
+        S = _load(formats.parse_semicubical_set, args.semi)
+        F = _load(formats.build_semicubical_system, args.system, S)
         left = semicubical_homology(S, F, args.max_dim)
         G = extend_semicubical(F, args.max_dim + 1)
         right = homology(G.base, G, args.max_dim)
         labels = ("semicubical", "universal")
     elif contract == "homolcatcub":
         _need(args, contract, category=True, diagram=True)
-        C = _load_category(args.category)
-        D = _load_diagram(args.diagram, C.op())
+        C = _load(formats.parse_category, args.category)
+        D = _load(formats.parse_diagram, args.diagram, C.op())
         report = nerve_vs_bar_comparison(C, D, args.max_dim)
         left, right = report.cubical, report.categorical
         labels = ("cubical", "categorical")
     else:
         _need(args, contract, category=True, diagram=True)
-        C = _load_category(args.category)
-        D = _load_diagram(args.diagram, factorization_category(C))
+        C = _load(formats.parse_category, args.category)
+        D = _load(formats.parse_diagram, args.diagram, factorization_category(C))
         report = bw_comparison(C, D, args.max_dim)
         left, right = report.cubical, report.categorical
         labels = ("cubical", "oracle")
@@ -330,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "semi-cubical sets, and finite categories.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def groups_flags(sp):
+    def groups_flags(sp, kind):
         sp.add_argument("--max-dim", type=int, required=True,
                         help="highest degree to report")
         sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.set_defaults(kind=kind)
 
     sp = sub.add_parser("validate", help="run the invariant checks of one document")
     which = sp.add_mutually_exclusive_group(required=True)
@@ -344,28 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--table")
     sp.add_argument("--system", help="also check a coefficient system document")
     sp.add_argument("--diagram", help="also check a diagram document (with --category)")
-    sp.add_argument("--truncate", type=int, default=2,
-                    help="expansion depth when checking a system on --set")
+    sp.add_argument("--truncate", type=int, default=None,
+                    help="expansion depth when checking a system on --set (default: "
+                         "the depth the system document reaches, at least 2)")
     sp.set_defaults(handler=cmd_validate)
 
-    for name, handler in (("homology", cmd_homology), ("cohomology", cmd_cohomology)):
+    for name, compute in (("homology", homology), ("cohomology", cohomology)):
         sp = sub.add_parser(name, help=f"{name} of a cubical set or prebuilt table")
         which = sp.add_mutually_exclusive_group(required=True)
         which.add_argument("--set")
         which.add_argument("--table")
         sp.add_argument("--system", help="coefficient system document")
         sp.add_argument("--truncate", type=int, default=None)
-        groups_flags(sp)
-        if name == "homology":
-            sp.add_argument("--path", choices=("auto", "local", "generic"),
-                            default="auto")
-        sp.set_defaults(handler=handler)
+        groups_flags(sp, name)
+        sp.set_defaults(handler=cmd_groups, compute=compute)
 
     sp = sub.add_parser("semicubical-homology",
                         help="homology of a semi-cubical set")
     sp.add_argument("--semi", required=True)
     sp.add_argument("--system", required=True)
-    groups_flags(sp)
+    groups_flags(sp, "homology")
     sp.set_defaults(handler=cmd_semicubical_homology)
 
     sp = sub.add_parser("universal",
@@ -412,13 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_pullback_system)
 
-    for name, handler in (("cat-homology", cmd_cat_homology),
-                          ("cat-cohomology", cmd_cat_cohomology)):
-        sp = sub.add_parser(name, help=f"{name.split('-')[1]} of a finite category")
+    for name, compute in (("cat-homology", category_homology),
+                          ("cat-cohomology", category_cohomology)):
+        kind = name.split("-")[1]
+        sp = sub.add_parser(name, help=f"{kind} of a finite category")
         sp.add_argument("--category", required=True)
         sp.add_argument("--diagram", required=True)
-        groups_flags(sp)
-        sp.set_defaults(handler=handler)
+        groups_flags(sp, kind)
+        sp.set_defaults(handler=cmd_cat_groups, compute=compute)
 
     sp = sub.add_parser("nerve", help="cubical nerve table of a finite category")
     sp.add_argument("--category", required=True)
@@ -426,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_nerve)
 
-    for name, handler in (("bw", cmd_bw), ("bw-oracle", cmd_bw_oracle)):
+    for name, compute in (("bw", bw_cohomology_cubical), ("bw-oracle", bw_cohomology_oracle)):
         sp = sub.add_parser(name, help="cohomology with a natural system on the "
                                        "factorization category")
         sp.add_argument("--category", required=True)
         sp.add_argument("--diagram", required=True,
                         help="diagram document on the factorization category")
-        groups_flags(sp)
-        sp.set_defaults(handler=handler)
+        groups_flags(sp, "cohomology")
+        sp.set_defaults(handler=cmd_bw, compute=compute)
 
     sp = sub.add_parser("compare", help="run one comparison contract")
     sp.add_argument("--contract", required=True,

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .boxcat import (
@@ -31,6 +32,7 @@ from .boxcat import (
 )
 
 GENERATOR_NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
+EXPANSION_CUBE_BUDGET = 50_000  # the most cubes one expansion of a presented set may hold
 
 
 def epi_wire(epi: CubeMorphism) -> str:
@@ -189,9 +191,18 @@ class PresentedCubicalSet:
         return fc.gen, tuple(rest[t - 1] for t in fc.epi.tokens)
 
     def expand(self, top: int) -> "CubesTable":
-        """Tabulate all cubes of dimension 0..top with face and degeneracy tables."""
+        """Tabulate all cubes of dimension 0..top with face and degeneracy tables.
+
+        A k-dimensional generator gives comb(n, k) cubes of dimension n, one
+        per deletion map, so comb(top + 1, k + 1) up to top; a table of more
+        than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
+        """
         if top < 0:
             raise ValueError("truncation must be nonnegative")
+        cubes = sum(comb(top + 1, k + 1) for k in self.generators.values())
+        if cubes > EXPANSION_CUBE_BUDGET:
+            raise ValueError(f"expanding to dimension {top} gives {cubes} cubes, more than "
+                             f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
         elements: List[List[Cube]] = []
         for n in range(top + 1):
             level = []

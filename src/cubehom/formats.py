@@ -595,8 +595,13 @@ def parse_groups(data) -> Tuple[HomologyGroup, ...]:
         if not isinstance(entry, dict):
             raise FormatError(f"groups: entry {k} must be an object")
         betti = _field(entry, "betti", int, f"groups entry {k}")
+        if betti < 0:
+            raise FormatError(f"groups entry {k}: betti is {betti}, must be nonnegative")
         torsion_raw = _field(entry, "torsion", list, f"groups entry {k}")
         torsion = tuple(_int(d, f"groups entry {k} torsion") for d in torsion_raw)
+        if any(d < 2 for d in torsion):
+            raise FormatError(f"groups entry {k}: torsion {list(torsion)} has an "
+                              f"order below 2")
         out.append(HomologyGroup(betti, torsion))
     return tuple(out)
 

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import formats
-from cubehom.catalg import NERVE_CUBE_BUDGET, cubical_nerve, factorization_category
+from cubehom.catalg import (NERVE_CUBE_BUDGET, NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
+                            factorization_category)
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
@@ -281,6 +282,24 @@ def _containers(node):
     return [node] + [c for child in children for c in _containers(child)]
 
 
+def mutate_somewhere(doc, data, op, names, junk):
+    """Drop or rename the key of, or put junk in place of, one entry of a
+    non-empty dict or list of doc; False when doc has none left."""
+    nonempty = [c for c in _containers(doc) if c]
+    if not nonempty:
+        return False
+    node = data.draw(st.sampled_from(nonempty))
+    where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                      else range(len(node))))
+    if op == "drop":
+        del node[where]
+    elif op == "rename" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(names))] = node.pop(where)
+    else:
+        node[where] = data.draw(junk)
+    return True
+
+
 class TestTableSystemFuzz:
     SYSTEM = helpers.gauge_system(helpers.circle(), 2, 2, random.Random(8))
     DOCUMENT = formats.table_system_to_data(SYSTEM)
@@ -292,25 +311,33 @@ class TestTableSystemFuzz:
                      st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
                      st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 2), max_size=2))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_mutated_documents_fail_cleanly(self, data):
-        # Drop or rename keys, retarget selectors, or put junk, such as a
-        # non-dict level, where a value was: parsing gives a system or a
-        # FormatError or ValueError, never any other exception.
-        doc = copy.deepcopy(self.DOCUMENT)
+    @classmethod
+    def mutate(cls, doc, data):
+        """Drop or rename keys, retarget selectors, or put junk, such as a
+        non-dict level, where a value was."""
         for _ in range(data.draw(st.integers(1, 4))):
-            node = data.draw(st.sampled_from([c for c in _containers(doc) if c]))
+            nonempty = [c for c in _containers(doc) if c]
+            if not nonempty:
+                break
+            node = data.draw(st.sampled_from(nonempty))
             where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
                                               else range(len(node))))
             op = data.draw(st.sampled_from(["drop", "rename", "junk"]))
             if op == "drop":
                 del node[where]
             elif op == "rename" and isinstance(node, dict):
-                node[data.draw(st.one_of(st.sampled_from(self.NAMES), st.text(max_size=4)))] \
+                node[data.draw(st.one_of(st.sampled_from(cls.NAMES), st.text(max_size=4)))] \
                     = node.pop(where)
             else:
-                node[where] = data.draw(self.JUNK)
+                node[where] = data.draw(cls.JUNK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, data):
+        # Parsing a mutated document gives a system or a FormatError or
+        # ValueError, never any other exception.
+        doc = copy.deepcopy(self.DOCUMENT)
+        self.mutate(doc, data)
         try:
             F = formats.parse_table_system(doc)
         except (FormatError, ValueError):
@@ -621,7 +648,7 @@ def set_case(X):
 
 
 class TestCubicalSetFuzz:
-    """Mutated cubical-set documents through validate and homology in-process."""
+    """Mutated cubical-set documents through validate, homology and product in-process."""
 
     CASES = [set_case(helpers.interval()), set_case(helpers.torus()),
              set_case(helpers.twisted_square()), set_case(helpers.squashed_square()),
@@ -671,7 +698,8 @@ class TestCubicalSetFuzz:
         fset, const = write(folder, "set.json", doc), const_doc(folder)
         max_dim = str(data.draw(st.integers(0, 2)))
         for argv in (["validate", "--set", fset],
-                     ["homology", "--set", fset, "--system", const, "--max-dim", max_dim]):
+                     ["homology", "--set", fset, "--system", const, "--max-dim", max_dim],
+                     ["product", "--left", fset, "--right", fset, "--truncate", max_dim]):
             code, text = TestSemiCubicalSystemFuzz.outcome(argv)
             assert code in (0, 1, 2), argv
             if code == 1:
@@ -698,17 +726,11 @@ class TestLocalSystemFuzz:
                      st.sampled_from(NAMES), MATRICES, st.lists(st.integers(-2, 2), max_size=2),
                      st.dictionaries(st.sampled_from(NAMES), MATRICES, max_size=2))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
-        # Drop or rename keys, put junk where a value was, set the rank to
-        # -2..3 or the variance to another word, or set a face matrix to a
-        # unit that breaks functoriality, a non-unit or a wrong shape. Every
-        # command exits 0, 1 with a message, or 2, and a system that builds
-        # gives equal groups on both routes of comloc; an exception escaping
-        # main fails the test with its traceback.
-        carrier, clean = data.draw(st.sampled_from(self.CASES))
-        doc = copy.deepcopy(clean)
+    @classmethod
+    def mutate(cls, doc, data):
+        """Drop or rename keys, put junk where a value was, set the rank to
+        -2..3 or the variance to another word, or set a face matrix to a
+        unit that breaks functoriality, a non-unit or a wrong shape."""
         for _ in range(data.draw(st.integers(1, 3))):
             # half the steps set a matrix, so that most documents reach the builder
             op = data.draw(st.one_of(st.just("matrix"), st.sampled_from(
@@ -724,20 +746,19 @@ class TestLocalSystemFuzz:
                 continue
             if op == "matrix" and entries:
                 g, sel = data.draw(st.sampled_from(entries))
-                faces[g][sel] = data.draw(self.MATRICES)
-                continue
-            nonempty = [c for c in _containers(doc) if c]
-            if not nonempty:
+                faces[g][sel] = data.draw(cls.MATRICES)
+            elif not mutate_somewhere(doc, data, op, cls.NAMES, cls.JUNK):
                 break
-            node = data.draw(st.sampled_from(nonempty))
-            where = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                              else range(len(node))))
-            if op == "drop":
-                del node[where]
-            elif op == "rename" and isinstance(node, dict):
-                node[data.draw(st.sampled_from(self.NAMES))] = node.pop(where)
-            else:
-                node[where] = data.draw(self.JUNK)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Every command exits 0, 1 with a message, or 2, and a system that
+        # builds gives equal groups on both routes of comloc; an exception
+        # escaping main fails the test with its traceback.
+        carrier, clean = data.draw(st.sampled_from(self.CASES))
+        doc = copy.deepcopy(clean)
+        self.mutate(doc, data)
         folder = tmp_path_factory.mktemp("local-fuzz")
         fset, fsys = write(folder, "set.json", carrier), write(folder, "system.json", doc)
         max_dim = str(data.draw(st.integers(0, 2)))
@@ -749,6 +770,194 @@ class TestLocalSystemFuzz:
             if code == 1:
                 assert text.strip(), argv
                 assert "unequal" not in text, argv
+
+
+def system_case(X, seed):
+    """Documents of X, of a rank-2 gauge local system on it, and of its table-systems
+    at every top from X's largest generator dimension to 3."""
+    return (formats.cubical_set_to_data(X),
+            formats.local_system_to_data(2, "contravariant",
+                                         helpers.gauge_matrices(X, 2, random.Random(seed))),
+            {t: formats.table_system_to_data(helpers.gauge_system(X, t, 2, random.Random(seed)))
+             for t in range(max(X.generators.values()), 4)})
+
+
+class TestValidateAgreesWithHomology:
+    """validate refuses exactly the --set/--system pairs that homology refuses."""
+
+    CASES = [system_case(X, seed) for seed, X in enumerate(
+        (helpers.torus(), helpers.twisted_square(), standard_cube(2), standard_cube(3)))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_exit_code(self, tmp_path_factory, data):
+        # A local-system document mutated as in TestLocalSystemFuzz, or a
+        # table-system document whose embedded base is mutated as in
+        # TestCubesTableFuzz, whose entries are mutated as in
+        # TestTableSystemFuzz, or which is left sound; truncated at its own
+        # top or elsewhere. Where validate refuses, homology refuses with
+        # the same report; a covariant system, which validate accepts, is
+        # compared with cohomology, which takes it.
+        carrier, local, tables = data.draw(st.sampled_from(self.CASES))
+        if data.draw(st.booleans()):
+            doc = copy.deepcopy(local)
+            TestLocalSystemFuzz.mutate(doc, data)
+            t = data.draw(st.integers(1, 3))
+        else:
+            top = data.draw(st.sampled_from(sorted(tables)))
+            doc = copy.deepcopy(tables[top])
+            op = data.draw(st.sampled_from(["base", "entries", "none"]))
+            if op == "base":
+                TestCubesTableFuzz.mutate(doc["base"], data)
+            elif op == "entries":
+                TestTableSystemFuzz.mutate(doc, data)
+            t = data.draw(st.sampled_from([top, top, 1, 2, 3]))
+        folder = tmp_path_factory.mktemp("validate-differential")
+        fset, fsys = write(folder, "set.json", carrier), write(folder, "system.json", doc)
+        checked = TestSemiCubicalSystemFuzz.outcome(
+            ["validate", "--set", fset, "--system", fsys, "--truncate", str(t)])
+        command = "cohomology" if doc.get("variance") == "covariant" else "homology"
+        computed = TestSemiCubicalSystemFuzz.outcome(
+            [command, "--set", fset, "--system", fsys, "--max-dim", str(t - 1),
+             "--truncate", str(t)])
+        assert checked[0] == computed[0], (checked, computed)
+        if checked[0]:
+            assert checked == computed
+
+
+class TestSemiCubicalSetFuzz:
+    """Mutated semicubical-set documents through validate, universal and homology in-process."""
+
+    CASES = [formats.semicubical_set_to_data(S) for S in (
+        helpers.interval_semi(), helpers.circle_semi(), helpers.wedge_semi(),
+        helpers.torus_semi(), helpers.twisted_square_semi())] + [
+        TestSemiCubicalSystemFuzz.POINT_AND_LOOP]
+    CELLS = sorted({x for doc in CASES for level in doc["levels"] for x in level})
+    NAMES = CELLS + ["", "1,0", "1,1", "2,0", "2,1", "3,0", "0,0", "1", "type", "levels",
+                     "faces"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+                     st.sampled_from(NAMES), st.lists(st.sampled_from(NAMES), max_size=3),
+                     st.dictionaries(st.sampled_from(NAMES), st.sampled_from(CELLS), max_size=2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, tmp_path_factory, data):
+        # Drop or rename keys, put junk where a value was, set a face to a
+        # cell of another fixture, or move a cell to another level, a new
+        # top level included. Every command exits 0, 1 with a message, or
+        # 2; an exception escaping main fails the test with its traceback.
+        doc = copy.deepcopy(data.draw(st.sampled_from(self.CASES)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk", "face", "level"]))
+            levels, faces = doc.get("levels"), doc.get("faces")
+            entries = sorted((x, sel) for x, row in faces.items() if isinstance(row, dict)
+                             for sel in row) if isinstance(faces, dict) else []
+            cells = sorted((n, x) for n, level in enumerate(levels) if isinstance(level, list)
+                           for x in level if isinstance(x, str)) if isinstance(levels, list) else []
+            if op == "face" and entries:
+                x, sel = data.draw(st.sampled_from(entries))
+                faces[x][sel] = data.draw(st.sampled_from(self.CELLS))
+            elif op == "level" and cells:
+                n, x = data.draw(st.sampled_from(cells))
+                levels[n].remove(x)
+                m = data.draw(st.sampled_from([m for m, level in enumerate(levels)
+                                               if isinstance(level, list)] + [len(levels)]))
+                if m == len(levels):
+                    levels.append([])
+                levels[m].append(x)
+            elif not mutate_somewhere(doc, data, op, self.NAMES, self.JUNK):
+                break
+        folder = tmp_path_factory.mktemp("semi-set-fuzz")
+        semi = write(folder, "semi.json", doc)
+        max_dim = str(data.draw(st.integers(0, 2)))
+        for argv in (["validate", "--semi", semi],
+                     ["universal", "--semi", semi],
+                     ["semicubical-homology", "--semi", semi, "--system", const_doc(folder),
+                      "--max-dim", max_dim]):
+            code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert text.strip(), argv
+
+
+class TestGroupsFuzz:
+    """Mutated groups documents through formats.parse_groups."""
+
+    CASES = [formats.groups_to_data((HomologyGroup(1, ()), HomologyGroup(2, (2, 6)))),
+             formats.groups_to_data((HomologyGroup(0, (3,)), HomologyGroup(0, ())),
+                                    "cohomology")]
+    NAMES = ["type", "kind", "groups", "betti", "torsion", "", "homology", "x"]
+    JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 7), st.text(max_size=3),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(NAMES), st.lists(st.integers(-2, 7), max_size=3),
+                     st.dictionaries(st.sampled_from(NAMES), st.integers(-1, 3), max_size=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_parse_or_fail_cleanly(self, data):
+        # Drop or rename keys, or put junk where a value was. A document
+        # either parses into group summaries, each with a nonnegative rank
+        # and torsion orders of at least 2, or raises FormatError.
+        doc = copy.deepcopy(data.draw(st.sampled_from(self.CASES)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["drop", "rename", "junk"]))
+            if not mutate_somewhere(doc, data, op, self.NAMES, self.JUNK):
+                break
+        try:
+            groups = formats.parse_groups(doc)
+        except FormatError:
+            return
+        for g in groups:
+            assert isinstance(g, HomologyGroup) and g.betti >= 0, doc
+            assert all(d >= 2 for d in g.torsion), doc
+
+
+class TestIntegerArgumentFuzz:
+    """--truncate and --max-dim up to 64 on nerve, bw, cat-cohomology and compare.
+
+    The nerve, the string complex and the expansion of a presented set
+    refuse a table past their budgets, so a large argument ends with exit 1
+    and a message, not a search that runs for minutes; each example has a
+    deadline. The fixtures are small ones, which keeps the test short.
+    """
+
+    CATEGORIES = [category_case(C, helpers.constant_diagram(C)) + (
+        formats.diagram_to_data(helpers.constant_diagram(C.op())),)
+        for C in (helpers.point_category(), helpers.arrow_category(), helpers.cyclic2_monoid())]
+    CUBICAL = (formats.cubical_map_to_data(helpers.fold_wedge()),
+               formats.cubical_set_to_data(helpers.circle()),
+               formats.local_system_to_data(1, "contravariant",
+                                            {("e", 1, 0): IntMatrix.from_rows([[1]]),
+                                             ("e", 1, 1): IntMatrix.from_rows([[-1]])}),
+               formats.semicubical_set_to_data(helpers.circle_semi()))
+
+    @settings(max_examples=10, deadline=30_000)
+    @given(st.data())
+    def test_large_arguments_end_cleanly(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("int-fuzz")
+        cat, diag, fc_diag, op_diag = (write(folder, f"c{k}.json", doc) for k, doc in
+                                       enumerate(data.draw(st.sampled_from(self.CATEGORIES))))
+        fold, circle, mono, semi = (write(folder, f"x{k}.json", doc)
+                                    for k, doc in enumerate(self.CUBICAL))
+        const = const_doc(folder)
+        k = str(data.draw(st.integers(-2, 64)))
+        contract = ["compare", "--max-dim", k, "--contract"]
+        argv = data.draw(st.sampled_from([
+            ["nerve", "--category", cat, "--truncate", k, "--out", str(folder / "nerve.json")],
+            ["bw", "--category", cat, "--diagram", fc_diag, "--max-dim", k],
+            ["cat-cohomology", "--category", cat, "--diagram", diag, "--max-dim", k],
+            contract + ["homolcatcub", "--category", cat, "--diagram", op_diag],
+            contract + ["homolbwcub", "--category", cat, "--diagram", fc_diag],
+            contract + ["dirhomol", "--map", fold, "--system", const],
+            contract + ["comloc", "--set", circle, "--system", mono],
+            contract + ["semicubecube", "--semi", semi, "--system", const]]))
+        if argv[0] == "compare" and data.draw(st.booleans()):
+            argv += ["--truncate", str(data.draw(st.integers(-2, 64)))]
+        code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+        assert code in (0, 1), (argv, text)
+        if code == 1:
+            assert text.strip(), argv
+            assert text.splitlines()[-1] != "unequal", (argv, text)
 
 
 class TestDeterministicReports:
@@ -977,15 +1186,31 @@ class TestCommands:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_nerve_over_budget_refused_quickly(self, tmp_path, capsys):
-        C = write(tmp_path, "idem.json",
-                  formats.category_to_data(helpers.idempotent_monoid()))
+        # too many cubes: the idempotent monoid at top 4; too big cubes: the
+        # point at top 16, whose one 16-cube carries 589,824 labels
+        for C, top, budget in ((helpers.idempotent_monoid(), "4",
+                                f"more than {NERVE_CUBE_BUDGET} cubes"),
+                               (helpers.point_category(), "16",
+                                f"more than {NERVE_LABEL_BUDGET}, the budget of one cube")):
+            doc = write(tmp_path, "category.json", formats.category_to_data(C))
+            start = time.perf_counter()
+            code = main(["nerve", "--category", doc, "--truncate", top,
+                         "--out", str(tmp_path / "nerve.json")])
+            assert time.perf_counter() - start < 2.0
+            assert code == 1
+            assert budget in capsys.readouterr().err
+            assert not (tmp_path / "nerve.json").exists()
+
+    def test_string_complex_over_budget_refused_quickly(self, tmp_path, capsys):
+        # Z/2 has 2^n strings of length n
+        C = write(tmp_path, "z2.json", formats.category_to_data(helpers.cyclic2_monoid()))
+        D = write(tmp_path, "sign.json", formats.diagram_to_data(helpers.sign_diagram()))
         start = time.perf_counter()
-        code = main(["nerve", "--category", C, "--truncate", "4",
-                     "--out", str(tmp_path / "nerve.json")])
+        code = main(["cat-cohomology", "--category", C, "--diagram", D, "--max-dim", "64"])
         assert time.perf_counter() - start < 2.0
         assert code == 1
-        assert f"more than {NERVE_CUBE_BUDGET} cubes" in capsys.readouterr().err
-        assert not (tmp_path / "nerve.json").exists()
+        assert capsys.readouterr() == ("", f"error: string level 16 has more than "
+                                           f"{STRING_BUDGET} strings, the budget of one degree\n")
 
     def test_cat_homology_sign(self, tmp_path, capsys):
         C = write(tmp_path, "z2.json",
@@ -1232,7 +1457,43 @@ class TestExitCodes:
         for argv in (["--table", bad], ["--table", table, "--system", bad],
                      ["--set", torus, "--system", bad, "--truncate", "3"]):
             assert main(["homology", *argv, "--max-dim", "2"]) == 1, argv
-            assert capsys.readouterr().out.splitlines()[0] == TORUS_SWAP_REPORT
+            report = capsys.readouterr().out
+            assert report.splitlines()[0] == TORUS_SWAP_REPORT
+        # validate refuses it with the same report, also when the embedded
+        # base fixes the truncation; it used to print ok on --set
+        for argv in (["--table", bad], ["--set", torus, "--system", bad, "--truncate", "3"],
+                     ["--set", torus, "--system", bad]):
+            assert main(["validate", *argv]) == 1, argv
+            assert capsys.readouterr().out == report, argv
+
+    def test_validate_truncation_reaches_every_generator(self, tmp_path, capsys):
+        # By default validate expands --set to its largest generator
+        # dimension, or to the top of the system's embedded base, so it sees
+        # what homology sees. It used to stop at dimension 2: it printed ok
+        # for a local system on I^3 broken at the 3-cube, and refused a
+        # sound table-system at top 3 as not matching.
+        X = standard_cube(3)
+        faces = {g: {f"{i},{eps}": [[1]] for i in range(1, n + 1) for eps in (0, 1)}
+                 for g, n in X.generators.items() if n}
+        faces["cxxx"]["1,1"] = [[-1]]
+        i3 = write(tmp_path, "i3.json", formats.cubical_set_to_data(X))
+        bad = write(tmp_path, "bad.json", {"type": "local-system", "rank": 1,
+                                           "variance": "contravariant", "faces": faces})
+        assert main(["homology", "--set", i3, "--system", bad, "--max-dim", "2"]) == 1
+        refusal = capsys.readouterr()
+        assert refusal.err.startswith(
+            "error: generator matrices are not functorial: face-face identity fails at "
+            "dim 3 cube cxxx@x1,x2,x3 (i=1, j=2, alpha=1, beta=0); ")
+        assert main(["validate", "--set", i3, "--system", bad]) == 1
+        assert capsys.readouterr() == refusal
+        torus = write(tmp_path, "torus.json", formats.cubical_set_to_data(helpers.torus()))
+        sound = write(tmp_path, "ts.json", formats.table_system_to_data(
+            constant_system(helpers.torus().expand(3), 1)))
+        assert run(capsys, "validate", "--set", torus, "--system", sound) == (0, "ok")
+        # an explicit --truncate still wins
+        assert main(["validate", "--set", torus, "--system", sound, "--truncate", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: table-system base does not match the given table\n"
 
     def test_contract_missing_flags(self, capsys):
         assert main(["compare", "--contract", "dirhomol", "--max-dim", "1"]) == 2

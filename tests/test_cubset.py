@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubehom import cubset
 from cubehom.boxcat import CubeMorphism, face, degeneracy, hom_set, identity
 from cubehom.cubset import (
     Cube,
@@ -109,6 +110,25 @@ class TestExpansion:
             for i in range(1, m + 2):
                 assert [table.element(m + 1, j) for j in table.degen_map[(m, i)]] == \
                     [apply_morphism(X, degeneracy(m + 1, i), c) for c in table.elements[m]]
+
+    @pytest.mark.parametrize("name, top", [("torus", 5), ("twisted_square", 4),
+                                           ("square", 6), ("cube", 4)])
+    def test_budget_counts_every_cube(self, name, top, monkeypatch):
+        # the budget's up-front count is exact: a budget of the table's own
+        # size admits it, one cube less refuses it with the count
+        X = {"torus": helpers.torus(), "twisted_square": helpers.twisted_square(),
+             "square": standard_cube(2), "cube": standard_cube(3)}[name]
+        size = sum(X.expand(top).size(n) for n in range(top + 1))
+        monkeypatch.setattr(cubset, "EXPANSION_CUBE_BUDGET", size - 1)
+        with pytest.raises(ValueError, match=f"expanding to dimension {top} gives {size} "
+                                             f"cubes, more than {size - 1}, the budget"):
+            X.expand(top)
+
+    def test_over_budget_refused_up_front(self):
+        # I^3 at top 64 would hold 964,600 cubes; I^6 at top 7 holds 34,232
+        assert cubset.EXPANSION_CUBE_BUDGET >= 34232
+        with pytest.raises(ValueError, match="gives 964600 cubes, more than"):
+            standard_cube(3).expand(64)
 
     def test_validate_catches_tampered_flag(self):
         table = helpers.interval().expand(1)

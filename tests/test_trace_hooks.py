@@ -18,7 +18,6 @@ import pytest
 import helpers
 from cubehom import cli, formats
 from cubehom.cubset import standard_cube
-from cubehom.zlinalg import IntMatrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import worker  # noqa: E402
@@ -40,28 +39,27 @@ def test_every_layer_resolves():
 def documents(tmp_path):
     return {
         "square": write(tmp_path, "square.json", formats.cubical_set_to_data(standard_cube(2))),
-        "circle": write(tmp_path, "circle.json", formats.cubical_set_to_data(helpers.circle())),
         "const": write(tmp_path, "const.json", {"type": "constant-system", "rank": 2}),
         "cov": write(tmp_path, "cov.json", {"type": "constant-system", "rank": 1,
                                             "variance": "covariant"}),
-        "monodromy": write(tmp_path, "monodromy.json", formats.local_system_to_data(
-            1, "contravariant", {("e", 1, 0): IntMatrix.identity(1),
-                                 ("e", 1, 1): IntMatrix.from_rows([[-1]])})),
         "z2": write(tmp_path, "z2.json", formats.category_to_data(helpers.cyclic2_monoid())),
         "id_square": write(tmp_path, "id.json", formats.cubical_map_to_data(
             helpers.identity_map(helpers.squashed_square()))),
+        "collapse": write(tmp_path, "collapse.json", formats.cubical_map_to_data(
+            helpers.collapse_to_point(helpers.interval()))),
     }
 
 
+# homology picks its route from the system: the local one for the constant
+# square, the generic one for the direct image of the interval to a point.
 JOBS = {
-    "homology-local": (["homology", "--set", "square", "--system", "const", "--max-dim", "2",
-                        "--path", "local"],
+    "homology-local": (["homology", "--set", "square", "--system", "const", "--max-dim", "2"],
                        ["cli.other_s", "coeff.system_s", "homcalc.normalize_local_s",
                         "zlinalg.eliminate_s"],
                        ["cubset.cubes", "coeff.total_rank", "homcalc.chain_rank",
                         "homcalc.boundary_nnz", "formats.input_bytes"]),
-    "homology-generic": (["homology", "--set", "circle", "--system", "monodromy",
-                          "--max-dim", "1", "--path", "generic"],
+    "homology-generic": (["compare", "--contract", "dirhomol", "--map", "collapse",
+                          "--system", "const", "--max-dim", "1"],
                          ["coeff.system_s", "homcalc.normalize_generic_s"],
                          ["coeff.total_rank", "homcalc.raw_rank_max", "homcalc.chain_rank"]),
     "cohomology": (["cohomology", "--set", "square", "--system", "cov", "--max-dim", "2"],
