@@ -66,9 +66,6 @@ class CubeMorphism:
     def is_identity(self) -> bool:
         return self.src_dim == self.dst_dim and self.tokens == tuple(range(1, self.src_dim + 1))
 
-    def used_coordinates(self) -> tuple:
-        return tuple(t for t in self.tokens if t >= 1)
-
     def token_word(self) -> str:
         """Comma-separated token text: constants as 0/1, coordinates as x<i>."""
         return ",".join("0" if t == 0 else "1" if t == -1 else f"x{t}" for t in self.tokens)

@@ -11,8 +11,8 @@ by the exponential law (Mac Lane, Categories for the Working Mathematician,
 1971): an n-cube is an arrow between two (n-1)-cubes. A level whose cubes
 carry more than NERVE_LABEL_BUDGET labels each is refused before anything of
 it is built, and a level that passes NERVE_CUBE_BUDGET cubes is refused while
-it is searched. The string complex refuses a degree past STRING_BUDGET
-strings in the same way.
+it is searched. The normalized string complex, of non-identity morphisms,
+refuses a degree past STRING_BUDGET strings in the same way.
 """
 
 from dataclasses import dataclass
@@ -124,7 +124,7 @@ STRING_BUDGET = 50_000  # the most strings one degree of the string complex may 
 
 
 def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, ...]]]:
-    """All length-n strings of composable morphisms as (start object, names).
+    """All length-n strings of composable non-identity morphisms as (start object, names).
 
     Raises ValueError as soon as there are more than STRING_BUDGET of them.
     """
@@ -134,7 +134,7 @@ def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, .
     for start, arrows in composable_chains(C, n - 1):
         tail = C.morphisms[arrows[-1]][1] if arrows else start
         for name in sorted(C.morphisms):
-            if C.morphisms[name][0] == tail:
+            if C.morphisms[name][0] == tail and name != C.identity_of(tail):
                 out.append((start, arrows + (name,)))
         if len(out) > STRING_BUDGET:
             raise ValueError(f"string level {n} has more than {STRING_BUDGET} "
@@ -157,11 +157,13 @@ def chain_face(C: FiniteCategory, chain, i: int):
 
 
 def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainComplex:
-    """Chain complex of composable strings with values at the string's start.
+    """Normalized chain complex of strings of non-identity morphisms, valued at the start.
 
     Face 0 pushes the value along the first arrow; the remaining faces leave
-    it in place. Strings through identities are kept, no normalization here.
+    it in place. An inner face that composes to an identity is degenerate, zero
+    in the normalized complex (Gabriel-Zisman 1967, Appendix 2): it is dropped.
     """
+    identities = set(C.identities.values())
     levels = [composable_chains(C, n) for n in range(top + 1)]
     sizes = [[F.rank_of(start) for start, _ in level] for level in levels]
     boundaries = []
@@ -173,30 +175,35 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
             blocks.append((pos[chain_face(C, chain, 0)], c, F.matrix(arrows[0]), 1))
             eye = IntMatrix.identity(F.rank_of(start))
             blocks.extend((pos[chain_face(C, chain, i)], c, eye, (-1) ** i)
-                          for i in range(1, n + 1))
+                          for i in range(1, n + 1)
+                          if i == n or C.compose(arrows[i], arrows[i - 1]) not in identities)
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
     return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
 
 def category_homology(C: FiniteCategory, F: FiniteDiagram,
                       max_dim: int) -> Tuple[HomologyGroup, ...]:
-    """Homology of the string complex in degrees 0..max_dim."""
+    """Homology of the string complex in degrees 0..max_dim; refuses F if not functorial."""
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
+    if problems := F.validate():
+        raise ValueError("diagram is not functorial: " + "; ".join(problems[:3]))
     return homology_of_complex(bar_complex(C, F, max_dim + 1))
 
 
 def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
                         max_dim: int) -> Tuple[HomologyGroup, ...]:
-    """Cohomology of the string cochain complex in degrees 0..max_dim.
+    """Cohomology of the normalized string cochain complex in degrees 0..max_dim.
 
     Strings of C with values at their end are the reversed strings of C.op
     with values at their start, so the cochain complex is the transpose of
     the string complex of C.op with every matrix of G transposed, up to one
-    sign per degree.
+    sign per degree. G is checked as category_homology checks F.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
+    if problems := G.validate():
+        raise ValueError("diagram is not functorial: " + "; ".join(problems[:3]))
     op = C.op()
     dual = FiniteDiagram(op, G.ranks,
                          {name: m.transpose() for name, m in G.matrices.items()})

@@ -106,6 +106,10 @@ class PresentedCubicalSet:
             raise ValueError(f"unknown generator {name!r}")
         return self.generators[name]
 
+    def cube_count(self, n: int) -> int:
+        """Cubes of dimension n: comb(n, k) per k-dimensional generator, one per deletion map."""
+        return sum(comb(n, k) for k in self.generators.values())
+
     def face_cube(self, gen: str, i: int, eps: int) -> Cube:
         try:
             return self.faces[(gen, i, eps)]
@@ -193,13 +197,11 @@ class PresentedCubicalSet:
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables.
 
-        A k-dimensional generator gives comb(n, k) cubes of dimension n, one
-        per deletion map, so comb(top + 1, k + 1) up to top; a table of more
-        than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
+        A table of more than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
         """
         if top < 0:
             raise ValueError("truncation must be nonnegative")
-        cubes = sum(comb(top + 1, k + 1) for k in self.generators.values())
+        cubes = sum(self.cube_count(n) for n in range(top + 1))
         if cubes > EXPANSION_CUBE_BUDGET:
             raise ValueError(f"expanding to dimension {top} gives {cubes} cubes, more than "
                              f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
@@ -547,6 +549,10 @@ def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTa
     It is the fiber product of the two tables over a point, so a pair is
     degenerate iff the two deletion maps share a deleted coordinate.
     """
+    cubes = sum(A.cube_count(n) * B.cube_count(n) for n in range(top + 1))
+    if cubes > EXPANSION_CUBE_BUDGET:
+        raise ValueError(f"the product to dimension {top} has {cubes} cubes, more than "
+                         f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
     legs = [(t, [[0] * t.size(k) for k in range(top + 1)], t.degeneracy_masks())
             for t in (A.expand(top), B.expand(top))]
     return _pullback(*legs, "|")

@@ -8,7 +8,7 @@ from itertools import product as iter_product
 from typing import Tuple
 
 from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
-from cubehom.catalg import CubeFunctor, FiniteCategory
+from cubehom.catalg import STRING_BUDGET, CubeFunctor, FiniteCategory, chain_face
 from cubehom.coeff import (
     ContravariantSystem,
     CovariantSystem,
@@ -27,7 +27,9 @@ from cubehom.cubset import (
 )
 from cubehom.zlinalg import (
     CokernelPresentation,
+    FreeChainComplex,
     IntMatrix,
+    assemble_blocks,
     _reduce,
     _smith_factors,
     solve_exact,
@@ -224,13 +226,18 @@ def reference_product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) 
 # compared against.
 
 
+def used_coordinates(f: CubeMorphism) -> tuple:
+    """The input coordinates f reads, in output order: its non-constant tokens."""
+    return tuple(t for t in f.tokens if t >= 1)
+
+
 def epi_mono_factorize(f: CubeMorphism) -> Tuple[CubeMorphism, CubeMorphism]:
     """Split f as (deletions, insertions) with f = mono . epi.
 
     The epi deletes the unused input coordinates; the mono renumbers the
     survivors and inserts the constants. Both parts are uniquely determined.
     """
-    used = f.used_coordinates()
+    used = used_coordinates(f)
     rank = {c: k + 1 for k, c in enumerate(used)}
     epi = CubeMorphism(f.src_dim, len(used), used)
     mono = CubeMorphism(len(used), f.dst_dim, tuple(t if t <= 0 else rank[t] for t in f.tokens))
@@ -410,6 +417,18 @@ def gauge_matrices(X, r, rng, variance="contravariant"):
     return telescoping_matrices(X, {g: random_unimodular(rng, r) for g in X.generators}, variance)
 
 
+def telescoping_diagram(C, r, rng):
+    """Diagram whose matrix on a: x -> y is gamma_y * gamma_x^-1, for random units gamma.
+
+    Composites telescope, so the diagram is functorial for any units drawn.
+    """
+    gamma = {o: random_unimodular(rng, r) for o in C.objects}
+    ginv = {o: inverse_unimodular(gamma[o]) for o in C.objects}
+    mats = {name: gamma[dst] * ginv[src]
+            for name, (src, dst) in C.morphisms.items()}
+    return FiniteDiagram(C, {o: r for o in C.objects}, mats)
+
+
 def telescoping_matrices(X, gamma, variance="contravariant"):
     """Generator face matrices that telescope through the unit gamma[g] of each generator.
 
@@ -587,6 +606,71 @@ def idempotent_monoid():
         {"1": ("o", "o"), "e": ("o", "o")},
         {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"},
         {"o": "1"})
+
+
+def cyclic3_monoid():
+    """One object carrying g with g^3 = e: the non-identity strings of length n number 2^n."""
+    powers = ["e", "g", "g2"]
+    return FiniteCategory(
+        ["o"],
+        {name: ("o", "o") for name in powers},
+        {(a, b): powers[(i + j) % 3] for i, a in enumerate(powers) for j, b in enumerate(powers)},
+        {"o": "e"})
+
+
+# The un-normalized string complex: every composable string, identities
+# included, with all of its faces. It has the homology of the normalized
+# complex catalg builds (Mac Lane, Homology, 1963, ch. IV, section 5; Gabriel and
+# Zisman, 1967, Appendix 2), so the two are compared against each other.
+
+
+def reference_chains(C: FiniteCategory, n: int):
+    """All length-n strings of composable morphisms as (start object, names)."""
+    if n == 0:
+        return [(obj, ()) for obj in sorted(C.objects)]
+    out = []
+    for start, arrows in reference_chains(C, n - 1):
+        tail = C.morphisms[arrows[-1]][1] if arrows else start
+        for name in sorted(C.morphisms):
+            if C.morphisms[name][0] == tail:
+                out.append((start, arrows + (name,)))
+        if len(out) > STRING_BUDGET:
+            raise ValueError(f"string level {n} has more than {STRING_BUDGET} "
+                             f"strings, the budget of one degree")
+    return out
+
+
+def reference_bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainComplex:
+    """Chain complex of every composable string with values at the string's start.
+
+    Face 0 pushes the value along the first arrow; the remaining faces leave
+    it in place. Strings through identities are kept, no normalization here.
+    """
+    levels = [reference_chains(C, n) for n in range(top + 1)]
+    sizes = [[F.rank_of(start) for start, _ in level] for level in levels]
+    boundaries = []
+    for n in range(1, top + 1):
+        pos = {chain: i for i, chain in enumerate(levels[n - 1])}
+        blocks = []
+        for c, chain in enumerate(levels[n]):
+            start, arrows = chain
+            blocks.append((pos[chain_face(C, chain, 0)], c, F.matrix(arrows[0]), 1))
+            eye = IntMatrix.identity(F.rank_of(start))
+            blocks.extend((pos[chain_face(C, chain, i)], c, eye, (-1) ** i)
+                          for i in range(1, n + 1))
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    return FreeChainComplex([sum(level) for level in sizes], boundaries)
+
+
+def reference_cobar_complex(C: FiniteCategory, G: FiniteDiagram, top: int) -> FreeChainComplex:
+    """The un-normalized complex whose dual computes the string cohomology of (C, G).
+
+    As in catalg.category_cohomology: the string complex of C.op with every
+    matrix of G transposed.
+    """
+    dual = FiniteDiagram(C.op(), G.ranks,
+                         {name: m.transpose() for name, m in G.matrices.items()})
+    return reference_bar_complex(C.op(), dual, top)
 
 
 def reference_nerve(C: FiniteCategory, top: int) -> CubesTable:

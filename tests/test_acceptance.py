@@ -62,15 +62,6 @@ def point_like(rank, top_degree):
     return groups((rank, ()), *[(0, ())] * top_degree)
 
 
-def gamma_diagram(C, r, rng):
-    """Diagram whose matrices telescope between per-object unimodular units."""
-    gamma = {o: helpers.random_unimodular(rng, r) for o in C.objects}
-    ginv = {o: helpers.inverse_unimodular(gamma[o]) for o in C.objects}
-    mats = {name: gamma[dst] * ginv[src]
-            for name, (src, dst) in C.morphisms.items()}
-    return FiniteDiagram(C, {o: r for o in C.objects}, mats)
-
-
 def pad_levels(S, extra):
     """Append empty levels so homology one degree below the top is in range."""
     levels = [list(level) for level in S.levels] + [[] for _ in range(extra)]
@@ -214,7 +205,7 @@ def test_criterion_7_nerve_vs_bar():
         (arrow, helpers.constant_diagram(arrow_op)),
         (arrow, ramp),
         (square, helpers.constant_diagram(square.op())),
-        (square, gamma_diagram(square.op(), 2, rng)),
+        (square, helpers.telescoping_diagram(square.op(), 2, rng)),
         (z2, helpers.sign_diagram(z2.op())),
     ]
     ok = True
@@ -247,7 +238,7 @@ def test_criterion_8_bw_comparison():
         (arrow, helpers.codomain_diagram(arrow, fc_arrow, triple)),
         (square, helpers.constant_diagram(fc_square)),
         (square, helpers.codomain_diagram(square, fc_square,
-                                          gamma_diagram(square, 2, rng))),
+                                          helpers.telescoping_diagram(square, 2, rng))),
     ]
     ok = True
     for C, G in cases:

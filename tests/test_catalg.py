@@ -5,6 +5,9 @@ low degrees is the classical periodic resolution, so the expected groups
 alternate between Z/2 and 0 depending on the coefficient twist.
 """
 
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +36,8 @@ from cubehom.coeff import (
     system_from_diagram_last_vertex,
     validate_functoriality,
 )
-from cubehom.zlinalg import HomologyGroup, IntMatrix
+from cubehom.zlinalg import (HomologyGroup, IntMatrix, cohomology_of_complex,
+                             homology_of_complex)
 
 import helpers
 
@@ -107,11 +111,33 @@ class TestFiniteCategory:
 
 class TestChains:
     def test_chain_counts(self):
+        # the un-normalized strings, identities included
         z2 = helpers.cyclic2_monoid()
-        assert [len(composable_chains(z2, n)) for n in range(4)] == [1, 2, 4, 8]
+        assert [len(helpers.reference_chains(z2, n)) for n in range(4)] == [1, 2, 4, 8]
         arrow = helpers.arrow_category()
-        assert [len(composable_chains(arrow, n)) for n in range(4)] == [2, 3, 4, 5]
-        assert len(composable_chains(helpers.square_poset(), 1)) == 9
+        assert [len(helpers.reference_chains(arrow, n)) for n in range(4)] == [2, 3, 4, 5]
+        assert len(helpers.reference_chains(helpers.square_poset(), 1)) == 9
+
+    def test_normalized_chain_counts(self):
+        # strings of non-identity morphisms only: g^n on Z/2, the one arrow,
+        # and the order complex of the square poset
+        z2 = helpers.cyclic2_monoid()
+        assert [len(composable_chains(z2, n)) for n in range(4)] == [1, 1, 1, 1]
+        arrow = helpers.arrow_category()
+        assert [len(composable_chains(arrow, n)) for n in range(4)] == [2, 1, 0, 0]
+        square = helpers.square_poset()
+        assert [len(composable_chains(square, n)) for n in range(4)] == [4, 5, 2, 0]
+        fc = factorization_category(square)
+        assert [len(composable_chains(fc, n)) for n in range(4)] == [9, 16, 8, 0]
+        z3 = helpers.cyclic3_monoid()
+        assert [len(composable_chains(z3, n)) for n in range(5)] == [1, 2, 4, 8, 16]
+
+    def test_normalized_chains_are_reference_chains_without_identities(self):
+        for C in all_fixture_categories() + [helpers.idempotent_monoid()]:
+            ids = set(C.identities.values())
+            for n in range(4):
+                want = [c for c in helpers.reference_chains(C, n) if not ids & set(c[1])]
+                assert composable_chains(C, n) == want
 
     def test_chain_face_ends(self):
         C = helpers.arrow_category()
@@ -133,7 +159,7 @@ class TestChains:
         # exhaustively on every string of length <= 4
         for C in (helpers.cyclic2_monoid(), helpers.square_poset()):
             for n in (2, 3, 4):
-                for chain in composable_chains(C, n):
+                for chain in helpers.reference_chains(C, n):
                     for j in range(n):
                         for i in range(j + 1):
                             left = chain_face(C, chain_face(C, chain, j + 1), i)
@@ -144,15 +170,26 @@ class TestChains:
 class TestBar:
     def test_point_ranks_and_homology(self):
         pt = helpers.point_category()
-        cx = bar_complex(pt, helpers.constant_diagram(pt), 3)
+        cx = helpers.reference_bar_complex(pt, helpers.constant_diagram(pt), 3)
         assert cx.ranks == (1, 1, 1, 1)
         assert category_homology(pt, helpers.constant_diagram(pt), 2) == \
             groups((1, ()), (0, ()), (0, ()))
 
+    def test_point_normalized_ranks(self):
+        # the identity is the point's only morphism, so only degree 0 is left
+        pt = helpers.point_category()
+        assert bar_complex(pt, helpers.constant_diagram(pt), 3).ranks == (1, 0, 0, 0)
+
     def test_involution_ranks_double_each_degree(self):
         z2 = helpers.cyclic2_monoid()
-        cx = bar_complex(z2, helpers.constant_diagram(z2), 4)
+        cx = helpers.reference_bar_complex(z2, helpers.constant_diagram(z2), 4)
         assert cx.ranks == (1, 2, 4, 8, 16)
+
+    def test_involution_one_normalized_string_per_degree(self):
+        # one string g g ... g per degree: the periodic resolution of Z/2
+        z2 = helpers.cyclic2_monoid()
+        cx = bar_complex(z2, helpers.constant_diagram(z2, 2), 4)
+        assert cx.ranks == (2, 2, 2, 2, 2)
 
     def test_involution_trivial_coefficients(self):
         z2 = helpers.cyclic2_monoid()
@@ -184,6 +221,92 @@ class TestBar:
         with pytest.raises(ValueError):
             category_homology(pt, helpers.constant_diagram(pt), -1)
 
+    def test_non_functorial_diagram_refused_with_its_report(self):
+        # the normalized arrow has no string of length 2, so no d . d check
+        # could see that [3] [2] != [3]; the diagram itself is checked
+        arrow = helpers.arrow_category()
+        F = helpers.numbered_diagram(arrow)
+        report = "diagram is not functorial: " + "; ".join(F.validate()[:3])
+        for compute in (category_homology, category_cohomology):
+            with pytest.raises(ValueError) as err:
+                compute(arrow, F, 1)
+            assert str(err.value) == report
+
+
+class TestInvolutionPeriodicity:
+    """The groups of Z/2 to degree 40, known from its periodic resolution.
+
+    H_n(Z/2; Z) is Z/2 in odd degrees and H^n(Z/2; Z) in even degrees
+    above 0; the sign twist moves both by one degree (the periodic resolution
+    of a cyclic group, Mac Lane, Homology, 1963, ch. IV). The normalized complex has one string per degree.
+    """
+
+    TOP = 40
+
+    @staticmethod
+    def pattern(z2_when, first):
+        return (first,) + tuple(HomologyGroup(0, (2,) if n % 2 == z2_when else ())
+                                for n in range(1, TestInvolutionPeriodicity.TOP + 1))
+
+    def test_homology(self):
+        z2 = helpers.cyclic2_monoid()
+        assert category_homology(z2, helpers.constant_diagram(z2), self.TOP) == \
+            self.pattern(1, HomologyGroup(1, ()))
+        assert category_homology(z2, helpers.sign_diagram(), self.TOP) == \
+            self.pattern(0, HomologyGroup(0, (2,)))
+
+    def test_cohomology(self):
+        z2 = helpers.cyclic2_monoid()
+        assert category_cohomology(z2, helpers.constant_diagram(z2), self.TOP) == \
+            self.pattern(0, HomologyGroup(1, ()))
+        assert category_cohomology(z2, helpers.sign_diagram(), self.TOP) == \
+            self.pattern(1, HomologyGroup(0, ()))
+
+
+def oracle_categories():
+    """The fixture categories and Z/3, their opposites, the fixtures' factorization categories.
+
+    Z/3 has 3 * 9^n reference strings of length n in its factorization category,
+    past STRING_BUDGET at n = 5, so that one is left out.
+    """
+    base = all_fixture_categories() + [helpers.idempotent_monoid()]
+    monoids = base + [helpers.cyclic3_monoid()]
+    return monoids + [C.op() for C in monoids] + [factorization_category(C) for C in base]
+
+
+class TestNormalizedAgainstReference:
+    """The normalized string complex against the un-normalized reference.
+
+    Both compute the same homology and cohomology; the reference keeps every
+    string through an identity and every face. Degrees run to 4, where the
+    largest reference level (top 5 of the factorization category of Z/2 or
+    of the idempotent monoid, 2,048 strings) stays inside STRING_BUDGET.
+    """
+
+    CATEGORIES = oracle_categories()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CATEGORIES), st.integers(1, 2), st.integers(0, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_same_groups(self, C, rank, max_dim, seed):
+        F = helpers.telescoping_diagram(C, rank, random.Random(seed))
+        assert F.validate() == []
+        top = max_dim + 1
+        assert category_homology(C, F, max_dim) == \
+            homology_of_complex(helpers.reference_bar_complex(C, F, top))
+        assert category_cohomology(C, F, max_dim) == \
+            cohomology_of_complex(helpers.reference_cobar_complex(C, F, top))
+
+    @pytest.mark.parametrize("F", [helpers.sign_diagram(),
+                                   helpers.sign_diagram(helpers.cyclic2_monoid().op())],
+                             ids=["sign", "sign op"])
+    def test_twisted_involution(self, F):
+        C = F.category
+        assert category_homology(C, F, 4) == \
+            homology_of_complex(helpers.reference_bar_complex(C, F, 5))
+        assert category_cohomology(C, F, 4) == \
+            cohomology_of_complex(helpers.reference_cobar_complex(C, F, 5))
+
 
 class TestCobar:
     def test_point_gives_value_then_zero(self):
@@ -194,8 +317,14 @@ class TestCobar:
     def test_cobar_ranks_count_chains(self):
         # string cochains of the arrow are the dual of string chains of its opposite
         op = helpers.arrow_category().op()
-        cx = bar_complex(op, helpers.constant_diagram(op), 3)
+        cx = helpers.reference_bar_complex(op, helpers.constant_diagram(op), 3)
         assert cx.ranks == (2, 3, 4, 5)
+        assert len(cx.boundaries) == 3
+
+    def test_normalized_cobar_ranks_count_non_identity_chains(self):
+        op = helpers.arrow_category().op()
+        cx = bar_complex(op, helpers.constant_diagram(op), 3)
+        assert cx.ranks == (2, 1, 0, 0)
         assert len(cx.boundaries) == 3
 
     def test_involution_trivial_coefficients(self):
@@ -428,6 +557,16 @@ class TestNerveReference:
     @pytest.mark.parametrize("name", ["point", "arrow", "arrow a<a+"])
     def test_tables_match_reference_at_top_four(self, name):
         assert_matches_reference(NERVE_FIXTURES[name](), 4)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(NERVE_FIXTURES))
+    def test_eilenberg_zilber_count(self, name, top):
+        # every cube is one degeneracy of one non-degenerate k-cube, and an
+        # n-cube degenerates from a k-cube in comb(n, k) ways
+        nerve = cubical_nerve(NERVE_FIXTURES[name](), top)
+        nd = [len(nerve.nondegenerate_indices(k)) for k in range(top + 1)]
+        for n in range(top + 1):
+            assert nerve.size(n) == sum(comb(n, k) * nd[k] for k in range(n + 1))
 
     @settings(max_examples=100, deadline=None)
     @given(random_posets(), st.integers(0, 3))

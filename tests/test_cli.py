@@ -25,7 +25,7 @@ from cubehom.catalg import (NERVE_CUBE_BUDGET, NERVE_LABEL_BUDGET, STRING_BUDGET
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
-from cubehom.cubset import standard_cube
+from cubehom.cubset import EXPANSION_CUBE_BUDGET, standard_cube
 from cubehom.formats import FormatError
 from cubehom.zlinalg import HomologyGroup, IntMatrix
 
@@ -1202,15 +1202,29 @@ class TestCommands:
             assert not (tmp_path / "nerve.json").exists()
 
     def test_string_complex_over_budget_refused_quickly(self, tmp_path, capsys):
-        # Z/2 has 2^n strings of length n
-        C = write(tmp_path, "z2.json", formats.category_to_data(helpers.cyclic2_monoid()))
-        D = write(tmp_path, "sign.json", formats.diagram_to_data(helpers.sign_diagram()))
+        # Z/3 has 2^n strings of length n of its two non-identity elements
+        z3 = helpers.cyclic3_monoid()
+        C = write(tmp_path, "z3.json", formats.category_to_data(z3))
+        D = write(tmp_path, "const.json", formats.diagram_to_data(helpers.constant_diagram(z3)))
         start = time.perf_counter()
         code = main(["cat-cohomology", "--category", C, "--diagram", D, "--max-dim", "64"])
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert capsys.readouterr() == ("", f"error: string level 16 has more than "
                                            f"{STRING_BUDGET} strings, the budget of one degree\n")
+
+    def test_product_over_budget_refused_quickly(self, tmp_path, capsys):
+        # I^2 x I^2 would hold 72,461,168 cubes at top 64
+        X = write(tmp_path, "square.json", formats.cubical_set_to_data(standard_cube(2)))
+        start = time.perf_counter()
+        code = main(["product", "--left", X, "--right", X, "--truncate", "64",
+                     "--out", str(tmp_path / "product.json")])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: the product to dimension 64 has 72461168 "
+                                           f"cubes, more than {EXPANSION_CUBE_BUDGET}, "
+                                           f"the budget of one table\n")
+        assert not (tmp_path / "product.json").exists()
 
     def test_cat_homology_sign(self, tmp_path, capsys):
         C = write(tmp_path, "z2.json",

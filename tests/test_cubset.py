@@ -372,6 +372,25 @@ class TestProduct:
         assert table_parts(got) == table_parts(want)
         assert (list(got.face), list(got.degen_map)) == (list(want.face), list(want.degen_map))
 
+    @pytest.mark.parametrize("name", sorted(PRODUCT_PAIRS))
+    def test_budget_counts_every_cube(self, name, monkeypatch):
+        # the count is made from the presentations before either factor is
+        # expanded, and it is exact: one cube less than the product refuses it
+        A, B = PRODUCT_PAIRS[name]
+        size = sum(product(A, B, 4).size(n) for n in range(5))
+        assert size == sum(A.cube_count(n) * B.cube_count(n) for n in range(5))
+        monkeypatch.setattr(cubset, "EXPANSION_CUBE_BUDGET", size - 1)
+        with pytest.raises(ValueError, match=f"the product to dimension 4 has {size} "
+                                             f"cubes, more than {size - 1}, the budget"):
+            product(A, B, 4)
+
+    def test_product_over_budget_refused_up_front(self):
+        # I^2 x I^2 would hold 72,461,168 cubes at top 64; expand would refuse
+        # each factor (52,260 cubes), so this message shows the product's
+        # count is made first
+        with pytest.raises(ValueError, match="has 72461168 cubes, more than"):
+            product(standard_cube(2), standard_cube(2), 64)
+
     def test_square_as_product_of_intervals(self):
         table = product(standard_cube(1), standard_cube(1), 2)
         assert table.size(0) == 4
