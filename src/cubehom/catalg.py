@@ -123,23 +123,26 @@ class FiniteCategory:
 STRING_BUDGET = 50_000  # the most strings one degree of the string complex may hold
 
 
-def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, ...]]]:
-    """All length-n strings of composable non-identity morphisms as (start object, names).
+def _string_levels(C: FiniteCategory, top: int) -> List[List[Tuple[str, Tuple[str, ...]]]]:
+    """composable_chains(C, n) for n = 0..top, each grown once from the level below."""
+    after = {obj: [g for g in sorted(C.morphisms)
+                   if C.morphisms[g][0] == obj and g != C.identity_of(obj)] for obj in C.objects}
+    levels = [[(obj, ()) for obj in sorted(C.objects)]]
+    for n in range(1, top + 1):
+        out = []
+        for start, arrows in levels[-1]:
+            out += [(start, arrows + (name,))
+                    for name in after[C.morphisms[arrows[-1]][1] if arrows else start]]
+            if len(out) > STRING_BUDGET:
+                raise ValueError(f"string level {n} has more than {STRING_BUDGET} "
+                                 f"strings, the budget of one degree")
+        levels.append(out)
+    return levels
 
-    Raises ValueError as soon as there are more than STRING_BUDGET of them.
-    """
-    if n == 0:
-        return [(obj, ()) for obj in sorted(C.objects)]
-    out = []
-    for start, arrows in composable_chains(C, n - 1):
-        tail = C.morphisms[arrows[-1]][1] if arrows else start
-        for name in sorted(C.morphisms):
-            if C.morphisms[name][0] == tail and name != C.identity_of(tail):
-                out.append((start, arrows + (name,)))
-        if len(out) > STRING_BUDGET:
-            raise ValueError(f"string level {n} has more than {STRING_BUDGET} "
-                             f"strings, the budget of one degree")
-    return out
+
+def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, ...]]]:
+    """All length-n strings of composable non-identity morphisms as (start object, names)."""
+    return _string_levels(C, n)[n]
 
 
 def chain_face(C: FiniteCategory, chain, i: int):
@@ -164,7 +167,7 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
     in the normalized complex (Gabriel-Zisman 1967, Appendix 2): it is dropped.
     """
     identities = set(C.identities.values())
-    levels = [composable_chains(C, n) for n in range(top + 1)]
+    levels = _string_levels(C, top)
     sizes = [[F.rank_of(start) for start, _ in level] for level in levels]
     boundaries = []
     for n in range(1, top + 1):

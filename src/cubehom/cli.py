@@ -14,8 +14,8 @@ from . import formats
 from .catalg import (bw_cohomology_cubical, bw_cohomology_oracle, bw_comparison,
                      category_cohomology, category_homology, cubical_nerve,
                      factorization_category, nerve_vs_bar_comparison)
-from .coeff import (direct_image, extend_semicubical, is_local, pullback_system,
-                    validate_functoriality)
+from .coeff import (check_generator_matrices, direct_image, extend_semicubical, is_local,
+                    pullback_system, validate_functoriality)
 from .cubset import product, pullback_fiber, universal_from_semicubical
 from .formats import FormatError
 from .homcalc import cohomology, fiber_criterion, homology, semicubical_homology
@@ -48,26 +48,31 @@ def _truncation(args) -> int:
     return t
 
 
-def _load_system(path, base, presented=None):
-    """Build a --system document on base; a table-system is checked in full.
+def _load_system(path, base, presented=None, top=None):
+    """A --system document's carrier and system; a table-system is checked in full.
 
-    Constant systems are functorial by construction and local systems are
-    validated by their builder, so only a table-system needs the check.
-    With base None, presented is expanded as deep as the document reaches:
-    to the top of a table-system's embedded base, otherwise to presented's
-    largest generator dimension, and at least to 2.
+    With base None (--set), a constant or local system stays on presented's
+    generators, checked to depth top (coeff.check_generator_matrices), and
+    any other is built on presented expanded to top. top None is the top of
+    an embedded base, else presented's largest generator dimension, at least 2.
     """
+    if base is None and top is not None and top < 0:
+        raise ValueError("truncation must be nonnegative")
     data = formats.load_document(path)
     if base is None:
-        embedded = data.get("base") if data.get("type") == "table-system" else None
-        top = (formats.parse_cubes_table(embedded).top if embedded is not None
-               else max([2, *presented.generators.values()]))
+        if top is None:
+            embedded = data.get("base") if data.get("type") == "table-system" else None
+            top = (formats.parse_cubes_table(embedded).top if embedded is not None
+                   else max([2, *presented.generators.values()]))
+        if data.get("type") in ("constant-system", "local-system"):
+            return presented, check_generator_matrices(
+                presented, *formats.parse_generator_system(data, presented), top)
         base = presented.expand(top)
     F = formats.build_system(data, base, presented)
     if data["type"] == "table-system":
         _check(F.base.validate())
         _check(validate_functoriality(F))
-    return F
+    return base, F
 
 
 def _table_and_system(table, system):
@@ -88,20 +93,19 @@ def _table_and_system(table, system):
                           f"got type {t!r}")
     _check(base.validate())
     if system:
-        return base, _load_system(system, base)
+        return _load_system(system, base)
     if F is not None:
         _check(validate_functoriality(F))
     return base, F
 
 
 def _carrier_and_system(args):
-    """Resolve --set/--table plus --system into a cubes table and a system."""
+    """Resolve --set/--table plus --system into a carrier and a system (see _load_system)."""
     if args.set:
         if not args.system:
             raise FormatError("--set needs a --system document")
         X = _load(formats.parse_cubical_set, args.set)
-        base = X.expand(_truncation(args))
-        return base, _load_system(args.system, base, X)
+        return _load_system(args.system, None, X, _truncation(args))
     base, F = _table_and_system(args.table, args.system)
     if F is None:
         raise FormatError("--table with a cubes-table document needs --system")
@@ -132,8 +136,7 @@ def cmd_validate(args) -> int:
     if args.set:
         X = _load(formats.parse_cubical_set, args.set)
         if args.system:
-            base = None if args.truncate is None else X.expand(args.truncate)
-            _load_system(args.system, base, X)
+            _load_system(args.system, None, X, args.truncate)
     elif args.semi:
         S = _load(formats.parse_semicubical_set, args.semi)
         if args.system:
@@ -190,35 +193,23 @@ def cmd_fiber_criterion(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_direct_image(args) -> int:
+def cmd_transport(args) -> int:
     f = _load(formats.parse_cubical_map, args.map)
-    base = f.source.expand(args.truncate)
-    F = _load_system(args.system, base, f.source)
-    return _emit(args, formats.table_system_to_data(direct_image(f, F)))
-
-
-def cmd_pullback_system(args) -> int:
-    f = _load(formats.parse_cubical_map, args.map)
-    base = f.target.expand(args.truncate)
-    F = _load_system(args.system, base, f.target)
-    return _emit(args, formats.table_system_to_data(pullback_system(f, F)))
+    X = getattr(f, args.side)
+    _, F = _load_system(args.system, X.expand(args.truncate), X)
+    return _emit(args, formats.table_system_to_data(args.transport(f, F)))
 
 
 def cmd_cat_groups(args) -> int:
     C = _load(formats.parse_category, args.category)
-    D = _load(formats.parse_diagram, args.diagram, C)
+    D = _load(formats.parse_diagram, args.diagram,
+              factorization_category(C) if args.factorized else C)
     return _print_groups(args, args.compute(C, D, args.max_dim))
 
 
 def cmd_nerve(args) -> int:
     C = _load(formats.parse_category, args.category)
     return _emit(args, formats.cubes_table_to_data(cubical_nerve(C, args.truncate)))
-
-
-def cmd_bw(args) -> int:
-    C = _load(formats.parse_category, args.category)
-    D = _load(formats.parse_diagram, args.diagram, factorization_category(C))
-    return _print_groups(args, args.compute(C, D, args.max_dim))
 
 
 def _need(args, contract, **flags):
@@ -234,9 +225,7 @@ def cmd_compare(args) -> int:
     if contract == "dirhomol":
         _need(args, contract, map=True, system=True)
         f = _load(formats.parse_cubical_map, args.map)
-        t = _truncation(args)
-        src = f.source.expand(t)
-        F = _load_system(args.system, src, f.source)
+        src, F = _load_system(args.system, f.source.expand(_truncation(args)), f.source)
         left = homology(src, F, args.max_dim)
         G = direct_image(f, F)
         right = homology(G.base, G, args.max_dim)
@@ -244,8 +233,7 @@ def cmd_compare(args) -> int:
     elif contract == "comloc":
         _need(args, contract, set=True, system=True)
         X = _load(formats.parse_cubical_set, args.set)
-        base = X.expand(_truncation(args))
-        F = _load_system(args.system, base, X)
+        base, F = _load_system(args.system, X.expand(_truncation(args)), X)
         if not is_local(F):
             raise ValueError("the local route needs every operator matrix unimodular")
         left = homology(base, F, args.max_dim, path="local")
@@ -259,21 +247,15 @@ def cmd_compare(args) -> int:
         G = extend_semicubical(F, args.max_dim + 1)
         right = homology(G.base, G, args.max_dim)
         labels = ("semicubical", "universal")
-    elif contract == "homolcatcub":
-        _need(args, contract, category=True, diagram=True)
-        C = _load(formats.parse_category, args.category)
-        D = _load(formats.parse_diagram, args.diagram, C.op())
-        report = nerve_vs_bar_comparison(C, D, args.max_dim)
-        left, right = report.cubical, report.categorical
-        labels = ("cubical", "categorical")
     else:
         _need(args, contract, category=True, diagram=True)
         C = _load(formats.parse_category, args.category)
-        D = _load(formats.parse_diagram, args.diagram, factorization_category(C))
-        report = bw_comparison(C, D, args.max_dim)
+        bw = contract == "homolbwcub"
+        D = _load(formats.parse_diagram, args.diagram, factorization_category(C) if bw else C.op())
+        report = (bw_comparison if bw else nerve_vs_bar_comparison)(C, D, args.max_dim)
         left, right = report.cubical, report.categorical
-        labels = ("cubical", "oracle")
-        kind = "cohomology"
+        labels = ("cubical", "oracle" if bw else "categorical")
+        kind = "cohomology" if bw else kind
     print(f"{labels[0]}: {formats.format_groups(left, kind)}")
     print(f"{labels[1]}: {formats.format_groups(right, kind)}")
     equal = left == right
@@ -304,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system", help="also check a coefficient system document")
     sp.add_argument("--diagram", help="also check a diagram document (with --category)")
     sp.add_argument("--truncate", type=int, default=None,
-                    help="expansion depth when checking a system on --set (default: "
+                    help="depth to which a system on --set is checked (default: "
                          "the depth the system document reaches, at least 2)")
     sp.set_defaults(handler=cmd_validate)
 
@@ -353,21 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truncate", type=int, default=None)
     sp.set_defaults(handler=cmd_fiber_criterion)
 
-    sp = sub.add_parser("direct-image",
-                        help="push a system forward along a map")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--truncate", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_direct_image)
-
-    sp = sub.add_parser("pullback-system",
-                        help="restrict a system on the target along a map")
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--truncate", type=int, required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_pullback_system)
+    for name, side, transport, what in (
+            ("direct-image", "source", direct_image, "push a system forward along a map"),
+            ("pullback-system", "target", pullback_system,
+             "restrict a system on the target along a map")):
+        sp = sub.add_parser(name, help=what)
+        sp.add_argument("--map", required=True)
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--truncate", type=int, required=True)
+        sp.add_argument("--out")
+        sp.set_defaults(handler=cmd_transport, side=side, transport=transport)
 
     for name, compute in (("cat-homology", category_homology),
                           ("cat-cohomology", category_cohomology)):
@@ -376,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--category", required=True)
         sp.add_argument("--diagram", required=True)
         groups_flags(sp, kind)
-        sp.set_defaults(handler=cmd_cat_groups, compute=compute)
+        sp.set_defaults(handler=cmd_cat_groups, compute=compute, factorized=False)
 
     sp = sub.add_parser("nerve", help="cubical nerve table of a finite category")
     sp.add_argument("--category", required=True)
@@ -391,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--diagram", required=True,
                         help="diagram document on the factorization category")
         groups_flags(sp, "cohomology")
-        sp.set_defaults(handler=cmd_bw, compute=compute)
+        sp.set_defaults(handler=cmd_cat_groups, compute=compute, factorized=True)
 
     sp = sub.add_parser("compare", help="run one comparison contract")
     sp.add_argument("--contract", required=True,

@@ -13,9 +13,9 @@ documents of formats are the one place that converts between keys and
 indices.
 
 validate_functoriality checks a system against every instance of the
-cubical identities on every cube. A system that local_system generates from
-face matrices on generators is checked on the generators only; its
-docstring says why the other instances hold.
+cubical identities on every cube. A local system, face matrices on the
+generators of a presented set, is checked on the generators alone, with no
+table (check_generator_matrices), and so are semi-cubical systems.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def validate_functoriality(F) -> List[str]:
 def _path_values(F):
     """values(n, path, at): the matrix of path at each cube index in at, of dimension n.
 
-    This is the one evaluator of cubical_identities on a system; F's shapes
+    The one evaluator of cubical_identities on a table's system; F's shapes
     must be checked first. A product of two matrix objects is formed once
     per _path_values call, since F holds every operand while values lives.
     """
@@ -240,59 +240,66 @@ def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
                 for m, i in base.degen_map})
 
 
-def _generator_failures(F) -> list:
-    """identity_failures of the face-face instances on the non-degenerate cubes of F.base.
+def _face_face_failures(X: PresentedCubicalSet, ranks: Dict[str, int], face_matrices,
+                        variance: str, top: int) -> list:
+    """identity_failures of the face-face instances at X's generators of dimension <= top.
 
-    A failure's cube index counts the non-degenerate cubes of its dimension.
+    A side at g is g's face (j, b), then face (i, a) of the cube X._face_of
+    gives, with the matrices of _generated_system. A failure's cube index
+    counts the generators of its dimension.
     """
-    base = F.base
-    values = _path_values(F)
-    at = [base.nondegenerate_indices(n) for n in range(base.top + 1)]
-    face_face = [e for e in cubical_identities(base.top) if e[0] == "face-face"]
-    return identity_failures(face_face, lambda n, path: values(n, path, at[n]))
+    contra = variance == "contravariant"
+    eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
+    top = min(top, max(X.generators.values(), default=0))
+    cells = [[g for g, d in X.generators.items() if d == n] for n in range(top + 1)]
+
+    def value(g, n, path):
+        (_, j, b), (_, i, a) = path
+        first = face_matrices[(g, j, b)]
+        h, kept = X._face_of(g, tuple(range(1, n + 1)), j, b)
+        then = face_matrices[(h, kept.index(i) + 1, a)] if i in kept else eyes[ranks[h]]
+        return then * first if contra else first * then
+
+    face_face = [e for e in cubical_identities(top) if e[0] == "face-face"]
+    return identity_failures(face_face, lambda n, path: [value(g, n, path) for g in cells[n]])
 
 
-def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
-                 gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix],
-                 variance: str = "contravariant"):
-    """Rank-r system on base, an expansion of X, from face matrices on generators.
+def check_generator_matrices(X: PresentedCubicalSet, rank: int, gen_face_matrices,
+                             variance: str, top: int):
+    """(variance, ranks by generator, gen_face_matrices): a rank-r local system on X.
 
-    Degeneracy matrices are the identity, and the face (i, eps) of the cube
-    (g, epi) is the identity or one generator matrix of g, as
-    _generated_system reads off epi; equal matrices are one shared object.
-    Raises if a matrix is not square of size rank or not unimodular, or if
-    the result fails functoriality.
-
-    Functoriality is checked on the generators only (_generator_failures):
-    the face-face instances of cubical_identities at the non-degenerate cube
-    of each generator of dimension 2 up to base.top, read off the built
-    columns. The other instances hold by construction. Shapes agree, since
-    every matrix is rank x rank. Degeneracies are identities, and so is a
-    face along a coordinate that epi deletes. So on a cube (g, epi), an
-    instance whose faces act on kept coordinates is a face-face instance on
-    g's own cube, renumbered, and any other instance has the same one
-    generator matrix of g, or none, between identities on both sides. A
-    failure, or a negative rank, runs the full validate_functoriality, whose
-    report words the error.
+    Raises if the keys are not X's faces, a matrix is not a rank x rank
+    unit, or functoriality fails up to dimension top. That is checked at the
+    generators (_face_face_failures), with no table. Degeneracies, and faces
+    along deleted coordinates, are identities, so on a cube (g, epi) an
+    instance is a face-face instance on g's cube, renumbered, or has one
+    matrix of g, or none, between identities. A failure, or a negative rank,
+    builds the system on X's table to top for validate_functoriality to word.
     """
     cls = _system_class(variance)
-    expected = {(g, i, eps) for g, d in X.generators.items()
-                for i in range(1, d + 1) for eps in (0, 1)}
-    if set(gen_face_matrices) != expected:
-        missing = expected - set(gen_face_matrices)
-        extra = set(gen_face_matrices) - expected
+    keys, faces = set(gen_face_matrices), set(X.faces)
+    if keys != faces:
         raise ValueError(f"face matrix keys do not match generators "
-                         f"(missing {sorted(missing)}, extra {sorted(extra)})")
+                         f"(missing {sorted(faces - keys)}, extra {sorted(keys - faces)})")
     for k, m in gen_face_matrices.items():
         if (m.rows, m.cols) != (rank, rank):
             raise ValueError(f"matrix at {k} is {m.rows}x{m.cols}, expected {rank}x{rank}")
         if det(m) not in (1, -1):
             raise ValueError(f"matrix at {k} has determinant {det(m)}, not a unit")
-    out = _generated_system(cls, base, {g: rank for g in X.generators}, gen_face_matrices)
-    if rank < 0 or _generator_failures(out):
+    ranks = dict.fromkeys(X.generators, rank)
+    if rank < 0 or _face_face_failures(X, ranks, gen_face_matrices, variance, top):
+        F = _generated_system(cls, X.expand(top), ranks, gen_face_matrices)
         raise ValueError("generator matrices are not functorial: "
-                         + "; ".join(validate_functoriality(out)[:3]))
-    return out
+                         + "; ".join(validate_functoriality(F)[:3]))
+    return variance, ranks, gen_face_matrices
+
+
+def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
+                 gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix],
+                 variance: str = "contravariant"):
+    """Rank-r system on base, an expansion of X, from checked face matrices on generators."""
+    _, ranks, _ = check_generator_matrices(X, rank, gen_face_matrices, variance, base.top)
+    return _generated_system(_system_class(variance), base, ranks, gen_face_matrices)
 
 
 def pullback_system(f: CubicalMap, F):
@@ -374,11 +381,7 @@ class SemiCubicalSystem:
                     report.append(f"missing rank for {name}")
                 elif self.ranks[name] < 0:
                     report.append(f"negative rank at {name}")
-        expected = {(x, i, eps)
-                    for n, level in enumerate(S.levels) if n >= 1
-                    for x in level
-                    for i in range(1, n + 1) for eps in (0, 1)}
-        for k in sorted(expected - set(self.face)):
+        for k in sorted(set(S.faces) - set(self.face)):
             report.append(f"missing face matrix {k}")
         if report:
             return report
@@ -389,14 +392,9 @@ class SemiCubicalSystem:
                               f"{m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
         if report:
             return report
-
-        def values(n, path):
-            (_, i, a), (_, j, b) = path
-            return [self.face[(S.face(x, i, a), j, b)] * self.face[(x, i, a)] for x in S.levels[n]]
-
-        face_face = [e for e in cubical_identities(S.top_dim) if e[0] == "face-face"]
-        return [f"face-face identity fails at {S.levels[n][p]} ({detail})"
-                for _, n, p, detail in identity_failures(face_face, values)]
+        U = universal_from_semicubical(S)
+        return [f"face-face identity fails at {S.levels[n][p]} ({detail})" for _, n, p, detail
+                in _face_face_failures(U, self.ranks, self.face, self.variance, S.top_dim)]
 
 
 def extend_semicubical(F: SemiCubicalSystem, top: int) -> ContravariantSystem:

@@ -401,11 +401,9 @@ class SemiCubicalSet:
 
 def universal_from_semicubical(S: SemiCubicalSet) -> PresentedCubicalSet:
     """Freely add degeneracies: generators are the cubes of S, faces non-degenerate."""
-    generators = {name: n for n, level in enumerate(S.levels) for name in level}
-    faces = {}
-    for (x, i, eps), y in S.faces.items():
-        faces[(x, i, eps)] = Cube(y, identity(S.dim_of(x) - 1))
-    return PresentedCubicalSet(generators, faces)
+    return PresentedCubicalSet({x: n for n, level in enumerate(S.levels) for x in level},
+                               {k: Cube(y, identity(S.dim_of(k[0]) - 1))
+                                for k, y in S.faces.items()})
 
 
 def standard_cube(n: int) -> PresentedCubicalSet:

@@ -402,12 +402,14 @@ def table_system_to_data(F) -> dict:
             "degens": degens}
 
 
-def parse_local_system(data, X: PresentedCubicalSet, base: CubesTable):
-    """Read a local-system document and build it on base, an expansion of X.
+def parse_generator_system(data, X: PresentedCubicalSet):
+    """The rank, face matrices by (g, i, eps) and variance of a constant or local system on X.
 
-    Document-level defects raise FormatError; unimodularity and functoriality
-    failures surface as the builder's ValueError.
+    Document-level defects raise FormatError; check_generator_matrices checks the rest.
     """
+    if data.get("type") == "constant-system":
+        rank, variance = _constant_system(data)
+        return rank, dict.fromkeys(X.faces, IntMatrix.identity(rank)), variance
     _check_type(data, "local-system")
     rank = _field(data, "rank", int, "local-system")
     variance = _field(data, "variance", str, "local-system")
@@ -423,7 +425,7 @@ def parse_local_system(data, X: PresentedCubicalSet, base: CubesTable):
             i, eps = _selector(ie, 2, f"local-system face of {gen!r}")
             mats[(gen, i, eps)] = _matrix(rows, rank, rank,
                                           f"face matrix of {gen!r} at ({i},{eps})")
-    return local_system(X, base, rank, mats, variance)
+    return rank, mats, variance
 
 
 def local_system_to_data(rank: int, variance: str,
@@ -480,21 +482,25 @@ def build_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:
         raise FormatError("a coefficient system document must be a JSON object")
     t = data.get("type")
     if t == "constant-system":
-        rank = _field(data, "rank", int, "constant-system")
-        if rank < 0:
-            raise FormatError(f"constant-system: rank is {rank}, must be nonnegative")
-        if data.get("variance", "contravariant") != "contravariant":
+        rank, variance = _constant_system(data)
+        if variance != "contravariant":
             raise ValueError("semi-cubical systems are contravariant")
-        eye = IntMatrix.identity(rank)
-        ranks = {x: rank for level in S.levels for x in level}
-        face = {(x, i, eps): eye
-                for n, level in enumerate(S.levels) if n >= 1
-                for x in level
-                for i in range(1, n + 1) for eps in (0, 1)}
-        return SemiCubicalSystem(S, ranks, face)
+        return SemiCubicalSystem(S, {x: rank for level in S.levels for x in level},
+                                 dict.fromkeys(S.faces, IntMatrix.identity(rank)))
     if t == "semicubical-system":
         return parse_semicubical_system(data, S)
     raise FormatError(f"not a semi-cubical coefficient document (type {t!r})")
+
+
+def _constant_system(data) -> Tuple[int, str]:
+    """The rank and variance of a constant-system document."""
+    rank = _field(data, "rank", int, "constant-system")
+    variance = data.get("variance", "contravariant")
+    if variance not in ("contravariant", "covariant"):
+        raise FormatError(f"constant-system: unknown variance {variance!r}")
+    if rank < 0:
+        raise FormatError(f"constant-system: rank is {rank}, must be nonnegative")
+    return rank, variance
 
 
 def build_system(data, base: CubesTable,
@@ -504,20 +510,14 @@ def build_system(data, base: CubesTable,
         raise FormatError("a coefficient system document must be a JSON object")
     t = data.get("type")
     if t == "constant-system":
-        rank = _field(data, "rank", int, "constant-system")
-        variance = data.get("variance", "contravariant")
-        if variance not in ("contravariant", "covariant"):
-            raise FormatError(f"constant-system: unknown variance {variance!r}")
-        if rank < 0:
-            raise FormatError(f"constant-system: rank is {rank}, must be nonnegative")
-        return constant_system(base, rank, variance)
+        return constant_system(base, *_constant_system(data))
     if t == "table-system":
         return parse_table_system(data, base)
     if t == "local-system":
         if presented is None:
             raise ValueError("a local-system document needs generator data; "
                              "a bare cubes table does not carry any")
-        return parse_local_system(data, presented, base)
+        return local_system(presented, base, *parse_generator_system(data, presented))
     raise FormatError(f"not a coefficient system document (type {t!r})")
 
 

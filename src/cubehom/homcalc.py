@@ -1,4 +1,4 @@
-"""Chain and cochain complexes of tabulated cubical sets, and the drivers.
+"""Chain and cochain complexes of cubical sets, from tables or from generators, and the drivers.
 
 Boundary convention: d_k = sum over directions i of (-1)^i (lower face minus
 upper face). Reported degrees are always strictly below the truncation of
@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
-from .cubset import CubesTable, CubicalMap, SemiCubicalSet, fiber_source, pullback_fiber
+from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, fiber_source,
+                     pullback_fiber, universal_from_semicubical)
 from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
@@ -168,27 +169,65 @@ def _truncate(cx: FreeChainComplex, top: int) -> FreeChainComplex:
     return FreeChainComplex(cx.ranks[:top + 1], cx.sparse[:top])
 
 
-def homology(X: CubesTable, F: ContravariantSystem, max_dim: int,
-             path: str = "auto") -> Tuple[HomologyGroup, ...]:
-    """Homology in degrees 0..max_dim; the table must extend one dimension past."""
-    _check_base(X, F)
+def generator_complex(X: PresentedCubicalSet, ranks: Dict[str, int], face_matrices,
+                      top: int) -> FreeChainComplex:
+    """Normalized chains to dimension top of a local system (ranks, face matrices) on X.
+
+    Every cube is one degeneracy of one generator (Grandis and Mauri, TAC
+    11, 2003), so the n-cells are the n-dimensional generators in order, and
+    face (i, eps) of g adds g's matrix with sign (-1)^(i + eps) unless it is
+    degenerate. The degenerate-chain guard of _normalize has nothing to
+    check here: degeneracies, and faces along deleted coordinates, are
+    identities by construction.
+    """
+    cells = [[g for g, d in X.generators.items() if d == n] for n in range(top + 1)]
+    sizes = [[ranks[g] for g in level] for level in cells]
+    boundaries = []
+    for n in range(1, top + 1):
+        row = {g: p for p, g in enumerate(cells[n - 1])}
+        blocks = [(row[c.gen], p, face_matrices[(g, i, eps)], (-1) ** (i + eps))
+                  for p, g in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)
+                  for c in (X.faces[(g, i, eps)],) if not c.is_degenerate()]
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    return FreeChainComplex([sum(level) for level in sizes], boundaries)
+
+
+def _groups(X, F, max_dim: int, cochains: bool, path: str = "auto"):
+    """The argument checks and route choice of homology and cohomology.
+
+    X is a table with a system F on it, or a presented set with F =
+    (variance, ranks, face matrices), a local system on its generators.
+    """
+    mark, want = ("H^", "covariant") if cochains else ("H_", "contravariant")
+    if isinstance(X, CubesTable):
+        _check_base(X, F)
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if X.top < max_dim + 1:
+    if isinstance(X, PresentedCubicalSet):
+        variance, ranks, mats = F
+        if variance != want:
+            raise ValueError(f"{'co' * cochains}chain complexes take {want} coefficients")
+        cx = generator_complex(X, ranks, {k: m.transpose() for k, m in mats.items()}
+                               if cochains else mats, max_dim + 1)
+    elif X.top < max_dim + 1:
         raise ValueError(
-            f"computing H_0..H_{max_dim} needs cubes up to dimension {max_dim + 1}, "
+            f"computing {mark}0..{mark}{max_dim} needs cubes up to dimension {max_dim + 1}, "
             f"table stops at {X.top}")
-    checked = path == "auto"
-    if checked:
-        path = "local" if is_local(F) else "generic"
-    if path == "local":
-        report = normalized_complex_local(X, F, checked=checked)
-    elif path == "generic":
-        report = normalized_complex(X, F)
-    else:
+    elif cochains:
+        cx = cochain_complex(X, F).complex
+    elif path not in ("auto", "local", "generic"):
         raise ValueError(f"path must be auto, local, or generic, got {path!r}")
-    cx = _truncate(report.complex, max_dim + 1)
-    return homology_of_complex(cx)
+    elif (is_local(F) if path == "auto" else path == "local"):
+        cx = normalized_complex_local(X, F, checked=path == "auto").complex
+    else:
+        cx = normalized_complex(X, F).complex
+    return (cohomology_of_complex if cochains else homology_of_complex)(
+        _truncate(cx, max_dim + 1))
+
+
+def homology(X, F, max_dim: int, path: str = "auto") -> Tuple[HomologyGroup, ...]:
+    """Homology of F on X, a table or a presented set, in degrees 0..max_dim (see _groups)."""
+    return _groups(X, F, max_dim, False, path)
 
 
 @dataclass
@@ -217,45 +256,30 @@ def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
     matrix, so its transpose is a saturated basis of the joint kernel of the
     degeneracy maps of G at z, and the transposed section is a left inverse
     of it. Hence d^k is the transpose of d_{k+1}, and the torsion and
-    degenerate-chain guards of the chain builder hold for cochains too.
+    degenerate-chain guards of the chain builder hold for cochains too. The
+    route is local when is_local holds for G transposed, else generic.
     """
     if G.variance != "covariant":
         raise ValueError("cochain complexes take covariant coefficients")
-    return CochainBuildReport(_normalize(X, transpose_system(G), _cokernel_pair).complex)
+    F = transpose_system(G)
+    quotient = _drop_pair if is_local(F) else _cokernel_pair
+    return CochainBuildReport(_normalize(X, F, quotient).complex)
 
 
-def cohomology(X: CubesTable, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
-    """Cohomology in degrees 0..max_dim; the table must extend one dimension past."""
-    _check_base(X, G)
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    if X.top < max_dim + 1:
-        raise ValueError(
-            f"computing H^0..H^{max_dim} needs cubes up to dimension {max_dim + 1}, "
-            f"table stops at {X.top}")
-    report = cochain_complex(X, G)
-    return cohomology_of_complex(_truncate(report.complex, max_dim + 1))
+def cohomology(X, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
+    """Cohomology of G on X, a table or a presented set, in degrees 0..max_dim (see _groups)."""
+    return _groups(X, G, max_dim, True)
 
 
 def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGroup, ...]:
-    """Homology of a semi-cubical set: no degeneracies, so no normalization."""
+    """Homology of a semi-cubical set: generator_complex of its universal extension."""
     if F.base is not S and getattr(F.base, "levels", None) != S.levels:
         raise ValueError("system is defined on a different semi-cubical set")
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
     if S.top_dim < max_dim + 1:
         raise ValueError(
             f"computing H_0..H_{max_dim} needs cubes up to dimension {max_dim + 1}, "
             f"set stops at {S.top_dim}")
-    top = max_dim + 1
-    sizes = [[F.ranks[x] for x in S.levels[n]] for n in range(top + 1)]
-    boundaries = []
-    for n in range(1, top + 1):
-        row_index = {x: j for j, x in enumerate(S.levels[n - 1])}
-        blocks = [(row_index[S.face(x, i, eps)], j, F.face[(x, i, eps)], (-1) ** (i + eps))
-                  for j, x in enumerate(S.levels[n]) for i in range(1, n + 1) for eps in (0, 1)]
-        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
-    return homology_of_complex(FreeChainComplex([sum(level) for level in sizes], boundaries))
+    return homology(universal_from_semicubical(S), (F.variance, F.ranks, F.face), max_dim)
 
 
 @dataclass

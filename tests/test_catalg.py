@@ -34,6 +34,7 @@ from cubehom.coeff import (
     is_local,
     natural_system_via_d,
     system_from_diagram_last_vertex,
+    transpose_system,
     validate_functoriality,
 )
 from cubehom.zlinalg import (HomologyGroup, IntMatrix, cohomology_of_complex,
@@ -660,6 +661,30 @@ class TestNerveSystems:
         assert homcalc.homology(nerve, sys, 2, path="auto") == \
             groups((2, ()), (0, ()), (0, ()))
         assert len(calls) == 1 and calls[0] is sys
+
+    def test_cochain_route_tests_locality_once(self, monkeypatch):
+        # F doubles along the arrow, so the natural system is not local: the
+        # cochains take the generic route, and locality is tested once, on
+        # the transposed system the chains are built from
+        arrow = helpers.arrow_category()
+        one = IntMatrix.identity(1)
+        F = FiniteDiagram(arrow, {"0": 1, "1": 1},
+                          {"0_0": one, "1_1": one, "0_1": IntMatrix.from_rows([[2]])})
+        nerve = cubical_nerve(arrow, 3)
+        sys = natural_system_via_d(
+            arrow, helpers.codomain_diagram(arrow, factorization_category(arrow), F), nerve)
+        calls = []
+
+        def counting(G):
+            calls.append(G)
+            return is_local(G)
+
+        monkeypatch.setattr(homcalc, "is_local", counting)
+        got = homcalc.cohomology(nerve, sys, 2)
+        assert len(calls) == 1 and calls[0].variance == "contravariant"
+        assert not is_local(calls[0])
+        generic = homcalc.normalized_complex(nerve, transpose_system(sys)).complex
+        assert got == cohomology_of_complex(homcalc._truncate(generic, 3))
 
     def test_diagonal_system_functorial(self):
         for C in (helpers.arrow_category(), helpers.cyclic2_monoid()):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from cubehom import formats
+from cubehom import cubset, formats
 from cubehom.catalg import (NERVE_CUBE_BUDGET, NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
                             factorization_category)
 from cubehom.cli import main
@@ -129,7 +129,7 @@ class TestRoundTrips:
         data = {"type": "local-system", "rank": 1, "variance": "contravariant",
                 "faces": {"e": {"1,0": [[1]], "1,1": [[-1]]}}}
         X = helpers.circle()
-        F = formats.parse_local_system(data, X, X.expand(2))
+        F = formats.build_system(data, X.expand(2), X)
         assert same_system(F, helpers.monodromy_circle(2))
 
     def test_local_system_document_on_the_callers_table(self):
@@ -147,8 +147,7 @@ class TestRoundTrips:
         mats = {("e", 1, 0): plus, ("e", 1, 1): minus}
         data = formats.local_system_to_data(1, "contravariant", mats)
         X = helpers.circle()
-        F = formats.parse_local_system(json.loads(formats.dumps_document(data)),
-                                       X, X.expand(2))
+        F = formats.build_system(json.loads(formats.dumps_document(data)), X.expand(2), X)
         assert same_system(F, helpers.monodromy_circle(2))
 
     def test_semicubical_system(self):
@@ -210,7 +209,7 @@ class TestRejections:
                 "faces": {"e": {"1,0": [[1]], "1,1": [[1]]}}}
         with pytest.raises(FormatError, match="shape"):
             X = helpers.circle()
-            formats.parse_local_system(data, X, X.expand(2))
+            formats.build_system(data, X.expand(2), X)
 
     def test_wrong_type_discriminator(self):
         with pytest.raises(FormatError, match="expected"):
@@ -998,6 +997,34 @@ class TestCommands:
                         "--system", const_doc(tmp_path), "--max-dim", "2")
         assert code == 0
         assert out == "H_0 = Z; H_1 = Z^2; H_2 = Z"
+
+    def test_generator_route_ignores_the_expansion_budget(self, tmp_path, capsys):
+        # A constant system on --set builds no table, so a deep --truncate
+        # only deepens the generator check; the torus expanded to 80 would
+        # hold 91,881 cubes, past EXPANSION_CUBE_BUDGET.
+        tor = write(tmp_path, "torus.json", formats.cubical_set_to_data(helpers.torus()))
+        argv = ["homology", "--set", tor, "--system", const_doc(tmp_path), "--max-dim", "2"]
+        assert run(capsys, *argv, "--truncate", "80") == run(capsys, *argv, "--truncate", "3") \
+            == (0, "H_0 = Z; H_1 = Z^2; H_2 = Z")
+
+    def test_generator_route_builds_no_table(self, tmp_path, capsys, monkeypatch):
+        # homology, cohomology and validate read a constant or local system
+        # on --set off the generators alone
+        def refuse(self, top):
+            raise AssertionError("expand called")
+
+        monkeypatch.setattr(cubset.PresentedCubicalSet, "expand", refuse)
+        square = write(tmp_path, "square.json", formats.cubical_set_to_data(standard_cube(2)))
+        gauge = write(tmp_path, "gauge.json", formats.local_system_to_data(
+            2, "covariant",
+            helpers.gauge_matrices(standard_cube(2), 2, random.Random(3), "covariant")))
+        const = const_doc(tmp_path)
+        assert run(capsys, "homology", "--set", square, "--system", const,
+                   "--max-dim", "1") == (0, "H_0 = Z; H_1 = 0")
+        assert run(capsys, "cohomology", "--set", square, "--system", gauge,
+                   "--max-dim", "1", "--truncate", "4") == (0, "H^0 = Z^2; H^1 = 0")
+        for system in (const, gauge):
+            assert run(capsys, "validate", "--set", square, "--system", system) == (0, "ok")
 
     def test_homology_json_output(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",

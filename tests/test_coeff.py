@@ -19,8 +19,8 @@ from cubehom.coeff import (
     system_from_diagram_last_vertex,
     transpose_system,
     validate_functoriality,
+    _face_face_failures,
     _generated_system,
-    _generator_failures,
 )
 from cubehom import formats
 from cubehom.catalg import cubical_nerve, factorization_category
@@ -216,7 +216,7 @@ UNIMODULAR = st.integers(0, 2**32).map(lambda seed: helpers.random_unimodular(ra
 
 
 class TestGeneratorCheck:
-    """local_system checks generator cubes only; the full check must agree."""
+    """local_system checks generators only, from the presentation; the full check must agree."""
 
     CARRIERS = [helpers.torus(), helpers.twisted_square(), helpers.squashed_square(),
                 standard_cube(3)]
@@ -236,11 +236,13 @@ class TestGeneratorCheck:
         else:
             mats = {k: data.draw(UNIMODULAR) for k in sorted(X.faces)}
         cls = ContravariantSystem if variance == "contravariant" else CovariantSystem
-        F = _generated_system(cls, base, dict.fromkeys(X.generators, 2), mats)
+        ranks = dict.fromkeys(X.generators, 2)
+        F = _generated_system(cls, base, ranks, mats)
         full = validate_functoriality(F)
         on_generators = [f"{family} identity fails at dim {n} cube "
                          f"{base.key(n, base.nondegenerate_indices(n)[p])} ({detail})"
-                         for family, n, p, detail in _generator_failures(F)]
+                         for family, n, p, detail in _face_face_failures(
+                             X, ranks, mats, variance, base.top)]
         # the generator check finds the full check's face-face failures on
         # generator cubes, and fails exactly when the full check fails
         generators = {base.key(n, idx) for n in range(base.top + 1)

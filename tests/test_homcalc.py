@@ -9,10 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubehom.coeff import (
+    check_generator_matrices,
     constant_system,
     extend_semicubical,
+    local_system,
     pullback_system,
     transpose_system,
     validate_functoriality,
@@ -399,3 +402,51 @@ class TestFiberHomologyMatchesProduct:
         a = homology(fib, constant_system(fib, 1), 2)
         b = homology(P, constant_system(P, 1), 2)
         assert a == b == groups((1, ()), (1, ()), (1, ()))
+
+
+GENERATOR_SETS = [helpers.point(), helpers.interval(), helpers.circle(), helpers.torus(),
+                  helpers.twisted_square(), helpers.squashed_square(), standard_cube(1),
+                  standard_cube(2), standard_cube(3)]
+
+
+class TestGeneratorRoute:
+    """Groups of a local system read off the generators against the table route."""
+
+    @staticmethod
+    def assert_routes_agree(X, rank, mats, variance, top):
+        base = X.expand(top)
+        F = local_system(X, base, rank, mats, variance)
+        on_generators = check_generator_matrices(X, rank, mats, variance, top)
+        compute = homology if variance == "contravariant" else cohomology
+        for max_dim in range(top):
+            assert compute(X, on_generators, max_dim) == compute(base, F, max_dim)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_table_route(self, data):
+        # a gauge system of rank 1 or 2, or rank-1 face matrices of +-1 drawn
+        # on their own, kept when the check accepts them: twisted coefficients
+        X = data.draw(st.sampled_from(GENERATOR_SETS))
+        variance = data.draw(st.sampled_from(["contravariant", "covariant"]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        top = max(X.generators.values()) + data.draw(st.integers(1, 2))
+        if data.draw(st.booleans()):
+            rank = data.draw(st.integers(1, 2))
+            mats = helpers.gauge_matrices(X, rank, rng, variance)
+        else:
+            rank = 1
+            mats = {k: IntMatrix.from_rows([[rng.choice((1, -1))]]) for k in sorted(X.faces)}
+            try:
+                check_generator_matrices(X, rank, mats, variance, top)
+            except ValueError:
+                return
+        self.assert_routes_agree(X, rank, mats, variance, top)
+
+    @pytest.mark.parametrize("variance", ["contravariant", "covariant"])
+    def test_monodromy_circle(self, variance):
+        mats = {("e", 1, 0): IntMatrix.from_rows([[1]]), ("e", 1, 1): IntMatrix.from_rows([[-1]])}
+        self.assert_routes_agree(helpers.circle(), 1, mats, variance, 3)
+        groups_of = homology if variance == "contravariant" else cohomology
+        got = groups_of(helpers.circle(), (variance, {"v": 1, "e": 1}, mats), 1)
+        assert got == (groups((0, (2,)), (0, ())) if variance == "contravariant"
+                       else groups((0, ()), (0, (2,))))

@@ -39,6 +39,8 @@ def test_every_layer_resolves():
 def documents(tmp_path):
     return {
         "square": write(tmp_path, "square.json", formats.cubical_set_to_data(standard_cube(2))),
+        "square_table": write(tmp_path, "square-table.json",
+                              formats.cubes_table_to_data(standard_cube(2).expand(3))),
         "const": write(tmp_path, "const.json", {"type": "constant-system", "rank": 2}),
         "cov": write(tmp_path, "cov.json", {"type": "constant-system", "rank": 1,
                                             "variance": "covariant"}),
@@ -50,10 +52,14 @@ def documents(tmp_path):
     }
 
 
-# homology picks its route from the system: the local one for the constant
-# square, the generic one for the direct image of the interval to a point.
+# The table routes: homology picks its route from the system, the local one
+# for the constant square, the generic one for the direct image of the
+# interval to a point. A constant system on --set takes the generator route
+# and builds no table, so the local job runs comloc, which takes both table
+# routes, and the cochain job reads the square's table.
 JOBS = {
-    "homology-local": (["homology", "--set", "square", "--system", "const", "--max-dim", "2"],
+    "homology-local": (["compare", "--contract", "comloc", "--set", "square", "--system",
+                        "const", "--max-dim", "2"],
                        ["cli.other_s", "coeff.system_s", "homcalc.normalize_local_s",
                         "zlinalg.eliminate_s"],
                        ["cubset.cubes", "coeff.total_rank", "homcalc.chain_rank",
@@ -62,7 +68,7 @@ JOBS = {
                           "--system", "const", "--max-dim", "1"],
                          ["coeff.system_s", "homcalc.normalize_generic_s"],
                          ["coeff.total_rank", "homcalc.raw_rank_max", "homcalc.chain_rank"]),
-    "cohomology": (["cohomology", "--set", "square", "--system", "cov", "--max-dim", "2"],
+    "cohomology": (["cohomology", "--table", "square_table", "--system", "cov", "--max-dim", "2"],
                    ["homcalc.cochain_s"],
                    ["coeff.total_rank", "homcalc.chain_rank", "homcalc.boundary_nnz"]),
     "nerve": (["nerve", "--category", "z2", "--truncate", "2"],
