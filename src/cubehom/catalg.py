@@ -8,16 +8,17 @@ that order. Faces and degeneracies gather those tuples through position
 maps computed once per operator, and each key string is built once per cube
 from prefixes computed once per dimension. Level n is grown from level n-1
 by the exponential law (Mac Lane, Categories for the Working Mathematician,
-1971): an n-cube is an arrow between two (n-1)-cubes. A level whose cubes
-carry more than NERVE_LABEL_BUDGET labels each is refused before anything of
-it is built, and a level that passes NERVE_CUBE_BUDGET cubes is refused while
-it is searched. The normalized string complex, of non-identity morphisms,
-refuses a degree past STRING_BUDGET strings in the same way.
+1971): an n-cube is an arrow between two (n-1)-cubes. A level that would
+hold more than NERVE_LABEL_BUDGET labels is refused on the Eilenberg-Zilber
+count of its degenerate cubes before it is searched, and on the cubes found
+while it is. The normalized string complex, of non-identity morphisms,
+refuses a degree past STRING_BUDGET strings while it is built.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from math import comb
 from typing import Dict, List, Tuple
 
 from .coeff import (FiniteDiagram, natural_system_via_d,
@@ -236,15 +237,20 @@ def _positions(n: int):
             {e: k for k, e in enumerate(_cube_edges(n))})
 
 
-def _bits(p) -> str:
-    return "".join(str(b) for b in p)
+@lru_cache(maxsize=None)
+def _edge_ends(n: int):
+    """Each n-cube edge as the positions of its two vertices, and each pair's edge position."""
+    vpos = _positions(n)[0]
+    ends = tuple([(vpos[p], vpos[q]) for p, q in _cube_edges(n)])
+    return ends, {e: k for k, e in enumerate(ends)}
 
 
 @lru_cache(maxsize=None)
 def _key_prefixes(n: int):
     """The "01:" and "00-01:" prefixes of the vertex and edge entries of a key."""
-    return (tuple(f"{_bits(p)}:" for p in _points(n)),
-            tuple(f"{_bits(p)}-{_bits(q)}:" for p, q in _cube_edges(n)))
+    bits = {p: "".join(map(str, p)) for p in _points(n)}
+    return (tuple([f"{bits[p]}:" for p in _points(n)]),
+            tuple([f"{bits[p]}-{bits[q]}:" for p, q in _cube_edges(n)]))
 
 
 def _key(n: int, vertex_labels, edge_labels) -> str:
@@ -260,12 +266,9 @@ def _face_positions(n: int, i: int, eps: int):
     """Where face (i, eps) of an n-cube reads its vertex and edge labels."""
     if not 1 <= i <= n or eps not in (0, 1):
         raise ValueError(f"face ({i}, {eps}) undefined on a {n}-cube")
-    vpos, epos = _positions(n)
-
-    def embed(p):
-        return p[:i - 1] + (eps,) + p[i - 1:]
-    return (tuple(vpos[embed(p)] for p in _points(n - 1)),
-            tuple(epos[(embed(p), embed(q))] for p, q in _cube_edges(n - 1)))
+    vpos, at = _positions(n)[0], _edge_ends(n)[1]
+    vmap = tuple([vpos[p[:i - 1] + (eps,) + p[i - 1:]] for p in _points(n - 1)])
+    return vmap, tuple([at[(vmap[a], vmap[b])] for a, b in _edge_ends(n - 1)[0]])
 
 
 @lru_cache(maxsize=None)
@@ -278,14 +281,10 @@ def _degeneracy_positions(m: int, i: int):
     """
     if not 1 <= i <= m + 1:
         raise ValueError(f"degeneracy {i} undefined on a {m}-cube")
-    vpos, epos = _positions(m)
-
-    def drop(p):
-        return p[:i - 1] + p[i:]
-    return (tuple(vpos[drop(p)] for p in _points(m + 1)),
-            tuple(len(epos) + vpos[drop(p)] if p[i - 1] != q[i - 1]
-                  else epos[(drop(p), drop(q))]
-                  for p, q in _cube_edges(m + 1)))
+    vpos, at = _positions(m)[0], _edge_ends(m)[1]
+    vmap = tuple([vpos[p[:i - 1] + p[i:]] for p in _points(m + 1)])
+    return vmap, tuple([len(at) + vmap[a] if vmap[a] == vmap[b] else at[(vmap[a], vmap[b])]
+                        for a, b in _edge_ends(m + 1)[0]])
 
 
 def _gather(labels, positions) -> tuple:
@@ -367,8 +366,14 @@ class CubeFunctor:
         return f"CubeFunctor({self.key()!r})"
 
 
-NERVE_CUBE_BUDGET = 50_000  # the most cubes one level of the nerve may hold
-NERVE_LABEL_BUDGET = 8_192  # the most labels, vertices and edges, one cube may carry
+NERVE_LABEL_BUDGET = 2_400_000  # the most labels, vertices and edges, one nerve level may hold
+
+
+def _check_level(n: int, cubes: int) -> None:
+    """Refuse level n if cubes + 3n position maps, 2^n + n 2^(n-1) labels each, pass the budget."""
+    if (cubes + 3 * n) * (2 ** n + n * 2 ** n // 2) > NERVE_LABEL_BUDGET:
+        raise ValueError(f"nerve level {n} would hold more than {NERVE_LABEL_BUDGET} "
+                         f"labels, the budget of one level")
 
 
 @lru_cache(maxsize=None)
@@ -396,14 +401,8 @@ def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[Cube
     vertex p, kept when each edge's naturality square commutes; a square is
     checked as soon as its upper vertex is chosen. a is paired only with the
     b whose first vertex is the target of a morphism out of a's first vertex.
-    An n-cube carries 2^n vertex and n 2^(n-1) edge labels, and so does each
-    position map of the level, so a level past NERVE_LABEL_BUDGET labels a
-    cube is refused before its maps are built.
+    _check_level refuses the level once the cubes found, counted after each a, pass the budget.
     """
-    labels = 2 ** n + n * 2 ** n // 2
-    if labels > NERVE_LABEL_BUDGET:
-        raise ValueError(f"nerve level {n} has cubes of {labels} labels, more than "
-                         f"{NERVE_LABEL_BUDGET}, the budget of one cube")
     if n == 0:
         found = [((obj,), ()) for obj in C.objects]
     else:
@@ -430,9 +429,7 @@ def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[Cube
                 for t in arrows:
                     labels = ae + be + t
                     found.append((av + bv, tuple([labels[k] for k in gather])))
-                if len(found) > NERVE_CUBE_BUDGET:
-                    raise ValueError(f"nerve level {n} has more than {NERVE_CUBE_BUDGET} "
-                                     f"cubes, the budget of one level")
+            _check_level(n, len(found))
     keys = [_key(n, v, e) for v, e in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
     return ([keys[k] for k in order],
@@ -443,18 +440,19 @@ def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     """Table of cube-shaped diagrams in C with precomposition operators.
 
     Level n is grown from pairs of (n-1)-cubes by the exponential law in
-    _nerve_level, which raises ValueError past NERVE_LABEL_BUDGET labels a
-    cube or NERVE_CUBE_BUDGET cubes, and is sorted by key once. A face or a
-    degeneracy of a cube gathers its label tuples through the operator's
-    position maps and is found in the level below or above by its edge
-    labels, which fix the vertices (by vertex labels on level 0). Degenerate
-    flags come from degeneracy_masks.
+    _nerve_level and sorted by key once. Before that, _check_level is given
+    its degenerate cubes, comb(n, k) per non-degenerate k-cube below it (the
+    Eilenberg-Zilber lemma). A face or a degeneracy of a cube gathers its
+    label tuples through the operator's position maps and is found in the
+    level below or above by its edge labels, which fix the vertices (by
+    vertex labels on level 0). Degenerate flags come from degeneracy_masks.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")
-    keys, levels, face, degen_map = [], [], {}, {}
+    keys, levels, face, degen_map, nondegenerate = [], [], {}, {}, []
     lookup = None
     for n in range(top + 1):
+        _check_level(n, sum(comb(n, k) * nd for k, nd in enumerate(nondegenerate)))
         level_keys, level = _nerve_level(C, n, levels[n - 1] if n else None)
         below, lookup = lookup, {(x.edge_labels if n else x.vertex_labels): k
                                  for k, x in enumerate(level)}
@@ -474,6 +472,8 @@ def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
                 degen_map[(n - 1, i)] = tuple([lookup[_gather(s, emap)]
                                                for s in sources])
             del sources, below  # freed before the next level is searched
+        nondegenerate.append(len(level) - len({x for i in range(1, n + 1)
+                                               for x in degen_map[(n - 1, i)]}))
         keys.append(level_keys)
         levels.append(level)
     del lookup  # freed before CubesTable builds its key index

@@ -52,8 +52,8 @@ def _load_system(path, base, presented=None, top=None):
     """A --system document's carrier and system; a table-system is checked in full.
 
     With base None (--set), a constant or local system stays on presented's
-    generators, checked to depth top (coeff.check_generator_matrices), and
-    any other is built on presented expanded to top. top None is the top of
+    generators, a local one checked to depth top (coeff.check_generator_matrices),
+    and any other is built on presented expanded to top. top None is the top of
     an embedded base, else presented's largest generator dimension, at least 2.
     """
     if base is None and top is not None and top < 0:
@@ -65,8 +65,10 @@ def _load_system(path, base, presented=None, top=None):
             top = (formats.parse_cubes_table(embedded).top if embedded is not None
                    else max([2, *presented.generators.values()]))
         if data.get("type") in ("constant-system", "local-system"):
-            return presented, check_generator_matrices(
-                presented, *formats.parse_generator_system(data, presented), top)
+            rank, mats, variance = formats.parse_generator_system(data, presented)
+            if data["type"] == "constant-system":  # identities pass every check
+                return presented, (variance, dict.fromkeys(presented.generators, rank), mats)
+            return presented, check_generator_matrices(presented, rank, mats, variance, top)
         base = presented.expand(top)
     F = formats.build_system(data, base, presented)
     if data["type"] == "table-system":

@@ -563,8 +563,13 @@ def _representable(d: int, top: int) -> Tuple[CubesTable, List[List[int]]]:
     Its k-cubes are hom_set(k, d) in token order, keyed by token words; face
     (i, eps) of alpha is alpha . face(k, i, eps) and its i-th degeneracy is
     alpha . degeneracy(k + 1, i). Both are shared by every caller, which
-    only reads them.
+    only reads them. It is counted as standard_cube(d).expand(top) counts it
+    and refused past EXPANSION_CUBE_BUDGET before any arrow is listed.
     """
+    cubes = sum(comb(d, j) * comb(k, j) << (d - j) for k in range(top + 1) for j in range(d + 1))
+    if cubes > EXPANSION_CUBE_BUDGET:
+        raise ValueError(f"the representable I^{d} to dimension {top} has {cubes} cubes, "
+                         f"more than {EXPANSION_CUBE_BUDGET}, the budget of one table")
     arrows = [hom_set(k, d) for k in range(top + 1)]
     index = [{a.tokens: n for n, a in enumerate(level)} for level in arrows]
     faces = {(k, i, eps): tuple(index[k - 1][a.compose(face(k, i, eps)).tokens] for a in arrows[k])

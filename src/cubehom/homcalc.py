@@ -12,8 +12,8 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
-from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, fiber_source,
-                     pullback_fiber, universal_from_semicubical)
+from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, _representable,
+                     fiber_source, pullback_fiber, universal_from_semicubical)
 from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
@@ -310,10 +310,13 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     Every cube of the target's truncation at top is tested; fibers are
     truncated at top as well, so top must be at least max_dim + 1. Source
     and target are expanded once, and the source's table and images are
-    shared by every fiber, as are the tables of the representables.
+    shared by every fiber, as are the tables of the representables; the
+    largest, I^top to top, is built (or refused) before anything else.
     """
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")
+    if f.target.generators:
+        _representable(top, top)
     ty = f.target.expand(top)
     source = fiber_source(f, top, ty)
     rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top, source)

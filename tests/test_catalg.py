@@ -11,9 +11,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubehom import homcalc
+from cubehom import catalg, homcalc
 from cubehom.catalg import (
-    NERVE_CUBE_BUDGET,
+    NERVE_LABEL_BUDGET,
     ComparisonReport,
     CubeFunctor,
     FiniteCategory,
@@ -487,12 +487,28 @@ class TestNerve:
 
     def test_truncation_guard(self):
         # the idempotent monoid has 2,043,308 4-cubes; the level is refused
-        # as soon as its count passes the budget, which the message states;
-        # the budget admits the 32,768 4-cubes of Z/2
-        assert NERVE_CUBE_BUDGET >= 32768
-        with pytest.raises(ValueError, match=f"nerve level 4 has more than "
-                                             f"{NERVE_CUBE_BUDGET} cubes"):
+        # as soon as its labels pass the budget, which the message states;
+        # the budget admits the 32,768 4-cubes of Z/2 and their 12 position
+        # maps, 48 labels each
+        assert (32768 + 12) * 48 <= NERVE_LABEL_BUDGET
+        with pytest.raises(ValueError, match=f"nerve level 4 would hold more than "
+                                             f"{NERVE_LABEL_BUDGET} labels, the budget "
+                                             f"of one level"):
             cubical_nerve(helpers.idempotent_monoid(), 4)
+
+    def test_point_nerve_stops_before_thirteen(self, monkeypatch):
+        # one cube a level: the 12-cube and its 36 position maps hold
+        # 37 * 28,672 labels, within the budget; the 13-cube, counted as a
+        # degeneracy of the point before level 13 is searched, and its 39
+        # maps would hold 40 * 61,440
+        assert [cubical_nerve(helpers.point_category(), 12).size(n) for n in range(13)] == [1] * 13
+        built, arrow_positions = [], catalg._arrow_positions
+        monkeypatch.setattr(catalg, "_arrow_positions",
+                            lambda n: built.append(n) or arrow_positions(n))
+        with pytest.raises(ValueError, match=f"nerve level 13 would hold more than "
+                                             f"{NERVE_LABEL_BUDGET} labels"):
+            cubical_nerve(helpers.point_category(), 64)
+        assert built == list(range(1, 13))
 
     def test_point_nerve_allowed_above_three(self):
         nerve = cubical_nerve(helpers.point_category(), 4)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import cubset, formats
-from cubehom.catalg import (NERVE_CUBE_BUDGET, NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
+from cubehom.catalg import (NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
                             factorization_category)
 from cubehom.cli import main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
@@ -1026,6 +1026,20 @@ class TestCommands:
         for system in (const, gauge):
             assert run(capsys, "validate", "--set", square, "--system", system) == (0, "ok")
 
+    def test_constant_system_skips_the_generator_check(self, tmp_path, capsys, monkeypatch):
+        # identity face matrices pass every check of check_generator_matrices
+        def refuse(*args):
+            raise ValueError("generator check called")
+
+        monkeypatch.setattr("cubehom.cli.check_generator_matrices", refuse)
+        tor = write(tmp_path, "torus.json", formats.cubical_set_to_data(helpers.torus()))
+        for variance, command, out in (("contravariant", "homology", "H_0 = Z; H_1 = Z^2"),
+                                       ("covariant", "cohomology", "H^0 = Z; H^1 = Z^2")):
+            const = const_doc(tmp_path, variance)
+            assert run(capsys, command, "--set", tor, "--system", const,
+                       "--max-dim", "1") == (0, out)
+            assert run(capsys, "validate", "--set", tor, "--system", const) == (0, "ok")
+
     def test_homology_json_output(self, tmp_path, capsys):
         circ = write(tmp_path, "circle.json",
                      formats.cubical_set_to_data(helpers.circle()))
@@ -1214,11 +1228,13 @@ class TestCommands:
 
     def test_nerve_over_budget_refused_quickly(self, tmp_path, capsys):
         # too many cubes: the idempotent monoid at top 4; too big cubes: the
-        # point at top 16, whose one 16-cube carries 589,824 labels
+        # point at top 16, whose one 13-cube carries 61,440 labels
         for C, top, budget in ((helpers.idempotent_monoid(), "4",
-                                f"more than {NERVE_CUBE_BUDGET} cubes"),
+                                f"nerve level 4 would hold more than {NERVE_LABEL_BUDGET} "
+                                f"labels, the budget of one level"),
                                (helpers.point_category(), "16",
-                                f"more than {NERVE_LABEL_BUDGET}, the budget of one cube")):
+                                f"nerve level 13 would hold more than {NERVE_LABEL_BUDGET} "
+                                f"labels, the budget of one level")):
             doc = write(tmp_path, "category.json", formats.category_to_data(C))
             start = time.perf_counter()
             code = main(["nerve", "--category", doc, "--truncate", top,
@@ -1227,6 +1243,32 @@ class TestCommands:
             assert code == 1
             assert budget in capsys.readouterr().err
             assert not (tmp_path / "nerve.json").exists()
+
+    def test_nerve_refused_before_the_level_is_searched(self, tmp_path, capsys):
+        # the arrow's level 6 holds at least 43,292 degenerate cubes of 256
+        # labels, counted from the levels below before level 6 is searched
+        doc = write(tmp_path, "arrow.json", formats.category_to_data(helpers.arrow_category()))
+        start = time.perf_counter()
+        code = main(["nerve", "--category", doc, "--truncate", "6",
+                     "--out", str(tmp_path / "nerve.json")])
+        assert time.perf_counter() - start < 3.0
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: nerve level 6 would hold more than "
+                                           f"{NERVE_LABEL_BUDGET} labels, the budget of "
+                                           f"one level\n")
+        assert not (tmp_path / "nerve.json").exists()
+
+    def test_fiber_sweep_over_budget_refused_quickly(self, tmp_path, capsys):
+        # every fiber over a degenerate 7-cube reads I^7 to 7, 108,545 cubes
+        ident = write(tmp_path, "id.json", formats.cubical_map_to_data(
+            helpers.identity_map(helpers.squashed_square())))
+        start = time.perf_counter()
+        code = main(["fiber-criterion", "--map", ident, "--max-dim", "6"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: the representable I^7 to dimension 7 has "
+                                           f"108545 cubes, more than {EXPANSION_CUBE_BUDGET}, "
+                                           f"the budget of one table\n")
 
     def test_string_complex_over_budget_refused_quickly(self, tmp_path, capsys):
         # Z/3 has 2^n strings of length n of its two non-identity elements
