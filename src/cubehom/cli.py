@@ -9,6 +9,7 @@ comparison fails, 2 when a document or flag cannot be parsed.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import formats
 from .catalg import (bw_cohomology_cubical, bw_cohomology_oracle, bw_comparison,
@@ -265,6 +266,7 @@ def cmd_compare(args) -> int:
     return 0 if equal else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cubehom",

@@ -20,6 +20,8 @@ table (check_generator_matrices), and so are semi-cubical systems.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
 from typing import Dict, List, Tuple
 
 from .boxcat import cubical_identities, identity_failures
@@ -185,8 +187,12 @@ def _path_values(F):
 
 
 def _distinct_matrices(F) -> Dict[int, IntMatrix]:
-    """Every matrix object of F once by id, however many operators share it."""
-    return {id(m): m for col in (*F.face.values(), *F.degen.values()) for m in col}
+    """Every matrix object of F once by id; a column repeating one object takes no id per entry."""
+    out = {}
+    for col in (*F.face.values(), *F.degen.values()):
+        same = col and all(map(is_, col, repeat(col[0])))
+        out.update(zip(map(id, col[:1] if same else col), col))
+    return out
 
 
 def transpose_system(F):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Dict, List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
@@ -25,9 +26,12 @@ from .zlinalg import (
 )
 
 
-def _check_base(X: CubesTable, F) -> None:
+def _check_base(X: CubesTable, F, variance=None) -> None:
     if F.base is not X and F.base.keys != X.keys:
         raise ValueError("system is defined on a different table")
+    if variance and F.variance != variance:
+        raise ValueError(f"{'co' * (variance == 'covariant')}chain complexes take "
+                         f"{variance} coefficients")
 
 
 def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
@@ -71,32 +75,31 @@ def _degeneracy_arrivals(X: CubesTable, n: int):
     return arriving
 
 
-def _normalize(X: CubesTable, F, quotient) -> ComplexBuildReport:
+@lru_cache(maxsize=None)
+def _pair(r: int, kept: bool):
+    """The pair of a kept or a dropped summand of rank r, shared since matrices are immutable."""
+    eye = IntMatrix.identity(r)
+    return (eye, eye) if kept else (IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0))
+
+
+def _normalize(X: CubesTable, F) -> ComplexBuildReport:
     """Normalized chains, built block by block from one pair (P, S) per cube.
 
-    quotient(X, F, n, z, arrivals) gives the pair of a degenerate cube z,
-    where arrivals lists the (i, x) with s_i x = z. The normalized boundary
-    block (w, z) is P_w * d_raw[w, z] * S_z, formed only for the faces z
-    has. A cube with no degeneracy arriving has the identity pair, which is
-    not multiplied, and a face whose P_w has no rows, or a cube whose S_z
-    has no columns, gives an empty block. The boundary must carry
+    _cokernel_pair gives the pair of a degenerate cube z from the (i, x)
+    with s_i x = z. The normalized boundary block (w, z) is P_w * d_raw[w,
+    z] * S_z, formed only for the faces z has. A cube with no degeneracy
+    arriving has the identity pair, which is not multiplied, and a face
+    whose P_w has no rows, or a cube whose S_z has no columns, gives an
+    empty block. The boundary must carry
     degenerate chains to degenerate chains, otherwise the quotient complex
     would be meaningless, so every P_w * d_raw[w, z] * s_i(x) must vanish.
     """
-    _check_base(X, F)
-    if F.variance != "contravariant":
-        raise ValueError("chain complexes take contravariant coefficients")
+    _check_base(X, F, "contravariant")
     blocks, arrivals = [], []
     for n in range(X.top + 1):
         arriving = _degeneracy_arrivals(X, n)
-        level = []
-        for z in range(X.size(n)):
-            if arriving[z]:
-                level.append(quotient(X, F, n, z, arriving[z]))
-            else:
-                eye = IntMatrix.identity(F.rank_of(n, z))
-                level.append((eye, eye))
-        blocks.append(level)
+        blocks.append([_cokernel_pair(X, F, n, z, arriving[z]) if arriving[z]
+                       else _pair(F.rank_of(n, z), True) for z in range(X.size(n))])
         arrivals.append(arriving)
     boundaries = []
     for n in range(1, X.top + 1):
@@ -129,14 +132,38 @@ def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
     return pres.projection, pres.section
 
 
-def _drop_pair(X: CubesTable, F, n: int, z: int, arriving):
-    return _empty_pair(F.rank_of(n, z))
+def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
+    """Normalized chains of a unimodular F, on the non-degenerate cubes alone.
 
-
-@lru_cache(maxsize=None)
-def _empty_pair(r: int):
-    """The pair of a dropped summand of rank r, shared since matrices are immutable."""
-    return IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0)
+    Face (i, eps) of a cell adds its matrix with sign (-1)^(i + eps) when
+    the face is a cell. Every table obeys boxcat.cubical_identities (expand,
+    _pullback and cubical_nerve by construction, documents by
+    CubesTable.validate at load): d_i^eps s_i = id, and d_j^eps s_i x is
+    degenerate for j != i. So a degenerate z has a face with rows only when
+    z = s_i x for x non-degenerate of non-zero rank: x, by (i, 0) and (i, 1)
+    with opposite signs. There the guard of _normalize is F.face(n, i, 0, z)
+    * F.degen(n-1, i, x) == F.face(n, i, 1, z) * F.degen(n-1, i, x), tested
+    once per distinct triple of matrix objects.
+    """
+    _check_base(X, F, "contravariant")
+    cells = [X.nondegenerate_indices(n) for n in range(X.top + 1)]
+    sizes = [[F.rank_of(n, x) for x in level] for n, level in enumerate(cells)]
+    tested, boundaries = set(), []
+    for n in range(1, X.top + 1):
+        for i, x in product(range(1, n + 1), [x for x, r in zip(cells[n - 1], sizes[n - 1]) if r]):
+            z, s = X.degen_map[(n - 1, i)][x], F.degen[(n - 1, i)][x]
+            a, b = F.face[(n, i, 0)][z], F.face[(n, i, 1)][z]
+            if (id(a), id(b), id(s)) not in tested and a * s != b * s:
+                raise ValueError(f"boundary does not preserve degenerate chains at dimension {n}")
+            tested.add((id(a), id(b), id(s)))
+        row = {w: p for p, w in enumerate(cells[n - 1])}
+        blocks = [(row[w], p, F.face[(n, i, eps)][z], (-1) ** (i + eps))
+                  for p, z in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)
+                  for w in (X.face[(n, i, eps)][z],) if w in row]
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+    blocks = [[_pair(F.rank_of(n, z), not d) for z, d in enumerate(X.degenerate[n])]
+              for n in range(X.top + 1)]
+    return ComplexBuildReport(FreeChainComplex([sum(s) for s in sizes], boundaries), blocks)
 
 
 def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
@@ -146,21 +173,15 @@ def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildRep
     the quotient is a direct sum of small cokernels. The quotient must be
     free (it is, for functorial systems); torsion raises.
     """
-    return _normalize(X, F, _cokernel_pair)
+    return _normalize(X, F)
 
 
 def normalized_complex_local(X: CubesTable, F: ContravariantSystem, *,
                              checked: bool = False) -> ComplexBuildReport:
-    """Fast path for unimodular systems: restrict to non-degenerate cubes.
-
-    When every degeneracy matrix is invertible over the integers its image
-    is the whole summand of the degenerate cube, so the quotient is simply
-    the non-degenerate part and the boundary is a submatrix. A caller that
-    has already found is_local(F) true passes checked=True to skip the test.
-    """
+    """The local route (see _local_complex); checked=True skips the is_local test."""
     if not checked and not is_local(F):
         raise ValueError("local path requires a unimodular system")
-    return _normalize(X, F, _drop_pair)
+    return _local_complex(X, F)
 
 
 def _truncate(cx: FreeChainComplex, top: int) -> FreeChainComplex:
@@ -259,11 +280,9 @@ def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
     degenerate-chain guards of the chain builder hold for cochains too. The
     route is local when is_local holds for G transposed, else generic.
     """
-    if G.variance != "covariant":
-        raise ValueError("cochain complexes take covariant coefficients")
+    _check_base(X, G, "covariant")
     F = transpose_system(G)
-    quotient = _drop_pair if is_local(F) else _cokernel_pair
-    return CochainBuildReport(_normalize(X, F, quotient).complex)
+    return CochainBuildReport((_local_complex if is_local(F) else _normalize)(X, F).complex)
 
 
 def cohomology(X, G, max_dim: int) -> Tuple[HomologyGroup, ...]:

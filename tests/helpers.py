@@ -25,6 +25,7 @@ from cubehom.cubset import (
     standard_cube,
     universal_from_semicubical,
 )
+from cubehom.homcalc import ComplexBuildReport
 from cubehom.zlinalg import (
     CokernelPresentation,
     FreeChainComplex,
@@ -618,6 +619,14 @@ def cyclic3_monoid():
         {"o": "e"})
 
 
+# The categories whose nerves the tests build, by name.
+NERVE_FIXTURES = {"point": point_category, "arrow": arrow_category,
+                  "Z/2": cyclic2_monoid, "square": square_poset,
+                  "idempotent": idempotent_monoid,
+                  # "+" sorts before the "," of a key, so key order is not label order
+                  "arrow a<a+": lambda: poset_category(["a", "a+"], [("a", "a+")])}
+
+
 # The un-normalized string complex: every composable string, identities
 # included, with all of its faces. It has the homology of the normalized
 # complex catalg builds (Mac Lane, Homology, 1963, ch. IV, section 5; Gabriel and
@@ -660,6 +669,62 @@ def reference_bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> Free
                           for i in range(1, n + 1))
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
     return FreeChainComplex([sum(level) for level in sizes], boundaries)
+
+
+def reference_normalize_local(X: CubesTable, F) -> ComplexBuildReport:
+    """The local normalized complex of a table, by the per-cube walk over every cube.
+
+    A cube that some degeneracy reaches drops out with the empty pair, any
+    other cube keeps (I, I). For every cube z, the signed face matrices that
+    land on one kept cube w of non-zero rank are summed into one raw block,
+    which goes into the boundary when z is kept. The boundary must carry
+    degenerate chains to degenerate chains: for every s_i x = z, that raw
+    block times the degeneracy matrix of x must vanish. No identity of the
+    table is assumed, and no matrix product is shared between cubes.
+    """
+    if F.base is not X and F.base.keys != X.keys:
+        raise ValueError("system is defined on a different table")
+    if F.variance != "contravariant":
+        raise ValueError("chain complexes take contravariant coefficients")
+    arrivals = []
+    for n in range(X.top + 1):
+        arriving = [[] for _ in range(X.size(n))]
+        for i in range(1, n + 1):
+            for x, z in enumerate(X.degen_map[(n - 1, i)]):
+                arriving[z].append((i, x))
+        arrivals.append(arriving)
+    blocks = []
+    for n, arriving in enumerate(arrivals):
+        level = []
+        for z, arrived in enumerate(arriving):
+            r = F.rank_of(n, z)
+            eye = IntMatrix.identity(r)
+            level.append((IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0)) if arrived else (eye, eye))
+        blocks.append(level)
+    boundaries = []
+    for n in range(1, X.top + 1):
+        row_sizes = [p.rows for p, _ in blocks[n - 1]]
+        col_sizes = [s.cols for _, s in blocks[n]]
+        out = []
+        for z in range(X.size(n)):
+            terms = {}
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    w = X.face_index(n, i, eps, z)
+                    if row_sizes[w]:
+                        terms.setdefault(w, []).append(
+                            (0, 0, F.face_matrix(n, i, eps, z), (-1) ** (i + eps)))
+            for w, t in terms.items():
+                d = IntMatrix.from_blocks([row_sizes[w]], [F.rank_of(n, z)], t)
+                for i, x in arrivals[n][z]:
+                    if not (d * F.degen_matrix(n - 1, i, x)).is_zero():
+                        raise ValueError(
+                            f"boundary does not preserve degenerate chains at dimension {n}")
+                if col_sizes[z]:
+                    out.append((w, z, d, 1))
+        boundaries.append(assemble_blocks(row_sizes, col_sizes, out))
+    ranks = [sum(p.rows for p, _ in level) for level in blocks]
+    return ComplexBuildReport(FreeChainComplex(ranks, boundaries), blocks)
 
 
 def reference_cobar_complex(C: FiniteCategory, G: FiniteDiagram, top: int) -> FreeChainComplex:

@@ -530,11 +530,7 @@ class TestNerve:
         assert nerve.key(1, high) == "0:0,1:1;0-1:0_1"
 
 
-NERVE_FIXTURES = {"point": helpers.point_category, "arrow": helpers.arrow_category,
-                  "Z/2": helpers.cyclic2_monoid, "square": helpers.square_poset,
-                  "idempotent": helpers.idempotent_monoid,
-                  # "+" sorts before the "," of a key, so key order is not label order
-                  "arrow a<a+": lambda: helpers.poset_category(["a", "a+"], [("a", "a+")])}
+NERVE_FIXTURES = helpers.NERVE_FIXTURES
 
 
 def assert_matches_reference(C, top):

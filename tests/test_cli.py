@@ -22,7 +22,7 @@ import helpers
 from cubehom import cubset, formats
 from cubehom.catalg import (NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
                             factorization_category)
-from cubehom.cli import main
+from cubehom.cli import build_parser, main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
 from cubehom.cubset import EXPANSION_CUBE_BUDGET, standard_cube
@@ -957,6 +957,76 @@ class TestIntegerArgumentFuzz:
         if code == 1:
             assert text.strip(), argv
             assert text.splitlines()[-1] != "unequal", (argv, text)
+
+
+class TestFiberArgumentFuzz:
+    """--max-dim and --truncate from -2 up on fiber and fiber-criterion.
+
+    fiber_criterion counts I^t to t before it expands anything, so a
+    truncation above 6 ends at once with exit 1. A single fiber has no
+    such count: its tables are bounded only by the expansions' cube
+    budget, and over the vertex of the squashed square at --max-dim 64 it
+    runs for 12-21 s and exits 0 (see CHANGES.md). So each fiber case
+    draws --max-dim only up to the depth where it still ends in about a
+    second; the ranges are not widened to let that case through.
+    """
+
+    # (map, cube of its target, largest --max-dim drawn for fiber)
+    FIBERS = [(helpers.fold_wedge(), "v@", 64), (helpers.fold_wedge(), "e@x1", 32),
+              (helpers.endpoint_inclusion(), "e@x1", 32),
+              (helpers.collapse_to_point(helpers.interval()), "v@", 64),
+              (helpers.identity_map(helpers.squashed_square()), "v@", 32),
+              (helpers.identity_map(helpers.squashed_square()), "q@x1,x2", 16)]
+
+    @settings(max_examples=10, deadline=30_000)
+    @given(st.data())
+    def test_large_arguments_end_cleanly(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("fiber-fuzz")
+        f, cube, largest = data.draw(st.sampled_from(self.FIBERS))
+        fmap = write(folder, "map.json", formats.cubical_map_to_data(f))
+        if data.draw(st.booleans()):
+            argv = ["fiber", "--map", fmap, "--cube", cube, "--max-dim",
+                    str(data.draw(st.integers(-2, largest))), "--out", str(folder / "fiber.json")]
+        else:
+            argv = ["fiber-criterion", "--map", fmap, "--max-dim", str(data.draw(st.integers(-2, 64)))]
+            if data.draw(st.booleans()):
+                argv += ["--truncate", str(data.draw(st.integers(-2, 64)))]
+        code, text = TestSemiCubicalSystemFuzz.outcome(argv)
+        assert code in (0, 1, 2), (argv, text)
+        if code:
+            assert text.strip(), argv
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and a call leaves nothing behind in it."""
+
+    @staticmethod
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_calls_in_one_process_print_as_fresh_ones(self, tmp_path, monkeypatch):
+        # a usage error, then --help, then a computation, each compared
+        # with the same call in a fresh interpreter
+        monkeypatch.setenv("COLUMNS", "80")
+        tor = write(tmp_path, "torus.json", formats.cubical_set_to_data(helpers.torus()))
+        calls = [["homology", "--set", tor, "--max-dim", "x"],
+                 ["--help"],
+                 ["homology", "--set", tor, "--system", const_doc(tmp_path), "--max-dim", "2"]]
+        src = str(pathlib.Path(formats.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        got = [self.in_process(argv) for argv in calls]
+        assert build_parser() is build_parser()
+        assert [code for code, _, _ in got] == [2, 0, 0]
+        for argv, outcome in zip(calls, got):
+            done = subprocess.run([sys.executable, "-m", "cubehom.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert outcome == (done.returncode, done.stdout, done.stderr), argv
 
 
 class TestDeterministicReports:

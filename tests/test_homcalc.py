@@ -7,10 +7,12 @@ normalized complexes; the twisted square in particular has boundary
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubehom.catalg import cubical_nerve
 from cubehom.coeff import (
     check_generator_matrices,
     constant_system,
@@ -123,6 +125,123 @@ class TestNormalized:
         for build in (normalized_complex, normalized_complex_local):
             with pytest.raises(ValueError, match="does not preserve degenerate chains"):
                 build(X, F)
+
+
+@lru_cache(maxsize=None)
+def reference_table(kind, key):
+    """A table of the local reference test: a set fixture, a fiber or a nerve."""
+    if kind == "set":
+        return GENERATOR_SETS[key].expand(3)
+    if kind == "fiber":
+        d, n, idx = key
+        f = helpers.identity_map(standard_cube(d))
+        return pullback_fiber(f, f.target.expand(3).elements[n][idx], 3)
+    name, top = key
+    return cubical_nerve(helpers.NERVE_FIXTURES[name](), top)
+
+
+def build_outcome(build, X, F):
+    """The ranks, boundaries and pairs that build gives, or the message it refuses with."""
+    try:
+        rep = build(X, F)
+    except ValueError as e:
+        return str(e)
+    return rep.complex.ranks, rep.complex.sparse, rep.blocks
+
+
+class TestLocalReference:
+    """The local builder against helpers.reference_normalize_local, the per-cube walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_cube_walk(self, data):
+        kind = data.draw(st.sampled_from(["set", "fiber", "nerve"]))
+        if kind == "set":
+            key = data.draw(st.integers(0, len(GENERATOR_SETS) - 1))
+        elif kind == "fiber":
+            d = data.draw(st.integers(2, 3))
+            target = standard_cube(d).expand(3)
+            n = data.draw(st.integers(0, 3))
+            key = d, n, data.draw(st.integers(0, target.size(n) - 1))
+        else:
+            key = (data.draw(st.sampled_from(sorted(helpers.NERVE_FIXTURES))),
+                   data.draw(st.integers(2, 3)))
+        X = reference_table(kind, key)
+        variance = data.draw(st.sampled_from(["contravariant", "covariant"]))
+        rank = data.draw(st.integers(1, 2))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        system = data.draw(st.sampled_from(["constant", "gauge"]))
+        if system == "constant":
+            F = constant_system(X, rank, variance)
+        elif kind == "set":
+            F = helpers.gauge_system(GENERATOR_SETS[key], 3, rank, rng, variance)
+            X = F.base
+        else:
+            F = helpers.uniform_local_covariant(X, helpers.random_unimodular(rng, rank))
+            if variance == "contravariant":
+                F = transpose_system(F)
+        if variance == "contravariant":
+            got = build_outcome(normalized_complex_local, X, F)
+        else:
+            cx = cochain_complex(X, F).complex
+            got, F = (cx.ranks, cx.sparse), transpose_system(F)
+        want = build_outcome(helpers.reference_normalize_local, X, F)
+        assert got == want[:len(got)]
+
+    @pytest.mark.parametrize("columns", ["face", "degen"])
+    @pytest.mark.parametrize("name", ["torus", "I^2"])
+    def test_corrupt_entry_refused_alike(self, name, columns):
+        # every entry of every face or degeneracy column of a rank-1
+        # constant system, set in turn to -1, 2 and 0: a new object in a
+        # column whose other entries are all the one identity
+        X = {"torus": helpers.torus, "I^2": lambda: standard_cube(2)}[name]().expand(3)
+        refused = accepted = 0
+
+        def local(X, F):
+            return normalized_complex_local(X, F, checked=True)
+
+        for op, col in getattr(constant_system(X, 1), columns).items():
+            for idx in range(len(col)):
+                for value in (-1, 2, 0):
+                    F = constant_system(X, 1)
+                    setattr(F, columns, helpers.with_entry(
+                        getattr(F, columns), op, idx, IntMatrix.from_rows([[value]])))
+                    got = build_outcome(local, X, F)
+                    assert got == build_outcome(helpers.reference_normalize_local, X, F), \
+                        (op, idx, value)
+                    refused += isinstance(got, str)
+                    accepted += not isinstance(got, str)
+        assert accepted
+        if columns == "face":
+            assert refused
+
+    def test_identity_cache_sees_a_new_object(self):
+        # the guard at s_1 x is tested for the shared identity first; one
+        # new matrix among them has its own id and is tested on its own
+        X = standard_cube(2).expand(3)
+        x = X.nondegenerate_indices(1)[:2]
+        z = [X.degeneracy_index(1, 1, e) for e in x]
+        refusal = "boundary does not preserve degenerate chains at dimension 2"
+        for value, refused in (([[-1]], True), ([[1]], False)):
+            F = constant_system(X, 1)
+            F.face = helpers.with_entry(F.face, (2, 1, 0), z[0], IntMatrix.from_rows(value))
+            col = F.face[(2, 1, 0)]
+            assert all(m is col[-1] for m in col[:z[0]] + col[z[0] + 1:])
+            assert col[z[0]] is not col[-1]
+            got = build_outcome(normalized_complex_local, X, F)
+            assert got == build_outcome(helpers.reference_normalize_local, X, F)
+            assert (got == refusal) == refused
+        # one new face object at both s_1 x, and a zero degeneracy at one of
+        # the two x: the guard holds there, and a triple with another
+        # degeneracy object is tested again, whichever x comes first
+        bad = IntMatrix.from_rows([[-1]])
+        for k in (0, 1):
+            F = constant_system(X, 1)
+            F.face = helpers.with_entry(helpers.with_entry(F.face, (2, 1, 0), z[0], bad),
+                                        (2, 1, 0), z[1], bad)
+            F.degen = helpers.with_entry(F.degen, (1, 1), x[k], IntMatrix.from_rows([[0]]))
+            got = build_outcome(lambda X, F: normalized_complex_local(X, F, checked=True), X, F)
+            assert got == build_outcome(helpers.reference_normalize_local, X, F) == refusal
 
 
 class TestHomologyOracles:
