@@ -158,7 +158,7 @@ def cmd_validate(args) -> int:
 
 def cmd_groups(args) -> int:
     base, F = _carrier_and_system(args)
-    return _print_groups(args, args.compute(base, F, args.max_dim))
+    return _print_groups(args, globals()[args.compute](base, F, args.max_dim))
 
 
 def cmd_semicubical_homology(args) -> int:
@@ -200,14 +200,14 @@ def cmd_transport(args) -> int:
     f = _load(formats.parse_cubical_map, args.map)
     X = getattr(f, args.side)
     _, F = _load_system(args.system, X.expand(args.truncate), X)
-    return _emit(args, formats.table_system_to_data(args.transport(f, F)))
+    return _emit(args, formats.table_system_to_data(globals()[args.transport](f, F)))
 
 
 def cmd_cat_groups(args) -> int:
     C = _load(formats.parse_category, args.category)
     D = _load(formats.parse_diagram, args.diagram,
               factorization_category(C) if args.factorized else C)
-    return _print_groups(args, args.compute(C, D, args.max_dim))
+    return _print_groups(args, globals()[args.compute](C, D, args.max_dim))
 
 
 def cmd_nerve(args) -> int:
@@ -268,6 +268,8 @@ def cmd_compare(args) -> int:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It holds each command's function by
+    name, so a handler calls what this module holds when the command runs."""
     p = argparse.ArgumentParser(
         prog="cubehom",
         description="Exact homology and cohomology of cubical sets, "
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "the depth the system document reaches, at least 2)")
     sp.set_defaults(handler=cmd_validate)
 
-    for name, compute in (("homology", homology), ("cohomology", cohomology)):
+    for name in ("homology", "cohomology"):
         sp = sub.add_parser(name, help=f"{name} of a cubical set or prebuilt table")
         which = sp.add_mutually_exclusive_group(required=True)
         which.add_argument("--set")
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--system", help="coefficient system document")
         sp.add_argument("--truncate", type=int, default=None)
         groups_flags(sp, name)
-        sp.set_defaults(handler=cmd_groups, compute=compute)
+        sp.set_defaults(handler=cmd_groups, compute=name)
 
     sp = sub.add_parser("semicubical-homology",
                         help="homology of a semi-cubical set")
@@ -340,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_fiber_criterion)
 
     for name, side, transport, what in (
-            ("direct-image", "source", direct_image, "push a system forward along a map"),
-            ("pullback-system", "target", pullback_system,
+            ("direct-image", "source", "direct_image", "push a system forward along a map"),
+            ("pullback-system", "target", "pullback_system",
              "restrict a system on the target along a map")):
         sp = sub.add_parser(name, help=what)
         sp.add_argument("--map", required=True)
@@ -350,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
         sp.set_defaults(handler=cmd_transport, side=side, transport=transport)
 
-    for name, compute in (("cat-homology", category_homology),
-                          ("cat-cohomology", category_cohomology)):
+    for name, compute in (("cat-homology", "category_homology"),
+                          ("cat-cohomology", "category_cohomology")):
         kind = name.split("-")[1]
         sp = sub.add_parser(name, help=f"{kind} of a finite category")
         sp.add_argument("--category", required=True)
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_nerve)
 
-    for name, compute in (("bw", bw_cohomology_cubical), ("bw-oracle", bw_cohomology_oracle)):
+    for name, compute in (("bw", "bw_cohomology_cubical"), ("bw-oracle", "bw_cohomology_oracle")):
         sp = sub.add_parser(name, help="cohomology with a natural system on the "
                                        "factorization category")
         sp.add_argument("--category", required=True)

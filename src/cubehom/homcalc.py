@@ -26,7 +26,7 @@ from .zlinalg import (
 )
 
 
-def _check_base(X: CubesTable, F, variance=None) -> None:
+def _check_base(X: CubesTable, F, variance: str = "") -> None:
     if F.base is not X and F.base.keys != X.keys:
         raise ValueError("system is defined on a different table")
     if variance and F.variance != variance:

@@ -45,6 +45,7 @@ def documents(tmp_path):
         "cov": write(tmp_path, "cov.json", {"type": "constant-system", "rank": 1,
                                             "variance": "covariant"}),
         "z2": write(tmp_path, "z2.json", formats.category_to_data(helpers.cyclic2_monoid())),
+        "z2_sign": write(tmp_path, "z2-sign.json", formats.diagram_to_data(helpers.sign_diagram())),
         "id_square": write(tmp_path, "id.json", formats.cubical_map_to_data(
             helpers.identity_map(helpers.squashed_square()))),
         "collapse": write(tmp_path, "collapse.json", formats.cubical_map_to_data(
@@ -91,3 +92,17 @@ def test_traced_job_fills_its_counters(documents, job):
         assert tracer.self_s[metric] > 0, metric
     for metric in counters:
         assert tracer.counts[metric] > 0, metric
+
+
+def test_hooks_reach_commands_after_the_parser_is_built(documents):
+    # main builds its parser once per process, and a traced job follows an
+    # untraced warm-up one: the parser names cat-homology's function, so the
+    # hook installed in between still times it
+    argv = ["cat-homology", "--category", documents["z2"], "--diagram", documents["z2_sign"],
+            "--max-dim", "3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        tracer = worker.Tracer()
+        with tracer.installed():
+            assert cli.main(argv) == 0
+    assert tracer.self_s["catalg.string_s"] > 0
