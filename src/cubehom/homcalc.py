@@ -90,9 +90,9 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
     z] * S_z, formed only for the faces z has. A cube with no degeneracy
     arriving has the identity pair, which is not multiplied, and a face
     whose P_w has no rows, or a cube whose S_z has no columns, gives an
-    empty block. The boundary must carry
-    degenerate chains to degenerate chains, otherwise the quotient complex
-    would be meaningless, so every P_w * d_raw[w, z] * s_i(x) must vanish.
+    empty block. The boundary must carry degenerate chains to degenerate
+    chains, otherwise the quotient complex would be meaningless, so every
+    P_w * d_raw[w, z] * s_i(x) must vanish.
     """
     _check_base(X, F, "contravariant")
     blocks, arrivals = [], []
@@ -161,9 +161,9 @@ def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
                   for p, z in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)
                   for w in (X.face[(n, i, eps)][z],) if w in row]
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
-    blocks = [[_pair(F.rank_of(n, z), not d) for z, d in enumerate(X.degenerate[n])]
-              for n in range(X.top + 1)]
-    return ComplexBuildReport(FreeChainComplex([sum(s) for s in sizes], boundaries), blocks)
+    pairs = [[_pair(F.rank_of(n, z), not d) for z, d in enumerate(X.degenerate[n])]
+             for n in range(X.top + 1)]
+    return ComplexBuildReport(FreeChainComplex([sum(level) for level in sizes], boundaries), pairs)
 
 
 def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
