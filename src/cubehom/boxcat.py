@@ -13,9 +13,9 @@ positive integer i means input coordinate number i (1-based).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Sequence
 
 
 class CubeMorphism:
@@ -205,7 +205,7 @@ class FormalMorphismSum:
 
     __slots__ = ("src_dim", "dst_dim", "terms")
 
-    def __init__(self, src_dim: int, dst_dim: int, terms: Dict[CubeMorphism, int] = None):
+    def __init__(self, src_dim: int, dst_dim: int, terms: dict[CubeMorphism, int] | None = None):
         self.src_dim = src_dim
         self.dst_dim = dst_dim
         self.terms = {}
@@ -244,7 +244,7 @@ class FormalMorphismSum:
         """self . other, extended bilinearly over both sums."""
         if other.dst_dim != self.src_dim:
             raise ValueError("sums are not composable")
-        terms: Dict[CubeMorphism, int] = {}
+        terms: dict[CubeMorphism, int] = {}
         for g, a in self.terms.items():
             for f, b in other.terms.items():
                 gf = g.compose(f)

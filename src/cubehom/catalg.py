@@ -15,11 +15,10 @@ while it is. The normalized string complex, of non-identity morphisms,
 refuses a degree past STRING_BUDGET strings while it is built.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
-from typing import Dict, List, Tuple
 
 from .coeff import (FiniteDiagram, natural_system_via_d,
                     system_from_diagram_last_vertex)
@@ -33,9 +32,9 @@ from .zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
 class FiniteCategory:
     """A small category given by explicit object, morphism, and composition tables."""
 
-    def __init__(self, objects, morphisms: Dict[str, Tuple[str, str]],
-                 composition: Dict[Tuple[str, str], str],
-                 identities: Dict[str, str]):
+    def __init__(self, objects, morphisms: dict[str, tuple[str, str]],
+                 composition: dict[tuple[str, str], str],
+                 identities: dict[str, str]):
         self.objects = tuple(objects)
         self.morphisms = dict(morphisms)
         self.composition = dict(composition)
@@ -69,7 +68,7 @@ class FiniteCategory:
                 for (second, first), h in self.composition.items()}
         return FiniteCategory(self.objects, flipped, comp, self.identities)
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         """Structural problems: endpoints, totality, identity and associativity laws."""
         report = []
         if len(set(self.objects)) != len(self.objects):
@@ -124,7 +123,7 @@ class FiniteCategory:
 STRING_BUDGET = 50_000  # the most strings one degree of the string complex may hold
 
 
-def _string_levels(C: FiniteCategory, top: int) -> List[List[Tuple[str, Tuple[str, ...]]]]:
+def _string_levels(C: FiniteCategory, top: int) -> list[list[tuple[str, tuple[str, ...]]]]:
     """composable_chains(C, n) for n = 0..top, each grown once from the level below."""
     after = {obj: [g for g in sorted(C.morphisms)
                    if C.morphisms[g][0] == obj and g != C.identity_of(obj)] for obj in C.objects}
@@ -141,7 +140,7 @@ def _string_levels(C: FiniteCategory, top: int) -> List[List[Tuple[str, Tuple[st
     return levels
 
 
-def composable_chains(C: FiniteCategory, n: int) -> List[Tuple[str, Tuple[str, ...]]]:
+def composable_chains(C: FiniteCategory, n: int) -> list[tuple[str, tuple[str, ...]]]:
     """All length-n strings of composable non-identity morphisms as (start object, names)."""
     return _string_levels(C, n)[n]
 
@@ -186,7 +185,7 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
 
 
 def category_homology(C: FiniteCategory, F: FiniteDiagram,
-                      max_dim: int) -> Tuple[HomologyGroup, ...]:
+                      max_dim: int) -> tuple[HomologyGroup, ...]:
     """Homology of the string complex in degrees 0..max_dim; refuses F if not functorial."""
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -196,7 +195,7 @@ def category_homology(C: FiniteCategory, F: FiniteDiagram,
 
 
 def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
-                        max_dim: int) -> Tuple[HomologyGroup, ...]:
+                        max_dim: int) -> tuple[HomologyGroup, ...]:
     """Cohomology of the normalized string cochain complex in degrees 0..max_dim.
 
     Strings of C with values at their end are the reversed strings of C.op
@@ -215,7 +214,7 @@ def category_cohomology(C: FiniteCategory, G: FiniteDiagram,
 
 
 @lru_cache(maxsize=None)
-def _points(n: int) -> Tuple[Tuple[int, ...], ...]:
+def _points(n: int) -> tuple[tuple[int, ...], ...]:
     """Vertices of the n-cube in lexicographic order: the order of vertex labels."""
     return tuple(iter_product((0, 1), repeat=n))
 
@@ -319,11 +318,11 @@ class CubeFunctor:
         return x
 
     @property
-    def vertices(self) -> Dict[Tuple[int, ...], str]:
+    def vertices(self) -> dict[tuple[int, ...], str]:
         return dict(zip(_points(self.dim), self.vertex_labels))
 
     @property
-    def edges(self) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], str]:
+    def edges(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], str]:
         return dict(zip(_cube_edges(self.dim), self.edge_labels))
 
     def vertex(self, point) -> str:
@@ -394,7 +393,7 @@ def _arrow_positions(n: int):
     return gather, tuple(map(tuple, into))
 
 
-def _nerve_level(C: FiniteCategory, n: int, below) -> Tuple[List[str], List[CubeFunctor]]:
+def _nerve_level(C: FiniteCategory, n: int, below) -> tuple[list[str], list[CubeFunctor]]:
     """Level n of the nerve and its keys, sorted by key, from the level below.
 
     An n-cube is a pair (a, b) of (n-1)-cubes and one morphism a(p) -> b(p) per
@@ -529,12 +528,10 @@ def factorization_category(C: FiniteCategory) -> FiniteCategory:
     return FiniteCategory(objects, morphisms, composition, identities)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(namedtuple("ComparisonReport", "cubical categorical")):
     """Groups from the cubical route next to groups from the string complex."""
 
-    cubical: Tuple[HomologyGroup, ...]
-    categorical: Tuple[HomologyGroup, ...]
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -542,7 +539,7 @@ class ComparisonReport:
 
 
 def bw_cohomology_cubical(C: FiniteCategory, G: FiniteDiagram,
-                          max_dim: int) -> Tuple[HomologyGroup, ...]:
+                          max_dim: int) -> tuple[HomologyGroup, ...]:
     """Nerve cohomology with coefficients pulled back along long diagonals."""
     nerve = cubical_nerve(C, max_dim + 1)
     system = natural_system_via_d(C, G, nerve)
@@ -550,7 +547,7 @@ def bw_cohomology_cubical(C: FiniteCategory, G: FiniteDiagram,
 
 
 def bw_cohomology_oracle(C: FiniteCategory, G: FiniteDiagram,
-                         max_dim: int) -> Tuple[HomologyGroup, ...]:
+                         max_dim: int) -> tuple[HomologyGroup, ...]:
     """The same groups from the decomposition category's string complex."""
     return category_cohomology(factorization_category(C), G, max_dim)
 

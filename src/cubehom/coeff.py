@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import is_
-from typing import Dict, List, Tuple
 
 from .boxcat import cubical_identities, identity_failures
 from .cubset import (
@@ -48,9 +47,9 @@ class _TableSystem:
     variance = "unset"
 
     def __init__(self, base: CubesTable,
-                 ranks: Dict[Tuple[int, int], int],
-                 face: Dict[Tuple[int, int, int], Tuple[IntMatrix, ...]],
-                 degen: Dict[Tuple[int, int], Tuple[IntMatrix, ...]]):
+                 ranks: dict[tuple[int, int], int],
+                 face: dict[tuple[int, int, int], tuple[IntMatrix, ...]],
+                 degen: dict[tuple[int, int], tuple[IntMatrix, ...]]):
         self.base = base
         self.ranks = dict(ranks)
         self.face = dict(face)
@@ -97,7 +96,7 @@ def constant_system(base: CubesTable, rank: int, variance: str = "contravariant"
                                    {op: (eye,) * base.size(op[0]) for op in base.degen_map})
 
 
-def validate_functoriality(F) -> List[str]:
+def validate_functoriality(F) -> list[str]:
     """Check shapes, then every instance of cubical_identities on every cube.
 
     Each instance is evaluated column by column over the cubes of its
@@ -186,7 +185,7 @@ def _path_values(F):
     return values
 
 
-def _distinct_matrices(F) -> Dict[int, IntMatrix]:
+def _distinct_matrices(F) -> dict[int, IntMatrix]:
     """Every matrix object of F once by id; a column repeating one object takes no id per entry."""
     out = {}
     for col in (*F.face.values(), *F.degen.values()):
@@ -218,8 +217,8 @@ def is_local(F) -> bool:
                for m in _distinct_matrices(F).values())
 
 
-def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
-                      gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix]):
+def _generated_system(cls, base: CubesTable, gen_ranks: dict[str, int],
+                      gen_face_matrices: dict[tuple[str, int, int], IntMatrix]):
     """The system on base, an expansion of a presented set, fixed by its generators.
 
     The cube (g, epi) takes g's rank. Its face (i, eps) is the identity when
@@ -246,7 +245,7 @@ def _generated_system(cls, base: CubesTable, gen_ranks: Dict[str, int],
                 for m, i in base.degen_map})
 
 
-def _face_face_failures(X: PresentedCubicalSet, ranks: Dict[str, int], face_matrices,
+def _face_face_failures(X: PresentedCubicalSet, ranks: dict[str, int], face_matrices,
                         variance: str, top: int) -> list:
     """identity_failures of the face-face instances at X's generators of dimension <= top.
 
@@ -301,7 +300,7 @@ def check_generator_matrices(X: PresentedCubicalSet, rank: int, gen_face_matrice
 
 
 def local_system(X: PresentedCubicalSet, base: CubesTable, rank: int,
-                 gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix],
+                 gen_face_matrices: dict[tuple[str, int, int], IntMatrix],
                  variance: str = "contravariant"):
     """Rank-r system on base, an expansion of X, from checked face matrices on generators."""
     _, ranks, _ = check_generator_matrices(X, rank, gen_face_matrices, variance, base.top)
@@ -372,13 +371,13 @@ class SemiCubicalSystem:
     variance = "contravariant"
 
     def __init__(self, base: SemiCubicalSet,
-                 ranks: Dict[str, int],
-                 face: Dict[Tuple[str, int, int], IntMatrix]):
+                 ranks: dict[str, int],
+                 face: dict[tuple[str, int, int], IntMatrix]):
         self.base = base
         self.ranks = dict(ranks)
         self.face = dict(face)
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         report = []
         S = self.base
         for n, level in enumerate(S.levels):
@@ -422,7 +421,7 @@ class FiniteDiagram:
     .identity_of(obj), and .compose(second, first).
     """
 
-    def __init__(self, category, ranks: Dict[str, int], matrices: Dict[str, IntMatrix]):
+    def __init__(self, category, ranks: dict[str, int], matrices: dict[str, IntMatrix]):
         self.category = category
         self.ranks = dict(ranks)
         self.matrices = dict(matrices)
@@ -433,7 +432,7 @@ class FiniteDiagram:
     def matrix(self, morphism: str) -> IntMatrix:
         return self.matrices[morphism]
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         report = []
         C = self.category
         for obj in C.objects:

@@ -15,11 +15,11 @@ site", TAC 11, 2003). Maps act on tables by index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Sequence, Tuple
 
 from .boxcat import (
     CubeMorphism,
@@ -69,12 +69,10 @@ def epi_from_wire(src_dim: int, dst_dim: int, text: str) -> CubeMorphism:
     return epi
 
 
-@dataclass(frozen=True)
-class Cube:
-    """A cube of a presented set: a generator degenerated along a deletion map."""
+class Cube(namedtuple("Cube", "gen epi")):
+    """A cube of a presented set: a generator (str) degenerated along a deletion map epi."""
 
-    gen: str
-    epi: CubeMorphism
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -97,7 +95,7 @@ class Cube:
 class PresentedCubicalSet:
     """Generators with dimensions plus a face table; cubes are (generator, epi) pairs."""
 
-    def __init__(self, generators: Dict[str, int], faces: Dict[Tuple[str, int, int], Cube]):
+    def __init__(self, generators: dict[str, int], faces: dict[tuple[str, int, int], Cube]):
         self.generators = dict(generators)
         self.faces = dict(faces)
 
@@ -123,7 +121,7 @@ class PresentedCubicalSet:
         k = self.generator_dim(gen)
         return Cube(gen, epi_from_wire(n, k, wire))
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         """Structural checks, then face commutation on every generator.
 
         Both sides of an instance are two _face_of steps from the generator's
@@ -179,7 +177,7 @@ class PresentedCubicalSet:
                                     f"{lhs} != {rhs}")
         return report
 
-    def _face_of(self, gen: str, tokens: Tuple[int, ...], i: int, eps: int):
+    def _face_of(self, gen: str, tokens: tuple[int, ...], i: int, eps: int):
         """Face (i, eps) of the cube (gen, deletion map with these tokens), as (gen, tokens).
 
         This is the one face rule of a presented set: expand tabulates it
@@ -205,7 +203,7 @@ class PresentedCubicalSet:
         if cubes > EXPANSION_CUBE_BUDGET:
             raise ValueError(f"expanding to dimension {top} gives {cubes} cubes, more than "
                              f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
-        elements: List[List[Cube]] = []
+        elements: list[list[Cube]] = []
         for n in range(top + 1):
             level = []
             for g, k in self.generators.items():
@@ -238,7 +236,7 @@ class PresentedCubicalSet:
         )
 
 
-def degeneracy_masks(face, degen_map, sizes) -> List[List[int]]:
+def degeneracy_masks(face, degen_map, sizes) -> list[list[int]]:
     """Per dimension and cube z of a table, bit i set when s_i(d_{i,0} z) = z.
 
     face and degen_map are the table's index columns and sizes its number
@@ -288,10 +286,10 @@ class CubesTable:
         """Index at dimension m+1 of the i-th degeneracy of cube idx at dimension m."""
         return self.degen_map[(m, i)][idx]
 
-    def nondegenerate_indices(self, n: int) -> Tuple[int, ...]:
+    def nondegenerate_indices(self, n: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degenerate[n]) if not d)
 
-    def degeneracy_masks(self) -> List[List[int]]:
+    def degeneracy_masks(self) -> list[list[int]]:
         return degeneracy_masks(self.face, self.degen_map, [len(level) for level in self.keys])
 
     def _ends(self, n: int, path) -> Sequence[int]:
@@ -302,7 +300,7 @@ class CubesTable:
             ends = [column[x] for x in ends]
         return ends
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         report = []
         ops = [((n, i, eps), "face", self.face)
                for n in range(1, self.top + 1) for i in range(1, n + 1) for eps in (0, 1)]
@@ -335,7 +333,7 @@ class CubesTable:
 class SemiCubicalSet:
     """Named cubes per dimension with face maps only (no degeneracies)."""
 
-    def __init__(self, levels: Sequence[Sequence[str]], faces: Dict[Tuple[str, int, int], str]):
+    def __init__(self, levels: Sequence[Sequence[str]], faces: dict[tuple[str, int, int], str]):
         self.levels = [list(l) for l in levels]
         self.faces = dict(faces)
         self._dims = {}
@@ -358,7 +356,7 @@ class SemiCubicalSet:
         except KeyError:
             raise ValueError(f"no face entry for ({name}, {i}, {eps})") from None
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         report = []
         seen = set()
         for n, level in enumerate(self.levels):
@@ -434,12 +432,12 @@ class CubicalMap:
     """A map of presented cubical sets, given on generators."""
 
     def __init__(self, source: PresentedCubicalSet, target: PresentedCubicalSet,
-                 assignment: Dict[str, Cube]):
+                 assignment: dict[str, Cube]):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
 
-    def validate(self) -> List[str]:
+    def validate(self) -> list[str]:
         """The problems of the source and target sets, else those of the assignment.
 
         Naturality compares, for each face of each source generator, the
@@ -482,7 +480,7 @@ class CubicalMap:
                             f"{lhs} != {rhs}")
         return report
 
-    def table_map(self, tx: CubesTable, ty: CubesTable) -> List[Tuple[int, ...]]:
+    def table_map(self, tx: CubesTable, ty: CubesTable) -> list[tuple[int, ...]]:
         """Per dimension, the target index of the image of each source cube.
 
         The image of a generator is looked up by key once. The source cube
@@ -557,7 +555,7 @@ def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTa
 
 
 @lru_cache(maxsize=None)
-def _representable(d: int, top: int) -> Tuple[CubesTable, List[List[int]]]:
+def _representable(d: int, top: int) -> tuple[CubesTable, list[list[int]]]:
     """The representable I^d tabulated up to top, with its degeneracy masks.
 
     Its k-cubes are hom_set(k, d) in token order, keyed by token words; face
@@ -593,7 +591,7 @@ class FiberSource:
 
     __slots__ = ("table", "target", "images", "masks")
 
-    def __init__(self, table: CubesTable, target: CubesTable, images: List[Tuple[int, ...]]):
+    def __init__(self, table: CubesTable, target: CubesTable, images: list[tuple[int, ...]]):
         self.table = table
         self.target = target
         self.images = images

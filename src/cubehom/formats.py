@@ -8,7 +8,6 @@ them as validation failures rather than parse errors.
 """
 
 import json
-from typing import Dict, List, Optional, Tuple
 
 from .catalg import FiniteCategory
 from .coeff import (ContravariantSystem, CovariantSystem, FiniteDiagram,
@@ -75,7 +74,7 @@ def _str(value, where: str) -> str:
     return value
 
 
-def _selector(text: str, parts: int, where: str) -> Tuple[int, ...]:
+def _selector(text: str, parts: int, where: str) -> tuple[int, ...]:
     """Parse a comma-separated integer selector such as "i,eps" or "n,i,eps"."""
     if not isinstance(text, str):
         raise FormatError(f"{where}: selector must be a string, got {text!r}")
@@ -106,7 +105,7 @@ def _matrix(data, rows: int, cols: int, where: str) -> IntMatrix:
     return IntMatrix(rows, cols, data)
 
 
-def _matrix_rows(m: IntMatrix) -> List[List[int]]:
+def _matrix_rows(m: IntMatrix) -> list[list[int]]:
     return [list(r) for r in m.data]
 
 
@@ -165,7 +164,7 @@ def parse_cubical_set(data) -> PresentedCubicalSet:
 
 
 def cubical_set_to_data(X: PresentedCubicalSet) -> dict:
-    faces: Dict[str, Dict[str, str]] = {}
+    faces: dict[str, dict[str, str]] = {}
     for (gen, i, eps), c in X.faces.items():
         faces.setdefault(gen, {})[f"{i},{eps}"] = c.key()
     return {"type": "cubical-set",
@@ -197,7 +196,7 @@ def parse_semicubical_set(data) -> SemiCubicalSet:
 
 
 def semicubical_set_to_data(S: SemiCubicalSet) -> dict:
-    faces: Dict[str, Dict[str, str]] = {}
+    faces: dict[str, dict[str, str]] = {}
     for (x, i, eps), y in S.faces.items():
         faces.setdefault(x, {})[f"{i},{eps}"] = y
     return {"type": "semicubical-set",
@@ -303,7 +302,7 @@ def cubes_table_to_data(T: CubesTable) -> dict:
 
 # -------------------------------------------------------- coefficient systems
 
-def parse_table_system(data, base: Optional[CubesTable] = None):
+def parse_table_system(data, base: CubesTable | None = None):
     """Read a table-system document; the base table is embedded or supplied.
 
     When both are present the embedded table must carry the same keys as the
@@ -381,15 +380,15 @@ def parse_table_system(data, base: Optional[CubesTable] = None):
 def table_system_to_data(F) -> dict:
     """Write a table system, naming each cube by its key in F.base; holes are left out."""
     key = F.base.key
-    ranks: Dict[str, Dict[str, int]] = {}
+    ranks: dict[str, dict[str, int]] = {}
     for (n, idx), r in F.ranks.items():
         ranks.setdefault(str(n), {})[key(n, idx)] = r
-    faces: Dict[str, Dict[str, list]] = {}
+    faces: dict[str, dict[str, list]] = {}
     for (n, i, eps), col in F.face.items():
         for idx, m in enumerate(col):
             if m is not None:
                 faces.setdefault(f"{n},{i},{eps}", {})[key(n, idx)] = _matrix_rows(m)
-    degens: Dict[str, Dict[str, list]] = {}
+    degens: dict[str, dict[str, list]] = {}
     for (m_, i), col in F.degen.items():
         for idx, m in enumerate(col):
             if m is not None:
@@ -429,8 +428,8 @@ def parse_generator_system(data, X: PresentedCubicalSet):
 
 
 def local_system_to_data(rank: int, variance: str,
-                         gen_face_matrices: Dict[Tuple[str, int, int], IntMatrix]) -> dict:
-    faces: Dict[str, Dict[str, list]] = {}
+                         gen_face_matrices: dict[tuple[str, int, int], IntMatrix]) -> dict:
+    faces: dict[str, dict[str, list]] = {}
     for (gen, i, eps), m in gen_face_matrices.items():
         faces.setdefault(gen, {})[f"{i},{eps}"] = _matrix_rows(m)
     return {"type": "local-system", "rank": rank, "variance": variance,
@@ -468,7 +467,7 @@ def parse_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:
 
 
 def semicubical_system_to_data(F: SemiCubicalSystem) -> dict:
-    faces: Dict[str, Dict[str, list]] = {}
+    faces: dict[str, dict[str, list]] = {}
     for (x, i, eps), m in F.face.items():
         faces.setdefault(x, {})[f"{i},{eps}"] = _matrix_rows(m)
     return {"type": "semicubical-system",
@@ -492,7 +491,7 @@ def build_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:
     raise FormatError(f"not a semi-cubical coefficient document (type {t!r})")
 
 
-def _constant_system(data) -> Tuple[int, str]:
+def _constant_system(data) -> tuple[int, str]:
     """The rank and variance of a constant-system document."""
     rank = _field(data, "rank", int, "constant-system")
     variance = data.get("variance", "contravariant")
@@ -504,7 +503,7 @@ def _constant_system(data) -> Tuple[int, str]:
 
 
 def build_system(data, base: CubesTable,
-                 presented: Optional[PresentedCubicalSet] = None):
+                 presented: PresentedCubicalSet | None = None):
     """Build whichever coefficient-system document this is against a carrier."""
     if not isinstance(data, dict):
         raise FormatError("a coefficient system document must be a JSON object")
@@ -587,7 +586,7 @@ def diagram_to_data(F: FiniteDiagram) -> dict:
 
 # -------------------------------------------------------------------- groups
 
-def parse_groups(data) -> Tuple[HomologyGroup, ...]:
+def parse_groups(data) -> tuple[HomologyGroup, ...]:
     """Read a groups document back into graded group summaries."""
     _check_type(data, "groups")
     out = []

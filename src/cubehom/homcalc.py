@@ -7,10 +7,9 @@ the table, because the top-degree boundary out of unseen cubes is unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Tuple
 
 from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
 from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, _representable,
@@ -52,17 +51,15 @@ def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
             for w, t in terms.items()}
 
 
-@dataclass
-class ComplexBuildReport:
-    """A normalized complex plus the per-cube maps relating it to the raw one.
+class ComplexBuildReport(namedtuple("ComplexBuildReport", "complex blocks")):
+    """A normalized FreeChainComplex plus the per-cube maps relating it to the raw one.
 
     blocks[n][z] = (P, S) for cube z at dimension n: P projects the summand
     of z onto its part of the normalized complex, S is a section of P, and
     P * S is the identity. Non-degenerate cubes carry (I, I).
     """
 
-    complex: FreeChainComplex
-    blocks: List[List[Tuple[IntMatrix, IntMatrix]]]
+    __slots__ = ()
 
 
 def _degeneracy_arrivals(X: CubesTable, n: int):
@@ -184,13 +181,7 @@ def normalized_complex_local(X: CubesTable, F: ContravariantSystem, *,
     return _local_complex(X, F)
 
 
-def _truncate(cx: FreeChainComplex, top: int) -> FreeChainComplex:
-    if cx.top == top:
-        return cx
-    return FreeChainComplex(cx.ranks[:top + 1], cx.sparse[:top])
-
-
-def generator_complex(X: PresentedCubicalSet, ranks: Dict[str, int], face_matrices,
+def generator_complex(X: PresentedCubicalSet, ranks: dict[str, int], face_matrices,
                       top: int) -> FreeChainComplex:
     """Normalized chains to dimension top of a local system (ranks, face matrices) on X.
 
@@ -243,30 +234,29 @@ def _groups(X, F, max_dim: int, cochains: bool, path: str = "auto"):
     else:
         cx = normalized_complex(X, F).complex
     return (cohomology_of_complex if cochains else homology_of_complex)(
-        _truncate(cx, max_dim + 1))
+        cx.truncate(max_dim + 1))
 
 
-def homology(X, F, max_dim: int, path: str = "auto") -> Tuple[HomologyGroup, ...]:
+def homology(X, F, max_dim: int, path: str = "auto") -> tuple[HomologyGroup, ...]:
     """Homology of F on X, a table or a presented set, in degrees 0..max_dim (see _groups)."""
     return _groups(X, F, max_dim, False, path)
 
 
-@dataclass
-class CochainBuildReport:
-    """A normalized cochain complex, held as the chain complex it is the dual of.
+class CochainBuildReport(namedtuple("CochainBuildReport", "complex")):
+    """A normalized cochain complex, held as the FreeChainComplex it is the dual of.
 
     ranks[k] is the rank of C^k and deltas[k] = d^k, the transpose of the
     boundary d_{k+1} of complex.
     """
 
-    complex: FreeChainComplex
+    __slots__ = ()
 
     @property
-    def ranks(self) -> List[int]:
+    def ranks(self) -> list[int]:
         return list(self.complex.ranks)
 
     @property
-    def deltas(self) -> List[IntMatrix]:
+    def deltas(self) -> list[IntMatrix]:
         return [d.transpose() for d in self.complex.boundaries]
 
 
@@ -285,12 +275,12 @@ def cochain_complex(X: CubesTable, G) -> CochainBuildReport:
     return CochainBuildReport((_local_complex if is_local(F) else _normalize)(X, F).complex)
 
 
-def cohomology(X, G, max_dim: int) -> Tuple[HomologyGroup, ...]:
+def cohomology(X, G, max_dim: int) -> tuple[HomologyGroup, ...]:
     """Cohomology of G on X, a table or a presented set, in degrees 0..max_dim (see _groups)."""
     return _groups(X, G, max_dim, True)
 
 
-def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGroup, ...]:
+def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> tuple[HomologyGroup, ...]:
     """Homology of a semi-cubical set: generator_complex of its universal extension."""
     if F.base is not S and getattr(F.base, "levels", None) != S.levels:
         raise ValueError("system is defined on a different semi-cubical set")
@@ -301,18 +291,16 @@ def semicubical_homology(S: SemiCubicalSet, F, max_dim: int) -> Tuple[HomologyGr
     return homology(universal_from_semicubical(S), (F.variance, F.ranks, F.face), max_dim)
 
 
-@dataclass
-class FiberRow:
-    dim: int
-    key: str
-    groups: Tuple[HomologyGroup, ...]
-    ok: bool
+class FiberRow(namedtuple("FiberRow", "dim key groups ok")):
+    """One cube of the target: its dimension, key, fiber groups, and whether they are a point's."""
+
+    __slots__ = ()
 
 
-@dataclass
-class FiberCriterionReport:
-    passed: bool
-    rows: Tuple[FiberRow, ...]
+class FiberCriterionReport(namedtuple("FiberCriterionReport", "passed rows")):
+    """Whether every fiber has the homology of a point, and one FiberRow per target cube."""
+
+    __slots__ = ()
 
 
 def _fiber_row(f: CubicalMap, n: int, key: str, y, max_dim: int, top: int,
@@ -332,6 +320,8 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     shared by every fiber, as are the tables of the representables; the
     largest, I^top to top, is built (or refused) before anything else.
     """
+    if max_dim < 0:
+        raise ValueError("max_dim must be nonnegative")
     if top < max_dim + 1:
         raise ValueError("fiber truncation must exceed the requested degree")
     if f.target.generators:

@@ -16,10 +16,10 @@ the sparse columns of U_inv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -209,15 +209,10 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inv V_inv")):
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ... | dr."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -354,18 +349,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class CokernelPresentation:
+class CokernelPresentation(namedtuple("CokernelPresentation", "projection section torsion")):
     """coker(A) = Z^m / im(A) presented by a free projection plus torsion.
 
-    projection : (m - r) x m, restriction of a unimodular map; kills im(A).
-    section    : m x (m - r), with projection * section = identity.
-    torsion    : invariant factors > 1 of the torsion part.
+    projection : (m - r) x m IntMatrix, restriction of a unimodular map; kills im(A).
+    section    : m x (m - r) IntMatrix, with projection * section = identity.
+    torsion    : tuple of the invariant factors > 1 of the torsion part.
     """
 
-    projection: IntMatrix
-    section: IntMatrix
-    torsion: tuple
+    __slots__ = ()
 
 
 def cokernel_projection(a: IntMatrix) -> CokernelPresentation:
@@ -435,12 +427,10 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return snf.V * IntMatrix(a.cols, b.cols, y)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "betti torsion")):
     """A finitely generated abelian group Z^betti + sum of Z/d for d in torsion."""
 
-    betti: int
-    torsion: tuple
+    __slots__ = ()
 
     def __str__(self):
         parts = []
@@ -484,6 +474,14 @@ class FreeChainComplex:
     @property
     def top(self) -> int:
         return len(self.ranks) - 1
+
+    def truncate(self, top: int) -> FreeChainComplex:
+        """Degrees 0..top of this complex; a slice of a checked complex is not checked again."""
+        if top >= self.top:
+            return self
+        cut = object.__new__(FreeChainComplex)
+        cut.ranks, cut.sparse = self.ranks[:top + 1], self.sparse[:top]
+        return cut
 
     def boundary(self, n: int) -> IntMatrix:
         """d_n for 0 <= n <= top; d_0 is the zero map into the zero module."""

@@ -5,7 +5,6 @@ the test modules were computed on paper from these presentations.
 """
 
 from itertools import product as iter_product
-from typing import Tuple
 
 from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
 from cubehom.catalg import STRING_BUDGET, CubeFunctor, FiniteCategory, chain_face
@@ -232,7 +231,7 @@ def used_coordinates(f: CubeMorphism) -> tuple:
     return tuple(t for t in f.tokens if t >= 1)
 
 
-def epi_mono_factorize(f: CubeMorphism) -> Tuple[CubeMorphism, CubeMorphism]:
+def epi_mono_factorize(f: CubeMorphism) -> tuple[CubeMorphism, CubeMorphism]:
     """Split f as (deletions, insertions) with f = mono . epi.
 
     The epi deletes the unused input coordinates; the mono renumbers the

@@ -696,7 +696,7 @@ class TestNerveSystems:
         assert len(calls) == 1 and calls[0].variance == "contravariant"
         assert not is_local(calls[0])
         generic = homcalc.normalized_complex(nerve, transpose_system(sys)).complex
-        assert got == cohomology_of_complex(homcalc._truncate(generic, 3))
+        assert got == cohomology_of_complex(generic.truncate(3))
 
     def test_diagonal_system_functorial(self):
         for C in (helpers.arrow_category(), helpers.cyclic2_monoid()):

@@ -997,6 +997,51 @@ class TestFiberArgumentFuzz:
             assert text.strip(), argv
 
 
+class TestTableArgumentFuzz:
+    """--truncate from -2 up on product, direct-image and pullback-system.
+
+    product counts its cubes before it builds anything, so circle x circle
+    is refused at 52 and above, and the deepest product that builds, 51,
+    takes 2-6 s. direct-image and pullback-system have no such count: on
+    fold_wedge at --truncate 64 they run for 8-10 s and exit 0 (see
+    CHANGES.md), so they draw --truncate only up to 32, which ends in about
+    a second; the range is not widened to let that case through.
+    """
+
+    @settings(max_examples=10, deadline=30_000)
+    @given(st.data())
+    def test_large_arguments_end_cleanly(self, tmp_path_factory, data):
+        folder = tmp_path_factory.mktemp("table-fuzz")
+        out = folder / "out.json"
+        if data.draw(st.booleans()):
+            circle = write(folder, "circle.json", formats.cubical_set_to_data(helpers.circle()))
+            argv = ["product", "--left", circle, "--right", circle,
+                    "--truncate", str(data.draw(st.integers(-2, 64)))]
+        else:
+            fold = write(folder, "fold.json", formats.cubical_map_to_data(helpers.fold_wedge()))
+            argv = [data.draw(st.sampled_from(["direct-image", "pullback-system"])),
+                    "--map", fold, "--system", const_doc(folder),
+                    "--truncate", str(data.draw(st.integers(-2, 32)))]
+        code, text = TestSemiCubicalSystemFuzz.outcome(argv + ["--out", str(out)])
+        assert code in (0, 1), (argv, text)
+        assert out.exists() == (code == 0), argv
+        if code:
+            assert text.strip(), argv
+
+
+class TestImportCost:
+    def test_cli_loads_no_introspection_modules(self):
+        # -S leaves out site-packages, whose start-up hooks may load typing themselves
+        src = str(pathlib.Path(formats.__file__).resolve().parents[1])
+        probe = "import sys, cubehom.cli; print(*sys.modules)"
+        done = subprocess.run([sys.executable, "-S", "-c", probe],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60, check=True)
+        loaded = set(done.stdout.split())
+        assert "cubehom.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis"}
+
+
 class TestParserReuse:
     """main builds its parser once per process, and a call leaves nothing behind in it."""
 
@@ -1752,6 +1797,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_dim must be nonnegative" in captured.err
+
+    def test_fiber_criterion_negative_degree_refused(self, tmp_path, capsys):
+        # below -1 the default truncation max-dim + 1 is negative too, so the
+        # degree is refused before the representable I^truncation is counted
+        fold = write(tmp_path, "fold.json", formats.cubical_map_to_data(helpers.fold_wedge()))
+        for max_dim in range(-2, -11, -1):
+            for truncate in [None, *range(max_dim + 1, 0)]:
+                argv = ["fiber-criterion", "--map", fold, "--max-dim", str(max_dim)]
+                if truncate is not None:
+                    argv += ["--truncate", str(truncate)]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr() == ("", "error: max_dim must be nonnegative\n"), argv
 
     def test_retruncating_a_table_fails(self, tmp_path, capsys):
         table = write(tmp_path, "table.json", formats.cubes_table_to_data(

@@ -32,8 +32,8 @@ from cubehom.homcalc import (
     normalized_complex_local,
     semicubical_homology,
 )
-from cubehom.zlinalg import (HomologyGroup, IntMatrix, cohomology_of_complex,
-                              homology_of_complex)
+from cubehom.zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
+                              cohomology_of_complex, homology_of_complex)
 
 import helpers
 
@@ -471,6 +471,44 @@ class TestSemiCubical:
         F = helpers.weighted_torus_system()
         with pytest.raises(ValueError):
             semicubical_homology(F.base, F, 2)
+
+
+class TestTruncation:
+    @staticmethod
+    def system(name):
+        """A system to degree 4: constant on a fixture, a rank-2 gauge, or a non-local one."""
+        if name == "gauge":
+            return helpers.gauge_system(helpers.torus(), 4, 2, random.Random(4))
+        if name == "weighted":
+            return extend_semicubical(helpers.weighted_torus_system(), 4)
+        return constant_system(getattr(helpers, name)().expand(4), 1)
+
+    @pytest.mark.parametrize("name", ["torus", "twisted_square", "squashed_square", "circle",
+                                      "interval", "gauge", "weighted"])
+    def test_truncation_keeps_low_degrees(self, name):
+        # a complex cut to top k has the groups of the full one below k,
+        # and homology to degree k - 1 reports them too
+        F = self.system(name)
+        cx = normalized_complex(F.base, F).complex
+        full, cofull = homology_of_complex(cx), cohomology_of_complex(cx)
+        for k in range(1, cx.top + 1):
+            cut = cx.truncate(k)
+            assert (cut.ranks, cut.sparse) == (cx.ranks[:k + 1], cx.sparse[:k])
+            assert homology_of_complex(cut) == full[:k]
+            assert cohomology_of_complex(cut) == cofull[:k]
+            assert homology(F.base, F, k - 1) == full[:k]
+        assert cx.truncate(cx.top) is cx
+
+    def test_truncation_builds_no_complex(self, monkeypatch):
+        # the builder's complex was checked once; its slices are not checked again
+        X = helpers.torus().expand(4)
+        cx = normalized_complex_local(X, constant_system(X, 1)).complex
+
+        def refuse(*args):
+            raise AssertionError("a slice was checked again")
+
+        monkeypatch.setattr(FreeChainComplex, "__init__", refuse)
+        assert homology_of_complex(cx.truncate(2)) == homology_of_complex(cx)[:2]
 
 
 class TestFiberCriterion:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import zlinalg
+from cubehom.cubset import Cube, CubeMorphism
 from cubehom.zlinalg import (
     CokernelPresentation,
     FreeChainComplex,
@@ -355,6 +356,17 @@ class TestHomology:
         assert str(HomologyGroup(3, ())) == "Z^3"
         assert str(HomologyGroup(1, (2,))) == "Z (+) Z/2"
         assert str(HomologyGroup(0, (2, 6))) == "Z/2 (+) Z/6"
+
+    def test_records_keep_fields_repr_and_hash(self):
+        g = HomologyGroup(betti=1, torsion=(2,))
+        assert repr(g) == "HomologyGroup(betti=1, torsion=(2,))"
+        assert (g.betti, g.torsion) == (1, (2,))
+        assert g == HomologyGroup(1, (2,)) and g != HomologyGroup(1, ())
+        assert hash(g) == hash(HomologyGroup(1, (2,)))
+        c = Cube("e", CubeMorphism(1, 1, (1,)))
+        assert repr(c) == "Cube(e@x1, dim 1)" and (c.gen, c.epi.tokens) == ("e", (1,))
+        assert c == Cube(gen="e", epi=CubeMorphism(1, 1, (1,))) != Cube("f", c.epi)
+        assert {c: 0}[Cube("e", CubeMorphism(1, 1, (1,)))] == 0
 
     def test_pair_requires_complex(self):
         d_out = IntMatrix.from_rows([[1, 0]])
