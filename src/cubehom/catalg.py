@@ -24,9 +24,8 @@ from .coeff import (FiniteDiagram, natural_system_via_d,
                     system_from_diagram_last_vertex)
 from .cubset import CubesTable, degeneracy_masks
 from .homcalc import cohomology, homology
-from .zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
-                      assemble_blocks, cohomology_of_complex,
-                      homology_of_complex)
+from .zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix, cell_complex,
+                      cohomology_of_complex, homology_of_complex)
 
 
 class FiniteCategory:
@@ -164,24 +163,14 @@ def bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> FreeChainCompl
 
     Face 0 pushes the value along the first arrow; the remaining faces leave
     it in place. An inner face that composes to an identity is degenerate, zero
-    in the normalized complex (Gabriel-Zisman 1967, Appendix 2): it is dropped.
+    in the normalized complex (Gabriel-Zisman 1967, Appendix 2): it is not a
+    string of non-identity morphisms, so cell_complex drops it.
     """
-    identities = set(C.identities.values())
     levels = _string_levels(C, top)
-    sizes = [[F.rank_of(start) for start, _ in level] for level in levels]
-    boundaries = []
-    for n in range(1, top + 1):
-        pos = {chain: i for i, chain in enumerate(levels[n - 1])}
-        blocks = []
-        for c, chain in enumerate(levels[n]):
-            start, arrows = chain
-            blocks.append((pos[chain_face(C, chain, 0)], c, F.matrix(arrows[0]), 1))
-            eye = IntMatrix.identity(F.rank_of(start))
-            blocks.extend((pos[chain_face(C, chain, i)], c, eye, (-1) ** i)
-                          for i in range(1, n + 1)
-                          if i == n or C.compose(arrows[i], arrows[i - 1]) not in identities)
-        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
-    return FreeChainComplex([sum(level) for level in sizes], boundaries)
+    eye = {obj: IntMatrix.identity(F.rank_of(obj)) for obj in C.objects}
+    return cell_complex(levels, [[eye[s].rows for s, _ in level] for level in levels], lambda n: (
+        (chain_face(C, chain, i), c, eye[chain[0]] if i else F.matrix(chain[1][0]), (-1) ** i)
+        for c, chain in enumerate(levels[n]) for i in range(n + 1)))
 
 
 def category_homology(C: FiniteCategory, F: FiniteDiagram,

@@ -43,6 +43,8 @@ def _load(parse, path, *context):
 
 
 def _truncation(args) -> int:
+    if args.max_dim < 0:
+        raise ValueError("max_dim must be nonnegative")
     t = args.truncate if args.truncate is not None else args.max_dim + 1
     if t < args.max_dim + 1:
         raise ValueError(f"truncation {t} is below max-dim + 1 = {args.max_dim + 1}")

@@ -18,7 +18,7 @@ from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
     IntMatrix,
-    assemble_blocks,
+    cell_complex,
     cohomology_of_complex,
     cokernel_projection,
     homology_of_complex,
@@ -83,13 +83,13 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
     """Normalized chains, built block by block from one pair (P, S) per cube.
 
     _cokernel_pair gives the pair of a degenerate cube z from the (i, x)
-    with s_i x = z. The normalized boundary block (w, z) is P_w * d_raw[w,
-    z] * S_z, formed only for the faces z has. A cube with no degeneracy
-    arriving has the identity pair, which is not multiplied, and a face
-    whose P_w has no rows, or a cube whose S_z has no columns, gives an
-    empty block. The boundary must carry degenerate chains to degenerate
-    chains, otherwise the quotient complex would be meaningless, so every
-    P_w * d_raw[w, z] * s_i(x) must vanish.
+    with s_i x = z. In cell_complex every cube z is a cell of rank P_z.rows,
+    with the block P_w * d_raw[w, z] * S_z for each face w it has. A cube
+    with no degeneracy arriving has the identity pair, which is not
+    multiplied, and a face whose P_w has no rows, or a cube whose S_z has no
+    columns, gives no block. The boundary must carry degenerate chains to
+    degenerate chains, otherwise the quotient complex would be meaningless,
+    so every P_w * d_raw[w, z] * s_i(x) must vanish.
     """
     _check_base(X, F, "contravariant")
     blocks, arrivals = [], []
@@ -98,23 +98,20 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
         blocks.append([_cokernel_pair(X, F, n, z, arriving[z]) if arriving[z]
                        else _pair(F.rank_of(n, z), True) for z in range(X.size(n))])
         arrivals.append(arriving)
-    boundaries = []
-    for n in range(1, X.top + 1):
-        row_sizes = [p.rows for p, _ in blocks[n - 1]]
-        col_sizes = [s.cols for _, s in blocks[n]]
-        out = []
+    sizes = [[p.rows for p, _ in level] for level in blocks]
+
+    def faces(n):
         for z in range(X.size(n)):
-            for w, (d, sign) in _signed_faces(X, F, n, z, row_sizes).items():
+            for w, (d, sign) in _signed_faces(X, F, n, z, sizes[n - 1]).items():
                 pd = blocks[n - 1][w][0] * d if arrivals[n - 1][w] else d
                 for i, x in arrivals[n][z]:
                     if not (pd * F.degen_matrix(n - 1, i, x)).is_zero():
                         raise ValueError(
                             f"boundary does not preserve degenerate chains at dimension {n}")
-                if col_sizes[z]:
-                    out.append((w, z, pd * blocks[n][z][1] if arrivals[n][z] else pd, sign))
-        boundaries.append(assemble_blocks(row_sizes, col_sizes, out))
-    ranks = [sum(p.rows for p, _ in level) for level in blocks]
-    return ComplexBuildReport(FreeChainComplex(ranks, boundaries), blocks)
+                if sizes[n][z]:
+                    yield w, z, pd * blocks[n][z][1] if arrivals[n][z] else pd, sign
+
+    return ComplexBuildReport(cell_complex([range(len(s)) for s in sizes], sizes, faces), blocks)
 
 
 def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
@@ -130,7 +127,7 @@ def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
 
 
 def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
-    """Normalized chains of a unimodular F, on the non-degenerate cubes alone.
+    """Normalized chains of a unimodular F: cell_complex on the non-degenerate cubes.
 
     Face (i, eps) of a cell adds its matrix with sign (-1)^(i + eps) when
     the face is a cell. Every table obeys boxcat.cubical_identities (expand,
@@ -145,22 +142,22 @@ def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
     _check_base(X, F, "contravariant")
     cells = [X.nondegenerate_indices(n) for n in range(X.top + 1)]
     sizes = [[F.rank_of(n, x) for x in level] for n, level in enumerate(cells)]
-    tested, boundaries = set(), []
-    for n in range(1, X.top + 1):
+    tested = set()
+
+    def faces(n):
         for i, x in product(range(1, n + 1), [x for x, r in zip(cells[n - 1], sizes[n - 1]) if r]):
             z, s = X.degen_map[(n - 1, i)][x], F.degen[(n - 1, i)][x]
             a, b = F.face[(n, i, 0)][z], F.face[(n, i, 1)][z]
             if (id(a), id(b), id(s)) not in tested and a * s != b * s:
                 raise ValueError(f"boundary does not preserve degenerate chains at dimension {n}")
             tested.add((id(a), id(b), id(s)))
-        row = {w: p for p, w in enumerate(cells[n - 1])}
-        blocks = [(row[w], p, F.face[(n, i, eps)][z], (-1) ** (i + eps))
-                  for p, z in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)
-                  for w in (X.face[(n, i, eps)][z],) if w in row]
-        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
+        cols = [(X.face[(n, i, eps)], F.face[(n, i, eps)], (-1) ** (i + eps))
+                for i in range(1, n + 1) for eps in (0, 1)]
+        return ((w[z], p, m[z], sign) for p, z in enumerate(cells[n]) for w, m, sign in cols)
+
     pairs = [[_pair(F.rank_of(n, z), not d) for z, d in enumerate(X.degenerate[n])]
              for n in range(X.top + 1)]
-    return ComplexBuildReport(FreeChainComplex([sum(level) for level in sizes], boundaries), pairs)
+    return ComplexBuildReport(cell_complex(cells, sizes, faces), pairs)
 
 
 def normalized_complex(X: CubesTable, F: ContravariantSystem) -> ComplexBuildReport:
@@ -188,20 +185,15 @@ def generator_complex(X: PresentedCubicalSet, ranks: dict[str, int], face_matric
     Every cube is one degeneracy of one generator (Grandis and Mauri, TAC
     11, 2003), so the n-cells are the n-dimensional generators in order, and
     face (i, eps) of g adds g's matrix with sign (-1)^(i + eps) unless it is
-    degenerate. The degenerate-chain guard of _normalize has nothing to
-    check here: degeneracies, and faces along deleted coordinates, are
-    identities by construction.
+    degenerate: then its generator has a lower dimension, and cell_complex
+    drops it. The degenerate-chain guard of _normalize has nothing to check
+    here: degeneracies, and faces along deleted coordinates, are identities
+    by construction.
     """
     cells = [[g for g, d in X.generators.items() if d == n] for n in range(top + 1)]
-    sizes = [[ranks[g] for g in level] for level in cells]
-    boundaries = []
-    for n in range(1, top + 1):
-        row = {g: p for p, g in enumerate(cells[n - 1])}
-        blocks = [(row[c.gen], p, face_matrices[(g, i, eps)], (-1) ** (i + eps))
-                  for p, g in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)
-                  for c in (X.faces[(g, i, eps)],) if not c.is_degenerate()]
-        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
-    return FreeChainComplex([sum(level) for level in sizes], boundaries)
+    return cell_complex(cells, [[ranks[g] for g in level] for level in cells], lambda n: (
+        (X.faces[(g, i, eps)].gen, p, face_matrices[(g, i, eps)], (-1) ** (i + eps))
+        for p, g in enumerate(cells[n]) for i in range(1, n + 1) for eps in (0, 1)))
 
 
 def _groups(X, F, max_dim: int, cochains: bool, path: str = "auto"):

@@ -3,15 +3,16 @@
 Everything here works over plain Python ints, so there is no overflow and no
 floating point anywhere. Matrices and chain complexes alike hold sparse rows
 {column: non-zero entry}: IntMatrix multiplies, adds and transposes them as
-they are, and assemble_blocks writes a boundary or a block matrix from its
-blocks. Dense rows are made only for det, for the JSON boundary and for the
-one deterministic pivot loop of every dense reduction. Each caller of that
-loop says which transforms it keeps: the Smith normal form keeps all four
-(exact solving needs them), cokernels keep only the row transforms, and
-homology keeps none. Homology, cohomology and cokernels start with sparse
-unit-pivot elimination and hand that loop only the residual it leaves;
-cokernels record the row operations of both on the sparse rows of U and
-the sparse columns of U_inv.
+they are, assemble_blocks writes a block matrix from its blocks, and
+cell_complex writes every boundary of a normalized complex through it. Dense
+rows are made only for det, for the JSON boundary and for the one
+deterministic pivot loop of every dense reduction. Each caller of that loop
+says which transforms it keeps: the Smith normal form keeps all four (exact
+solving needs them), cokernels keep only the row transforms, and homology
+keeps none. Homology, cohomology and cokernels start with sparse unit-pivot
+elimination and hand that loop only the residual it leaves; cokernels record
+the row operations of both on the sparse rows of U and the sparse columns of
+U_inv.
 """
 
 from __future__ import annotations
@@ -493,6 +494,21 @@ class FreeChainComplex:
     def boundaries(self) -> tuple:
         """d_1 .. d_top as dense matrices."""
         return tuple(self.boundary(n) for n in range(1, self.top + 1))
+
+
+def cell_complex(cells: Sequence, sizes: Sequence[Sequence[int]], faces) -> FreeChainComplex:
+    """The normalized complex free on the hashable cells[n] of ranks sizes[n], by assemble_blocks.
+
+    faces(n) yields (w, p, matrix, sign) for each face w of the n-cell at
+    position p. A w that is not an (n-1)-cell is degenerate, zero in the
+    normalized complex, and is dropped: the one statement of that rule.
+    """
+    boundaries = []
+    for n in range(1, len(cells)):
+        row = {w: p for p, w in enumerate(cells[n - 1])}
+        boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], [
+            (r, p, m, sign) for w, p, m, sign in faces(n) if (r := row.get(w)) is not None]))
+    return FreeChainComplex([sum(level) for level in sizes], boundaries)
 
 
 def _unit_pivots(rows: list, record=None) -> list:

@@ -1810,6 +1810,22 @@ class TestExitCodes:
                 assert main(argv) == 1, argv
                 assert capsys.readouterr() == ("", "error: max_dim must be nonnegative\n"), argv
 
+    def test_negative_degree_refused_before_the_default_truncation(self, tmp_path, capsys):
+        # the default truncation max-dim + 1 is negative too, but the degree is
+        # what the user passed, so the refusal names it
+        square = write(tmp_path, "square.json", formats.cubical_set_to_data(standard_cube(2)))
+        fold = write(tmp_path, "fold.json", formats.cubical_map_to_data(helpers.fold_wedge()))
+        const, cov = const_doc(tmp_path), const_doc(tmp_path, "covariant")
+        commands = [["homology", "--set", square, "--system", const],
+                    ["cohomology", "--set", square, "--system", cov],
+                    ["compare", "--contract", "comloc", "--set", square, "--system", const],
+                    ["compare", "--contract", "dirhomol", "--map", fold, "--system", const]]
+        for max_dim in range(-2, -7, -1):
+            for argv in commands:
+                argv = argv + ["--max-dim", str(max_dim)]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr() == ("", "error: max_dim must be nonnegative\n"), argv
+
     def test_retruncating_a_table_fails(self, tmp_path, capsys):
         table = write(tmp_path, "table.json", formats.cubes_table_to_data(
             helpers.circle().expand(2)))

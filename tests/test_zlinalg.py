@@ -14,6 +14,7 @@ from cubehom.zlinalg import (
     HomologyGroup,
     IntMatrix,
     assemble_blocks,
+    cell_complex,
     cohomology_of_cochain,
     cohomology_of_complex,
     cokernel_projection,
@@ -619,3 +620,58 @@ class TestAssembly:
         out = assemble_blocks(row_sizes, col_sizes, blocks)
         assert all(0 not in row.values() for row in out)
         assert [{j: x for j, x in enumerate(row) if x} for row in dense] == out
+
+
+def faces_from(table):
+    """A faces function reading the tuples of each level from a dict {n: [...]}."""
+    return lambda n: iter(table[n])
+
+
+class TestCellComplex:
+    def test_a_face_that_is_not_a_cell_is_dropped(self):
+        one = IntMatrix.identity(1)
+        cx = cell_complex([["a", "b"], ["e"]], [[1, 1], [1]], faces_from(
+            {1: [("a", 0, one, -1), ("degenerate", 0, one, 1), ("b", 0, one, 1)]}))
+        assert cx.ranks == (2, 1)
+        assert cx.sparse == (({0: -1}, {0: 1}),)
+
+    def test_blocks_at_one_place_are_summed_and_cancelled_entries_leave(self):
+        # the loop of a circle: both ends of e at v cancel, and two blocks
+        # on a rank-2 edge sum to a row that keeps only its non-zero entry
+        one = IntMatrix.identity(1)
+        loop = cell_complex([["v"], ["e"]], [[1], [1]],
+                            faces_from({1: [("v", 0, one, 1), ("v", 0, one, -1)]}))
+        assert loop.sparse == (({},),)
+        summed = cell_complex([["v"], ["e"]], [[1], [2]], faces_from(
+            {1: [("v", 0, IntMatrix.from_rows([[3, 2]]), 1),
+                 ("v", 0, IntMatrix.from_rows([[1, 2]]), -1)]}))
+        assert summed.sparse == (({0: 2},),)
+        assert list(summed.sparse[0][0]) == [0]
+
+    def test_cell_keys_may_be_strings_or_tuples(self):
+        # a string of arrows as (start, arrows), as the bar complex keys it;
+        # faces name cells by key and columns by position
+        one = IntMatrix.identity(1)
+        cells = [[("x", ()), ("y", ())], [("x", ("f",)), ("x", ("g",))],
+                 [("x", ("f", "h"))]]
+        cx = cell_complex(cells, [[1, 1], [1, 1], [1]], faces_from({
+            1: [(("y", ()), 0, one, 1), (("x", ()), 0, one, -1),
+                (("y", ()), 1, one, 1), (("x", ()), 1, one, -1)],
+            2: [(("y", ("h",)), 0, one, 1), (("x", ("g",)), 0, one, -1),
+                (("x", ("f",)), 0, one, 1)]}))
+        assert cx.ranks == (2, 2, 1)
+        assert cx.sparse == (({0: -1, 1: -1}, {0: 1, 1: 1}), ({0: 1}, {0: -1}))
+        assert homology_of_complex(cx) == (HomologyGroup(1, ()), HomologyGroup(0, ()))
+
+    def test_one_level_has_no_boundary(self):
+        def faces(n):
+            raise AssertionError(f"faces({n}) asked of a complex with no boundary")
+
+        cx = cell_complex([["p", "q"]], [[2, 1]], faces)
+        assert cx.ranks == (3,)
+        assert cx.sparse == ()
+
+    def test_a_block_of_the_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"block \(0,0\) has shape 2x1, expected 1x1"):
+            cell_complex([["v"], ["e"]], [[1], [1]],
+                         faces_from({1: [("v", 0, IntMatrix.zeros(2, 1), 1)]}))
