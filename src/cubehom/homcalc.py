@@ -62,16 +62,6 @@ class ComplexBuildReport(namedtuple("ComplexBuildReport", "complex blocks")):
     __slots__ = ()
 
 
-def _degeneracy_arrivals(X: CubesTable, n: int):
-    """For each cube index z at dimension n, the list of (i, x) with s_i x = z."""
-    arriving = [[] for _ in range(X.size(n))]
-    for i in range(1, n + 1):
-        col = X.degen_map[(n - 1, i)]
-        for x, z in enumerate(col):
-            arriving[z].append((i, x))
-    return arriving
-
-
 @lru_cache(maxsize=None)
 def _pair(r: int, kept: bool):
     """The pair of a kept or a dropped summand of rank r, shared since matrices are immutable."""
@@ -83,18 +73,20 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
     """Normalized chains, built block by block from one pair (P, S) per cube.
 
     _cokernel_pair gives the pair of a degenerate cube z from the (i, x)
-    with s_i x = z. In cell_complex every cube z is a cell of rank P_z.rows,
-    with the block P_w * d_raw[w, z] * S_z for each face w it has. A cube
-    with no degeneracy arriving has the identity pair, which is not
-    multiplied, and a face whose P_w has no rows, or a cube whose S_z has no
-    columns, gives no block. The boundary must carry degenerate chains to
-    degenerate chains, otherwise the quotient complex would be meaningless,
-    so every P_w * d_raw[w, z] * s_i(x) must vanish.
+    with s_i x = z, read off its degeneracy mask as x = d_{i,0} z. In
+    cell_complex every cube z is a cell of rank P_z.rows, with the block
+    P_w * d_raw[w, z] * S_z for each face w it has. A cube with no
+    degeneracy arriving has the identity pair, which is not multiplied, and
+    a face whose P_w has no rows, or a cube whose S_z has no columns, gives
+    no block. The boundary must carry degenerate chains to degenerate
+    chains, otherwise the quotient complex would be meaningless, so every
+    P_w * d_raw[w, z] * s_i(x) must vanish.
     """
     _check_base(X, F, "contravariant")
     blocks, arrivals = [], []
-    for n in range(X.top + 1):
-        arriving = _degeneracy_arrivals(X, n)
+    for n, masks in enumerate(X.degeneracy_masks()):
+        arriving = [[(i, X.face[(n, i, 0)][z]) for i in range(1, n + 1) if mask >> i & 1]
+                    for z, mask in enumerate(masks)]
         blocks.append([_cokernel_pair(X, F, n, z, arriving[z]) if arriving[z]
                        else _pair(F.rank_of(n, z), True) for z in range(X.size(n))])
         arrivals.append(arriving)
@@ -148,9 +140,10 @@ def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
         for i, x in product(range(1, n + 1), [x for x, r in zip(cells[n - 1], sizes[n - 1]) if r]):
             z, s = X.degen_map[(n - 1, i)][x], F.degen[(n - 1, i)][x]
             a, b = F.face[(n, i, 0)][z], F.face[(n, i, 1)][z]
-            if (id(a), id(b), id(s)) not in tested and a * s != b * s:
+            key = (id(a), id(b), id(s))
+            if key not in tested and a * s != b * s:
                 raise ValueError(f"boundary does not preserve degenerate chains at dimension {n}")
-            tested.add((id(a), id(b), id(s)))
+            tested.add(key)
         cols = [(X.face[(n, i, eps)], F.face[(n, i, eps)], (-1) ** (i + eps))
                 for i in range(1, n + 1) for eps in (0, 1)]
         return ((w[z], p, m[z], sign) for p, z in enumerate(cells[n]) for w, m, sign in cols)

@@ -5,14 +5,13 @@ floating point anywhere. Matrices and chain complexes alike hold sparse rows
 {column: non-zero entry}: IntMatrix multiplies, adds and transposes them as
 they are, assemble_blocks writes a block matrix from its blocks, and
 cell_complex writes every boundary of a normalized complex through it. Dense
-rows are made only for det, for the JSON boundary and for the one
-deterministic pivot loop of every dense reduction. Each caller of that loop
-says which transforms it keeps: the Smith normal form keeps all four (exact
-solving needs them), cokernels keep only the row transforms, and homology
-keeps none. Homology, cohomology and cokernels start with sparse unit-pivot
-elimination and hand that loop only the residual it leaves; cokernels record
-the row operations of both on the sparse rows of U and the sparse columns of
-U_inv.
+rows are made only for det, for the JSON boundary and for the matrix of the
+one deterministic pivot loop. One kernel, _pivot_rows, eliminates for
+homology, cohomology and cokernels: sparse unit pivots, then the pivot loop
+on the residual they leave. Transforms have one form, sparse lines that
+_record updates, and are kept only where a caller needs them: all four for
+the Smith normal form (exact solving), the row transforms for cokernels,
+none for homology.
 """
 
 from __future__ import annotations
@@ -223,26 +222,21 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inv V_inv")):
         return tuple(self.D[i, i] for i in range(self.rank))
 
 
-def _eye(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _identity_lines(n: int) -> tuple:
+    """A transform pair (T, T_inv') of the n x n identity, as sparse lines."""
+    return [{i: 1} for i in range(n)], [{i: 1} for i in range(n)]
 
 
-def _addmul(transform, i: int, k: int, q: int) -> None:
-    """Record line i += q * line k in a transform pair (T, T_inv').
+def _record(transform, i: int, k: int, q: int) -> None:
+    """Record line i += q * line k in a transform pair (T, T_inv') of sparse lines.
 
     T holds the transform by lines, T_inv' its inverse by the other index,
-    so both change by whole lists: T[i] += q T[k] and T_inv'[k] -= q T_inv'[i].
+    so both change by whole lines: T[i] += q T[k] and T_inv'[k] -= q T_inv'[i].
     """
-    if transform is None:
-        return
-    fwd, inv = transform
-    fi, fk, ii, ik = fwd[i], fwd[k], inv[i], inv[k]
-    for c, x in enumerate(fk):
-        if x:
-            fi[c] += q * x
-    for c, x in enumerate(ii):
-        if x:
-            ik[c] -= q * x
+    if transform is not None:
+        fwd, inv = transform
+        _add_sparse(fwd[i], fwd[k], q)
+        _add_sparse(inv[k], inv[i], -q)
 
 
 def _swap(transform, i: int, k: int) -> None:
@@ -251,8 +245,7 @@ def _swap(transform, i: int, k: int) -> None:
             lines[i], lines[k] = lines[k], lines[i]
 
 
-def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
-            chain: bool = False):
+def _reduce(d: list, n: int, row_tf=None, col_tf=None, chain: bool = False) -> int:
     """Diagonalize the m x n matrix d, a list of row lists, in place.
 
     Each round pivots on an entry of least absolute value in the residual
@@ -264,13 +257,12 @@ def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
     set and it fails to divide a residual entry; that entry's row is then
     added to the pivot row. A unit divides everything, so it skips the scan.
 
-    With rows, (U, U_inv transposed) is tracked, with cols (V transposed,
-    V_inv), such that U * A * V = D; a transform not asked for is None.
-    Returns (number of pivots, row transform, column transform).
+    row_tf, if given, is a transform pair (U, U_inv transposed) with one
+    sparse line per row of d, and col_tf a pair (V transposed, V_inv) with
+    one per column; every operation is recorded on them, so starting from
+    identity lines U * A * V = D. Returns the number of pivots.
     """
     m = len(d)
-    row_tf = (_eye(m), _eye(m)) if rows else None
-    col_tf = (_eye(n), _eye(n)) if cols else None
     t = 0
     while t < m and t < n:
         best = None
@@ -297,9 +289,9 @@ def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
         top = d[t]
         if top[t] < 0:
             d[t] = top = [-x for x in top]
-            if rows:
+            if row_tf is not None:
                 for lines in row_tf:
-                    lines[t] = [-x for x in lines[t]]
+                    lines[t] = {c: -x for c, x in lines[t].items()}
         clear = True
         entries = [(c, x) for c, x in enumerate(top) if x]
         for i in range(t + 1, m):
@@ -308,7 +300,7 @@ def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
                 q = (2 * row[t] + p) // (2 * p)
                 for c, x in entries:
                     row[c] -= q * x
-                _addmul(row_tf, i, t, -q)
+                _record(row_tf, i, t, -q)
                 clear = clear and not row[t]
         column = [(i, d[i][t]) for i in range(t, m) if d[i][t]]
         for j in range(t + 1, n):
@@ -316,7 +308,7 @@ def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
                 q = (2 * top[j] + p) // (2 * p)
                 for i, x in column:
                     d[i][j] -= q * x
-                _addmul(col_tf, j, t, -q)
+                _record(col_tf, j, t, -q)
                 clear = clear and not top[j]
         if not clear:
             continue
@@ -326,10 +318,10 @@ def _reduce(d: list, n: int, rows: bool = False, cols: bool = False,
             if offender is not None:
                 for c, x in enumerate(d[offender]):
                     top[c] += x
-                _addmul(row_tf, t, offender, 1)
+                _record(row_tf, t, offender, 1)
                 continue
         t += 1
-    return t, row_tf, col_tf
+    return t
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -340,13 +332,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    _, (u, uinv_t), (v_t, vinv) = _reduce(d, n, rows=True, cols=True, chain=True)
+    row_tf, col_tf = _identity_lines(m), _identity_lines(n)
+    _reduce(d, n, row_tf, col_tf, chain=True)
+    (u, uinv_t), (v_t, vinv) = row_tf, col_tf
     return SmithDecomposition(
-        U=IntMatrix(m, m, u),
+        U=_wrap(m, m, tuple(u)),
         D=IntMatrix(m, n, d),
-        V=IntMatrix(n, n, v_t).transpose(),
-        U_inv=IntMatrix(m, m, uinv_t).transpose(),
-        V_inv=IntMatrix(n, n, vinv),
+        V=_wrap(n, n, tuple(v_t)).transpose(),
+        U_inv=_wrap(m, m, tuple(uinv_t)).transpose(),
+        V_inv=_wrap(n, n, tuple(vinv)),
     )
 
 
@@ -364,46 +358,20 @@ class CokernelPresentation(namedtuple("CokernelPresentation", "projection sectio
 def cokernel_projection(a: IntMatrix) -> CokernelPresentation:
     """Free part and torsion of coker(A) from row operations alone.
 
-    Unit pivots go first on A's sparse rows, with their row operations
-    applied to the sparse rows of U and the sparse columns of U_inv. The
-    rows that still hold entries form a residual, which the dense pivot
-    loop reduces with its own U and U_inv; these are composed into the
-    sparse ones, and the residual's pivots give the torsion. With U * A * V
-    = D, a row of U * A that is zero stays zero whatever V is, so the rows
-    of U that are not pivot rows project onto the free part, and the
-    matching columns of U_inv are a section.
+    _pivot_rows records every row operation on the sparse rows of U and the
+    sparse columns of U_inv. With U * A * V = D, a row of U * A that is zero
+    stays zero whatever V is, so the rows of U that are not pivot rows
+    project onto the free part, and the matching columns of U_inv are a
+    section; the invariant factors give the torsion.
     """
     m = a.rows
-    rows = a.sparse_rows()
-    u = [{i: 1} for i in range(m)]
-    u_inv = [{i: 1} for i in range(m)]
-    pivots = set(_unit_pivots(rows, (u, u_inv)))
-    left = [i for i in range(m) if rows[i]]
-    r, torsion = 0, ()
-    if left:
-        columns = sorted({j for i in left for j in rows[i]})
-        residual = [[rows[i].get(j, 0) for j in columns] for i in left]
-        r, (ur, ur_inv_t), _ = _reduce(residual, len(columns), rows=True)
-        u_left = [_combine(line, u, left) for line in ur]
-        u_inv_left = [_combine(line, u_inv, left) for line in ur_inv_t]
-        for k, i in enumerate(left):
-            u[i], u_inv[i] = u_left[k], u_inv_left[k]
-        torsion = tuple(x for x in _smith_factors([residual[k][k] for k in range(r)])
-                        if x > 1)
-    free = sorted(set(range(m)) - pivots - set(left[:r]))
+    u, u_inv = record = _identity_lines(m)
+    pivots, factors = _pivot_rows(a.sparse_rows(), record)
+    free = sorted(set(range(m)) - set(pivots))
     return CokernelPresentation(
         projection=_wrap(len(free), m, tuple(u[i] for i in free)),
         section=_wrap(len(free), m, tuple(u_inv[i] for i in free)).transpose(),
-        torsion=torsion)
-
-
-def _combine(line: list, lines: list, index: list) -> dict:
-    """The sparse sum of line[k] * lines[index[k]] over k."""
-    out = {}
-    for k, q in enumerate(line):
-        if q:
-            _add_sparse(out, lines[index[k]], q)
-    return out
+        torsion=tuple(x for x in factors if x > 1))
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -522,11 +490,10 @@ def _unit_pivots(rows: list, record=None) -> list:
     to the rank and the invariant factor 1. The record of rows per column
     may keep rows that have since lost their entry there.
 
-    record, if given, is a pair (u, u_inv) of lists of sparse dicts: the
-    rows of a row transform U and the columns of its inverse. Each row
-    operation row k -= q * row i is applied to both, as u[k] -= q * u[i]
-    and u_inv[i] += q * u_inv[k], so U * A is the matrix of the rows, each
-    pivot row as it stood when it was taken.
+    record, if given, is a transform pair (U, U_inv transposed) of sparse
+    lines (see _record), on which each row operation row k -= q * row i is
+    recorded, so U * A is the matrix of the rows, each pivot row as it
+    stood when it was taken.
     """
     where = {}
     for i, row in enumerate(rows):
@@ -553,10 +520,7 @@ def _unit_pivots(rows: list, record=None) -> list:
                         where[c].add(k)
                     else:
                         del target[c]
-                if record is not None:
-                    u, u_inv = record
-                    _add_sparse(u[k], u[i], -q)
-                    _add_sparse(u_inv[i], u_inv[k], q)
+                _record(record, k, i, -q)
             rows[i] = {}
             pivots.append(i)
             found = True
@@ -588,22 +552,38 @@ def _smith_factors(diagonal: list) -> list:
     return [1] * (len(diagonal) - len(f)) + f
 
 
-def _eliminate(maps: Sequence[Sequence[dict]]):
-    """Rank and torsion invariant factors of each map, without transforms.
+def _pivot_rows(rows: list, record=None):
+    """The one elimination kernel: pivot rows and invariant factors of sparse rows.
 
-    Each map is given by sparse rows, which stay untouched: unit pivots go
-    first on a copy, and the residual they leave gets a dense reduction.
+    Unit pivots go first, on rows in place. Only the rows they leave form a
+    dense residual for the pivot loop, which records its row operations on
+    their lines of record (see _unit_pivots). Returns the rows of U * A that
+    hold a pivot, unit pivots first, and the residual's invariant factors.
+    """
+    pivots = _unit_pivots(rows, record)
+    left = [i for i, row in enumerate(rows) if row]
+    if not left:
+        return pivots, []
+    columns = sorted({j for i in left for j in rows[i]})
+    residual = [[rows[i].get(j, 0) for j in columns] for i in left]
+    lines = None if record is None else tuple([t[i] for i in left] for t in record)
+    r = _reduce(residual, len(columns), lines)
+    if record is not None:
+        for t, new in zip(record, lines):
+            for i, line in zip(left, new):
+                t[i] = line
+    return pivots + left[:r], _smith_factors([residual[k][k] for k in range(r)])
+
+
+def _eliminate(maps: Sequence[Sequence[dict]]):
+    """Rank and torsion invariant factors of each map, by _pivot_rows on a copy of its rows.
+
     Both lists start with the zero map, so entry n + 1 belongs to maps[n].
     """
     ranks, torsion = [0], [()]
     for m in maps:
-        rows = [dict(row) for row in m]
-        units = len(_unit_pivots(rows))
-        columns = sorted({j for row in rows for j in row})
-        residual = [[row.get(j, 0) for j in columns] for row in rows if row]
-        r, _, _ = _reduce(residual, len(columns))
-        factors = _smith_factors([residual[k][k] for k in range(r)])
-        ranks.append(units + len(factors))
+        pivots, factors = _pivot_rows([dict(row) for row in m])
+        ranks.append(len(pivots))
         torsion.append(tuple(x for x in factors if x > 1))
     return ranks, torsion
 

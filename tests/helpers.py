@@ -562,7 +562,7 @@ def operator_matrices(F):
 
 def poset_category(objects, relation):
     """Finite poset as a category: one morphism x_y per related pair x <= y."""
-    pairs = set(relation) | {(x, x) for x in objects}
+    pairs = sorted(set(relation) | {(x, x) for x in objects})
     morphisms = {f"{x}_{y}": (x, y) for x, y in pairs}
     composition = {}
     for x, y in pairs:
@@ -936,8 +936,9 @@ def dense_cokernel_projection(a: IntMatrix) -> CokernelPresentation:
     """
     m = a.rows
     d = [list(row) for row in a.data]
-    r, (u, uinv_t), _ = _reduce(d, a.cols, rows=True)
+    u, uinv_t = IntMatrix.identity(m).sparse_rows(), IntMatrix.identity(m).sparse_rows()
+    r = _reduce(d, a.cols, (u, uinv_t))
     torsion = tuple(x for x in _smith_factors([d[k][k] for k in range(r)]) if x > 1)
-    return CokernelPresentation(projection=IntMatrix(m - r, m, u[r:]),
-                                section=IntMatrix(m - r, m, uinv_t[r:]).transpose(),
+    return CokernelPresentation(projection=IntMatrix.from_sparse(u[r:], m),
+                                section=IntMatrix.from_sparse(uinv_t[r:], m).transpose(),
                                 torsion=torsion)

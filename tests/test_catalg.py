@@ -5,7 +5,11 @@ low degrees is the classical periodic resolution, so the expected groups
 alternate between Z/2 and 0 depending on the coefficient twist.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -69,6 +73,19 @@ class TestFiniteCategory:
         back = C.op().op()
         assert back.morphisms == C.morphisms
         assert back.composition == C.composition
+
+    def test_poset_morphism_order_ignores_hash_seed(self):
+        here = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        probe = "import helpers; print(list(helpers.square_poset().morphisms))"
+        outputs = set()
+        for seed in "01":
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_compose_rejects_noncomposable(self):
         C = helpers.arrow_category()

@@ -397,6 +397,17 @@ class TestHomology:
         cx = FreeChainComplex([1, 1], [[{}]])
         assert len(homology_of_complex(cx)) == 1
 
+    def test_unit_cleared_complex_skips_dense_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense loop reached without a residual")
+
+        monkeypatch.setattr(zlinalg, "_reduce", refuse)
+        # two triangles glued along an edge: unit pivots clear d_1 and d_2
+        d1 = [{0: -1, 1: -1, 3: -1}, {0: 1, 2: -1, 4: -1}, {1: 1, 2: 1}, {3: 1, 4: 1}]
+        d2 = [{0: 1, 1: 1}, {0: -1}, {0: 1}, {1: -1}, {1: 1}]
+        cx = FreeChainComplex([4, 5, 2], [d1, d2])
+        assert homology_of_complex(cx) == (HomologyGroup(1, ()), HomologyGroup(0, ()))
+
     def test_complex_validates_dd(self):
         d1 = IntMatrix.from_rows([[1]])
         d2 = IntMatrix.from_rows([[1]])
