@@ -4,12 +4,12 @@ Two representations are used. A PresentedCubicalSet lists generators plus a
 face table; every cube of the set is then a pair (generator, deletion map),
 and a face of a cube takes at most one face-table lookup (_face_of). A
 CubesTable is the fully expanded, index-based form truncated at some
-dimension; category nerves live there, and all chain builders consume
-tables. Products and fibers are one construction on tables, the fiber
-product: a product is taken over a point, and the fiber of a map over a
-cube y is taken against the table of the representable I^dim(y), whose
-cubes are the arrows into it (Grandis and Mauri, "Cubical sets and their
-site", TAC 11, 2003). Maps act on tables by index.
+dimension; category nerves live there. Products and fibers are one
+construction on tables, the fiber product: a product is taken over a point,
+and the fiber of a map over a cube y is taken against the table of the
+representable I^dim(y), whose cubes are the arrows into it (Grandis and
+Mauri, "Cubical sets and their site", TAC 11, 2003); the fiber criterion
+reads its pairs with no fiber table. Maps act on tables by index.
 """
 
 from __future__ import annotations
@@ -504,6 +504,14 @@ class CubicalMap:
         return out
 
 
+def _equal_pairs(images_a: Sequence[int], images_b: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (ia, ib) with images_a[ia] == images_b[ib], ordered by ia and then ib."""
+    over = {}
+    for ib, img in enumerate(images_b):
+        over.setdefault(img, []).append(ib)
+    return [(ia, ib) for ia, img in enumerate(images_a) for ib in over.get(img, ())]
+
+
 def _pullback(a, b, sep: str) -> CubesTable:
     """The fiber product of two tables over a common base, up to the first one's top.
 
@@ -517,10 +525,7 @@ def _pullback(a, b, sep: str) -> CubesTable:
     (ta, images_a, masks_a), (tb, images_b, masks_b) = a, b
     keys, elements, degenerate, pos, cells = [], [], [], [], []
     for k in range(ta.top + 1):
-        over = {}
-        for ib, img in enumerate(images_b[k]):
-            over.setdefault(img, []).append(ib)
-        level = [(ia, ib) for ia, img in enumerate(images_a[k]) for ib in over.get(img, ())]
+        level = _equal_pairs(images_a[k], images_b[k])
         key_a, key_b, elem_a, elem_b = ta.keys[k], tb.keys[k], ta.elements[k], tb.elements[k]
         mask_a, mask_b, width = masks_a[k], masks_b[k], tb.size(k)
         keys.append([key_a[ia] + sep + key_b[ib] for ia, ib in level])
@@ -612,25 +617,8 @@ def fiber_source(f: CubicalMap, top: int, target: CubesTable = None) -> FiberSou
     return FiberSource(tx, ty, f.table_map(tx, ty))
 
 
-def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = None) -> CubesTable:
-    """The fiber of f over the single cube y, tabulated up to dimension top.
-
-    It is the pullback of f along the map I^d -> Y that picks y, d = dim y:
-    a k-cube is a pair (x, alpha) with x a k-cube of the source and
-    alpha: I^k -> I^d satisfying f(x) = y.alpha, keyed "x;alpha". y.alpha
-    is read off the target's columns for every alpha, and _pullback pairs
-    the source's table with the table of I^d. source is fiber_source(f,
-    top), built here when not given.
-    """
-    d = y.dim
-    if source is None:
-        source = fiber_source(f, top, f.target.expand(max(top, d)))
-    tx, ty = source.table, source.target
-    if tx.top != top:
-        raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
-    iy = ty.index[d].get(y.key()) if d <= ty.top else None
-    if iy is None:
-        raise ValueError(f"{y!r} is not a cube of the target's table")
+def _over_cube(ty: CubesTable, d: int, iy: int, top: int):
+    """The leg (I^d, y.alpha, masks) of the fiber over the d-cube iy = y of ty."""
     cube, cube_masks = _representable(d, max(top, d))
     y_alpha = [[None] * cube.size(k) for k in range(cube.top + 1)]
     # the identity goes to y, and a mono below d to a face of a mono one level up
@@ -646,4 +634,26 @@ def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = No
             if mask:
                 i = (mask & -mask).bit_length() - 1
                 y_alpha[k][a] = ty.degen_map[(k - 1, i)][y_alpha[k - 1][cube.face[(k, i, 0)][a]]]
-    return _pullback((tx, source.images, source.masks), (cube, y_alpha, cube_masks), ";")
+    return cube, y_alpha, cube_masks
+
+
+def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = None) -> CubesTable:
+    """The fiber of f over the single cube y, tabulated up to dimension top.
+
+    It is the pullback of f along the map I^d -> Y that picks y, d = dim y:
+    a k-cube is a pair (x, alpha) with x a k-cube of the source and
+    alpha: I^k -> I^d satisfying f(x) = y.alpha, keyed "x;alpha". y.alpha
+    is read off the target's columns by _over_cube, and _pullback pairs the
+    source's table with the table of I^d. source is fiber_source(f, top),
+    built here when not given.
+    """
+    d = y.dim
+    if source is None:
+        source = fiber_source(f, top, f.target.expand(max(top, d)))
+    tx, ty = source.table, source.target
+    if tx.top != top:
+        raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
+    iy = ty.index[d].get(y.key()) if d <= ty.top else None
+    if iy is None:
+        raise ValueError(f"{y!r} is not a cube of the target's table")
+    return _pullback((tx, source.images, source.masks), _over_cube(ty, d, iy, top), ";")

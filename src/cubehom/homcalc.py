@@ -11,9 +11,9 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .coeff import ContravariantSystem, constant_system, is_local, transpose_system
-from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, _representable,
-                     fiber_source, pullback_fiber, universal_from_semicubical)
+from .coeff import ContravariantSystem, is_local, transpose_system
+from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, _equal_pairs,
+                     _over_cube, _representable, fiber_source, universal_from_semicubical)
 from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
@@ -288,12 +288,26 @@ class FiberCriterionReport(namedtuple("FiberCriterionReport", "passed rows")):
     __slots__ = ()
 
 
-def _fiber_row(f: CubicalMap, n: int, key: str, y, max_dim: int, top: int,
-               source) -> FiberRow:
-    fib = pullback_fiber(f, y, top, source=source)
-    groups = homology(fib, constant_system(fib, 1), max_dim)
+def _fiber_row(source, n: int, iy: int, max_dim: int, top: int) -> FiberRow:
+    """Homology of the fiber over the n-cube iy of the target, from the cells of X x_Y I^n.
+
+    The cells are the non-degenerate pairs of pullback_fiber's table, in
+    its order, and face (i, eps) of a pair is the pair of faces (i, eps),
+    so the complex is _local_complex's with a rank-1 constant system. Its
+    degenerate-chain guard is vacuous, as every matrix is one 1 x 1
+    identity; cell_complex still checks d . d = 0.
+    """
+    tx, masks = source.table, source.masks
+    cube, alphas, cube_masks = _over_cube(source.target, n, iy, top)
+    cells = [[(x, a) for x, a in _equal_pairs(source.images[k], alphas[k])
+              if not masks[k][x] & cube_masks[k][a]] for k in range(top + 1)]
+    one = IntMatrix.identity(1)
+    cx = cell_complex(cells, [[1] * len(level) for level in cells], lambda k: (
+        ((tx.face[(k, i, eps)][x], cube.face[(k, i, eps)][a]), p, one, (-1) ** (i + eps))
+        for p, (x, a) in enumerate(cells[k]) for i in range(1, k + 1) for eps in (0, 1)))
+    groups = homology_of_complex(cx.truncate(max_dim + 1))
     expected = tuple(HomologyGroup(1 if d == 0 else 0, ()) for d in range(max_dim + 1))
-    return FiberRow(n, key, groups, groups == expected)
+    return FiberRow(n, source.target.key(n, iy), groups, groups == expected)
 
 
 def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionReport:
@@ -303,7 +317,8 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     truncated at top as well, so top must be at least max_dim + 1. Source
     and target are expanded once, and the source's table and images are
     shared by every fiber, as are the tables of the representables; the
-    largest, I^top to top, is built (or refused) before anything else.
+    largest, I^top to top, is built (or refused) before anything else. No
+    fiber table or system is built (see _fiber_row).
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -313,6 +328,6 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
         _representable(top, top)
     ty = f.target.expand(top)
     source = fiber_source(f, top, ty)
-    rows = tuple(_fiber_row(f, n, ty.key(n, idx), y, max_dim, top, source)
-                 for n in range(ty.top + 1) for idx, y in enumerate(ty.elements[n]))
+    rows = tuple(_fiber_row(source, n, iy, max_dim, top)
+                 for n in range(ty.top + 1) for iy in range(ty.size(n)))
     return FiberCriterionReport(all(r.ok for r in rows), rows)

@@ -797,6 +797,19 @@ class TestComparisons:
         assert r.equal
         assert r.cubical == groups((1, ()), (0, (2,)), (0, ()))
 
+    def test_involution_nerve_vs_bar_degree_three(self):
+        # H_*(Z/2; Z) = Z, Z/2, 0, Z/2 (group homology of a cyclic group),
+        # an oracle from outside the code on both sides
+        z2 = helpers.cyclic2_monoid()
+        r = nerve_vs_bar_comparison(z2, helpers.constant_diagram(z2.op()), 3)
+        assert r.cubical == r.categorical == groups((1, ()), (0, (2,)), (0, ()), (0, (2,)))
+
+    def test_involution_bw_constant_degree_three(self):
+        # H^*(Z/2; Z) = Z, 0, Z/2, 0 (group cohomology of a cyclic group)
+        z2 = helpers.cyclic2_monoid()
+        r = bw_comparison(z2, helpers.constant_diagram(factorization_category(z2)), 3)
+        assert r.cubical == r.categorical == groups((1, ()), (0, ()), (0, (2,)), (0, ()))
+
     def test_involution_nerve_vs_bar_sign(self):
         z2 = helpers.cyclic2_monoid()
         r = nerve_vs_bar_comparison(z2, helpers.sign_diagram(z2.op()), 2)

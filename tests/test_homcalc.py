@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubehom import homcalc
 from cubehom.catalg import bar_complex, cubical_nerve
 from cubehom.coeff import (
     check_generator_matrices,
@@ -33,7 +34,7 @@ from cubehom.homcalc import (
     normalized_complex_local,
     semicubical_homology,
 )
-from cubehom.zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix,
+from cubehom.zlinalg import (FreeChainComplex, HomologyGroup, IntMatrix, cell_complex,
                               cohomology_of_complex, homology_of_complex)
 
 import helpers
@@ -626,6 +627,48 @@ class TestFiberCriterion:
             for row, (n, idx) in zip(rep.rows, cubes):
                 fib = pullback_fiber(f, ty.element(n, idx), top)
                 assert row.groups == homology(fib, constant_system(fib, 1), max_dim)
+
+
+FIBER_MAPS = {
+    "id interval": lambda: helpers.identity_map(helpers.interval()),
+    "id I^2": lambda: helpers.identity_map(standard_cube(2)),
+    "id squashed square": lambda: helpers.identity_map(helpers.squashed_square()),
+    "interval to point": lambda: helpers.collapse_to_point(helpers.interval()),
+    "I^2 to point": lambda: helpers.collapse_to_point(standard_cube(2)),
+    "torus to point": lambda: helpers.collapse_to_point(helpers.torus()),
+    "fold wedge": helpers.fold_wedge,
+    "square to interval": helpers.square_to_interval,
+    "endpoint inclusion": helpers.endpoint_inclusion,
+}
+
+
+class TestFiberCells:
+    """The criterion's fiber complexes against the local builder on pullback_fiber's table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_local_complex_of_fiber_table(self, data):
+        f = FIBER_MAPS[data.draw(st.sampled_from(sorted(FIBER_MAPS)))]()
+        max_dim = data.draw(st.integers(0, 2))
+        top = data.draw(st.integers(max_dim + 1, 3))
+        ty = f.target.expand(top)
+        n = data.draw(st.integers(0, top))
+        iy = data.draw(st.integers(0, ty.size(n) - 1))
+        built = []
+
+        def keep(*args):
+            built.append(cell_complex(*args))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homcalc, "cell_complex", keep)
+            rep = fiber_criterion(f, max_dim, top)
+        # one complex per target cube, in the order of the rows
+        got = built[sum(ty.size(m) for m in range(n)) + iy]
+        fib = pullback_fiber(f, ty.element(n, iy), top)
+        want = normalized_complex_local(fib, constant_system(fib, 1)).complex
+        assert len(built) == len(rep.rows)
+        assert (got.ranks, got.sparse) == (want.ranks, want.sparse)
 
 
 class TestFiberHomologyMatchesProduct:

@@ -75,9 +75,13 @@ JOBS = {
     "nerve": (["nerve", "--category", "z2", "--truncate", "2"],
               ["catalg.nerve_s"],
               ["catalg.nerve_cubes"]),
+    "fiber": (["fiber", "--map", "id_square", "--cube", "e@x1", "--max-dim", "1"],
+              ["cubset.fiber_s"],
+              ["cubset.fibers", "cubset.cubes"]),
+    # the criterion reads each fiber's cells and builds no fiber table or system
     "fiber-criterion": (["fiber-criterion", "--map", "id_square", "--max-dim", "1"],
-                        ["cubset.fiber_s"],
-                        ["cubset.fibers", "cubset.cubes", "coeff.total_rank"]),
+                        ["zlinalg.eliminate_s"],
+                        ["cubset.cubes"]),
 }
 
 
