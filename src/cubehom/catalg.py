@@ -6,13 +6,15 @@ and _cube_edges(n). Other modules read a label by its point or its edge
 through CubeFunctor.vertex and CubeFunctor.edge, so only this module knows
 that order. Faces and degeneracies gather those tuples through position
 maps computed once per operator, and each key string is built once per cube
-from prefixes computed once per dimension. Level n is grown from level n-1
-by the exponential law (Mac Lane, Categories for the Working Mathematician,
-1971): an n-cube is an arrow between two (n-1)-cubes. A level that would
-hold more than NERVE_LABEL_BUDGET labels is refused on the Eilenberg-Zilber
-count of its degenerate cubes before it is searched, and on the cubes found
-while it is. The normalized string complex, of non-identity morphisms,
-refuses a degree past STRING_BUDGET strings while it is built.
+from one template per dimension. Level n is grown from level n-1 by the
+exponential law applied twice (Mac Lane, Categories for the Working
+Mathematician, 1971): an n-cube is a commuting square of (n-2)-cubes, found
+as a join of its four faces in directions 1 and 2, which are then its face
+columns there. A level that would hold more than NERVE_LABEL_BUDGET labels
+is refused on the Eilenberg-Zilber count of its degenerate cubes before it
+is searched, and on the cubes found while it is. The normalized string
+complex, of non-identity morphisms, refuses a degree past STRING_BUDGET
+strings while it is built.
 """
 
 from collections import namedtuple
@@ -234,19 +236,17 @@ def _edge_ends(n: int):
 
 
 @lru_cache(maxsize=None)
-def _key_prefixes(n: int):
-    """The "01:" and "00-01:" prefixes of the vertex and edge entries of a key."""
-    bits = {p: "".join(map(str, p)) for p in _points(n)}
-    return (tuple([f"{bits[p]}:" for p in _points(n)]),
-            tuple([f"{bits[p]}-{bits[q]}:" for p, q in _cube_edges(n)]))
+def _key_template(n: int) -> str:
+    """The key of an n-cube as a %-template over its vertex labels, then its edge labels.
 
-
-def _key(n: int, vertex_labels, edge_labels) -> str:
+    A vertex entry is "01:" and an edge entry "00-01:" before its label; the
+    entries are joined by "," and the two kinds by ";".
+    """
     if n == 0:
-        return vertex_labels[0]
-    vp, ep = _key_prefixes(n)
-    return (",".join([f"{a}{b}" for a, b in zip(vp, vertex_labels)]) + ";"
-            + ",".join([f"{a}{b}" for a, b in zip(ep, edge_labels)]))
+        return "%s"
+    bits = {p: "".join(map(str, p)) for p in _points(n)}
+    return (",".join([f"{bits[p]}:%s" for p in _points(n)]) + ";"
+            + ",".join([f"{bits[p]}-{bits[q]}:%s" for p, q in _cube_edges(n)]))
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +338,7 @@ class CubeFunctor:
                                         _gather(self.edge_labels + ids, emap))
 
     def key(self) -> str:
-        return _key(self.dim, self.vertex_labels, self.edge_labels)
+        return _key_template(self.dim) % (self.vertex_labels + self.edge_labels)
 
     def _canonical(self):
         return (self.dim, self.vertex_labels, self.edge_labels)
@@ -366,93 +366,105 @@ def _check_level(n: int, cubes: int) -> None:
 
 @lru_cache(maxsize=None)
 def _arrow_positions(n: int):
-    """Where an n-cube, an arrow a -> b of (n-1)-cubes along coordinate 1, reads its edges.
+    """Where an n-cube (a, b, y, z), n >= 2, reads its edges from those of its four faces.
 
-    Edge labels are gathered from a's edges, b's, then the arrow's morphism at
-    each vertex; also the edges into each vertex of a and b, as (edge, lower vertex).
+    The n-cube is an arrow a -> b of (n-1)-cubes along coordinate 1. Its
+    morphism at a vertex of a is an edge along coordinate 1 of y, where
+    coordinate 2 is 0, or of z, where it is 1. Edge labels are gathered from
+    a's edges, b's, then those edges of y and of z; the second map lists where
+    an (n-1)-cube holds its edges along coordinate 1, by lower vertex.
     """
     vpos, epos = _positions(n - 1)
     m = len(epos)
     gather = tuple(2 * m + vpos[p[1:]] if p[0] != q[0]
                    else p[0] * m + epos[(p[1:], q[1:])]
                    for p, q in _cube_edges(n))
-    into = [[] for _ in vpos]
-    for k, (p, q) in enumerate(_cube_edges(n - 1)):
-        into[vpos[q]].append((k, vpos[p]))
-    return gather, tuple(map(tuple, into))
+    return gather, tuple([epos[((0,) + q, (1,) + q)] for q in _points(n - 2)])
 
 
-def _nerve_level(C: FiniteCategory, n: int, below) -> tuple[list[str], list[CubeFunctor]]:
-    """Level n of the nerve and its keys, sorted by key, from the level below.
+def _nerve_level(C: FiniteCategory, n: int, below, face):
+    """Level n of the nerve sorted by key: keys, cubes, and face columns in directions 1 and 2.
 
-    An n-cube is a pair (a, b) of (n-1)-cubes and one morphism a(p) -> b(p) per
-    vertex p, kept when each edge's naturality square commutes; a square is
-    checked as soon as its upper vertex is chosen. a is paired only with the
-    b whose first vertex is the target of a morphism out of a's first vertex.
-    _check_level refuses the level once the cubes found, counted after each a, pass the budget.
+    Level 1 is read off C.morphisms. From n = 2 on, an n-cube is the tuple
+    (a, b, y, z) of its faces (1, 0), (1, 1), (2, 0) and (2, 1), joined over
+    the face columns of level n-1 by the cubical identities: y and z run over
+    the cubes whose face (1, 0) is face (1, 0) and face (1, 1) of a, and b
+    over those whose faces (1, 0) and (1, 1) are face (1, 1) of y and of z.
+    It is kept when its 2^(n-2) squares in directions 1 and 2 commute; every
+    other square is one of y or z. _check_level refuses the level once the
+    cubes found, counted after each a, pass the budget.
     """
     if n == 0:
-        found = [((obj,), ()) for obj in C.objects]
+        found, sides = [((obj,), ()) for obj in C.objects], ()
+    elif n == 1:
+        at = {x.vertex_labels[0]: k for k, x in enumerate(below)}
+        found = [(ends, (f,)) for f, ends in C.morphisms.items()]
+        _check_level(1, len(found))
+        sides = [[at[v[eps]] for v, _ in found] for eps in (0, 1)]
     else:
-        gather, into = _arrow_positions(n)
-        homs, targets, starting_at = {}, {}, {}
-        for name, ends in C.morphisms.items():
-            homs.setdefault(ends, []).append(name)
-        for src, dst in homs:
-            targets.setdefault(src, []).append(dst)
-        for b in below:
-            starting_at.setdefault(b.vertex_labels[0], []).append(b)
-        comp = C.composition
-        found = []
-        for a in below:
-            av, ae = a.vertex_labels, a.edge_labels
-            for b in [b for dst in targets[av[0]] for b in starting_at.get(dst, ())]:
-                bv, be = b.vertex_labels, b.edge_labels
-                arrows = [()]
-                for p, edges in enumerate(into):
-                    arrows = [t + (f,) for t in arrows for f in homs.get((av[p], bv[p]), ())
-                              if all(comp[(be[e], t[k])] == comp[(f, ae[e])] for e, k in edges)]
-                    if not arrows:
-                        break
-                for t in arrows:
-                    labels = ae + be + t
-                    found.append((av + bv, tuple([labels[k] for k in gather])))
+        gather, along = _arrow_positions(n)
+        low, high = face[(n - 1, 1, 0)], face[(n - 1, 1, 1)]
+        starting, spanning = {}, {}
+        for c, ends in enumerate(zip(low, high)):
+            starting.setdefault(ends[0], []).append(c)
+            spanning.setdefault(ends, []).append(c)
+        arrows = [tuple([x.edge_labels[k] for k in along]) for x in below]
+        comp, found, sides = C.composition, [], ([], [], [], [])
+        for a, xa in enumerate(below):
+            ta = arrows[a]
+            zs = [(z, arrows[z], [comp[g, f] for g, f in zip(arrows[z], ta)])
+                  for z in starting[high[a]]]
+            for y in starting[low[a]]:
+                ty = arrows[y]
+                for z, tz, want in zs:
+                    for b in spanning.get((high[y], high[z]), ()):
+                        if all(comp[g, f] == w for g, f, w in zip(arrows[b], ty, want)):
+                            labels = xa.edge_labels + below[b].edge_labels + ty + tz
+                            found.append((xa.vertex_labels + below[b].vertex_labels,
+                                          tuple([labels[k] for k in gather])))
+                            for col, k in zip(sides, (a, b, y, z)):
+                                col.append(k)
             _check_level(n, len(found))
-    keys = [_key(n, v, e) for v, e in found]
+    template = _key_template(n)
+    keys = [template % (v + e) for v, e in found]
     order = sorted(range(len(found)), key=keys.__getitem__)
     return ([keys[k] for k in order],
-            [CubeFunctor._from_labels(C, n, *found[k]) for k in order])
+            [CubeFunctor._from_labels(C, n, *found[k]) for k in order],
+            [tuple([col[k] for k in order]) for col in sides])
 
 
 def cubical_nerve(C: FiniteCategory, top: int) -> CubesTable:
     """Table of cube-shaped diagrams in C with precomposition operators.
 
-    Level n is grown from pairs of (n-1)-cubes by the exponential law in
-    _nerve_level and sorted by key once. Before that, _check_level is given
-    its degenerate cubes, comb(n, k) per non-degenerate k-cube below it (the
-    Eilenberg-Zilber lemma). A face or a degeneracy of a cube gathers its
-    label tuples through the operator's position maps and is found in the
-    level below or above by its edge labels, which fix the vertices (by
-    vertex labels on level 0). Degenerate flags come from degeneracy_masks.
+    Level n is joined from the faces of level n-1 in _nerve_level and sorted
+    by key once; its faces in directions 1 and 2 are the join's own indices.
+    Before that, _check_level is given its degenerate cubes, comb(n, k) per
+    non-degenerate k-cube below it (the Eilenberg-Zilber lemma). A face in a
+    direction i >= 3 or a degeneracy of a cube gathers its label tuples
+    through the operator's position maps and is found in the level below or
+    above by its edge labels, which fix the vertices. Degenerate flags come
+    from degeneracy_masks. Names holding "," or ";", which separate the
+    entries of a key, are refused: keys of distinct cubes could coincide.
     """
     if top < 0:
         raise ValueError("truncation must be nonnegative")
+    for name in (*C.objects, *C.morphisms):
+        if "," in name or ";" in name:
+            raise ValueError(f"name {name!r} contains ',' or ';', which separate "
+                             f"the entries of nerve keys")
     keys, levels, face, degen_map, nondegenerate = [], [], {}, {}, []
     lookup = None
     for n in range(top + 1):
         _check_level(n, sum(comb(n, k) * nd for k, nd in enumerate(nondegenerate)))
-        level_keys, level = _nerve_level(C, n, levels[n - 1] if n else None)
-        below, lookup = lookup, {(x.edge_labels if n else x.vertex_labels): k
-                                 for k, x in enumerate(level)}
+        level_keys, level, sides = _nerve_level(C, n, levels[n - 1] if n else None, face)
+        face.update({(n, j // 2 + 1, j % 2): col for j, col in enumerate(sides)})
+        below, lookup = lookup, {x.edge_labels: k for k, x in enumerate(level)}
         if n:
-            for i in range(1, n + 1):
+            for i in range(3, n + 1):
                 for eps in (0, 1):
-                    vmap, emap = _face_positions(n, i, eps)
-                    if n == 1:
-                        col = [below[_gather(x.vertex_labels, vmap)] for x in level]
-                    else:
-                        col = [below[_gather(x.edge_labels, emap)] for x in level]
-                    face[(n, i, eps)] = tuple(col)
+                    emap = _face_positions(n, i, eps)[1]
+                    face[(n, i, eps)] = tuple([below[_gather(x.edge_labels, emap)]
+                                               for x in level])
             sources = [x.edge_labels + tuple(map(C.identity_of, x.vertex_labels))
                        for x in levels[n - 1]]
             for i in range(1, n + 1):

@@ -618,6 +618,33 @@ def cyclic3_monoid():
         {"o": "e"})
 
 
+def transformation_category(sizes, generators):
+    """The functions between finite sets composed from some generating ones.
+
+    Object "s<k>" is the set range(sizes[k]). A generator (src, dst, values)
+    is the function i -> values[i] from object src to object dst. The
+    morphisms are the identities and every composite of generators, named
+    "s<src>_s<dst>_<values>".
+    """
+    def name(src, dst, values):
+        return f"s{src}_s{dst}_" + "".join(map(str, values))
+
+    arrows = {(k, k, tuple(range(size))) for k, size in enumerate(sizes)}
+    arrows |= {(src, dst, tuple(values)) for src, dst, values in generators}
+    while True:  # close under composition
+        grown = arrows | {(s, d, tuple(g[i] for i in f)) for s, m, f in arrows
+                          for m2, d, g in arrows if m == m2}
+        if grown == arrows:
+            break
+        arrows = grown
+    composition = {(name(m, d, g), name(s, m, f)): name(s, d, tuple(g[i] for i in f))
+                   for s, m, f in arrows for m2, d, g in arrows if m == m2}
+    return FiniteCategory([f"s{k}" for k in range(len(sizes))],
+                          {name(*f): (f"s{f[0]}", f"s{f[1]}") for f in arrows},
+                          composition,
+                          {f"s{k}": name(k, k, range(size)) for k, size in enumerate(sizes)})
+
+
 # The categories whose nerves the tests build, by name.
 NERVE_FIXTURES = {"point": point_category, "arrow": arrow_category,
                   "Z/2": cyclic2_monoid, "square": square_poset,

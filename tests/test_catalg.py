@@ -13,7 +13,7 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cubehom import catalg, homcalc
 from cubehom.catalg import (
@@ -519,13 +519,13 @@ class TestNerve:
         # degeneracy of the point before level 13 is searched, and its 39
         # maps would hold 40 * 61,440
         assert [cubical_nerve(helpers.point_category(), 12).size(n) for n in range(13)] == [1] * 13
-        built, arrow_positions = [], catalg._arrow_positions
-        monkeypatch.setattr(catalg, "_arrow_positions",
-                            lambda n: built.append(n) or arrow_positions(n))
+        built, nerve_level = [], catalg._nerve_level
+        monkeypatch.setattr(catalg, "_nerve_level",
+                            lambda C, n, *rest: built.append(n) or nerve_level(C, n, *rest))
         with pytest.raises(ValueError, match=f"nerve level 13 would hold more than "
                                              f"{NERVE_LABEL_BUDGET} labels"):
             cubical_nerve(helpers.point_category(), 64)
-        assert built == list(range(1, 13))
+        assert built == list(range(13))
 
     def test_point_nerve_allowed_above_three(self):
         nerve = cubical_nerve(helpers.point_category(), 4)
@@ -534,6 +534,13 @@ class TestNerve:
     def test_negative_truncation_refused(self):
         with pytest.raises(ValueError, match="truncation must be nonnegative"):
             cubical_nerve(helpers.point_category(), -1)
+
+    def test_key_separator_in_object_name_refused(self):
+        C = helpers.poset_category(["a", "a,b"], [("a", "a,b")])
+        assert C.validate() == []
+        with pytest.raises(ValueError, match="name 'a,b' contains ',' or ';', which "
+                                             "separate the entries of nerve keys"):
+            cubical_nerve(C, 0)
 
     def test_face_of_diagonal_square(self):
         # the square filling the arrow's nerve: constant 0 on the low corner,
@@ -578,6 +585,18 @@ def random_posets(draw):
     return helpers.poset_category(objects, sorted(relation))
 
 
+@st.composite
+def random_transformation_categories(draw):
+    """The functions among 1-3 sets of size 1-3 composed from 1-2 random ones."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        src, dst = (draw(st.integers(0, len(sizes) - 1)) for _ in range(2))
+        generators.append((src, dst, draw(st.lists(st.integers(0, sizes[dst] - 1),
+                                                    min_size=sizes[src], max_size=sizes[src]))))
+    return helpers.transformation_category(sizes, generators)
+
+
 class TestNerveReference:
     @pytest.mark.parametrize("top", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", sorted(NERVE_FIXTURES))
@@ -602,6 +621,16 @@ class TestNerveReference:
     @given(random_posets(), st.integers(0, 3))
     def test_random_posets_match_reference(self, C, top):
         assert C.validate() == []
+        assert_matches_reference(C, top)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_transformation_categories(), st.integers(0, 3))
+    def test_random_transformation_categories_match_reference(self, C, top):
+        # not posets: parallel arrows and endomorphisms make squares that do
+        # not commute; the reference's cost grows with the top level, which
+        # stays small enough for a quick example
+        assert C.validate() == []
+        assume(cubical_nerve(C, top).size(top) <= 2500)
         assert_matches_reference(C, top)
 
     def test_idempotent_decides_degeneracy(self):
@@ -809,6 +838,19 @@ class TestComparisons:
         z2 = helpers.cyclic2_monoid()
         r = bw_comparison(z2, helpers.constant_diagram(factorization_category(z2)), 3)
         assert r.cubical == r.categorical == groups((1, ()), (0, ()), (0, (2,)), (0, ()))
+
+    def test_square_poset_nerve_vs_bar_degree_three(self):
+        # the poset has a greatest element, so its nerve is contractible
+        C = helpers.square_poset()
+        r = nerve_vs_bar_comparison(C, helpers.constant_diagram(C.op()), 3)
+        assert r.cubical == r.categorical == groups((1, ()), (0, ()), (0, ()), (0, ()))
+
+    def test_square_poset_bw_codomain_degree_three(self):
+        C = helpers.square_poset()
+        fc = factorization_category(C)
+        G = helpers.codomain_diagram(C, fc, helpers.constant_diagram(C, 1))
+        r = bw_comparison(C, G, 3)
+        assert r.cubical == r.categorical == groups((1, ()), (0, ()), (0, ()), (0, ()))
 
     def test_involution_nerve_vs_bar_sign(self):
         z2 = helpers.cyclic2_monoid()

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from cubehom import cubset, formats
-from cubehom.catalg import (NERVE_LABEL_BUDGET, STRING_BUDGET, cubical_nerve,
-                            factorization_category)
+from cubehom.catalg import (NERVE_LABEL_BUDGET, STRING_BUDGET, FiniteCategory,
+                            cubical_nerve, factorization_category)
 from cubehom.cli import build_parser, main
 from cubehom.coeff import (ContravariantSystem, CovariantSystem, constant_system,
                            validate_functoriality)
@@ -1372,6 +1372,30 @@ class TestCommands:
                                            f"{NERVE_LABEL_BUDGET} labels, the budget of "
                                            f"one level\n")
         assert not (tmp_path / "nerve.json").exists()
+
+    def test_key_separators_in_names_refused(self, tmp_path, capsys):
+        # with s: p -> "q;0-1:r" and "r;0-1:s": p -> q, both arrows would
+        # have the key "0:p,1:q;0-1:r;0-1:s" and the table would lose one
+        C = FiniteCategory(["p", "q", "q;0-1:r"],
+                           {"1p": ("p", "p"), "1q": ("q", "q"), "1r": ("q;0-1:r", "q;0-1:r"),
+                            "s": ("p", "q;0-1:r"), "r;0-1:s": ("p", "q")},
+                           {}, {"p": "1p", "q": "1q", "q;0-1:r": "1r"})
+        for (second, first) in [(g, f) for g in C.morphisms for f in C.morphisms
+                                if C.target(f) == C.source(g)]:
+            C.composition[(second, first)] = first if second.startswith("1") else second
+        assert C.validate() == []
+        doc = write(tmp_path, "category.json", formats.category_to_data(C))
+        diagram = write(tmp_path, "const.json",
+                        formats.diagram_to_data(helpers.constant_diagram(C.op())))
+        refusal = ("", "error: name 'q;0-1:r' contains ',' or ';', which separate "
+                       "the entries of nerve keys\n")
+        assert main(["nerve", "--category", doc, "--truncate", "2",
+                     "--out", str(tmp_path / "nerve.json")]) == 1
+        assert capsys.readouterr() == refusal
+        assert not (tmp_path / "nerve.json").exists()
+        assert main(["compare", "--contract", "homolcatcub", "--category", doc,
+                     "--diagram", diagram, "--max-dim", "1"]) == 1
+        assert capsys.readouterr() == refusal
 
     def test_fiber_sweep_over_budget_refused_quickly(self, tmp_path, capsys):
         # every fiber over a degenerate 7-cube reads I^7 to 7, 108,545 cubes
