@@ -628,9 +628,16 @@ class TestNerveReference:
     def test_random_transformation_categories_match_reference(self, C, top):
         # not posets: parallel arrows and endomorphisms make squares that do
         # not commute; the reference's cost grows with the top level, which
-        # stays small enough for a quick example
+        # stays small enough for a quick example. From four morphisms on a
+        # level 3 can pass the label budget, and from seven most do.
         assert C.validate() == []
-        assume(cubical_nerve(C, top).size(top) <= 2500)
+        assume(len(C.morphisms) <= 6)
+        try:
+            size = cubical_nerve(C, top).size(top)
+        except ValueError as refusal:
+            assert "the budget of one level" in str(refusal)
+            size = None
+        assume(size is not None and size <= 2500)
         assert_matches_reference(C, top)
 
     def test_idempotent_decides_degeneracy(self):
