@@ -313,6 +313,35 @@ def reference_set_report(X: PresentedCubicalSet) -> list:
     return report
 
 
+def semi_cube(n):
+    """The semi-cubical n-cube: the non-degenerate cubes of standard_cube(n)."""
+    X = standard_cube(n)
+    return SemiCubicalSet([[g for g, d in X.generators.items() if d == k] for k in range(n + 1)],
+                          {k: c.gen for k, c in X.faces.items()})
+
+
+def reference_semi_report(S: SemiCubicalSet) -> list:
+    """The face-commutation failures of S by a walk over S.faces, in report order.
+
+    S must pass SemiCubicalSet.validate's structural checks; on such a set
+    validate() must return exactly this list.
+    """
+    report = []
+    for n, level in enumerate(S.levels):
+        for x in level:
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    for alpha in (0, 1):
+                        for beta in (0, 1):
+                            lhs = S.faces[(S.faces[(x, j, beta)], i, alpha)]
+                            rhs = S.faces[(S.faces[(x, i, alpha)], j - 1, beta)]
+                            if lhs != rhs:
+                                report.append(
+                                    f"face commutation fails on {x!r} at "
+                                    f"(i={i}, j={j}, alpha={alpha}, beta={beta})")
+    return report
+
+
 def reference_map_report(f: CubicalMap) -> list:
     """The naturality failures of f by the general action, in report order.
 

@@ -236,6 +236,17 @@ class TestValidateNegatives:
         report = X.validate()
         assert any("face commutation fails on generator 'q'" in line for line in report)
 
+    def test_commutation_reported_in_generator_order(self):
+        # generators listed from the top dimension down: reports follow that order
+        I3 = standard_cube(3)
+        X = PresentedCubicalSet(dict(reversed(I3.generators.items())), I3.faces)
+        X.faces[("cxx0", 1, 0)], X.faces[("cxx0", 2, 0)] = (X.faces[("cxx0", 2, 0)],
+                                                            X.faces[("cxx0", 1, 0)])
+        report = X.validate()
+        assert report == helpers.reference_set_report(X)
+        assert {line.split("'")[1] for line in report[:2]} == {"cxxx"}
+        assert "'cxx0'" in report[-1]
+
     def test_bad_generator_name(self):
         X = PresentedCubicalSet({"a b": 0}, {})
         assert any("a b" in line for line in X.validate())
@@ -264,6 +275,11 @@ SWAP_MAPS = {"fold_wedge": helpers.fold_wedge,
              "id_I2": lambda: helpers.identity_map(standard_cube(2)),
              "id_I3": lambda: helpers.identity_map(standard_cube(3)),
              "id_torus": lambda: helpers.identity_map(helpers.torus())}
+
+SWAP_SEMI = {"interval": helpers.interval_semi, "circle": helpers.circle_semi,
+             "wedge": helpers.wedge_semi, "torus": helpers.torus_semi,
+             "twisted_square": helpers.twisted_square_semi,
+             "I2": lambda: helpers.semi_cube(2), "I3": lambda: helpers.semi_cube(3)}
 
 
 def swap_entries(table, draw, count, dim):
@@ -296,6 +312,24 @@ class TestValidatorReports:
         swap_entries(f.assignment, data.draw, data.draw(st.integers(1, 2)),
                      f.source.generators.get)
         assert f.validate() == helpers.reference_map_report(f)
+
+
+
+class TestSemiCubicalReports:
+    """SemiCubicalSet.validate against a walk over its face table, list for list.
+
+    Swaps keep every entry's dimension, so the structural checks pass. The
+    fixtures of tests/helpers.py have one vertex or no squares, so only the
+    semi-cubical cubes semi_cube(n) can fail to commute.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SWAP_SEMI)), st.data())
+    def test_reports_match_reference(self, name, data):
+        S = SWAP_SEMI[name]()
+        swap_entries(S.faces, data.draw, data.draw(st.integers(1, 3)),
+                     lambda k: S.dim_of(k[0]))
+        assert S.validate() == helpers.reference_semi_report(S)
 
 
 class TestUniversal:
