@@ -169,13 +169,15 @@ def identity_failures(entries, ends) -> list:
 
     ends(n, path) lists what path gives on each cube of dimension n. A cube
     on which lhs and rhs give different results fails; each failure is
-    (family, n, cube index, detail), sorted by family, n, cube and entry.
+    (family, n, cube index, detail, lhs result, rhs result), sorted by
+    family, n, cube and entry.
     """
     found = []
     for k, (family, n, _, lhs, rhs) in enumerate(entries):
-        found += [(IDENTITY_FAMILIES.index(family), n, idx, k)
+        found += [(IDENTITY_FAMILIES.index(family), n, idx, k, a, b)
                   for idx, (a, b) in enumerate(zip(ends(n, lhs), ends(n, rhs))) if a != b]
-    return [(entries[k][0], n, idx, entries[k][2]) for _, n, idx, k in sorted(found)]
+    found.sort(key=lambda f: f[:4])
+    return [(entries[k][0], n, idx, entries[k][2], a, b) for _, n, idx, k, a, b in found]
 
 
 def hom_set(m: int, n: int) -> tuple:

@@ -15,7 +15,9 @@ indices.
 validate_functoriality checks a system against every instance of the
 cubical identities on every cube. A local system, face matrices on the
 generators of a presented set, is checked on the generators alone, with no
-table (check_generator_matrices), and so are semi-cubical systems.
+table (check_generator_matrices), and so are semi-cubical systems: both go
+through PresentedCubicalSet.face_face_failures, the evaluator that checks
+the set's own face commutation, with matrices as the sides' values.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def validate_functoriality(F) -> list[str]:
     failures = identity_failures(cubical_identities(base.top),
                                  lambda n, path: values(n, path, range(base.size(n))))
     return [f"{family} identity fails at dim {n} cube {base.key(n, idx)} ({detail})"
-            for family, n, idx, detail in failures]
+            for family, n, idx, detail, _, _ in failures]
 
 
 def _path_values(F):
@@ -247,26 +249,21 @@ def _generated_system(cls, base: CubesTable, gen_ranks: dict[str, int],
 
 def _face_face_failures(X: PresentedCubicalSet, ranks: dict[str, int], face_matrices,
                         variance: str, top: int) -> list:
-    """identity_failures of the face-face instances at X's generators of dimension <= top.
+    """X.face_face_failures with the matrices of _generated_system as the sides' values.
 
-    A side at g is g's face (j, b), then face (i, a) of the cube X._face_of
-    gives, with the matrices of _generated_system. A failure's cube index
-    counts the generators of its dimension.
+    The side of the face entry k, the cube (h, epi), is k's matrix followed
+    by h's matrix at (p, a) when epi keeps i as its p-th coordinate, else by
+    the identity.
     """
     contra = variance == "contravariant"
     eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
-    top = min(top, max(X.generators.values(), default=0))
-    cells = [[g for g, d in X.generators.items() if d == n] for n in range(top + 1)]
 
-    def value(g, n, path):
-        (_, j, b), (_, i, a) = path
-        first = face_matrices[(g, j, b)]
-        h, kept = X._face_of(g, tuple(range(1, n + 1)), j, b)
-        then = face_matrices[(h, kept.index(i) + 1, a)] if i in kept else eyes[ranks[h]]
+    def side(k, c, i, a):
+        first, kept = face_matrices[k], c.epi.tokens
+        then = face_matrices[(c.gen, kept.index(i) + 1, a)] if i in kept else eyes[ranks[c.gen]]
         return then * first if contra else first * then
 
-    face_face = [e for e in cubical_identities(top) if e[0] == "face-face"]
-    return identity_failures(face_face, lambda n, path: [value(g, n, path) for g in cells[n]])
+    return X.face_face_failures(side, top)
 
 
 def check_generator_matrices(X: PresentedCubicalSet, rank: int, gen_face_matrices,
@@ -275,8 +272,10 @@ def check_generator_matrices(X: PresentedCubicalSet, rank: int, gen_face_matrice
 
     Raises if the keys are not X's faces, a matrix is not a rank x rank
     unit, or functoriality fails up to dimension top. That is checked at the
-    generators (_face_face_failures), with no table. Degeneracies, and faces
-    along deleted coordinates, are identities, so on a cube (g, epi) an
+    generators, with no table, by X.face_face_failures (_face_face_failures):
+    each side is the matrix of one of g's face entries followed by one matrix
+    read off that face's deletion map, with no _face_of. Degeneracies, and
+    faces along deleted coordinates, are identities, so on a cube (g, epi) an
     instance is a face-face instance on g's cube, renumbered, or has one
     matrix of g, or none, between identities. A failure, or a negative rank,
     builds the system on X's table to top for validate_functoriality to word.
@@ -388,17 +387,19 @@ class SemiCubicalSystem:
                     report.append(f"negative rank at {name}")
         for k in sorted(set(S.faces) - set(self.face)):
             report.append(f"missing face matrix {k}")
+        for k in sorted(set(self.face) - set(S.faces)):
+            report.append(f"unexpected face matrix {k}")
         if report:
             return report
         for (x, i, eps), m in self.face.items():
-            want = (self.ranks[S.face(x, i, eps)], self.ranks[x])
+            want = (self.ranks[S.faces[(x, i, eps)]], self.ranks[x])
             if (m.rows, m.cols) != want:
                 report.append(f"face matrix ({x},{i},{eps}) has shape "
                               f"{m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
         if report:
             return report
         U = universal_from_semicubical(S)
-        return [f"face-face identity fails at {S.levels[n][p]} ({detail})" for _, n, p, detail
+        return [f"face-face identity fails at {x} ({detail})" for x, detail, _, _
                 in _face_face_failures(U, self.ranks, self.face, self.variance, S.top_dim)]
 
 

@@ -124,8 +124,10 @@ class PresentedCubicalSet:
     def validate(self) -> list[str]:
         """Structural checks, then face commutation on every generator.
 
-        Both sides of an instance are two _face_of steps from the generator's
-        identity cube; a Cube is built only to word a failure.
+        face_face_failures evaluates the instances: a side is one of the
+        generator's face entries followed by one _face_of step. Failures are
+        reported by generator, in self.generators order, and a Cube is built
+        only to word one.
         """
         report = []
         for name, dim in self.generators.items():
@@ -160,22 +162,36 @@ class PresentedCubicalSet:
                 structurally_ok = False
         if not structurally_ok:
             return report
-        for g, d in self.generators.items():
-            ident = tuple(range(1, d + 1))
-            for i in range(1, d):
-                for j in range(i + 1, d + 1):
-                    for alpha in (0, 1):
-                        for beta in (0, 1):
-                            lhs = self._face_of(*self._face_of(g, ident, j, beta), i, alpha)
-                            rhs = self._face_of(*self._face_of(g, ident, i, alpha), j - 1, beta)
-                            if lhs != rhs:
-                                lhs, rhs = (Cube(h, CubeMorphism(d - 2, len(t), t)).key()
-                                            for h, t in (lhs, rhs))
-                                report.append(
-                                    f"face commutation fails on generator {g!r} at "
-                                    f"(i={i}, j={j}, alpha={alpha}, beta={beta}): "
-                                    f"{lhs} != {rhs}")
+        order = {g: p for p, g in enumerate(self.generators)}
+        failures = self.face_face_failures(
+            lambda k, c, i, a: self._face_of(c.gen, c.epi.tokens, i, a),
+            max(self.generators.values(), default=0))
+        for g, detail, lhs, rhs in sorted(failures, key=lambda f: order[f[0]]):
+            lhs, rhs = (Cube(h, CubeMorphism(self.generators[g] - 2, len(t), t)).key()
+                        for h, t in (lhs, rhs))
+            report.append(f"face commutation fails on generator {g!r} at ({detail}): "
+                          f"{lhs} != {rhs}")
         return report
+
+    def face_face_failures(self, side, top: int) -> list:
+        """The face-face instances of cubical_identities that fail at generators of dim <= top.
+
+        A side at the generator g is its face entry k = (g, j, b), the cube
+        c = self.faces[k], followed by face (i, a) of c, and side(k, c, i, a)
+        gives its value. Each failure is (g, detail, lhs value, rhs value),
+        ordered as identity_failures orders them: by dimension, then by
+        generator, then by instance.
+        """
+        top = min(top, max(self.generators.values(), default=0))
+        cells = [[g for g, d in self.generators.items() if d == n] for n in range(top + 1)]
+
+        def ends(n, path):
+            (_, j, b), (_, i, a) = path
+            return [side((g, j, b), self.faces[(g, j, b)], i, a) for g in cells[n]]
+
+        face_face = [e for e in cubical_identities(top) if e[0] == "face-face"]
+        return [(cells[n][p], detail, lhs, rhs)
+                for _, n, p, detail, lhs, rhs in identity_failures(face_face, ends)]
 
     def _face_of(self, gen: str, tokens: tuple[int, ...], i: int, eps: int):
         """Face (i, eps) of the cube (gen, deletion map with these tokens), as (gen, tokens).
@@ -318,7 +334,7 @@ class CubesTable:
                  "degeneracy-degeneracy": "degeneracy commutation",
                  "face-degeneracy": "face-degeneracy identity"}
         report = [f"{words[family]} fails at dim {n} cube {self.key(n, idx)} ({detail})"
-                  for family, n, idx, detail
+                  for family, n, idx, detail, _, _
                   in identity_failures(cubical_identities(self.top), self._ends)]
         for n, masks in enumerate(self.degeneracy_masks()):
             for idx, mask in enumerate(masks):
@@ -349,12 +365,6 @@ class SemiCubicalSet:
         if name not in self._dims:
             raise ValueError(f"unknown cube {name!r}")
         return self._dims[name]
-
-    def face(self, name: str, i: int, eps: int) -> str:
-        try:
-            return self.faces[(name, i, eps)]
-        except KeyError:
-            raise ValueError(f"no face entry for ({name}, {i}, {eps})") from None
 
     def validate(self) -> list[str]:
         report = []
@@ -387,14 +397,9 @@ class SemiCubicalSet:
                               f"expected {self._dims[x] - 1}")
         if report:
             return report
-
-        def ends(n, path):
-            (_, i, a), (_, j, b) = path
-            return [self.faces[(self.faces[(x, i, a)], j, b)] for x in self.levels[n]]
-
-        face_face = [e for e in cubical_identities(self.top_dim) if e[0] == "face-face"]
-        return [f"face commutation fails on {self.levels[n][p]!r} at ({detail})"
-                for _, n, p, detail in identity_failures(face_face, ends)]
+        failures = universal_from_semicubical(self).face_face_failures(
+            lambda k, c, i, a: self.faces[(c.gen, i, a)], self.top_dim)
+        return [f"face commutation fails on {x!r} at ({detail})" for x, detail, _, _ in failures]
 
 
 def universal_from_semicubical(S: SemiCubicalSet) -> PresentedCubicalSet:

@@ -12,7 +12,7 @@ import json
 from .catalg import FiniteCategory
 from .coeff import (ContravariantSystem, CovariantSystem, FiniteDiagram,
                     SemiCubicalSystem, constant_system, local_system)
-from .cubset import CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet
+from .cubset import Cube, CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet
 from .zlinalg import HomologyGroup, IntMatrix
 
 
@@ -109,6 +109,29 @@ def _matrix_rows(m: IntMatrix) -> list[list[int]]:
     return [list(r) for r in m.data]
 
 
+def _face_table(data: dict, kind: str, names, noun: str, values: str):
+    """Each entry ((name, i, eps), value) of the "faces" field {name: {"i,eps": value}}.
+
+    names are the names a face table may be listed for, noun what a name is
+    and values what the values are, for messages; the caller checks each value.
+    """
+    for name, table in _field(data, "faces", dict, kind).items():
+        if name not in names:
+            raise FormatError(f"{kind}: faces listed for unknown {noun} {name!r}")
+        if not isinstance(table, dict):
+            raise FormatError(f"{kind}: faces of {name!r} must map \"i,eps\" to {values}")
+        for ie, value in table.items():
+            yield (name, *_selector(ie, 2, f"{kind}: face of {name!r}")), value
+
+
+def _face_table_data(faces: dict, write) -> dict:
+    """The "faces" field {name: {"i,eps": write(value)}} of a face table keyed (name, i, eps)."""
+    out: dict[str, dict] = {}
+    for (name, i, eps), value in faces.items():
+        out.setdefault(name, {})[f"{i},{eps}"] = write(value)
+    return out
+
+
 # ---------------------------------------------------------------- cube keys
 
 def cube_key_dim(X: PresentedCubicalSet, key: str) -> int:
@@ -145,31 +168,21 @@ def parse_cubical_set(data) -> PresentedCubicalSet:
     for name, dim in gens_raw.items():
         generators[name] = _int(dim, f"generator {name!r}")
     stub = PresentedCubicalSet(generators, {})
-    faces_raw = _field(data, "faces", dict, "cubical-set")
     faces = {}
-    for gen, table in faces_raw.items():
-        if gen not in generators:
-            raise FormatError(f"faces listed for unknown generator {gen!r}")
-        if not isinstance(table, dict):
-            raise FormatError(f"faces of {gen!r} must map \"i,eps\" to cube keys")
-        d = generators[gen]
-        for ie, key in table.items():
-            i, eps = _selector(ie, 2, f"face of {gen!r}")
-            key = _str(key, f"face ({gen},{i},{eps})")
-            try:
-                faces[(gen, i, eps)] = stub.cube_from_key(d - 1, key)
-            except ValueError as e:
-                raise FormatError(f"face ({gen},{i},{eps}): {e}") from None
+    for (gen, i, eps), key in _face_table(data, "cubical-set", generators, "generator",
+                                          "cube keys"):
+        key = _str(key, f"face ({gen},{i},{eps})")
+        try:
+            faces[(gen, i, eps)] = stub.cube_from_key(generators[gen] - 1, key)
+        except ValueError as e:
+            raise FormatError(f"face ({gen},{i},{eps}): {e}") from None
     return PresentedCubicalSet(generators, faces)
 
 
 def cubical_set_to_data(X: PresentedCubicalSet) -> dict:
-    faces: dict[str, dict[str, str]] = {}
-    for (gen, i, eps), c in X.faces.items():
-        faces.setdefault(gen, {})[f"{i},{eps}"] = c.key()
     return {"type": "cubical-set",
             "generators": dict(X.generators),
-            "faces": faces}
+            "faces": _face_table_data(X.faces, Cube.key)}
 
 
 def parse_semicubical_set(data) -> SemiCubicalSet:
@@ -182,26 +195,15 @@ def parse_semicubical_set(data) -> SemiCubicalSet:
             raise FormatError(f"level {n} must be a list of cube names")
         levels.append(list(level))
     names = {x for level in levels for x in level}
-    faces_raw = _field(data, "faces", dict, "semicubical-set")
-    faces = {}
-    for x, table in faces_raw.items():
-        if x not in names:
-            raise FormatError(f"faces listed for unknown cube {x!r}")
-        if not isinstance(table, dict):
-            raise FormatError(f"faces of {x!r} must map \"i,eps\" to cube names")
-        for ie, y in table.items():
-            i, eps = _selector(ie, 2, f"face of {x!r}")
-            faces[(x, i, eps)] = _str(y, f"face ({x},{i},{eps})")
+    faces = {(x, i, eps): _str(y, f"face ({x},{i},{eps})") for (x, i, eps), y
+             in _face_table(data, "semicubical-set", names, "cube", "cube names")}
     return SemiCubicalSet(levels, faces)
 
 
 def semicubical_set_to_data(S: SemiCubicalSet) -> dict:
-    faces: dict[str, dict[str, str]] = {}
-    for (x, i, eps), y in S.faces.items():
-        faces.setdefault(x, {})[f"{i},{eps}"] = y
     return {"type": "semicubical-set",
             "levels": [list(l) for l in S.levels],
-            "faces": faces}
+            "faces": _face_table_data(S.faces, str)}
 
 
 def parse_cubical_map(data) -> CubicalMap:
@@ -347,34 +349,24 @@ def parse_table_system(data, base: CubesTable | None = None):
         want = (ranks[dst], ranks[src]) if contra else (ranks[src], ranks[dst])
         return _matrix(rows, want[0], want[1], where)
 
-    faces = {op: [None] * base.size(op[0]) for op in base.face}
-    for sel, level in _field(data, "faces", dict, "table-system").items():
-        n, i, eps = _selector(sel, 3, "table-system faces")
-        if (n, i, eps) not in faces:
-            raise FormatError(f"table-system: face selector {sel!r} names no table of the base")
-        if not isinstance(level, dict):
-            raise FormatError(f"table-system: faces[{sel!r}] must map keys to matrices")
-        for key, rows in level.items():
-            idx = cube_index(n, key, "face matrix")
-            faces[(n, i, eps)][idx] = matrix(
-                (n, idx), (n - 1, base.face_index(n, i, eps, idx)), rows,
-                f"face matrix ({sel}) at {key!r}")
-    degens = {op: [None] * base.size(op[0]) for op in base.degen_map}
-    for sel, level in _field(data, "degens", dict, "table-system").items():
-        m, i = _selector(sel, 2, "table-system degens")
-        if (m, i) not in degens:
-            raise FormatError(f"table-system: degeneracy selector {sel!r} names no table "
-                              f"of the base")
-        if not isinstance(level, dict):
-            raise FormatError(f"table-system: degens[{sel!r}] must map keys to matrices")
-        for key, rows in level.items():
-            idx = cube_index(m, key, "degeneracy matrix")
-            degens[(m, i)][idx] = matrix(
-                (m, idx), (m + 1, base.degeneracy_index(m, i, idx)), rows,
-                f"degeneracy matrix ({sel}) at {key!r}")
-    cls = ContravariantSystem if contra else CovariantSystem
-    return cls(base, ranks, {op: tuple(col) for op, col in faces.items()},
-               {op: tuple(col) for op, col in degens.items()})
+    columns = []
+    for field, arity, step, noun, index in (("faces", 3, -1, "face", base.face),
+                                            ("degens", 2, 1, "degeneracy", base.degen_map)):
+        cols = {op: [None] * base.size(op[0]) for op in index}
+        for sel, level in _field(data, field, dict, "table-system").items():
+            op = _selector(sel, arity, f"table-system {field}")
+            if op not in cols:
+                raise FormatError(f"table-system: {noun} selector {sel!r} names no table "
+                                  f"of the base")
+            if not isinstance(level, dict):
+                raise FormatError(f"table-system: {field}[{sel!r}] must map keys to matrices")
+            n = op[0]
+            for key, rows in level.items():
+                idx = cube_index(n, key, f"{noun} matrix")
+                cols[op][idx] = matrix((n, idx), (n + step, index[op][idx]), rows,
+                                       f"{noun} matrix ({sel}) at {key!r}")
+        columns.append({op: tuple(col) for op, col in cols.items()})
+    return (ContravariantSystem if contra else CovariantSystem)(base, ranks, *columns)
 
 
 def table_system_to_data(F) -> dict:
@@ -383,22 +375,17 @@ def table_system_to_data(F) -> dict:
     ranks: dict[str, dict[str, int]] = {}
     for (n, idx), r in F.ranks.items():
         ranks.setdefault(str(n), {})[key(n, idx)] = r
-    faces: dict[str, dict[str, list]] = {}
-    for (n, i, eps), col in F.face.items():
-        for idx, m in enumerate(col):
-            if m is not None:
-                faces.setdefault(f"{n},{i},{eps}", {})[key(n, idx)] = _matrix_rows(m)
-    degens: dict[str, dict[str, list]] = {}
-    for (m_, i), col in F.degen.items():
-        for idx, m in enumerate(col):
-            if m is not None:
-                degens.setdefault(f"{m_},{i}", {})[key(m_, idx)] = _matrix_rows(m)
-    return {"type": "table-system",
-            "variance": F.variance,
-            "base": cubes_table_to_data(F.base),
-            "ranks": ranks,
-            "faces": faces,
-            "degens": degens}
+    doc = {"type": "table-system",
+           "variance": F.variance,
+           "base": cubes_table_to_data(F.base),
+           "ranks": ranks}
+    for field, columns in (("faces", F.face), ("degens", F.degen)):
+        out = doc[field] = {}
+        for op, col in columns.items():
+            for idx, m in enumerate(col):
+                if m is not None:
+                    out.setdefault(",".join(map(str, op)), {})[key(op[0], idx)] = _matrix_rows(m)
+    return doc
 
 
 def parse_generator_system(data, X: PresentedCubicalSet):
@@ -414,26 +401,16 @@ def parse_generator_system(data, X: PresentedCubicalSet):
     variance = _field(data, "variance", str, "local-system")
     if variance not in ("contravariant", "covariant"):
         raise FormatError(f"local-system: unknown variance {variance!r}")
-    mats = {}
-    for gen, table in _field(data, "faces", dict, "local-system").items():
-        if gen not in X.generators:
-            raise FormatError(f"local-system: face matrices for unknown generator {gen!r}")
-        if not isinstance(table, dict):
-            raise FormatError(f"local-system: faces of {gen!r} must map \"i,eps\" to matrices")
-        for ie, rows in table.items():
-            i, eps = _selector(ie, 2, f"local-system face of {gen!r}")
-            mats[(gen, i, eps)] = _matrix(rows, rank, rank,
-                                          f"face matrix of {gen!r} at ({i},{eps})")
+    mats = {(gen, i, eps): _matrix(rows, rank, rank, f"face matrix of {gen!r} at ({i},{eps})")
+            for (gen, i, eps), rows in _face_table(data, "local-system", X.generators,
+                                                   "generator", "matrices")}
     return rank, mats, variance
 
 
 def local_system_to_data(rank: int, variance: str,
                          gen_face_matrices: dict[tuple[str, int, int], IntMatrix]) -> dict:
-    faces: dict[str, dict[str, list]] = {}
-    for (gen, i, eps), m in gen_face_matrices.items():
-        faces.setdefault(gen, {})[f"{i},{eps}"] = _matrix_rows(m)
     return {"type": "local-system", "rank": rank, "variance": variance,
-            "faces": faces}
+            "faces": _face_table_data(gen_face_matrices, _matrix_rows)}
 
 
 def parse_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:
@@ -446,33 +423,22 @@ def parse_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:
             raise FormatError(f"semicubical-system: rank for unknown cube {name!r}")
         ranks[name] = _int(r, f"rank of {name!r}")
     face = {}
-    for x, table in _field(data, "faces", dict, "semicubical-system").items():
-        if x not in names:
-            raise FormatError(f"semicubical-system: face matrices for unknown cube {x!r}")
-        if not isinstance(table, dict):
-            raise FormatError(f"semicubical-system: faces of {x!r} must map \"i,eps\" to matrices")
-        for ie, rows in table.items():
-            i, eps = _selector(ie, 2, f"semicubical-system face of {x!r}")
-            try:
-                y = S.face(x, i, eps)
-            except ValueError:
-                raise FormatError(f"semicubical-system: the set has no face "
-                                  f"({x},{i},{eps})") from None
-            if y not in ranks or x not in ranks:
-                raise FormatError(f"semicubical-system: face matrix at {x!r} has no "
-                                  f"ranks to check against")
-            face[(x, i, eps)] = _matrix(rows, ranks[y], ranks[x],
-                                        f"face matrix of {x!r} at ({i},{eps})")
+    for (x, i, eps), rows in _face_table(data, "semicubical-system", names, "cube", "matrices"):
+        if (x, i, eps) not in S.faces:
+            raise FormatError(f"semicubical-system: the set has no face ({x},{i},{eps})")
+        y = S.faces[(x, i, eps)]
+        if y not in ranks or x not in ranks:
+            raise FormatError(f"semicubical-system: face matrix at {x!r} has no "
+                              f"ranks to check against")
+        face[(x, i, eps)] = _matrix(rows, ranks[y], ranks[x],
+                                    f"face matrix of {x!r} at ({i},{eps})")
     return SemiCubicalSystem(S, ranks, face)
 
 
 def semicubical_system_to_data(F: SemiCubicalSystem) -> dict:
-    faces: dict[str, dict[str, list]] = {}
-    for (x, i, eps), m in F.face.items():
-        faces.setdefault(x, {})[f"{i},{eps}"] = _matrix_rows(m)
     return {"type": "semicubical-system",
             "ranks": dict(F.ranks),
-            "faces": faces}
+            "faces": _face_table_data(F.face, _matrix_rows)}
 
 
 def build_semicubical_system(data, S: SemiCubicalSet) -> SemiCubicalSystem:

@@ -264,6 +264,37 @@ class TestRejections:
             formats.parse_cubes_table(data)
 
 
+class TestFaceTableReader:
+    """The one reader of the "faces" field {name: {"i,eps": value}}, from the command line."""
+
+    @pytest.mark.parametrize("fault", ["unknown name", "not an object", "bad selector"])
+    @pytest.mark.parametrize("kind", ["cubical-set", "semicubical-set", "local-system",
+                                      "semicubical-system"])
+    def test_fault_is_a_parse_error(self, tmp_path, capsys, kind, fault):
+        set_doc = formats.cubical_set_to_data(helpers.torus())
+        semi_doc = formats.semicubical_set_to_data(helpers.torus_semi())
+        doc = {"cubical-set": set_doc, "semicubical-set": semi_doc,
+               "local-system": formats.local_system_to_data(
+                   1, "contravariant", dict.fromkeys(helpers.torus().faces, IntMatrix.identity(1))),
+               "semicubical-system": formats.semicubical_system_to_data(
+                   helpers.weighted_torus_system())}[kind]
+        faces = copy.deepcopy(doc["faces"])
+        if fault == "unknown name":
+            faces["zz"] = faces.pop("t")
+        elif fault == "not an object":
+            faces["t"] = [1, 0]
+        else:
+            faces["t"]["1"] = faces["t"].pop("1,0")
+        path = write(tmp_path, "faulty.json", {**doc, "faces": faces})
+        argv = {"cubical-set": ["--set", path], "semicubical-set": ["--semi", path],
+                "local-system": ["--set", write(tmp_path, "set.json", set_doc), "--system", path],
+                "semicubical-system": ["--semi", write(tmp_path, "semi.json", semi_doc),
+                                       "--system", path]}[kind]
+        assert main(["validate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {kind}: ") and err.count("\n") == 1, err
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.rstrip("\n")

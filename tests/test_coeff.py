@@ -23,8 +23,9 @@ from cubehom.coeff import (
     _generated_system,
 )
 from cubehom import formats
+from cubehom.boxcat import identity
 from cubehom.catalg import cubical_nerve, factorization_category
-from cubehom.cubset import standard_cube, universal_from_semicubical
+from cubehom.cubset import Cube, standard_cube, universal_from_semicubical
 from cubehom.zlinalg import IntMatrix
 
 import helpers
@@ -239,10 +240,11 @@ class TestGeneratorCheck:
         ranks = dict.fromkeys(X.generators, 2)
         F = _generated_system(cls, base, ranks, mats)
         full = validate_functoriality(F)
-        on_generators = [f"{family} identity fails at dim {n} cube "
-                         f"{base.key(n, base.nondegenerate_indices(n)[p])} ({detail})"
-                         for family, n, p, detail in _face_face_failures(
-                             X, ranks, mats, variance, base.top)]
+        failures = _face_face_failures(X, ranks, mats, variance, base.top)
+        assert all(lhs != rhs for _, _, lhs, rhs in failures)
+        on_generators = [f"face-face identity fails at dim {X.generators[g]} cube "
+                         f"{Cube(g, identity(X.generators[g])).key()} ({detail})"
+                         for g, detail, _, _ in failures]
         # the generator check finds the full check's face-face failures on
         # generator cubes, and fails exactly when the full check fails
         generators = {base.key(n, idx) for n in range(base.top + 1)
@@ -385,6 +387,13 @@ class TestSemiCubical:
         F = helpers.weighted_torus_system()
         F.face[("t", 1, 0)] = IntMatrix.from_rows([[3]])
         assert any("face-face identity fails" in line for line in F.validate())
+
+    def test_unexpected_face_matrix_reported(self):
+        # a key the set has no face for is reported, not raised on
+        one = IntMatrix.identity(1)
+        F = SemiCubicalSystem(helpers.interval_semi(), {"a": 1, "b": 1, "e": 1},
+                              {("e", 1, 0): one, ("e", 1, 1): one, ("e", 2, 0): one})
+        assert F.validate() == ["unexpected face matrix ('e', 2, 0)"]
 
     def test_extension_is_functorial(self):
         F = helpers.weighted_torus_system()
