@@ -22,8 +22,8 @@ the set's own face commutation, with matrices as the sides' values.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import is_
+from itertools import groupby, repeat
+from operator import attrgetter, is_
 
 from .boxcat import cubical_identities, identity_failures
 from .cubset import (
@@ -31,6 +31,7 @@ from .cubset import (
     CubicalMap,
     PresentedCubicalSet,
     SemiCubicalSet,
+    _deletion_plan,
     universal_from_semicubical,
 )
 from .zlinalg import IntMatrix, det
@@ -225,26 +226,26 @@ def _generated_system(cls, base: CubesTable, gen_ranks: dict[str, int],
 
     The cube (g, epi) takes g's rank. Its face (i, eps) is the identity when
     epi deletes coordinate i, and g's matrix at (p, eps) when epi keeps i as
-    its p-th coordinate: that is the one face lookup resolving the operator.
-    Degeneracies are identities. Equal matrices are one shared object.
+    its p-th coordinate, with p read off the deletion plan of g's block, as
+    expand reads it. Degeneracies are identities. Equal matrices are one
+    shared object, and each generator matrix is resolved to it once.
     """
     eyes = {r: IntMatrix.identity(r) for r in set(gen_ranks.values())}
     shared = {eye: eye for eye in eyes.values()}
+    mats = {key: shared.setdefault(m, m) for key, m in gen_face_matrices.items()}
+    blocks = [[(g, eyes[gen_ranks[g]], _deletion_plan(n, next(run).gen_dim))
+               for g, run in groupby(level, attrgetter("gen"))]
+              for n, level in enumerate(base.elements)]
+    eye_columns = [tuple(eyes[gen_ranks[c.gen]] for c in level) for level in base.elements]
 
-    def face_of(c, i, eps):
-        kept = c.epi.tokens
-        if i not in kept:
-            return eyes[gen_ranks[c.gen]]
-        m = gen_face_matrices[(c.gen, kept.index(i) + 1, eps)]
-        return shared.setdefault(m, m)
+    def column(n, i, eps):
+        return tuple([mats[(g, p, eps)] if p else eye
+                      for g, eye, plan in blocks[n] for p, _ in plan.faces[i - 1]])
 
     ranks = {(n, idx): gen_ranks[c.gen]
              for n in range(base.top + 1) for idx, c in enumerate(base.elements[n])}
-    return cls(base, ranks,
-               {(n, i, eps): tuple(face_of(c, i, eps) for c in base.elements[n])
-                for n, i, eps in base.face},
-               {(m, i): tuple(eyes[gen_ranks[c.gen]] for c in base.elements[m])
-                for m, i in base.degen_map})
+    return cls(base, ranks, {op: column(*op) for op in base.face},
+               {(m, i): eye_columns[m] for m, i in base.degen_map})
 
 
 def _face_face_failures(X: PresentedCubicalSet, ranks: dict[str, int], face_matrices,
@@ -335,11 +336,15 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     ty = f.target.expand(top)
     tm = f.table_map(tx, ty)
     fibers = [[[] for _ in range(ty.size(n))] for n in range(top + 1)]
-    for n in range(top + 1):
-        for ix, iy in enumerate(tm[n]):
-            fibers[n][iy].append(ix)
-    ranks = {(n, iy): sum(F.rank_of(n, ix) for ix in fiber)
-             for n, level in enumerate(fibers) for iy, fiber in enumerate(level)}
+    place = []  # place[n][ix]: where the source cube ix of dim n sits in its fiber
+    for level, images in zip(fibers, tm):
+        place.append([])
+        for ix, iy in enumerate(images):
+            place[-1].append(len(level[iy]))
+            level[iy].append(ix)
+    sizes = [[[F.rank_of(n, ix) for ix in fiber] for fiber in level]
+             for n, level in enumerate(fibers)]
+    ranks = {(n, iy): sum(s) for n, level in enumerate(sizes) for iy, s in enumerate(level)}
 
     def column(n, dst, mats, in_x, in_y):
         """One block matrix per target cube of dim n, for an operator into dim dst.
@@ -347,15 +352,11 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
         mats is the operator's column in F, in_x and in_y its index columns
         in tx and ty.
         """
-        out = []
-        for iy, col_fiber in enumerate(fibers[n]):
-            row_fiber = fibers[dst][in_y[iy]]
-            row_pos = {ix: p for p, ix in enumerate(row_fiber)}
-            out.append(IntMatrix.from_blocks(
-                [F.rank_of(dst, ix) for ix in row_fiber],
-                [F.rank_of(n, ix) for ix in col_fiber],
-                [(row_pos[in_x[ix]], p, mats[ix], 1) for p, ix in enumerate(col_fiber)]))
-        return tuple(out)
+        at = place[dst]
+        return tuple(IntMatrix.from_blocks(sizes[dst][in_y[iy]], sizes[n][iy],
+                                           [(at[in_x[ix]], p, mats[ix], 1)
+                                            for p, ix in enumerate(fiber)])
+                     for iy, fiber in enumerate(fibers[n]))
 
     return ContravariantSystem(
         ty, ranks,
@@ -377,8 +378,10 @@ class SemiCubicalSystem:
         self.face = dict(face)
 
     def validate(self) -> list[str]:
-        report = []
+        """The problems of the set, else those of the ranks, shapes and face-face identities."""
         S = self.base
+        if report := S.validate():
+            return report
         for n, level in enumerate(S.levels):
             for name in level:
                 if name not in self.ranks:

@@ -2,14 +2,15 @@
 
 Two representations are used. A PresentedCubicalSet lists generators plus a
 face table; every cube of the set is then a pair (generator, deletion map),
-and a face of a cube takes at most one face-table lookup (_face_of). A
-CubesTable is the fully expanded, index-based form truncated at some
-dimension; category nerves live there. Products and fibers are one
-construction on tables, the fiber product: a product is taken over a point,
-and the fiber of a map over a cube y is taken against the table of the
-representable I^dim(y), whose cubes are the arrows into it (Grandis and
-Mauri, "Cubical sets and their site", TAC 11, 2003); the fiber criterion
-reads its pairs with no fiber table. Maps act on tables by index.
+and a face of a cube takes at most one face-table lookup, read off the
+cached plan of its deletion maps (_face_of, _deletion_plan). A CubesTable
+is the fully expanded, index-based form truncated at some dimension;
+category nerves live there. Products and fibers are one construction on
+tables, the fiber product: a product is taken over a point, and the fiber
+of a map over a cube y is taken against the table of the representable
+I^dim(y), whose cubes are the arrows into it (Grandis and Mauri, "Cubical
+sets and their site", TAC 11, 2003); the fiber criterion reads its pairs
+with no fiber table. Maps act on tables by index.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class PresentedCubicalSet:
             return report
         order = {g: p for p, g in enumerate(self.generators)}
         failures = self.face_face_failures(
-            lambda k, c, i, a: self._face_of(c.gen, c.epi.tokens, i, a),
+            lambda k, c, i, a: self._face_of(c.gen, c.epi, i, a),
             max(self.generators.values(), default=0))
         for g, detail, lhs, rhs in sorted(failures, key=lambda f: order[f[0]]):
             lhs, rhs = (Cube(h, CubeMorphism(self.generators[g] - 2, len(t), t)).key()
@@ -193,25 +194,25 @@ class PresentedCubicalSet:
         return [(cells[n][p], detail, lhs, rhs)
                 for _, n, p, detail, lhs, rhs in identity_failures(face_face, ends)]
 
-    def _face_of(self, gen: str, tokens: tuple[int, ...], i: int, eps: int):
-        """Face (i, eps) of the cube (gen, deletion map with these tokens), as (gen, tokens).
+    def _face_of(self, gen: str, epi: CubeMorphism, i: int, eps: int):
+        """Face (i, eps) of the cube (gen, epi), as (gen, tokens), read off _deletion_plan.
 
-        This is the one face rule of a presented set: expand tabulates it
-        and both validators check with it. If the deletion map drops
-        coordinate i, the face only renumbers it. If it keeps i as its p-th
-        coordinate, the face is the generator's face (p, eps) degenerated
-        along the deletion map less coordinate i.
+        This is the one face rule of a presented set: both validators check
+        with it, and expand writes the same plan entries block by block.
         """
-        rest = tuple(t - (t > i) for t in tokens if t != i)
-        if len(rest) == len(tokens):
-            return gen, rest
-        fc = self.face_cube(gen, tokens.index(i) + 1, eps)
-        return fc.gen, tuple(rest[t - 1] for t in fc.epi.tokens)
+        plan = _deletion_plan(epi.src_dim, epi.dst_dim)
+        p, rest = plan.faces[i - 1][plan.position[epi.tokens]]
+        if not p:
+            return gen, _deletion_plan(epi.src_dim - 1, epi.dst_dim).epis[rest].tokens
+        fc = self.face_cube(gen, p, eps)
+        return fc.gen, tuple([rest[t - 1] for t in fc.epi.tokens])
 
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables.
 
-        A table of more than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
+        Each level holds one block per generator, in _deletion_plan order,
+        and columns are written block by block. A table of more than
+        EXPANSION_CUBE_BUDGET cubes is refused before any is built.
         """
         if top < 0:
             raise ValueError("truncation must be nonnegative")
@@ -219,37 +220,71 @@ class PresentedCubicalSet:
         if cubes > EXPANSION_CUBE_BUDGET:
             raise ValueError(f"expanding to dimension {top} gives {cubes} cubes, more than "
                              f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
-        elements: list[list[Cube]] = []
+        keys, elements, degenerate = ([[] for _ in range(top + 1)] for _ in range(3))
+        offsets = [{} for _ in range(top + 1)]
         for n in range(top + 1):
-            level = []
             for g, k in self.generators.items():
-                if k > n:
-                    continue
-                for kept in combinations(range(1, n + 1), k):
-                    level.append(Cube(g, CubeMorphism(n, k, kept)))
-            elements.append(level)
-        index = [{(c.gen, c.epi.tokens): i for i, c in enumerate(level)} for level in elements]
-        faces = {}
+                if k <= n:
+                    plan = _deletion_plan(n, k)
+                    offsets[n][g] = len(elements[n])
+                    keys[n] += [f"{g}@{w}" for w in plan.wires]
+                    elements[n] += [Cube(g, e) for e in plan.epis]
+                    degenerate[n] += [n != k] * len(plan.epis)
+        faces, degen = {}, {}
         for n in range(1, top + 1):
+            below = offsets[n - 1]
+
+            def kept(g, p, rest, eps):
+                fc = self.faces[(g, p, eps)]
+                return below[fc.gen] + _deletion_plan(n - 1, fc.gen_dim).position[
+                    tuple([rest[t - 1] for t in fc.epi.tokens])]
+
+            blocks = [(g, k, _deletion_plan(n, k), below.get(g))
+                      for g, k in self.generators.items() if k <= n]
             for i in range(1, n + 1):
                 for eps in (0, 1):
-                    faces[(n, i, eps)] = tuple(
-                        index[n - 1][self._face_of(c.gen, c.epi.tokens, i, eps)]
-                        for c in elements[n])
-        degen = {}
-        for m in range(top):
-            for i in range(1, m + 2):
-                degen[(m, i)] = tuple(
-                    index[m + 1][(c.gen, tuple(t + (t >= i) for t in c.epi.tokens))]
-                    for c in elements[m])
-        return CubesTable(
-            top=top,
-            keys=[[c.key() for c in level] for level in elements],
-            elements=[list(level) for level in elements],
-            degenerate=[[c.is_degenerate() for c in level] for level in elements],
-            face=faces,
-            degen_map=degen,
-        )
+                    column = []
+                    for g, k, plan, start in blocks:
+                        column += [kept(g, p, rest, eps) if p else start + rest
+                                   for p, rest in plan.faces[i - 1]]
+                    faces[(n, i, eps)] = tuple(column)
+                degen[(n - 1, i)] = tuple(offsets[n][g] + q for g, k, plan, start in blocks
+                                          if k < n for q in plan.degens[i - 1])
+        return CubesTable(top, keys, elements, degenerate, faces, degen)
+
+
+_DeletionPlan = namedtuple("_DeletionPlan", "epis wires position faces degens")
+
+
+@lru_cache(maxsize=None)
+def _deletion_plan(n: int, k: int) -> _DeletionPlan:
+    """The deletion maps I^n -> I^k in combinations order, with their faces; one per (n, k).
+
+    epis and wires hold the maps and their epi_wire words, and position
+    maps a map's tokens to its place. faces[i - 1] holds, per map, the
+    face (p, rest) of (g, map) at coordinate i: p = 0 when the map deletes
+    i, and the face is g with the map at place rest of _deletion_plan(n -
+    1, k); else i is the map's p-th kept coordinate, and the face is g's
+    face (p, eps) degenerated along rest, the kept tokens less i,
+    renumbered. degens[i - 1][q] is the place of s_i of the map at place q
+    of _deletion_plan(n - 1, k). Tables share the maps and tuples.
+    """
+    epis = tuple(CubeMorphism(n, k, kept) for kept in combinations(range(1, n + 1), k))
+    position = {e.tokens: q for q, e in enumerate(epis)}
+    below = _deletion_plan(n - 1, k).position if n > k else {}
+    faces, degens = [], []
+    for i in range(1, n + 1):
+        column, up = [], [0] * len(below)
+        for q, e in enumerate(epis):
+            rest = tuple(t - (t > i) for t in e.tokens if t != i)
+            if len(rest) == k:
+                column.append((0, below[rest]))
+                up[below[rest]] = q
+            else:
+                column.append((e.tokens.index(i) + 1, rest))
+        faces.append(tuple(column))
+        degens.append(tuple(up))
+    return _DeletionPlan(epis, tuple(map(epi_wire, epis)), position, tuple(faces), tuple(degens))
 
 
 def degeneracy_masks(face, degen_map, sizes) -> list[list[int]]:
@@ -476,7 +511,7 @@ class CubicalMap:
                     fc = self.source.face_cube(g, i, eps)
                     img = self.assignment[fc.gen]
                     lhs = img.gen, tuple(fc.epi.tokens[t - 1] for t in img.epi.tokens)
-                    rhs = self.target._face_of(value.gen, value.epi.tokens, i, eps)
+                    rhs = self.target._face_of(value.gen, value.epi, i, eps)
                     if lhs != rhs:
                         lhs, rhs = (Cube(h, CubeMorphism(d - 1, len(t), t)).key()
                                     for h, t in (lhs, rhs))

@@ -4,7 +4,7 @@ Everything here is tiny enough to check by hand; homology values asserted in
 the test modules were computed on paper from these presentations.
 """
 
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from cubehom.boxcat import CubeMorphism, degeneracy, face, hom_set, identity
 from cubehom.catalg import STRING_BUDGET, CubeFunctor, FiniteCategory, chain_face
@@ -217,6 +217,90 @@ def reference_product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) 
                     col.append(pos[m + 1][(sa[ia], sb[ib])])
             degen[(m, i)] = tuple(col)
     return CubesTable(top, keys, elements, degenerate, faces, degen)
+
+
+def reference_expand(X: PresentedCubicalSet, top: int) -> CubesTable:
+    """X tabulated to top cube by cube, with no deletion plan.
+
+    Each face is found by token arithmetic on the cube's deletion map and
+    looked up by (generator, tokens), and each degeneracy inserts a
+    coordinate into the tokens. This is the loop PresentedCubicalSet.expand
+    ran before it read the deletion plan, kept as the reference its tables
+    are compared against.
+    """
+    def face_of(gen, tokens, i, eps):
+        rest = tuple(t - (t > i) for t in tokens if t != i)
+        if len(rest) == len(tokens):
+            return gen, rest
+        fc = X.face_cube(gen, tokens.index(i) + 1, eps)
+        return fc.gen, tuple(rest[t - 1] for t in fc.epi.tokens)
+
+    elements = []
+    for n in range(top + 1):
+        level = []
+        for g, k in X.generators.items():
+            if k > n:
+                continue
+            for kept in combinations(range(1, n + 1), k):
+                level.append(Cube(g, CubeMorphism(n, k, kept)))
+        elements.append(level)
+    index = [{(c.gen, c.epi.tokens): i for i, c in enumerate(level)} for level in elements]
+    faces = {}
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            for eps in (0, 1):
+                faces[(n, i, eps)] = tuple(
+                    index[n - 1][face_of(c.gen, c.epi.tokens, i, eps)]
+                    for c in elements[n])
+    degen = {}
+    for m in range(top):
+        for i in range(1, m + 2):
+            degen[(m, i)] = tuple(
+                index[m + 1][(c.gen, tuple(t + (t >= i) for t in c.epi.tokens))]
+                for c in elements[m])
+    return CubesTable(
+        top=top,
+        keys=[[c.key() for c in level] for level in elements],
+        elements=[list(level) for level in elements],
+        degenerate=[[c.is_degenerate() for c in level] for level in elements],
+        face=faces,
+        degen_map=degen,
+    )
+
+
+def reference_direct_image(f: CubicalMap, F: ContravariantSystem) -> ContravariantSystem:
+    """The direct image of F along f, each operator's block sizes and places found afresh.
+
+    Every block matrix re-reads the ranks and positions of its two fibers,
+    as coeff.direct_image did before it counted them once per target cube.
+    """
+    top = F.base.top
+    tx = F.base
+    ty = f.target.expand(top)
+    tm = f.table_map(tx, ty)
+    fibers = [[[] for _ in range(ty.size(n))] for n in range(top + 1)]
+    for n in range(top + 1):
+        for ix, iy in enumerate(tm[n]):
+            fibers[n][iy].append(ix)
+    ranks = {(n, iy): sum(F.rank_of(n, ix) for ix in fiber)
+             for n, level in enumerate(fibers) for iy, fiber in enumerate(level)}
+
+    def column(n, dst, mats, in_x, in_y):
+        out = []
+        for iy, col_fiber in enumerate(fibers[n]):
+            row_fiber = fibers[dst][in_y[iy]]
+            row_pos = {ix: p for p, ix in enumerate(row_fiber)}
+            out.append(IntMatrix.from_blocks(
+                [F.rank_of(dst, ix) for ix in row_fiber],
+                [F.rank_of(n, ix) for ix in col_fiber],
+                [(row_pos[in_x[ix]], p, mats[ix], 1) for p, ix in enumerate(col_fiber)]))
+        return tuple(out)
+
+    return ContravariantSystem(
+        ty, ranks,
+        {op: column(op[0], op[0] - 1, F.face[op], tx.face[op], ty.face[op]) for op in ty.face},
+        {op: column(op[0], op[0] + 1, F.degen[op], tx.degen_map[op], ty.degen_map[op])
+         for op in ty.degen_map})
 
 
 # The general contravariant action: a morphism is split into deletions after

@@ -25,7 +25,7 @@ from cubehom.coeff import (
 from cubehom import formats
 from cubehom.boxcat import identity
 from cubehom.catalg import cubical_nerve, factorization_category
-from cubehom.cubset import Cube, standard_cube, universal_from_semicubical
+from cubehom.cubset import Cube, SemiCubicalSet, standard_cube, universal_from_semicubical
 from cubehom.zlinalg import IntMatrix
 
 import helpers
@@ -333,6 +333,15 @@ class TestPullback:
         assert isinstance(G, CovariantSystem)
 
 
+DIRECT_IMAGE_MAPS = {
+    "fold_wedge": helpers.fold_wedge,
+    "collapse_torus": lambda: helpers.collapse_to_point(helpers.torus()),
+    "collapse_cube3": lambda: helpers.collapse_to_point(standard_cube(3)),
+    "identity_twisted_square": lambda: helpers.identity_map(helpers.twisted_square()),
+    "identity_squashed_square": lambda: helpers.identity_map(helpers.squashed_square()),
+}
+
+
 class TestDirectImage:
     def test_identity_direct_image_is_same(self):
         rng = random.Random(16)
@@ -366,6 +375,19 @@ class TestDirectImage:
         with pytest.raises(ValueError):
             direct_image(helpers.identity_map(helpers.circle()), F)
 
+    @pytest.mark.parametrize("name", sorted(DIRECT_IMAGE_MAPS))
+    @pytest.mark.parametrize("system", ["constant", "gauge"])
+    @pytest.mark.parametrize("top", range(5))
+    def test_matches_reference(self, name, system, top):
+        f = DIRECT_IMAGE_MAPS[name]()
+        F = (constant_system(f.source.expand(top), 2) if system == "constant"
+             else helpers.gauge_system(f.source, top, 2, random.Random(top)))
+        G, H = direct_image(f, F), helpers.reference_direct_image(f, F)
+        assert G.base.keys == H.base.keys
+        assert G.ranks == H.ranks
+        assert G.face == H.face
+        assert G.degen == H.degen
+
     def test_gauge_direct_image_functorial(self):
         rng = random.Random(17)
         F = helpers.gauge_system(helpers.fold_wedge().source, 2, 2, rng)
@@ -377,6 +399,13 @@ class TestSemiCubical:
     def test_weighted_torus_validates(self):
         F = helpers.weighted_torus_system()
         assert F.validate() == []
+
+    def test_set_problems_reported_first(self):
+        # a face naming an unknown cube is the set's problem, worded as the set words it
+        one = IntMatrix.identity(1)
+        S = SemiCubicalSet([["v"], ["e"]], {("e", 1, 0): "v", ("e", 1, 1): "nope"})
+        F = SemiCubicalSystem(S, {"v": 1, "e": 1}, {("e", 1, 0): one, ("e", 1, 1): one})
+        assert F.validate() == S.validate() == ["face (e,1,1) references unknown cube 'nope'"]
 
     def test_shape_mismatch_reported(self):
         F = helpers.weighted_torus_system()

@@ -30,6 +30,26 @@ def hom_count(m, n):
     return sum(comb(m, k) * comb(n, k) * 2 ** (n - k) for k in range(min(m, n) + 1))
 
 
+PRESENTED = {
+    "point": helpers.point, "interval": helpers.interval, "circle": helpers.circle,
+    "torus": helpers.torus, "twisted_square": helpers.twisted_square,
+    "squashed_square": helpers.squashed_square,
+    "wedge": lambda: universal_from_semicubical(helpers.wedge_semi()),
+    **{f"cube{d}": lambda d=d: standard_cube(d) for d in range(5)},
+}
+
+
+def assert_same_table(table, ref):
+    """Field by field: keys, each element's (gen, tokens, dim), flags and every column."""
+    assert table.top == ref.top
+    assert table.keys == ref.keys
+    assert [[(c.gen, c.epi.tokens, c.dim) for c in level] for level in table.elements] == \
+        [[(c.gen, c.epi.tokens, c.dim) for c in level] for level in ref.elements]
+    assert table.degenerate == ref.degenerate
+    assert list(table.face.items()) == list(ref.face.items())
+    assert list(table.degen_map.items()) == list(ref.degen_map.items())
+
+
 class TestStandardCube:
     def test_generator_counts(self):
         for n in range(4):
@@ -127,6 +147,32 @@ class TestExpansion:
     def test_over_budget_refused_up_front(self):
         # I^3 at top 64 would hold 964,600 cubes; I^6 at top 7 holds 34,232
         assert cubset.EXPANSION_CUBE_BUDGET >= 34232
+        with pytest.raises(ValueError, match="gives 964600 cubes, more than"):
+            standard_cube(3).expand(64)
+
+    @pytest.mark.parametrize("name", sorted(PRESENTED))
+    @pytest.mark.parametrize("top", range(6))
+    def test_tables_match_reference_expand(self, name, top):
+        X = PRESENTED[name]()
+        assert_same_table(X.expand(top), helpers.reference_expand(X, top))
+
+    def test_expansions_share_no_lists(self):
+        # tables may share the plan's tuples and deletion maps, never a list or dict
+        X = helpers.squashed_square()
+        first, second = X.expand(3), X.expand(3)
+        first.degenerate[2][0] = not first.degenerate[2][0]
+        first.keys[1].append("extra")
+        first.elements[0].clear()
+        first.face[(1, 1, 0)] = ()
+        first.degen_map.clear()
+        assert_same_table(second, helpers.reference_expand(X, 3))
+        assert_same_table(X.expand(3), helpers.reference_expand(X, 3))
+
+    def test_budget_refuses_before_any_plan(self, monkeypatch):
+        def no_plan(n, k):
+            raise AssertionError(f"deletion plan ({n}, {k}) built for a refused table")
+
+        monkeypatch.setattr(cubset, "_deletion_plan", no_plan)
         with pytest.raises(ValueError, match="gives 964600 cubes, more than"):
             standard_cube(3).expand(64)
 
