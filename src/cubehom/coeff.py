@@ -226,9 +226,9 @@ def _generated_system(cls, base: CubesTable, gen_ranks: dict[str, int],
 
     The cube (g, epi) takes g's rank. Its face (i, eps) is the identity when
     epi deletes coordinate i, and g's matrix at (p, eps) when epi keeps i as
-    its p-th coordinate, with p read off the deletion plan of g's block, as
-    expand reads it. Degeneracies are identities. Equal matrices are one
-    shared object, and each generator matrix is resolved to it once.
+    its p-th coordinate, with p read off the deletion plan of g's block, as expand reads
+    it, so base must be laid out as expand lays it out. Degeneracies are identities. Equal
+    matrices are one shared object, and each generator matrix is resolved to it once.
     """
     eyes = {r: IntMatrix.identity(r) for r in set(gen_ranks.values())}
     shared = {eye: eye for eye in eyes.values()}
@@ -236,6 +236,10 @@ def _generated_system(cls, base: CubesTable, gen_ranks: dict[str, int],
     blocks = [[(g, eyes[gen_ranks[g]], _deletion_plan(n, next(run).gen_dim))
                for g, run in groupby(level, attrgetter("gen"))]
               for n, level in enumerate(base.elements)]
+    if any([(c.gen, c.epi.tokens) for c in level]
+           != [(g, e.tokens) for g, _, plan in row for e in plan.epis]
+           for level, row in zip(base.elements, blocks)):
+        raise ValueError("base is not laid out as expand lays out a presented set")
     eye_columns = [tuple(eyes[gen_ranks[c.gen]] for c in level) for level in base.elements]
 
     def column(n, i, eps):
@@ -331,8 +335,7 @@ def direct_image(f: CubicalMap, F: ContravariantSystem):
     """
     if F.variance != "contravariant":
         raise ValueError("direct image is only defined for contravariant systems")
-    top = F.base.top
-    tx = F.base
+    top, tx = F.base.top, F.base
     ty = f.target.expand(top)
     tm = f.table_map(tx, ty)
     fibers = [[[] for _ in range(ty.size(n))] for n in range(top + 1)]

@@ -2,15 +2,14 @@
 
 Two representations are used. A PresentedCubicalSet lists generators plus a
 face table; every cube of the set is then a pair (generator, deletion map),
-and a face of a cube takes at most one face-table lookup, read off the
-cached plan of its deletion maps (_face_of, _deletion_plan). A CubesTable
-is the fully expanded, index-based form truncated at some dimension;
-category nerves live there. Products and fibers are one construction on
-tables, the fiber product: a product is taken over a point, and the fiber
-of a map over a cube y is taken against the table of the representable
-I^dim(y), whose cubes are the arrows into it (Grandis and Mauri, "Cubical
-sets and their site", TAC 11, 2003); the fiber criterion reads its pairs
-with no fiber table. Maps act on tables by index.
+and a face of a cube takes at most one face-table lookup (_plan_face). A
+CubesTable is the fully expanded, index-based form truncated at some
+dimension; category nerves live there. Products and fibers are one
+construction on tables, the fiber product: a product is taken over a point,
+and the fiber of a map over a cube y is taken against the table of the
+representable I^dim(y), whose cubes are the arrows into it (Grandis and
+Mauri, "Cubical sets and their site", TAC 11, 2003); the fiber criterion
+reads its pairs with no fiber table. Maps act on tables by index.
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ class PresentedCubicalSet:
             return report
         order = {g: p for p, g in enumerate(self.generators)}
         failures = self.face_face_failures(
-            lambda k, c, i, a: self._face_of(c.gen, c.epi, i, a),
+            lambda k, c, i, a: self._face_of(c.gen, c.epi.tokens, i, a),
             max(self.generators.values(), default=0))
         for g, detail, lhs, rhs in sorted(failures, key=lambda f: order[f[0]]):
             lhs, rhs = (Cube(h, CubeMorphism(self.generators[g] - 2, len(t), t)).key()
@@ -194,25 +193,21 @@ class PresentedCubicalSet:
         return [(cells[n][p], detail, lhs, rhs)
                 for _, n, p, detail, lhs, rhs in identity_failures(face_face, ends)]
 
-    def _face_of(self, gen: str, epi: CubeMorphism, i: int, eps: int):
-        """Face (i, eps) of the cube (gen, epi), as (gen, tokens), read off _deletion_plan.
+    def _face_of(self, gen: str, tokens: tuple[int, ...], i: int, eps: int):
+        """Face (i, eps) of the cube (gen, deletion map with these tokens), as (gen, tokens).
 
-        This is the one face rule of a presented set: both validators check
-        with it, and expand writes the same plan entries block by block.
+        Both validators check with it; it applies _plan_face to one cube and builds no plan.
         """
-        plan = _deletion_plan(epi.src_dim, epi.dst_dim)
-        p, rest = plan.faces[i - 1][plan.position[epi.tokens]]
+        p, rest = _plan_face(tokens, i)
         if not p:
-            return gen, _deletion_plan(epi.src_dim - 1, epi.dst_dim).epis[rest].tokens
+            return gen, rest
         fc = self.face_cube(gen, p, eps)
-        return fc.gen, tuple([rest[t - 1] for t in fc.epi.tokens])
+        return fc.gen, tuple(rest[t - 1] for t in fc.epi.tokens)
 
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables.
 
-        Each level holds one block per generator, in _deletion_plan order,
-        and columns are written block by block. A table of more than
-        EXPANSION_CUBE_BUDGET cubes is refused before any is built.
+        A table of more than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
         """
         if top < 0:
             raise ValueError("truncation must be nonnegative")
@@ -243,14 +238,22 @@ class PresentedCubicalSet:
                       for g, k in self.generators.items() if k <= n]
             for i in range(1, n + 1):
                 for eps in (0, 1):
-                    column = []
-                    for g, k, plan, start in blocks:
-                        column += [kept(g, p, rest, eps) if p else start + rest
-                                   for p, rest in plan.faces[i - 1]]
-                    faces[(n, i, eps)] = tuple(column)
+                    faces[(n, i, eps)] = tuple([kept(g, p, rest, eps) if p else start + rest
+                                                for g, k, plan, start in blocks
+                                                for p, rest in plan.faces[i - 1]])
                 degen[(n - 1, i)] = tuple(offsets[n][g] + q for g, k, plan, start in blocks
                                           if k < n for q in plan.degens[i - 1])
         return CubesTable(top, keys, elements, degenerate, faces, degen)
+
+
+def _plan_face(tokens: tuple[int, ...], i: int):
+    """The one face rule: face i of the cube (g, tokens) is (p, rest), tokens less i renumbered.
+
+    p = 0 when the tokens delete i, and the face is (g, rest); else i is the
+    p-th kept coordinate, and the face is g's face (p, eps) degenerated along rest.
+    """
+    rest = tuple(t - (t > i) for t in tokens if t != i)
+    return (0 if len(rest) == len(tokens) else tokens.index(i) + 1), rest
 
 
 _DeletionPlan = namedtuple("_DeletionPlan", "epis wires position faces degens")
@@ -260,14 +263,11 @@ _DeletionPlan = namedtuple("_DeletionPlan", "epis wires position faces degens")
 def _deletion_plan(n: int, k: int) -> _DeletionPlan:
     """The deletion maps I^n -> I^k in combinations order, with their faces; one per (n, k).
 
-    epis and wires hold the maps and their epi_wire words, and position
-    maps a map's tokens to its place. faces[i - 1] holds, per map, the
-    face (p, rest) of (g, map) at coordinate i: p = 0 when the map deletes
-    i, and the face is g with the map at place rest of _deletion_plan(n -
-    1, k); else i is the map's p-th kept coordinate, and the face is g's
-    face (p, eps) degenerated along rest, the kept tokens less i,
-    renumbered. degens[i - 1][q] is the place of s_i of the map at place q
-    of _deletion_plan(n - 1, k). Tables share the maps and tuples.
+    epis and wires hold the maps and their epi_wire words; position maps tokens to
+    places. faces[i - 1] holds each map's _plan_face at i, rest being a place of
+    _deletion_plan(n - 1, k) when p = 0; degens[i - 1][q] is the place of s_i of
+    that plan's map q. Tables share the maps and tuples. Only expand, which is
+    budget-checked, and coeff on its tables read plans; single faces use _plan_face.
     """
     epis = tuple(CubeMorphism(n, k, kept) for kept in combinations(range(1, n + 1), k))
     position = {e.tokens: q for q, e in enumerate(epis)}
@@ -276,12 +276,11 @@ def _deletion_plan(n: int, k: int) -> _DeletionPlan:
     for i in range(1, n + 1):
         column, up = [], [0] * len(below)
         for q, e in enumerate(epis):
-            rest = tuple(t - (t > i) for t in e.tokens if t != i)
-            if len(rest) == k:
-                column.append((0, below[rest]))
-                up[below[rest]] = q
-            else:
-                column.append((e.tokens.index(i) + 1, rest))
+            p, rest = _plan_face(e.tokens, i)
+            if not p:
+                rest = below[rest]
+                up[rest] = q
+            column.append((p, rest))
         faces.append(tuple(column))
         degens.append(tuple(up))
     return _DeletionPlan(epis, tuple(map(epi_wire, epis)), position, tuple(faces), tuple(degens))
@@ -511,7 +510,7 @@ class CubicalMap:
                     fc = self.source.face_cube(g, i, eps)
                     img = self.assignment[fc.gen]
                     lhs = img.gen, tuple(fc.epi.tokens[t - 1] for t in img.epi.tokens)
-                    rhs = self.target._face_of(value.gen, value.epi, i, eps)
+                    rhs = self.target._face_of(value.gen, value.epi.tokens, i, eps)
                     if lhs != rhs:
                         lhs, rhs = (Cube(h, CubeMorphism(d - 1, len(t), t)).key()
                                     for h, t in (lhs, rhs))

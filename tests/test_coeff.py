@@ -25,7 +25,13 @@ from cubehom.coeff import (
 from cubehom import formats
 from cubehom.boxcat import identity
 from cubehom.catalg import cubical_nerve, factorization_category
-from cubehom.cubset import Cube, SemiCubicalSet, standard_cube, universal_from_semicubical
+from cubehom.cubset import (
+    Cube,
+    CubesTable,
+    SemiCubicalSet,
+    standard_cube,
+    universal_from_semicubical,
+)
 from cubehom.zlinalg import IntMatrix
 
 import helpers
@@ -44,6 +50,16 @@ class TestConstant:
         base = helpers.point().expand(1)
         F = constant_system(base, 0)
         assert validate_functoriality(F) == []
+
+    def test_base_not_laid_out_as_expand_rejected(self):
+        # the face matrices are read off expand's block layout, so a table
+        # with the same cubes in another order is refused, not misread
+        X = helpers.torus()
+        t = X.expand(2)
+        elements = [level[::-1] for level in t.elements]
+        base = CubesTable(t.top, t.keys, elements, t.degenerate, t.face, t.degen_map)
+        with pytest.raises(ValueError, match="base is not laid out as expand lays out"):
+            local_system(X, base, 2, helpers.gauge_matrices(X, 2, random.Random(4)))
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,31 @@ class TestExpansion:
         with pytest.raises(ValueError, match="gives 964600 cubes, more than"):
             standard_cube(3).expand(64)
 
+    def test_validators_build_no_plan(self, monkeypatch):
+        # Generators twelve dimensions above their faces' generator: a plan
+        # for (23, 12) alone holds comb(23, 12) maps, and single faces must
+        # not build one.
+        def no_plan(n, k):
+            raise AssertionError(f"deletion plan ({n}, {k}) built to validate")
+
+        def cone(g, below, d):
+            return {(g, j, b): Cube(below, CubeMorphism(d - 1, 0, ()))
+                    for j in range(1, d + 1) for b in (0, 1)}
+
+        monkeypatch.setattr(cubset, "_deletion_plan", no_plan)
+        faces = cone("h", "p", 12)
+        faces.update({("g", j, b): Cube("h", CubeMorphism(23, 12, tuple(range(1, 13))))
+                      for j in range(1, 25) for b in (0, 1)})
+        report = PresentedCubicalSet({"p": 0, "h": 12, "g": 24}, faces).validate()
+        assert report[0].startswith("face commutation fails on generator 'g' at (i=1, j=14,")
+        target = PresentedCubicalSet({"p": 0, "h": 12}, cone("h", "p", 12))
+        f = CubicalMap(PresentedCubicalSet({"q": 0, "s": 24}, cone("s", "q", 24)), target,
+                       {"q": Cube("p", identity(0)),
+                        "s": Cube("h", CubeMorphism(24, 12, tuple(range(1, 13))))})
+        assert f.validate()[0] == ("naturality fails on generator 's' at (i=13, eps=0): "
+                                   "p@del:" + ",".join(map(str, range(1, 24)))
+                                   + " != h@del:" + ",".join(map(str, range(13, 24))))
+
     def test_validate_catches_tampered_flag(self):
         table = helpers.interval().expand(1)
         idx = table.nondegenerate_indices(1)[0]
