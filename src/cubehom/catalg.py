@@ -2,19 +2,19 @@
 
 A cube of the nerve is a functor from the poset {0,1}^n, held as a tuple of
 vertex labels and a tuple of edge labels in the fixed order of _points(n)
-and _cube_edges(n). Other modules read a label by its point or its edge
-through CubeFunctor.vertex and CubeFunctor.edge, so only this module knows
-that order. Faces and degeneracies gather those tuples through position
-maps computed once per operator, and each key string is built once per cube
-from one template per dimension. Level n is grown from level n-1 by the
-exponential law applied twice (Mac Lane, Categories for the Working
-Mathematician, 1971): an n-cube is a commuting square of (n-2)-cubes, found
-as a join of its four faces in directions 1 and 2, which are then its face
-columns there. A level that would hold more than NERVE_LABEL_BUDGET labels
-is refused on the Eilenberg-Zilber count of its degenerate cubes before it
-is searched, and on the cubes found while it is. The normalized string
-complex, of non-identity morphisms, refuses a degree past STRING_BUDGET
-strings while it is built.
+and _cube_edges(n). Other modules read a label by its point or its edge,
+through CubeFunctor.vertex and .edge or at its CubeFunctor.position, so only
+this module knows that order. Faces and degeneracies gather those tuples
+through position maps computed once per operator, and each key string is
+built once per cube from one template per dimension. Level n is grown from
+level n-1 by the exponential law applied twice (Mac Lane, Categories for the
+Working Mathematician, 1971): an n-cube is a commuting square of
+(n-2)-cubes, found as a join of its four faces in directions 1 and 2, which
+are then its face columns there. A level that would hold more than
+NERVE_LABEL_BUDGET labels is refused on the Eilenberg-Zilber count of its
+degenerate cubes before it is searched, and on the cubes found while it is.
+The normalized string complex, of non-identity morphisms, refuses a degree
+past STRING_BUDGET strings while it is built.
 """
 
 from collections import namedtuple
@@ -314,12 +314,17 @@ class CubeFunctor:
     def edges(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], str]:
         return dict(zip(_cube_edges(self.dim), self.edge_labels))
 
+    @staticmethod
+    def position(n: int, p, q=None) -> int:
+        """Where an n-cube holds the label of point p, or of the edge p -> q, in its tuples."""
+        return _positions(n)[0][tuple(p)] if q is None else _positions(n)[1][(tuple(p), tuple(q))]
+
     def vertex(self, point) -> str:
-        return self.vertex_labels[_positions(self.dim)[0][tuple(point)]]
+        return self.vertex_labels[self.position(self.dim, point)]
 
     def edge(self, p, q) -> str:
         """Morphism name on the edge from point p up to point q, one coordinate apart."""
-        return self.edge_labels[_positions(self.dim)[1][(tuple(p), tuple(q))]]
+        return self.edge_labels[self.position(self.dim, p, q)]
 
     def face(self, i: int, eps: int) -> "CubeFunctor":
         """Restrict to the sub-cube with coordinate i frozen at eps."""

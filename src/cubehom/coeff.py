@@ -458,10 +458,11 @@ class FiniteDiagram:
         for obj in C.objects:
             if self.matrices[C.identity_of(obj)] != IntMatrix.identity(self.ranks[obj]):
                 report.append(f"identity of {obj} is not the identity matrix")
-        for g, (gs, gd) in C.morphisms.items():
-            for h, (hs, hd) in C.morphisms.items():
-                if gd != hs:
-                    continue
+        leaving = {}  # the morphisms out of each object, in C.morphisms order
+        for h, (hs, _) in C.morphisms.items():
+            leaving.setdefault(hs, []).append(h)
+        for g, (_, gd) in C.morphisms.items():
+            for h in leaving.get(gd, ()):
                 comp = C.compose(h, g)
                 if self.matrices[comp] != self.matrices[h] * self.matrices[g]:
                     report.append(f"composition fails: {h} after {g} is {comp} "
@@ -477,17 +478,18 @@ def system_from_diagram_last_vertex(C, F: FiniteDiagram, N: CubesTable) -> Contr
     there; face (i, 0) ends one edge below it in direction i, and its matrix
     is the diagram's matrix on that edge, read in the opposite category.
     Degeneracies keep the final vertex, so their matrices are identities,
-    one shared matrix per rank.
+    one shared matrix per rank. Labels are read at one CubeFunctor.position.
     """
-    last = [[x.vertex((1,) * n) for x in N.elements[n]] for n in range(N.top + 1)]
+    from .catalg import CubeFunctor
+    last = [[x.vertex_labels[k] for x in level] for n, level in enumerate(N.elements)
+            for k in [CubeFunctor.position(n, (1,) * n)]]
     ranks = {(n, idx): F.rank_of(v) for n, level in enumerate(last) for idx, v in enumerate(level)}
     identities = [tuple(F.matrix(C.identity_of(v)) for v in level) for level in last]
 
     def column(n, i, eps):
         ones = (1,) * n
-        below = ones[:i - 1] + (0,) + ones[i:]
-        return identities[n] if eps else tuple(F.matrix(x.edge(below, ones))
-                                               for x in N.elements[n])
+        k = CubeFunctor.position(n, ones[:i - 1] + (0,) + ones[i:], ones)
+        return identities[n] if eps else tuple([F.matrix(x.edge_labels[k]) for x in N.elements[n]])
 
     eyes = {r: IntMatrix.identity(r) for r in set(ranks.values())}
     return ContravariantSystem(
@@ -505,12 +507,19 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
     diagonal beta as v . alpha . u, with alpha the face's diagonal and one
     of u, v an edge in direction i (u out of the first vertex for eps = 1, v
     into the final vertex for eps = 0), the other an identity. Its matrix
-    is the diagram's matrix on "alpha|beta|u|v".
+    is the diagram's matrix on "alpha|beta|u|v", looked up once per distinct
+    arrow, and a degeneracy's is the one on "beta|beta|1|1".
     """
-    diagonals = [[C.identity_of(x.vertex(())) for x in N.elements[0]]]
+    from .catalg import CubeFunctor
+    ids, found = {obj: C.identity_of(obj) for obj in C.objects}, {}
+    ends = [[[ids[x.vertex_labels[k]] for x in level]  # identities at first and final vertices
+             for k in (CubeFunctor.position(n, (0,) * n), CubeFunctor.position(n, (1,) * n))]
+            for n, level in enumerate(N.elements)]
+    diagonals = [ends[0][0]]
     for n in range(1, N.top + 1):
         ones = (1,) * n
-        diagonals.append([C.compose(x.edge(ones[:-1] + (0,), ones), diagonals[n - 1][f])
+        k = CubeFunctor.position(n, ones[:-1] + (0,), ones)
+        diagonals.append([C.compose(x.edge_labels[k], diagonals[n - 1][f])
                           for x, f in zip(N.elements[n], N.face[(n, n, 0)])])
     ranks = {(n, idx): G.rank_of(d)
              for n, level in enumerate(diagonals) for idx, d in enumerate(level)}
@@ -518,13 +527,14 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
     def column(n, i, eps):
         zeros, ones = (0,) * n, (1,) * n
         up, down = zeros[:i - 1] + (1,) + zeros[i:], ones[:i - 1] + (0,) + ones[i:]
-        out = []
-        for x, beta, f in zip(N.elements[n], diagonals[n], N.face[(n, i, eps)]):
-            u, v = ((x.edge(zeros, up), C.identity_of(x.vertex(ones))) if eps
-                    else (C.identity_of(x.vertex(zeros)), x.edge(down, ones)))
-            out.append(G.matrix(f"{diagonals[n - 1][f]}|{beta}|{u}|{v}"))
-        return tuple(out)
+        k = CubeFunctor.position(n, zeros, up) if eps else CubeFunctor.position(n, down, ones)
+        edge, (first, last) = [x.edge_labels[k] for x in N.elements[n]], ends[n]
+        keys = list(zip(map(diagonals[n - 1].__getitem__, N.face[(n, i, eps)]), diagonals[n],
+                        edge if eps else first, last if eps else edge))
+        found.update({key: G.matrix("%s|%s|%s|%s" % key) for key in set(keys).difference(found)})
+        return tuple(map(found.__getitem__, keys))
 
-    identities = [tuple(G.matrix(G.category.identity_of(d)) for d in level) for level in diagonals]
-    return CovariantSystem(N, ranks, {op: column(*op) for op in N.face},
-                           {(m, i): identities[m] for m, i in N.degen_map})
+    face = {op: column(*op) for op in N.face}
+    # face (1, 0) of s_1 x is x along identity edges: its arrow is (1, 1) on x's diagonal
+    eyes = [tuple(map(face[(m + 1, 1, 0)].__getitem__, N.degen_map[(m, 1)])) for m in range(N.top)]
+    return CovariantSystem(N, ranks, face, {(m, i): eyes[m] for m, i in N.degen_map})

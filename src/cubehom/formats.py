@@ -531,6 +531,8 @@ def parse_diagram(data, C: FiniteCategory) -> FiniteDiagram:
         if obj not in C.objects:
             raise FormatError(f"diagram: rank for unknown object {obj!r}")
         ranks[obj] = _int(r, f"rank of {obj!r}")
+        if r < 0:
+            raise FormatError(f"diagram: rank of {obj!r} is {r}, must be nonnegative")
     matrices = {}
     for name, rows in _field(data, "matrices", dict, "diagram").items():
         if name not in C.morphisms:

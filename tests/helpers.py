@@ -1030,6 +1030,42 @@ def reference_natural_system(C, G: FiniteDiagram, N: CubesTable) -> CovariantSys
         {(m, i): identities[m] for m, i in N.degen_map})
 
 
+def reference_diagram_report(F: FiniteDiagram) -> list:
+    """FiniteDiagram.validate with its composition check over all pairs of morphisms.
+
+    Every pair (g, h) is visited in C.morphisms order and skipped unless h
+    starts where g ends, so the report lists the same lines in the same
+    order as the indexed check of coeff.
+    """
+    report = []
+    C = F.category
+    for obj in C.objects:
+        if obj not in F.ranks:
+            report.append(f"missing rank for object {obj}")
+    for name, (src, dst) in C.morphisms.items():
+        if name not in F.matrices:
+            report.append(f"missing matrix for morphism {name}")
+        elif src in F.ranks and dst in F.ranks:
+            m = F.matrices[name]
+            if (m.rows, m.cols) != (F.ranks[dst], F.ranks[src]):
+                report.append(f"matrix for {name} has shape {m.rows}x{m.cols}, "
+                              f"expected {F.ranks[dst]}x{F.ranks[src]}")
+    if report:
+        return report
+    for obj in C.objects:
+        if F.matrices[C.identity_of(obj)] != IntMatrix.identity(F.ranks[obj]):
+            report.append(f"identity of {obj} is not the identity matrix")
+    for g, (gs, gd) in C.morphisms.items():
+        for h, (hs, hd) in C.morphisms.items():
+            if gd != hs:
+                continue
+            comp = C.compose(h, g)
+            if F.matrices[comp] != F.matrices[h] * F.matrices[g]:
+                report.append(f"composition fails: {h} after {g} is {comp} "
+                              f"but matrices disagree")
+    return report
+
+
 def numbered_diagram(C):
     """Rank-1 diagram, not functorial, with the matrix [k + 2] on the k-th morphism by name.
 

@@ -404,6 +404,25 @@ class TestDiagramValidate:
         F = FiniteDiagram(pt, {"pt": 1}, {"pt_pt": IntMatrix.from_rows([[-1]])})
         assert any("identity" in p for p in F.validate())
 
+    def test_report_matches_all_pairs_loop(self):
+        # validate visits only composable pairs, through an index of the
+        # morphisms by source; the all-pairs loop of tests/helpers must give
+        # the same lines in the same order, on numbered diagrams and on
+        # constant ones with one matrix changed in value or in shape
+        categories = all_fixture_categories() + [helpers.idempotent_monoid(),
+                                                 factorization_category(helpers.square_poset())]
+        for C in categories:
+            numbered, constant = helpers.numbered_diagram(C), helpers.constant_diagram(C)
+            cases = [numbered]
+            for name in C.morphisms:
+                for F, m in ((numbered, IntMatrix.from_rows([[1]])),
+                             (constant, IntMatrix.from_rows([[-1]])),
+                             (constant, IntMatrix.from_rows([[1, 0]]))):
+                    cases.append(FiniteDiagram(C, F.ranks, {**F.matrices, name: m}))
+            for F in cases:
+                assert F.validate() == helpers.reference_diagram_report(F)
+            assert any(F.validate() for F in cases[1:])
+
 
 class TestCubeFunctor:
     def tautological_square(self):
@@ -800,6 +819,56 @@ class TestNerveSystemsMatchPathWalks:
         G = helpers.numbered_diagram(factorization_category(C))
         self.assert_same(natural_system_via_d(C, G, N),
                          helpers.reference_natural_system(C, G, N), G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_transformation_categories(), st.integers(0, 3))
+    def test_random_transformation_categories(self, C, top):
+        # parallel arrows and endomorphisms; nerves the label budget refuses,
+        # or too large for the path walks to be quick, are drawn again
+        assume(len(C.morphisms) <= 6)
+        try:
+            N = cubical_nerve(C, top)
+        except ValueError as refusal:
+            assert "the budget of one level" in str(refusal)
+            N = None
+        assume(N is not None and N.size(top) <= 1500)
+        F = helpers.numbered_diagram(C.op())
+        self.assert_same(system_from_diagram_last_vertex(C, F, N),
+                         helpers.reference_last_vertex_system(C, F, N), F)
+        G = helpers.numbered_diagram(factorization_category(C))
+        self.assert_same(natural_system_via_d(C, G, N),
+                         helpers.reference_natural_system(C, G, N), G)
+
+    def test_labels_read_by_position_and_each_arrow_looked_up_once(self, monkeypatch):
+        # both builders read labels at positions fixed per level and operator,
+        # never one cube's label by its point or its edge, and the natural
+        # system looks up each arrow's matrix once, however many face entries
+        # share it
+        C = helpers.square_poset()
+        N = cubical_nerve(C, 3)
+        F = helpers.numbered_diagram(C.op())
+        G = helpers.numbered_diagram(factorization_category(C))
+        want_f = helpers.reference_last_vertex_system(C, F, N)
+        want_g = helpers.reference_natural_system(C, G, N)
+
+        def refuse(*args):
+            raise AssertionError("a label was read by its point or its edge")
+
+        monkeypatch.setattr(CubeFunctor, "vertex", refuse)
+        monkeypatch.setattr(CubeFunctor, "edge", refuse)
+        self.assert_same(system_from_diagram_last_vertex(C, F, N), want_f, F)
+        looked_up = []
+
+        class Spy(dict):
+            def __getitem__(self, name):
+                looked_up.append(name)
+                return super().__getitem__(name)
+
+        G.matrices = Spy(G.matrices)
+        got = natural_system_via_d(C, G, N)
+        self.assert_same(got, want_g, G)
+        assert len(looked_up) == len(set(looked_up)) > 0
+        assert len(looked_up) < sum(len(col) for col in got.face.values()) / 10
 
 
 class TestComparisons:

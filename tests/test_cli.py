@@ -197,6 +197,26 @@ class TestRejections:
         with pytest.raises(FormatError, match="shape"):
             formats.parse_diagram(data, C)
 
+    def test_negative_diagram_rank(self, tmp_path, capsys):
+        # the rank itself is refused, before any matrix is checked against it,
+        # by every command that reads a diagram
+        C = FiniteCategory(["a"], {"ia": ("a", "a")}, {("ia", "ia"): "ia"}, {"a": "ia"})
+        cat = write(tmp_path, "cat.json", formats.category_to_data(C))
+        on_c = write(tmp_path, "on-c.json",
+                     {"type": "diagram", "ranks": {"a": -1}, "matrices": {"ia": []}})
+        on_fc = write(tmp_path, "on-fc.json",
+                      {"type": "diagram", "ranks": {"ia": -1}, "matrices": {"ia|ia|ia|ia": []}})
+        for argv, obj in ((["validate", "--category", cat, "--diagram", on_c], "a"),
+                          (["cat-homology", "--category", cat, "--diagram", on_c,
+                            "--max-dim", "1"], "a"),
+                          (["compare", "--contract", "homolcatcub", "--category", cat,
+                            "--diagram", on_c, "--max-dim", "1"], "a"),
+                          (["compare", "--contract", "homolbwcub", "--category", cat,
+                            "--diagram", on_fc, "--max-dim", "1"], "ia")):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"parse error: diagram: rank of {obj!r} is -1, must be nonnegative\n"), argv
+
     def test_ragged_matrix(self):
         C = helpers.cyclic2_monoid()
         data = {"type": "diagram", "ranks": {"o": 2},
