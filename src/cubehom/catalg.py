@@ -554,8 +554,9 @@ def bw_cohomology_cubical(C: FiniteCategory, G: FiniteDiagram,
 
 def bw_cohomology_oracle(C: FiniteCategory, G: FiniteDiagram,
                          max_dim: int) -> tuple[HomologyGroup, ...]:
-    """The same groups from the decomposition category's string complex."""
-    return category_cohomology(factorization_category(C), G, max_dim)
+    """The same groups from the string complex of G's category, which must be
+    the decomposition category of C (reused here, not built again)."""
+    return category_cohomology(G.category, G, max_dim)
 
 
 def bw_comparison(C: FiniteCategory, G: FiniteDiagram,

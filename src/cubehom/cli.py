@@ -12,9 +12,9 @@ import sys
 from functools import lru_cache
 
 from . import formats
-from .catalg import (bw_cohomology_cubical, bw_cohomology_oracle, category_cohomology,
-                     category_homology, cubical_nerve, factorization_category,
-                     nerve_vs_bar_comparison)
+from .catalg import (bw_cohomology_cubical, bw_cohomology_oracle, bw_comparison,
+                     category_cohomology, category_homology, cubical_nerve,
+                     factorization_category, nerve_vs_bar_comparison)
 from .coeff import (check_generator_matrices, direct_image, extend_semicubical, is_local,
                     pullback_system, validate_functoriality)
 from .cubset import product, pullback_fiber, universal_from_semicubical
@@ -257,9 +257,8 @@ def cmd_compare(args) -> int:
         C = _load(formats.parse_category, args.category)
         bw = contract == "homolbwcub"
         D = _load(formats.parse_diagram, args.diagram, factorization_category(C) if bw else C.op())
-        left, right = ((bw_cohomology_cubical(C, D, args.max_dim),
-                        category_cohomology(D.category, D, args.max_dim))
-                       if bw else nerve_vs_bar_comparison(C, D, args.max_dim))
+        report = (bw_comparison if bw else nerve_vs_bar_comparison)(C, D, args.max_dim)
+        left, right = report.cubical, report.categorical
         labels = ("cubical", "oracle" if bw else "categorical")
         kind = "cohomology" if bw else kind
     print(f"{labels[0]}: {formats.format_groups(left, kind)}")

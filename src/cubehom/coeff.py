@@ -531,7 +531,8 @@ def natural_system_via_d(C, G: FiniteDiagram, N: CubesTable) -> CovariantSystem:
         edge, (first, last) = [x.edge_labels[k] for x in N.elements[n]], ends[n]
         keys = list(zip(map(diagonals[n - 1].__getitem__, N.face[(n, i, eps)]), diagonals[n],
                         edge if eps else first, last if eps else edge))
-        found.update({key: G.matrix("%s|%s|%s|%s" % key) for key in set(keys).difference(found)})
+        found.update({key: G.matrix("%s|%s|%s|%s" % key)
+                      for key in dict.fromkeys(keys) if key not in found})
         return tuple(map(found.__getitem__, keys))
 
     face = {op: column(*op) for op in N.face}
