@@ -76,6 +76,8 @@ def _load_system(path, base, presented=None, top=None):
     F = formats.build_system(data, base, presented)
     if data["type"] == "table-system":
         _check(F.base.validate())
+        if F.base is not base:
+            raise ValueError("table-system base does not match the given table")
         _check(validate_functoriality(F))
     return base, F
 

@@ -332,10 +332,6 @@ class CubesTable:
     def face_index(self, n: int, i: int, eps: int, idx: int) -> int:
         return self.face[(n, i, eps)][idx]
 
-    def degeneracy_index(self, m: int, i: int, idx: int) -> int:
-        """Index at dimension m+1 of the i-th degeneracy of cube idx at dimension m."""
-        return self.degen_map[(m, i)][idx]
-
     def nondegenerate_indices(self, n: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degenerate[n]) if not d)
 
@@ -625,35 +621,15 @@ def _representable(d: int, top: int) -> tuple[CubesTable, list[list[int]]]:
     return cube, cube.degeneracy_masks()
 
 
-class FiberSource:
-    """What every fiber of f at one truncation reads; a sweep builds it once.
+def fiber_source(f: CubicalMap, top: int, ty: CubesTable):
+    """The leg (table, images, masks) of f's source in its fibers at truncation top.
 
-    table is the source tabulated up to top and target the target tabulated
-    at least that far. images[k][ix] is the target index of f applied to
-    source cube ix of dimension k, and masks the table's degeneracy_masks().
-    """
-
-    __slots__ = ("table", "target", "images", "masks")
-
-    def __init__(self, table: CubesTable, target: CubesTable, images: list[tuple[int, ...]]):
-        self.table = table
-        self.target = target
-        self.images = images
-        self.masks = table.degeneracy_masks()
-
-
-def fiber_source(f: CubicalMap, top: int, target: CubesTable = None) -> FiberSource:
-    """The source of f tabulated up to top, with the target index of every image.
-
-    target is the target's table, at least up to top; it is expanded here
-    when not given. Every fiber of f at truncation top reads the result, so
-    a sweep over fibers computes it once.
+    table is the source tabulated up to top, images[k][ix] the index in ty,
+    the target's table up to top or beyond, of f applied to the k-cube ix,
+    and masks is table.degeneracy_masks(); a sweep computes the leg once.
     """
     tx = f.source.expand(top)
-    ty = f.target.expand(top) if target is None else target
-    if ty.top < top:
-        raise ValueError(f"target table stops at {ty.top}, fibers need {top}")
-    return FiberSource(tx, ty, f.table_map(tx, ty))
+    return tx, f.table_map(tx, ty), tx.degeneracy_masks()
 
 
 def _over_cube(ty: CubesTable, d: int, iy: int, top: int):
@@ -676,23 +652,17 @@ def _over_cube(ty: CubesTable, d: int, iy: int, top: int):
     return cube, y_alpha, cube_masks
 
 
-def pullback_fiber(f: CubicalMap, y: Cube, top: int, *, source: FiberSource = None) -> CubesTable:
+def pullback_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
     """The fiber of f over the single cube y, tabulated up to dimension top.
 
     It is the pullback of f along the map I^d -> Y that picks y, d = dim y:
     a k-cube is a pair (x, alpha) with x a k-cube of the source and
     alpha: I^k -> I^d satisfying f(x) = y.alpha, keyed "x;alpha". y.alpha
     is read off the target's columns by _over_cube, and _pullback pairs the
-    source's table with the table of I^d. source is fiber_source(f, top),
-    built here when not given.
+    source's leg (fiber_source) with the table of I^d.
     """
-    d = y.dim
-    if source is None:
-        source = fiber_source(f, top, f.target.expand(max(top, d)))
-    tx, ty = source.table, source.target
-    if tx.top != top:
-        raise ValueError(f"source table stops at {tx.top}, fiber needs {top}")
-    iy = ty.index[d].get(y.key()) if d <= ty.top else None
+    ty = f.target.expand(max(top, y.dim))
+    iy = ty.index[y.dim].get(y.key())
     if iy is None:
         raise ValueError(f"{y!r} is not a cube of the target's table")
-    return _pullback((tx, source.images, source.masks), _over_cube(ty, d, iy, top), ";")
+    return _pullback(fiber_source(f, top, ty), _over_cube(ty, y.dim, iy, top), ";")

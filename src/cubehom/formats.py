@@ -307,12 +307,12 @@ def cubes_table_to_data(T: CubesTable) -> dict:
 def parse_table_system(data, base: CubesTable | None = None):
     """Read a table-system document; the base table is embedded or supplied.
 
-    When both are present the embedded table must carry the same keys as the
-    supplied one, so that documents cannot silently retarget a computation.
-    The document names cubes by key; the system holds one column per operator
-    of base, with the matrix of each cube at its index. A matrix the document
-    leaves out stays None in its column, a hole that validate_functoriality
-    reports.
+    When both are present the embedded table must carry the supplied one's
+    keys; the supplied table is kept if every column agrees, else the caller
+    refuses the embedded one after validating it. The document names cubes
+    by key; the system holds one column per operator of base, with the
+    matrix of each cube at its index. A matrix the document leaves out
+    stays None in its column, a hole that validate_functoriality reports.
     """
     _check_type(data, "table-system")
     variance = _field(data, "variance", str, "table-system")
@@ -322,7 +322,9 @@ def parse_table_system(data, base: CubesTable | None = None):
         embedded = parse_cubes_table(data["base"])
         if base is not None and embedded.keys != base.keys:
             raise ValueError("table-system base does not match the given table")
-        base = embedded
+        if base is None or (embedded.degenerate, embedded.face, embedded.degen_map) != (
+                base.degenerate, base.face, base.degen_map):
+            base = embedded
     if base is None:
         raise FormatError("table-system: no base table embedded or supplied")
 

@@ -288,18 +288,18 @@ class FiberCriterionReport(namedtuple("FiberCriterionReport", "passed rows")):
     __slots__ = ()
 
 
-def _fiber_row(source, n: int, iy: int, max_dim: int, top: int) -> FiberRow:
-    """Homology of the fiber over the n-cube iy of the target, from the cells of X x_Y I^n.
+def _fiber_row(source, ty: CubesTable, n: int, iy: int, max_dim: int, top: int) -> FiberRow:
+    """Homology of the fiber over the n-cube iy of ty, from the cells of X x_Y I^n.
 
-    The cells are the non-degenerate pairs of pullback_fiber's table, in
-    its order, and face (i, eps) of a pair is the pair of faces (i, eps),
-    so the complex is _local_complex's with a rank-1 constant system. Its
-    degenerate-chain guard is vacuous, as every matrix is one 1 x 1
-    identity; cell_complex still checks d . d = 0.
+    source is fiber_source's leg over ty. The cells are the non-degenerate
+    pairs of pullback_fiber's table, in its order, and face (i, eps) of a
+    pair is the pair of faces (i, eps), so the complex is _local_complex's
+    with a rank-1 constant system. Its degenerate-chain guard is vacuous, as
+    every matrix is one 1 x 1 identity; cell_complex still checks d . d = 0.
     """
-    tx, masks = source.table, source.masks
-    cube, alphas, cube_masks = _over_cube(source.target, n, iy, top)
-    cells = [[(x, a) for x, a in _equal_pairs(source.images[k], alphas[k])
+    tx, images, masks = source
+    cube, alphas, cube_masks = _over_cube(ty, n, iy, top)
+    cells = [[(x, a) for x, a in _equal_pairs(images[k], alphas[k])
               if not masks[k][x] & cube_masks[k][a]] for k in range(top + 1)]
     one = IntMatrix.identity(1)
     cx = cell_complex(cells, [[1] * len(level) for level in cells], lambda k: (
@@ -307,7 +307,7 @@ def _fiber_row(source, n: int, iy: int, max_dim: int, top: int) -> FiberRow:
         for p, (x, a) in enumerate(cells[k]) for i in range(1, k + 1) for eps in (0, 1)))
     groups = homology_of_complex(cx.truncate(max_dim + 1))
     expected = tuple(HomologyGroup(1 if d == 0 else 0, ()) for d in range(max_dim + 1))
-    return FiberRow(n, source.target.key(n, iy), groups, groups == expected)
+    return FiberRow(n, ty.key(n, iy), groups, groups == expected)
 
 
 def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionReport:
@@ -328,6 +328,6 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
         _representable(top, top)
     ty = f.target.expand(top)
     source = fiber_source(f, top, ty)
-    rows = tuple(_fiber_row(source, n, iy, max_dim, top)
+    rows = tuple(_fiber_row(source, ty, n, iy, max_dim, top)
                  for n in range(ty.top + 1) for iy in range(ty.size(n)))
     return FiberCriterionReport(all(r.ok for r in rows), rows)

@@ -1264,6 +1264,16 @@ class TestCommands:
             "face commutation fails on generator 'q' at (i=1, j=2, alpha=0, beta=1): u@ != v@\n"
             "face commutation fails on generator 'q' at (i=1, j=2, alpha=1, beta=0): v@ != u@\n")
 
+    @pytest.mark.parametrize("generators, faces, report", [
+        ({"v": -1}, {}, "generator 'v' has negative dimension -1"),
+        ({"v": 0, "e": 1}, {"e": {"1,0": "v@", "1,1": "v@", "2,0": "v@"}},
+         "unexpected face entry ('e', 2, 0)"),
+    ], ids=["negative-dim", "unexpected-entry"])
+    def test_validate_structural_report(self, tmp_path, capsys, generators, faces, report):
+        broken = write(tmp_path, "broken.json",
+                       {"type": "cubical-set", "generators": generators, "faces": faces})
+        assert run(capsys, "validate", "--set", broken) == (1, report)
+
     def test_validate_unnatural_map(self, tmp_path, capsys):
         # the square projected onto its second coordinate on cxx only
         data = formats.cubical_map_to_data(helpers.square_to_interval())
@@ -1739,6 +1749,40 @@ class TestExitCodes:
             assert main(["validate", *argv]) == 1, argv
             assert capsys.readouterr().out == report, argv
 
+    def test_table_system_on_the_source(self, tmp_path, capsys):
+        # a table-system on the source's own expansion gives what the
+        # constant-system document gives: the command keeps its own table,
+        # not the parsed base, whose elements are keys the map cannot act on
+        f = helpers.collapse_to_point(helpers.interval())
+        fmap = write(tmp_path, "map.json", formats.cubical_map_to_data(f))
+        table = write(tmp_path, "ts.json",
+                      formats.table_system_to_data(constant_system(f.source.expand(2), 1)))
+        for command in (["direct-image", "--truncate", "2"],
+                        ["compare", "--contract", "dirhomol", "--max-dim", "1"]):
+            outs = [run(capsys, *command, "--map", fmap, "--system", system)
+                    for system in (table, const_doc(tmp_path))]
+            assert outs[0][0] == 0, command
+            assert outs[0] == outs[1], command
+
+    def test_table_system_on_another_table_refused(self, tmp_path, capsys):
+        # the interval's expansion to 1 with the two face columns swapped is
+        # a sound table with the same keys, but not the table the command
+        # expanded, so a system on it is refused after the base's own check
+        X = helpers.interval()
+        data = formats.table_system_to_data(constant_system(X.expand(1), 1))
+        faces = data["base"]["faces"]
+        faces["1,1,0"], faces["1,1,1"] = faces["1,1,1"], faces["1,1,0"]
+        swapped = write(tmp_path, "swapped.json", data)
+        interval = write(tmp_path, "interval.json", formats.cubical_set_to_data(X))
+        fmap = write(tmp_path, "map.json",
+                     formats.cubical_map_to_data(helpers.collapse_to_point(X)))
+        for argv in (["validate", "--set", interval],
+                     ["homology", "--set", interval, "--max-dim", "0"],
+                     ["direct-image", "--map", fmap, "--truncate", "1"]):
+            assert main([*argv, "--system", swapped]) == 1, argv
+            assert capsys.readouterr().err == \
+                "error: table-system base does not match the given table\n", argv
+
     def test_validate_truncation_reaches_every_generator(self, tmp_path, capsys):
         # By default validate expands --set to its largest generator
         # dimension, or to the top of the system's embedded base, so it sees
@@ -1829,7 +1873,7 @@ class TestExitCodes:
             for eps in (0, 1):
                 del cut["faces"][f"3,{i},{eps}"][gone]
             for idx, key in enumerate(X.keys[2]):
-                if X.degeneracy_index(2, i, idx) == 0:
+                if X.degen_map[(2, i)][idx] == 0:
                     del cut["degens"][f"2,{i}"][key]
         system = write(tmp_path, "cut.json", cut)
         for argv in (["--table", table, "--system", system],

@@ -15,7 +15,6 @@ from cubehom.cubset import (
     SemiCubicalSet,
     epi_from_wire,
     epi_wire,
-    fiber_source,
     product,
     pullback_fiber,
     standard_cube,
@@ -286,6 +285,11 @@ class TestApply:
             == Cube("v", identity(0))
 
 
+# a loop e at the vertex v, which the structural cases alter one entry at a time
+LOOP = {"v": 0, "e": 1}
+LOOP_FACES = {("e", 1, 0): Cube("v", identity(0)), ("e", 1, 1): Cube("v", identity(0))}
+
+
 class TestValidateNegatives:
     def test_missing_face_entry(self):
         X = PresentedCubicalSet({"v": 0, "e": 1}, {("e", 1, 0): Cube("v", identity(0))})
@@ -321,6 +325,21 @@ class TestValidateNegatives:
     def test_bad_generator_name(self):
         X = PresentedCubicalSet({"a b": 0}, {})
         assert any("a b" in line for line in X.validate())
+
+    @pytest.mark.parametrize("gens, faces, report", [
+        ({"v": -1}, {}, "generator 'v' has negative dimension -1"),
+        (LOOP, {**LOOP_FACES, ("e", 2, 0): Cube("v", identity(0))},
+         "unexpected face entry ('e', 2, 0)"),
+        (LOOP, {**LOOP_FACES, ("e", 1, 0): Cube("w", identity(0))},
+         "face (e,1,0) references unknown generator 'w'"),
+        (LOOP, {**LOOP_FACES, ("e", 1, 0): Cube("v", CubeMorphism(0, 1, (0,)))},
+         "face (e,1,0) has a malformed deletion map"),
+        (LOOP, {**LOOP_FACES, ("e", 1, 0): Cube("e", identity(1))},
+         "face (e,1,0) has dimension 1, expected 0"),
+    ], ids=["negative-dim", "unexpected-entry", "unknown-generator", "malformed-deletion",
+            "wrong-dim"])
+    def test_structural_reports(self, gens, faces, report):
+        assert PresentedCubicalSet(gens, faces).validate() == [report]
 
     def test_semicubical_dangling_face(self):
         S = SemiCubicalSet([["v"], ["e"]],
@@ -446,6 +465,18 @@ class TestCubicalMap:
         f = CubicalMap(X, X, {"a": Cube("a", identity(0))})
         assert any("no value assigned" in line for line in f.validate())
 
+    @pytest.mark.parametrize("assignment, report", [
+        ({"a": Cube("a", identity(0)), "b": Cube("b", identity(0)), "e": Cube("e", identity(1)),
+          "z": Cube("a", identity(0))}, "value assigned to unknown generator 'z'"),
+        ({"a": Cube("a", identity(0)), "b": Cube("w", identity(0)), "e": Cube("e", identity(1))},
+         "value of 'b' references unknown target generator 'w'"),
+        ({"a": Cube("a", identity(0)), "b": Cube("b", identity(0)), "e": Cube("a", identity(0))},
+         "value of 'e' has dimension 0, expected 1"),
+    ], ids=["unknown-source-generator", "unknown-target-generator", "wrong-dim"])
+    def test_assignment_reports(self, assignment, report):
+        X = helpers.interval()
+        assert CubicalMap(X, X, assignment).validate() == [report]
+
     def test_table_map_commutes_with_faces(self):
         f = helpers.fold_wedge()
         tx = f.source.expand(2)
@@ -567,13 +598,10 @@ class TestPullbackFiber:
         # face inclusions, projections and partial collapses between cubes
         f = representable_map(phi)
         assert f.validate() == []
-        source = fiber_source(f, top)
         for n in range(top + 1):
             for y in f.target.expand(top).elements[n]:
-                want = table_parts(helpers.reference_fiber(f, y, top))
                 fib = pullback_fiber(f, y, top)
-                assert table_parts(fib) == want
-                assert table_parts(pullback_fiber(f, y, top, source=source)) == want
+                assert table_parts(fib) == table_parts(helpers.reference_fiber(f, y, top))
                 assert fib.validate() == []
 
     @pytest.mark.parametrize("top", (1, 2, 3))
@@ -581,27 +609,17 @@ class TestPullbackFiber:
     def test_tables_match_reference(self, name, top):
         f = FIBER_MAPS[name]
         assert f.validate() == []
-        source = fiber_source(f, top)
-        ty = f.target.expand(top)
         for n in range(top + 1):
-            for y in ty.elements[n]:
+            for y in f.target.expand(top).elements[n]:
                 want = table_parts(helpers.reference_fiber(f, y, top))
                 assert table_parts(pullback_fiber(f, y, top)) == want
-                assert table_parts(pullback_fiber(f, y, top, source=source)) == want
-
-    def test_source_of_other_truncation_refused(self):
-        f = helpers.identity_map(standard_cube(1))
-        with pytest.raises(ValueError):
-            pullback_fiber(f, Cube("cx", identity(1)), 2, source=fiber_source(f, 3))
 
     def test_tables_that_miss_the_cube_refused(self):
         f = helpers.identity_map(standard_cube(2))
-        y = Cube("cxx", identity(2))
         with pytest.raises(ValueError, match="not a cube of the target's table"):
-            pullback_fiber(f, y, 1, source=fiber_source(f, 1))
-        with pytest.raises(ValueError, match="target table stops at 1"):
-            fiber_source(f, 2, f.target.expand(1))
-        # without a source the target is expanded as far as the cube needs
+            pullback_fiber(f, Cube("cyy", identity(2)), 2)
+        # the target is expanded as far as the cube needs, past top
+        y = Cube("cxx", identity(2))
         fib = pullback_fiber(f, y, 1)
         assert table_parts(fib) == table_parts(helpers.reference_fiber(f, y, 1))
 

@@ -223,7 +223,7 @@ class TestLocalReference:
         # new matrix among them has its own id and is tested on its own
         X = standard_cube(2).expand(3)
         x = X.nondegenerate_indices(1)[:2]
-        z = [X.degeneracy_index(1, 1, e) for e in x]
+        z = [X.degen_map[(1, 1)][e] for e in x]
         refusal = "boundary does not preserve degenerate chains at dimension 2"
         for value, refused in (([[-1]], True), ([[1]], False)):
             F = constant_system(X, 1)

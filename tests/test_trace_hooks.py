@@ -1,10 +1,12 @@
-"""The perfbench tracer's hooks still resolve and still count.
+"""The perfbench tracer's hooks still resolve and still count, and its jobs still pass.
 
 Traced benchmark runs look up every (owner, name) of perfbench/worker.py
 LAYERS with getattr, and their counter hooks read program objects such as
 a system's ranks. A rename or a storage change that breaks either would
-otherwise show only when the benchmark runs. The worker module is imported
-as it is, from perfbench/ on sys.path.
+otherwise show only when the benchmark runs, as would a change that breaks
+perfbench/gen.py's imports or a job's exact stdout, so each workload's job
+also runs here once. The worker and generator modules are imported as they
+are, from perfbench/ on sys.path.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from cubehom import cli, formats
 from cubehom.cubset import standard_cube
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 import worker  # noqa: E402
 
 
@@ -27,6 +30,13 @@ def write(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
+def test_benchmark_job_prints_its_expected_stdout(tmp_path, workload):
+    # one job per workload from seed 1's documents, run as the worker runs it
+    argv = gen.generate(workload, 1, str(tmp_path))
+    assert worker.run_job(argv, worker.EXPECTED[workload])[1]
 
 
 def test_every_layer_resolves():
