@@ -143,13 +143,7 @@ def cubical_identities(top: int) -> tuple:
     both act on one coordinate. Within a family entries run by n, then in
     the order of detail, which names the instance as reports print it.
     """
-    out = []
-    for n in range(2, top + 1):
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                for a, b in product((0, 1), repeat=2):
-                    out.append(("face-face", n, f"i={i}, j={j}, alpha={a}, beta={b}",
-                                ((n, j, b), (n - 1, i, a)), ((n, i, a), (n - 1, j - 1, b))))
+    out = [e for n in range(2, top + 1) for e in face_face_identities(n)]
     for m in range(top - 1):
         for j in range(1, m + 2):
             for i in range(1, j + 1):
@@ -162,6 +156,15 @@ def cubical_identities(top: int) -> tuple:
             out.append(("face-degeneracy", m, f"i={i}, j={j}, eps={eps}",
                         ((m, j), (m + 1, i, eps)), rhs))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def face_face_identities(n: int) -> tuple:
+    """The face-face entries of cubical_identities at dimension n, in report order."""
+    return tuple(("face-face", n, f"i={i}, j={j}, alpha={a}, beta={b}",
+                  ((n, j, b), (n - 1, i, a)), ((n, i, a), (n - 1, j - 1, b)))
+                 for i in range(1, n) for j in range(i + 1, n + 1)
+                 for a, b in product((0, 1), repeat=2))
 
 
 def identity_failures(entries, ends) -> list:

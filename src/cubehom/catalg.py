@@ -491,46 +491,34 @@ def factorization_category(C: FiniteCategory) -> FiniteCategory:
     """Category of two-sided decompositions: objects are the morphisms of C.
 
     An arrow from alpha to beta is a pair (u, v) with beta = v . alpha . u,
-    named "alpha|beta|u|v"; pairs compose by stacking on both sides. Such
-    names would collide if a morphism name of C held the bar, so that is
-    refused.
+    named "alpha|beta|u|v": one per u into the source of alpha and v out of
+    its target, ordered by alpha, beta, then the places of u and v in C.
+    Pairs compose by stacking on both sides. Such names would collide if a
+    morphism name of C held the bar, so that is refused.
     """
     objects = sorted(C.morphisms)
     for name in objects:
         if "|" in name:
             raise ValueError(f"morphism name {name!r} contains '|', which "
                              f"separates the parts of factorization arrow names")
-    parts = {}
-    morphisms = {}
-    for alpha in objects:
-        a_src, a_dst = C.morphisms[alpha]
-        for beta in objects:
-            b_src, b_dst = C.morphisms[beta]
-            for u, (u_src, u_dst) in C.morphisms.items():
-                if (u_src, u_dst) != (b_src, a_src):
-                    continue
-                for v, (v_src, v_dst) in C.morphisms.items():
-                    if (v_src, v_dst) != (a_dst, b_dst):
-                        continue
-                    if C.compose(v, C.compose(alpha, u)) == beta:
-                        name = f"{alpha}|{beta}|{u}|{v}"
-                        morphisms[name] = (alpha, beta)
-                        parts[name] = (u, v)
-    identities = {}
-    for alpha in objects:
-        src, dst = C.morphisms[alpha]
-        identities[alpha] = (f"{alpha}|{alpha}|{C.identity_of(src)}"
-                             f"|{C.identity_of(dst)}")
+    by_source, by_target = {}, {}
+    for name, (src, dst) in C.morphisms.items():
+        by_source.setdefault(src, []).append(name)
+        by_target.setdefault(dst, []).append(name)
+    # listed by alpha, u, v: the stable sort by (alpha, beta) keeps u and v in C's order
+    arrows = sorted(((alpha, C.compose(v, C.compose(alpha, u)), u, v) for alpha in objects
+                     for u in by_target.get(C.source(alpha), ())
+                     for v in by_source.get(C.target(alpha), ())), key=lambda a: a[:2])
+    morphisms = {"|".join(a): a[:2] for a in arrows}
+    starts = {}
+    for name, a in zip(morphisms, arrows):
+        starts.setdefault(a[0], []).append((name, a))
+    identities = {alpha: f"{alpha}|{alpha}|{C.identity_of(C.source(alpha))}"
+                  f"|{C.identity_of(C.target(alpha))}" for alpha in objects}
     composition = {}
-    for name1, (alpha, beta) in morphisms.items():
-        u1, v1 = parts[name1]
-        for name2, (beta2, gamma) in morphisms.items():
-            if beta2 != beta:
-                continue
-            u2, v2 = parts[name2]
-            composition[(name2, name1)] = (f"{alpha}|{gamma}|"
-                                           f"{C.compose(u1, u2)}|"
-                                           f"{C.compose(v2, v1)}")
+    for name1, (alpha, beta, u1, v1) in zip(morphisms, arrows):
+        for name2, (_, gamma, u2, v2) in starts.get(beta, ()):
+            composition[(name2, name1)] = f"{alpha}|{gamma}|{C.compose(u1, u2)}|{C.compose(v2, v1)}"
     return FiniteCategory(objects, morphisms, composition, identities)
 
 

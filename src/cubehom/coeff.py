@@ -61,12 +61,6 @@ class _TableSystem:
     def rank_of(self, n: int, idx: int) -> int:
         return self.ranks[(n, idx)]
 
-    def face_matrix(self, n: int, i: int, eps: int, idx: int) -> IntMatrix:
-        return self.face[(n, i, eps)][idx]
-
-    def degen_matrix(self, m: int, i: int, idx: int) -> IntMatrix:
-        return self.degen[(m, i)][idx]
-
 
 class ContravariantSystem(_TableSystem):
     """Face matrix at x maps the value on x to the value on the face."""

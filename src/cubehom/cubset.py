@@ -15,7 +15,7 @@ reads its pairs with no fiber table. Maps act on tables by index.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +26,7 @@ from .boxcat import (
     cubical_identities,
     degeneracy,
     face,
+    face_face_identities,
     hom_set,
     identity,
     identity_failures,
@@ -103,10 +104,6 @@ class PresentedCubicalSet:
         if name not in self.generators:
             raise ValueError(f"unknown generator {name!r}")
         return self.generators[name]
-
-    def cube_count(self, n: int) -> int:
-        """Cubes of dimension n: comb(n, k) per k-dimensional generator, one per deletion map."""
-        return sum(comb(n, k) for k in self.generators.values())
 
     def face_cube(self, gen: str, i: int, eps: int) -> Cube:
         try:
@@ -189,7 +186,7 @@ class PresentedCubicalSet:
             (_, j, b), (_, i, a) = path
             return [side((g, j, b), self.faces[(g, j, b)], i, a) for g in cells[n]]
 
-        face_face = [e for e in cubical_identities(top) if e[0] == "face-face"]
+        face_face = [e for n, level in enumerate(cells) if level for e in face_face_identities(n)]
         return [(cells[n][p], detail, lhs, rhs)
                 for _, n, p, detail, lhs, rhs in identity_failures(face_face, ends)]
 
@@ -207,11 +204,12 @@ class PresentedCubicalSet:
     def expand(self, top: int) -> "CubesTable":
         """Tabulate all cubes of dimension 0..top with face and degeneracy tables.
 
-        A table of more than EXPANSION_CUBE_BUDGET cubes is refused before any is built.
+        A table of more than EXPANSION_CUBE_BUDGET cubes is refused before any is built, on
+        a count in closed form: comb(top + 1, k + 1) cubes per k-dimensional generator.
         """
         if top < 0:
             raise ValueError("truncation must be nonnegative")
-        cubes = sum(self.cube_count(n) for n in range(top + 1))
+        cubes = sum(comb(top + 1, k + 1) for k in self.generators.values())
         if cubes > EXPANSION_CUBE_BUDGET:
             raise ValueError(f"expanding to dimension {top} gives {cubes} cubes, more than "
                              f"{EXPANSION_CUBE_BUDGET}, the budget of one table")
@@ -323,15 +321,6 @@ class CubesTable:
     def key(self, n: int, idx: int) -> str:
         return self.keys[n][idx]
 
-    def element(self, n: int, idx: int):
-        return self.elements[n][idx]
-
-    def is_degenerate(self, n: int, idx: int) -> bool:
-        return self.degenerate[n][idx]
-
-    def face_index(self, n: int, i: int, eps: int, idx: int) -> int:
-        return self.face[(n, i, eps)][idx]
-
     def nondegenerate_indices(self, n: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degenerate[n]) if not d)
 
@@ -368,7 +357,7 @@ class CubesTable:
                   in identity_failures(cubical_identities(self.top), self._ends)]
         for n, masks in enumerate(self.degeneracy_masks()):
             for idx, mask in enumerate(masks):
-                flag = self.is_degenerate(n, idx)
+                flag = self.degenerate[n][idx]
                 if flag != bool(mask):
                     report.append(
                         f"degeneracy tag mismatch at dim {n} cube {self.key(n, idx)}: "
@@ -583,9 +572,13 @@ def product(A: PresentedCubicalSet, B: PresentedCubicalSet, top: int) -> CubesTa
     """The product A x B tabulated up to top, keyed "a|b".
 
     It is the fiber product of the two tables over a point, so a pair is
-    degenerate iff the two deletion maps share a deleted coordinate.
+    degenerate iff the two deletion maps share a deleted coordinate. Generators
+    of dimensions k and l give comb(n, k) comb(n, l), the sum over m of comb(n, m)
+    comb(m, k) comb(k, m - l), n-cubes, counted to top with comb(top + 1, m + 1).
     """
-    cubes = sum(A.cube_count(n) * B.cube_count(n) for n in range(top + 1))
+    da, db = (Counter(X.generators.values()).items() for X in (A, B))
+    cubes = sum(p * q * comb(m, k) * comb(k, m - l) * comb(top + 1, m + 1)
+                for k, p in da for l, q in db for m in range(max(k, l), min(k + l, top) + 1))
     if cubes > EXPANSION_CUBE_BUDGET:
         raise ValueError(f"the product to dimension {top} has {cubes} cubes, more than "
                          f"{EXPANSION_CUBE_BUDGET}, the budget of one table")

@@ -33,24 +33,6 @@ def _check_base(X: CubesTable, F, variance: str = "") -> None:
                          f"{variance} coefficients")
 
 
-def _signed_faces(X: CubesTable, F, n: int, z: int, rows) -> dict:
-    """The raw boundary of cube z at dimension n as {face cube index: (block, sign)}.
-
-    Faces on a cube w with rows[w] == 0 are left out. Faces that land on the
-    same cube are summed into one block of sign 1, so that each block is
-    multiplied once by the projections of _normalize.
-    """
-    terms = {}
-    for i in range(1, n + 1):
-        for eps in (0, 1):
-            w = X.face_index(n, i, eps, z)
-            if rows[w]:
-                terms.setdefault(w, []).append((F.face_matrix(n, i, eps, z), (-1) ** (i + eps)))
-    return {w: t[0] if len(t) == 1 else (IntMatrix.from_blocks(
-                [t[0][0].rows], [t[0][0].cols], [(0, 0, d, s) for d, s in t]), 1)
-            for w, t in terms.items()}
-
-
 class ComplexBuildReport(namedtuple("ComplexBuildReport", "complex blocks")):
     """A normalized FreeChainComplex plus the per-cube maps relating it to the raw one.
 
@@ -93,11 +75,20 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
     sizes = [[p.rows for p, _ in level] for level in blocks]
 
     def faces(n):
+        cols = [(X.face[(n, i, eps)], F.face[(n, i, eps)], (-1) ** (i + eps))
+                for i in range(1, n + 1) for eps in (0, 1)]
         for z in range(X.size(n)):
-            for w, (d, sign) in _signed_faces(X, F, n, z, sizes[n - 1]).items():
+            terms = {}
+            for index, mats, sign in cols:
+                if sizes[n - 1][index[z]]:
+                    terms.setdefault(index[z], []).append((mats[z], sign))
+            for w, t in terms.items():
+                # faces on one cube are summed: P_w multiplies each once, the guard tests the sum
+                d, sign = t[0] if len(t) == 1 else (IntMatrix.from_blocks(
+                    [t[0][0].rows], [t[0][0].cols], [(0, 0, m, s) for m, s in t]), 1)
                 pd = blocks[n - 1][w][0] * d if arrivals[n - 1][w] else d
                 for i, x in arrivals[n][z]:
-                    if not (pd * F.degen_matrix(n - 1, i, x)).is_zero():
+                    if not (pd * F.degen[(n - 1, i)][x]).is_zero():
                         raise ValueError(
                             f"boundary does not preserve degenerate chains at dimension {n}")
                 if sizes[n][z]:
@@ -107,7 +98,7 @@ def _normalize(X: CubesTable, F) -> ComplexBuildReport:
 
 
 def _cokernel_pair(X: CubesTable, F, n: int, z: int, arriving):
-    mats = [F.degen_matrix(n - 1, i, x) for i, x in arriving]
+    mats = [F.degen[(n - 1, i)][x] for i, x in arriving]
     span = IntMatrix.from_blocks([F.rank_of(n, z)], [m.cols for m in mats],
                                  [(0, p, m, 1) for p, m in enumerate(mats)])
     pres = cokernel_projection(span)
@@ -127,9 +118,9 @@ def _local_complex(X: CubesTable, F) -> ComplexBuildReport:
     CubesTable.validate at load): d_i^eps s_i = id, and d_j^eps s_i x is
     degenerate for j != i. So a degenerate z has a face with rows only when
     z = s_i x for x non-degenerate of non-zero rank: x, by (i, 0) and (i, 1)
-    with opposite signs. There the guard of _normalize is F.face(n, i, 0, z)
-    * F.degen(n-1, i, x) == F.face(n, i, 1, z) * F.degen(n-1, i, x), tested
-    once per distinct triple of matrix objects.
+    with opposite signs. There the guard of _normalize is F.face[(n, i, 0)][z]
+    * F.degen[(n - 1, i)][x] == F.face[(n, i, 1)][z] * F.degen[(n - 1, i)][x],
+    tested once per distinct triple of matrix objects.
     """
     _check_base(X, F, "contravariant")
     cells = [X.nondegenerate_indices(n) for n in range(X.top + 1)]

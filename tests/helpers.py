@@ -30,6 +30,7 @@ from cubehom.zlinalg import (
     FreeChainComplex,
     IntMatrix,
     assemble_blocks,
+    cokernel_projection,
     _reduce,
     _smith_factors,
     solve_exact,
@@ -772,6 +773,41 @@ NERVE_FIXTURES = {"point": point_category, "arrow": arrow_category,
 # Zisman, 1967, Appendix 2), so the two are compared against each other.
 
 
+def reference_factorization(C: FiniteCategory) -> FiniteCategory:
+    """The factorization category of C, by scanning every (alpha, beta, u, v).
+
+    An arrow alpha -> beta is a pair (u, v) of morphisms of C with beta =
+    v . alpha . u, found by trying every u and v with the right endpoints;
+    two arrows compose when the target of one is the source of the other,
+    found by trying every pair.
+    """
+    objects = sorted(C.morphisms)
+    parts, morphisms = {}, {}
+    for alpha in objects:
+        a_src, a_dst = C.morphisms[alpha]
+        for beta in objects:
+            b_src, b_dst = C.morphisms[beta]
+            for u, ends_u in C.morphisms.items():
+                if ends_u != (b_src, a_src):
+                    continue
+                for v, ends_v in C.morphisms.items():
+                    if ends_v == (a_dst, b_dst) and C.compose(v, C.compose(alpha, u)) == beta:
+                        name = f"{alpha}|{beta}|{u}|{v}"
+                        morphisms[name] = (alpha, beta)
+                        parts[name] = (u, v)
+    identities = {alpha: f"{alpha}|{alpha}|{C.identity_of(C.morphisms[alpha][0])}"
+                         f"|{C.identity_of(C.morphisms[alpha][1])}" for alpha in objects}
+    composition = {}
+    for name1, (alpha, beta) in morphisms.items():
+        u1, v1 = parts[name1]
+        for name2, (beta2, gamma) in morphisms.items():
+            if beta2 == beta:
+                u2, v2 = parts[name2]
+                composition[(name2, name1)] = \
+                    f"{alpha}|{gamma}|{C.compose(u1, u2)}|{C.compose(v2, v1)}"
+    return FiniteCategory(objects, morphisms, composition, identities)
+
+
 def reference_chains(C: FiniteCategory, n: int):
     """All length-n strings of composable morphisms as (start object, names)."""
     if n == 0:
@@ -808,6 +844,67 @@ def reference_bar_complex(C: FiniteCategory, F: FiniteDiagram, top: int) -> Free
                           for i in range(1, n + 1))
         boundaries.append(assemble_blocks(sizes[n - 1], sizes[n], blocks))
     return FreeChainComplex([sum(level) for level in sizes], boundaries)
+
+
+def reference_normalize(X: CubesTable, F) -> ComplexBuildReport:
+    """The generic normalized complex of a table, by the per-cube walk over every cube.
+
+    A cube z that degeneracies s_i x reach keeps the cokernel pair (P, S)
+    of their matrices side by side, and refuses it when the cokernel has
+    torsion; any other cube keeps (I, I). All pairs come first, dimension by
+    dimension. Then, for every cube z, the signed face matrices that land on
+    one cube w whose P_w has rows are summed into one raw block d: for every
+    s_i x = z, P_w * d times the degeneracy matrix of x must vanish, and
+    P_w * d * S_z goes into the boundary.
+    """
+    if F.base is not X and F.base.keys != X.keys:
+        raise ValueError("system is defined on a different table")
+    if F.variance != "contravariant":
+        raise ValueError("chain complexes take contravariant coefficients")
+    arrivals, blocks = [], []
+    for n in range(X.top + 1):
+        arriving = [[] for _ in range(X.size(n))]
+        for i in range(1, n + 1):
+            for x, z in enumerate(X.degen_map[(n - 1, i)]):
+                arriving[z].append((i, x))
+        level = []
+        for z, arrived in enumerate(arriving):
+            r = F.rank_of(n, z)
+            if not arrived:
+                level.append((IntMatrix.identity(r), IntMatrix.identity(r)))
+                continue
+            mats = [F.degen[(n - 1, i)][x] for i, x in arrived]
+            pres = cokernel_projection(IntMatrix.from_blocks(
+                [r], [m.cols for m in mats], [(0, p, m, 1) for p, m in enumerate(mats)]))
+            if pres.torsion:
+                raise ValueError(
+                    f"degenerate quotient at dim {n} cube {X.key(n, z)} has torsion "
+                    f"{pres.torsion}; coefficient system is not functorial")
+            level.append((pres.projection, pres.section))
+        arrivals.append(arriving)
+        blocks.append(level)
+    row_sizes = [[p.rows for p, _ in level] for level in blocks]
+    boundaries = []
+    for n in range(1, X.top + 1):
+        out = []
+        for z in range(X.size(n)):
+            terms = {}
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    w = X.face[(n, i, eps)][z]
+                    if row_sizes[n - 1][w]:
+                        terms.setdefault(w, []).append(
+                            (0, 0, F.face[(n, i, eps)][z], (-1) ** (i + eps)))
+            for w, t in terms.items():
+                d = blocks[n - 1][w][0] * IntMatrix.from_blocks(
+                    [F.rank_of(n - 1, w)], [F.rank_of(n, z)], t)
+                for i, x in arrivals[n][z]:
+                    if not (d * F.degen[(n - 1, i)][x]).is_zero():
+                        raise ValueError(
+                            f"boundary does not preserve degenerate chains at dimension {n}")
+                out.append((w, z, d * blocks[n][z][1], 1))
+        boundaries.append(assemble_blocks(row_sizes[n - 1], row_sizes[n], out))
+    return ComplexBuildReport(FreeChainComplex([sum(s) for s in row_sizes], boundaries), blocks)
 
 
 def reference_normalize_local(X: CubesTable, F) -> ComplexBuildReport:
@@ -849,14 +946,14 @@ def reference_normalize_local(X: CubesTable, F) -> ComplexBuildReport:
             terms = {}
             for i in range(1, n + 1):
                 for eps in (0, 1):
-                    w = X.face_index(n, i, eps, z)
+                    w = X.face[(n, i, eps)][z]
                     if row_sizes[w]:
                         terms.setdefault(w, []).append(
-                            (0, 0, F.face_matrix(n, i, eps, z), (-1) ** (i + eps)))
+                            (0, 0, F.face[(n, i, eps)][z], (-1) ** (i + eps)))
             for w, t in terms.items():
                 d = IntMatrix.from_blocks([row_sizes[w]], [F.rank_of(n, z)], t)
                 for i, x in arrivals[n][z]:
-                    if not (d * F.degen_matrix(n - 1, i, x)).is_zero():
+                    if not (d * F.degen[(n - 1, i)][x]).is_zero():
                         raise ValueError(
                             f"boundary does not preserve degenerate chains at dimension {n}")
                 if col_sizes[z]:

@@ -567,9 +567,9 @@ class TestNerve:
         nerve = cubical_nerve(helpers.arrow_category(), 2)
         key = "00:0,01:0,10:0,11:1;00-10:0_0,00-01:0_0,01-11:0_1,10-11:0_1"
         idx = nerve.index[2][key]
-        low = nerve.face_index(2, 1, 0, idx)
+        low = nerve.face[(2, 1, 0)][idx]
         assert nerve.key(1, low) == "0:0,1:0;0-1:0_0"
-        high = nerve.face_index(2, 1, 1, idx)
+        high = nerve.face[(2, 1, 1)][idx]
         assert nerve.key(1, high) == "0:0,1:1;0-1:0_1"
 
 
@@ -664,7 +664,7 @@ class TestNerveReference:
         # degenerate; with e on two parallel edges and 1 on the others it is
         nerve = cubical_nerve(helpers.idempotent_monoid(), 2)
         verts = "00:o,01:o,10:o,11:o;"
-        flags = {nerve.key(2, k): nerve.is_degenerate(2, k) for k in range(nerve.size(2))}
+        flags = {nerve.key(2, k): nerve.degenerate[2][k] for k in range(nerve.size(2))}
         assert flags[verts + "00-10:e,00-01:e,01-11:e,10-11:e"] is False
         assert flags[verts + "00-10:e,00-01:1,01-11:e,10-11:1"] is True
         assert len(nerve.nondegenerate_indices(2)) == 7
@@ -679,6 +679,19 @@ class TestFactorization:
     def test_fixture_factorizations_validate(self):
         for C in all_fixture_categories():
             assert factorization_category(C).validate() == []
+
+    @pytest.mark.parametrize("op", [False, True])
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_scan_of_all_quadruples(self, k, op):
+        # the same objects, arrows, composites and identities, inserted in
+        # the same order, as helpers.reference_factorization's scan
+        C = (all_fixture_categories() + [helpers.idempotent_monoid(),
+                                         helpers.cyclic3_monoid()])[k]
+        C = C.op() if op else C
+        got, want = factorization_category(C), helpers.reference_factorization(C)
+        assert got.objects == want.objects
+        for part in ("morphisms", "composition", "identities"):
+            assert list(getattr(got, part).items()) == list(getattr(want, part).items())
 
     def test_arrow_decompositions(self):
         fc = factorization_category(helpers.arrow_category())
@@ -715,9 +728,9 @@ class TestNerveSystems:
         sys = system_from_diagram_last_vertex(z2, F, nerve)
         assert validate_functoriality(sys) == []
         # the low face of the flip edge travels along g, the high face stays
-        assert sys.face_matrix(1, 1, 0, nerve.index[1]["0:o,1:o;0-1:g"]) == \
+        assert sys.face[(1, 1, 0)][nerve.index[1]["0:o,1:o;0-1:g"]] == \
             IntMatrix.from_rows([[-1]])
-        assert sys.face_matrix(1, 1, 1, nerve.index[1]["0:o,1:o;0-1:g"]) == \
+        assert sys.face[(1, 1, 1)][nerve.index[1]["0:o,1:o;0-1:g"]] == \
             IntMatrix.identity(1)
 
     def test_last_vertex_degeneracies_share_one_identity_per_rank(self):

@@ -1495,6 +1495,19 @@ class TestCommands:
                                            f"the budget of one table\n")
         assert not (tmp_path / "product.json").exists()
 
+    def test_high_dimensional_generator_validates_quickly(self, tmp_path, capsys):
+        # one 120-cube whose faces are all the point: the face commutation
+        # is checked at dimension 120 alone, not at every dimension below it
+        face = "p@del:" + ",".join(map(str, range(1, 120)))
+        X = write(tmp_path, "cube.json", {
+            "type": "cubical-set", "generators": {"p": 0, "g": 120},
+            "faces": {"g": {f"{i},{eps}": face for i in range(1, 121) for eps in (0, 1)}}})
+        start = time.perf_counter()
+        code = main(["validate", "--set", X])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert capsys.readouterr() == ("ok\n", "")
+
     def test_cat_homology_sign(self, tmp_path, capsys):
         C = write(tmp_path, "z2.json",
                   formats.category_to_data(helpers.cyclic2_monoid()))

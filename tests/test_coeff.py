@@ -105,12 +105,10 @@ class TestColumnLayout:
             assert len(col) == base.size(n)
             for idx, m in enumerate(col):
                 assert isinstance(m, IntMatrix)
-                assert m is F.face_matrix(n, i, eps, idx)
         for (m_, i), col in F.degen.items():
             assert len(col) == base.size(m_)
             for idx, m in enumerate(col):
                 assert isinstance(m, IntMatrix)
-                assert m is F.degen_matrix(m_, i, idx)
         assert validate_functoriality(F) == []
 
 
@@ -177,7 +175,7 @@ class TestLocal:
         F = helpers.monodromy_circle()
         assert validate_functoriality(F) == []
         assert is_local(F)
-        assert F.face_matrix(1, 1, 1, F.base.index[1]["e@x1"]) == IntMatrix.from_rows([[-1]])
+        assert F.face[(1, 1, 1)][F.base.index[1]["e@x1"]] == IntMatrix.from_rows([[-1]])
 
     def test_degeneracies_are_identity(self):
         rng = random.Random(13)

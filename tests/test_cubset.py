@@ -1,6 +1,7 @@
 """Tests for presented cubical sets, tables, maps, products, and fibers."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -27,6 +28,11 @@ from helpers import apply_morphism, apply_to_cube, epi_mono_factorize
 
 def hom_count(m, n):
     return sum(comb(m, k) * comb(n, k) * 2 ** (n - k) for k in range(min(m, n) + 1))
+
+
+def cube_count(X, n):
+    """The n-cubes of a presented set: comb(n, k) per k-dimensional generator, one per deletion."""
+    return sum(comb(n, k) for k in X.generators.values())
 
 
 PRESENTED = {
@@ -106,7 +112,7 @@ class TestExpansion:
         table = helpers.twisted_square().expand(2)
         for n in range(3):
             for idx, c in enumerate(table.elements[n]):
-                assert table.is_degenerate(n, idx) == c.is_degenerate()
+                assert table.degenerate[n][idx] == c.is_degenerate()
 
     @pytest.mark.parametrize("name", ["circle", "torus", "twisted_square", "squashed_square",
                                       "square", "universal_wedge"])
@@ -123,11 +129,11 @@ class TestExpansion:
         for n in range(1, 4):
             for i in range(1, n + 1):
                 for eps in (0, 1):
-                    assert [table.element(n - 1, j) for j in table.face[(n, i, eps)]] == \
+                    assert [table.elements[n - 1][j] for j in table.face[(n, i, eps)]] == \
                         [apply_morphism(X, face(n, i, eps), c) for c in table.elements[n]]
         for m in range(3):
             for i in range(1, m + 2):
-                assert [table.element(m + 1, j) for j in table.degen_map[(m, i)]] == \
+                assert [table.elements[m + 1][j] for j in table.degen_map[(m, i)]] == \
                     [apply_morphism(X, degeneracy(m + 1, i), c) for c in table.elements[m]]
 
     @pytest.mark.parametrize("name, top", [("torus", 5), ("twisted_square", 4),
@@ -486,8 +492,8 @@ class TestCubicalMap:
             for i in range(1, n + 1):
                 for eps in (0, 1):
                     for idx in range(tx.size(n)):
-                        assert tm[n - 1][tx.face_index(n, i, eps, idx)] \
-                            == ty.face_index(n, i, eps, tm[n][idx])
+                        assert tm[n - 1][tx.face[(n, i, eps)][idx]] \
+                            == ty.face[(n, i, eps)][tm[n][idx]]
 
 
 PRODUCT_PAIRS = {
@@ -514,11 +520,36 @@ class TestProduct:
         # expanded, and it is exact: one cube less than the product refuses it
         A, B = PRODUCT_PAIRS[name]
         size = sum(product(A, B, 4).size(n) for n in range(5))
-        assert size == sum(A.cube_count(n) * B.cube_count(n) for n in range(5))
+        assert size == sum(cube_count(A, n) * cube_count(B, n) for n in range(5))
         monkeypatch.setattr(cubset, "EXPANSION_CUBE_BUDGET", size - 1)
         with pytest.raises(ValueError, match=f"the product to dimension 4 has {size} "
                                              f"cubes, more than {size - 1}, the budget"):
             product(A, B, 4)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_PAIRS))
+    def test_counts_match_sums_over_dimensions(self, name, monkeypatch):
+        # expand and product count in closed form; with no budget left,
+        # each refusal states its count, which is the sum over dimensions
+        A, B = PRODUCT_PAIRS[name]
+        monkeypatch.setattr(cubset, "EXPANSION_CUBE_BUDGET", -1)
+        for top in range(30):
+            want = sum(cube_count(A, n) * cube_count(B, n) for n in range(top + 1))
+            with pytest.raises(ValueError, match=f"dimension {top} has {want} cubes,"):
+                product(A, B, top)
+            want = sum(cube_count(A, n) for n in range(top + 1))
+            with pytest.raises(ValueError, match=f"dimension {top} gives {want} cubes,"):
+                A.expand(top)
+
+    def test_huge_truncation_refused_quickly(self):
+        # the circle has n + 1 cubes of dimension n, so the counts at top T
+        # are a sum of integers and a sum of squares
+        T = 10 ** 8
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"has {(T + 1) * (T + 2) * (2 * T + 3) // 6} cubes"):
+            product(helpers.circle(), helpers.circle(), T)
+        with pytest.raises(ValueError, match=f"gives {(T + 1) * (T + 2) // 2} cubes"):
+            helpers.circle().expand(T)
+        assert time.perf_counter() - start < 2.0
 
     def test_product_over_budget_refused_up_front(self):
         # I^2 x I^2 would hold 72,461,168 cubes at top 64; expand would refuse
@@ -551,7 +582,7 @@ class TestProduct:
             for idx, (a, b) in enumerate(table.elements[n]):
                 da = set(range(1, n + 1)) - set(a.epi.tokens)
                 db = set(range(1, n + 1)) - set(b.epi.tokens)
-                assert table.is_degenerate(n, idx) == bool(da & db)
+                assert table.degenerate[n][idx] == bool(da & db)
         assert table.validate() == []
 
 

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from cubehom import homcalc
 from cubehom.catalg import bar_complex, cubical_nerve
 from cubehom.coeff import (
+    ContravariantSystem,
     check_generator_matrices,
     constant_system,
+    direct_image,
     extend_semicubical,
     local_system,
     pullback_system,
@@ -245,6 +247,47 @@ class TestLocalReference:
             F.degen = helpers.with_entry(F.degen, (1, 1), x[k], IntMatrix.from_rows([[0]]))
             got = build_outcome(lambda X, F: normalized_complex_local(X, F, checked=True), X, F)
             assert got == build_outcome(helpers.reference_normalize_local, X, F) == refusal
+
+
+GENERIC_MAPS = {"fold_wedge": helpers.fold_wedge, "endpoint_inclusion": helpers.endpoint_inclusion,
+                "collapse_torus": lambda: helpers.collapse_to_point(helpers.torus()),
+                "collapse_interval": lambda: helpers.collapse_to_point(helpers.interval()),
+                "identity_twisted_square": lambda: helpers.identity_map(helpers.twisted_square()),
+                "square_to_interval": helpers.square_to_interval}
+
+
+class TestGenericReference:
+    """The generic builder against helpers.reference_normalize, the per-cube walk."""
+
+    @pytest.mark.parametrize("name, rank", [(name, rank) for name in GENERIC_MAPS
+                                            for rank in (1, 2)] + [("extension", 0)])
+    def test_matches_per_cube_walk(self, name, rank):
+        # direct images are the systems only the generic route takes; each
+        # is built as it stands, then with every face entry doubled and with
+        # every degeneracy entry set to zero or doubled, one entry at a time,
+        # which reaches the degenerate-chain guard and the torsion refusal
+        if name == "extension":
+            F = extend_semicubical(helpers.weighted_torus_system(), 2)
+        else:
+            f = GENERIC_MAPS[name]()
+            F = direct_image(f, helpers.gauge_system(f.source, 3, rank, random.Random(rank)))
+        variants = [F]
+        for op, col in F.face.items():
+            variants += [ContravariantSystem(F.base, F.ranks, helpers.with_entry(
+                F.face, op, idx, m + m), F.degen) for idx, m in enumerate(col)]
+        for op, col in F.degen.items():
+            variants += [ContravariantSystem(F.base, F.ranks, F.face, helpers.with_entry(
+                F.degen, op, idx, value)) for idx, m in enumerate(col)
+                for value in (IntMatrix.zeros(m.rows, m.cols), m + m)]
+        outcomes = []
+        for G in variants:
+            got = build_outcome(normalized_complex, G.base, G)
+            assert got == build_outcome(helpers.reference_normalize, G.base, G)
+            outcomes.append(got)
+        assert not isinstance(outcomes[0], str), outcomes[0]
+        refusals = [o for o in outcomes if isinstance(o, str)]
+        assert any("has torsion" in o for o in refusals)
+        assert any("does not preserve degenerate chains" in o for o in refusals)
 
 
 class TestHomologyOracles:
@@ -625,7 +668,7 @@ class TestFiberCriterion:
             cubes = [(n, idx) for n in range(top + 1) for idx in range(ty.size(n))]
             assert [(r.dim, r.key) for r in rep.rows] == [(n, ty.key(n, idx)) for n, idx in cubes]
             for row, (n, idx) in zip(rep.rows, cubes):
-                fib = pullback_fiber(f, ty.element(n, idx), top)
+                fib = pullback_fiber(f, ty.elements[n][idx], top)
                 assert row.groups == homology(fib, constant_system(fib, 1), max_dim)
 
 
@@ -665,7 +708,7 @@ class TestFiberCells:
             rep = fiber_criterion(f, max_dim, top)
         # one complex per target cube, in the order of the rows
         got = built[sum(ty.size(m) for m in range(n)) + iy]
-        fib = pullback_fiber(f, ty.element(n, iy), top)
+        fib = pullback_fiber(f, ty.elements[n][iy], top)
         want = normalized_complex_local(fib, constant_system(fib, 1)).complex
         assert len(built) == len(rep.rows)
         assert (got.ranks, got.sparse) == (want.ranks, want.sparse)
