@@ -528,11 +528,17 @@ class CubicalMap:
         return out
 
 
+def by_image(images: Sequence[int]) -> dict[int, list[int]]:
+    """{image: the indices with that image, increasing}."""
+    over = {}
+    for i, img in enumerate(images):
+        over.setdefault(img, []).append(i)
+    return over
+
+
 def _equal_pairs(images_a: Sequence[int], images_b: Sequence[int]) -> list[tuple[int, int]]:
     """The pairs (ia, ib) with images_a[ia] == images_b[ib], ordered by ia and then ib."""
-    over = {}
-    for ib, img in enumerate(images_b):
-        over.setdefault(img, []).append(ib)
+    over = by_image(images_b)
     return [(ia, ib) for ia, img in enumerate(images_a) for ib in over.get(img, ())]
 
 
@@ -594,10 +600,15 @@ def _representable(d: int, top: int) -> tuple[CubesTable, list[list[int]]]:
     Its k-cubes are hom_set(k, d) in token order, keyed by token words; face
     (i, eps) of alpha is alpha . face(k, i, eps) and its i-th degeneracy is
     alpha . degeneracy(k + 1, i). Both are shared by every caller, which
-    only reads them. It is counted as standard_cube(d).expand(top) counts it
-    and refused past EXPANSION_CUBE_BUDGET before any arrow is listed.
+    only reads them. It is counted in closed form, comb(d, j) 2^(d - j) comb(top + 1, j + 1)
+    arrows keeping j coordinates, and refused past EXPANSION_CUBE_BUDGET before any
+    arrow is listed; first on the j = 0 term alone, (top + 1) 2^d, with d capped at 64.
     """
-    cubes = sum(comb(d, j) * comb(k, j) << (d - j) for k in range(top + 1) for j in range(d + 1))
+    if (top + 1) << min(d, 64) > EXPANSION_CUBE_BUDGET:
+        raise ValueError(f"the representable I^{d} to dimension {top} has at least "
+                         f"{top + 1} * 2^{d} cubes, more than {EXPANSION_CUBE_BUDGET}, "
+                         f"the budget of one table")
+    cubes = sum(comb(d, j) * comb(top + 1, j + 1) << (d - j) for j in range(d + 1))
     if cubes > EXPANSION_CUBE_BUDGET:
         raise ValueError(f"the representable I^{d} to dimension {top} has {cubes} cubes, "
                          f"more than {EXPANSION_CUBE_BUDGET}, the budget of one table")
@@ -625,24 +636,31 @@ def fiber_source(f: CubicalMap, top: int, ty: CubesTable):
     return tx, f.table_map(tx, ty), tx.degeneracy_masks()
 
 
-def _over_cube(ty: CubesTable, d: int, iy: int, top: int):
-    """The leg (I^d, y.alpha, masks) of the fiber over the d-cube iy = y of ty."""
+def _over_cubes(ty: CubesTable, d: int, cubes: list[int], top: int):
+    """The leg (I^d, y.alpha, masks) of the fibers over the d-cubes y in cubes, at once.
+
+    y.alpha[k][a], k <= top, lists over cubes the images of the k-arrow a, each one gather
+    through one column of ty: a mono below d is a face of a mono one level up, and an arrow
+    not using i is s_i of its face (i, 0); any face gives the same value, by the cubical
+    identities that expand guarantees.
+    """
     cube, cube_masks = _representable(d, max(top, d))
-    y_alpha = [[None] * cube.size(k) for k in range(cube.top + 1)]
-    # the identity goes to y, and a mono below d to a face of a mono one level up
-    y_alpha[d][cube.index[d][identity(d).token_word()]] = iy
+    alphas = [[None] * cube.size(k) for k in range(cube.top + 1)]
+    alphas[d][cube.index[d][identity(d).token_word()]] = cubes
     for k in range(d, 0, -1):
         for b in cube.nondegenerate_indices(k):
             for i in range(1, k + 1):
                 for eps in (0, 1):
-                    y_alpha[k - 1][cube.face[(k, i, eps)][b]] = ty.face[(k, i, eps)][y_alpha[k][b]]
-    # alpha not using coordinate i is s_i of its face (i, 0)
+                    a, column = cube.face[(k, i, eps)][b], ty.face[(k, i, eps)]
+                    if alphas[k - 1][a] is None:
+                        alphas[k - 1][a] = [column[z] for z in alphas[k][b]]
     for k, masks in enumerate(cube_masks[1:top + 1], start=1):
         for a, mask in enumerate(masks):
             if mask:
                 i = (mask & -mask).bit_length() - 1
-                y_alpha[k][a] = ty.degen_map[(k - 1, i)][y_alpha[k - 1][cube.face[(k, i, 0)][a]]]
-    return cube, y_alpha, cube_masks
+                column = ty.degen_map[(k - 1, i)]
+                alphas[k][a] = [column[z] for z in alphas[k - 1][cube.face[(k, i, 0)][a]]]
+    return cube, alphas[:top + 1], cube_masks
 
 
 def pullback_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
@@ -651,11 +669,13 @@ def pullback_fiber(f: CubicalMap, y: Cube, top: int) -> CubesTable:
     It is the pullback of f along the map I^d -> Y that picks y, d = dim y:
     a k-cube is a pair (x, alpha) with x a k-cube of the source and
     alpha: I^k -> I^d satisfying f(x) = y.alpha, keyed "x;alpha". y.alpha
-    is read off the target's columns by _over_cube, and _pullback pairs the
+    is read off the target's columns by _over_cubes, and _pullback pairs the
     source's leg (fiber_source) with the table of I^d.
     """
     ty = f.target.expand(max(top, y.dim))
     iy = ty.index[y.dim].get(y.key())
     if iy is None:
         raise ValueError(f"{y!r} is not a cube of the target's table")
-    return _pullback(fiber_source(f, top, ty), _over_cube(ty, y.dim, iy, top), ";")
+    cube, alphas, masks = _over_cubes(ty, y.dim, [iy], top)
+    alphas = [[v for v, in level] for level in alphas]
+    return _pullback(fiber_source(f, top, ty), (cube, alphas, masks), ";")

@@ -12,8 +12,9 @@ from functools import lru_cache
 from itertools import product
 
 from .coeff import ContravariantSystem, is_local, transpose_system
-from .cubset import (CubesTable, CubicalMap, PresentedCubicalSet, SemiCubicalSet, _equal_pairs,
-                     _over_cube, _representable, fiber_source, universal_from_semicubical)
+from .cubset import (EXPANSION_CUBE_BUDGET, CubesTable, CubicalMap, PresentedCubicalSet,
+                     SemiCubicalSet, _over_cubes, _representable, by_image, fiber_source,
+                     universal_from_semicubical)
 from .zlinalg import (
     FreeChainComplex,
     HomologyGroup,
@@ -279,19 +280,19 @@ class FiberCriterionReport(namedtuple("FiberCriterionReport", "passed rows")):
     __slots__ = ()
 
 
-def _fiber_row(source, ty: CubesTable, n: int, iy: int, max_dim: int, top: int) -> FiberRow:
+def _fiber_row(source, ty: CubesTable, n: int, iy: int, leg, max_dim: int, top: int) -> FiberRow:
     """Homology of the fiber over the n-cube iy of ty, from the cells of X x_Y I^n.
 
-    source is fiber_source's leg over ty. The cells are the non-degenerate
-    pairs of pullback_fiber's table, in its order, and face (i, eps) of a
-    pair is the pair of faces (i, eps), so the complex is _local_complex's
-    with a rank-1 constant system. Its degenerate-chain guard is vacuous, as
-    every matrix is one 1 x 1 identity; cell_complex still checks d . d = 0.
+    source is (tx, over, masks), over[k] the source's k-cubes by their image in ty, and leg
+    (I^n, y.alpha, masks). The cells are the non-degenerate pairs (x, alpha) with x over
+    y.alpha, in the order of pullback_fiber's table, and face (i, eps) of a pair is the
+    pair of faces (i, eps), so the complex is _local_complex's with a rank-1 constant
+    system. Its degenerate-chain guard is vacuous, as every matrix is one 1 x 1
+    identity; cell_complex still checks d . d = 0.
     """
-    tx, images, masks = source
-    cube, alphas, cube_masks = _over_cube(ty, n, iy, top)
-    cells = [[(x, a) for x, a in _equal_pairs(images[k], alphas[k])
-              if not masks[k][x] & cube_masks[k][a]] for k in range(top + 1)]
+    (tx, over, masks), (cube, alphas, cube_masks) = source, leg
+    cells = [sorted((x, a) for a, img in enumerate(alphas[k]) for x in over[k].get(img, ())
+                    if not masks[k][x] & cube_masks[k][a]) for k in range(top + 1)]
     one = IntMatrix.identity(1)
     cx = cell_complex(cells, [[1] * len(level) for level in cells], lambda k: (
         ((tx.face[(k, i, eps)][x], cube.face[(k, i, eps)][a]), p, one, (-1) ** (i + eps))
@@ -305,11 +306,11 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     """Check that every fiber of f has the homology of a point.
 
     Every cube of the target's truncation at top is tested; fibers are
-    truncated at top as well, so top must be at least max_dim + 1. Source
-    and target are expanded once, and the source's table and images are
-    shared by every fiber, as are the tables of the representables; the
-    largest, I^top to top, is built (or refused) before anything else. No
-    fiber table or system is built (see _fiber_row).
+    truncated at top as well, so top must be at least max_dim + 1. I^top to top is built
+    (or refused) before anything else. Source and target are expanded once; the source's
+    table, its cubes indexed by image and its masks are shared by every fiber, and the
+    n-cubes of the target share _over_cubes in blocks whose y.alpha tables hold at most
+    EXPANSION_CUBE_BUDGET entries. No fiber table or system is built (see _fiber_row).
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -318,7 +319,14 @@ def fiber_criterion(f: CubicalMap, max_dim: int, top: int) -> FiberCriterionRepo
     if f.target.generators:
         _representable(top, top)
     ty = f.target.expand(top)
-    source = fiber_source(f, top, ty)
-    rows = tuple(_fiber_row(source, ty, n, iy, max_dim, top)
-                 for n in range(ty.top + 1) for iy in range(ty.size(n)))
-    return FiberCriterionReport(all(r.ok for r in rows), rows)
+    tx, images, masks = fiber_source(f, top, ty)
+    source = tx, [by_image(level) for level in images], masks
+    rows = []
+    for n in range(top + 1 if f.target.generators else 0):
+        step = EXPANSION_CUBE_BUDGET // sum(map(_representable(n, top)[0].size, range(top + 1)))
+        for start in range(0, ty.size(n), step):
+            block = range(start, min(start + step, ty.size(n)))
+            cube, alphas, cube_masks = _over_cubes(ty, n, list(block), top)
+            rows += [_fiber_row(source, ty, n, iy, (cube, column, cube_masks), max_dim, top)
+                     for iy, column in zip(block, zip(*[zip(*level) for level in alphas]))]
+    return FiberCriterionReport(all(r.ok for r in rows), tuple(rows))

@@ -1470,6 +1470,18 @@ class TestCommands:
                                            f"108545 cubes, more than {EXPANSION_CUBE_BUDGET}, "
                                            f"the budget of one table\n")
 
+    def test_fiber_sweep_of_large_representable_refused_quickly(self, tmp_path, capsys):
+        # I^1000 to 1000 is refused on its vertices alone, 1001 * 2^1000, before any sum
+        ident = write(tmp_path, "id.json", formats.cubical_map_to_data(
+            helpers.identity_map(helpers.point())))
+        start = time.perf_counter()
+        code = main(["fiber-criterion", "--map", ident, "--max-dim", "0", "--truncate", "1000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: the representable I^1000 to dimension 1000 "
+                                           f"has at least 1001 * 2^1000 cubes, more than "
+                                           f"{EXPANSION_CUBE_BUDGET}, the budget of one table\n")
+
     def test_string_complex_over_budget_refused_quickly(self, tmp_path, capsys):
         # Z/3 has 2^n strings of length n of its two non-identity elements
         z3 = helpers.cyclic3_monoid()

@@ -1,6 +1,7 @@
 """Tests for presented cubical sets, tables, maps, products, and fibers."""
 
 import random
+import re
 import time
 from math import comb
 
@@ -689,6 +690,35 @@ class TestPullbackFiber:
         for m in range(2):
             for x, alpha in fib.elements[m]:
                 assert apply_to_cube(f, x) == apply_morphism(f.target, alpha, y)
+
+
+    @pytest.mark.parametrize("name", ["torus", "twisted_square", "squashed_square", "square"])
+    def test_batched_y_alpha_is_apply_morphism(self, name):
+        # y.alpha for every d-cube at once, each arrow against its general action on each cube;
+        # at top 1 the d-cubes of dimension 2 and 3 sit above the truncation
+        X = {"torus": helpers.torus(), "twisted_square": helpers.twisted_square(),
+             "squashed_square": helpers.squashed_square(), "square": standard_cube(2)}[name]
+        ty = X.expand(3)
+        for top in (1, 3):
+            for d in range(4):
+                cube, alphas, _ = cubset._over_cubes(ty, d, list(range(ty.size(d))), top)
+                assert len(alphas) == top + 1
+                for k, level in enumerate(alphas):
+                    for alpha, images in zip(cube.elements[k], level):
+                        assert [ty.elements[k][z] for z in images] == [
+                            apply_morphism(X, alpha, y) for y in ty.elements[d]]
+
+    def test_representable_count_is_closed_form(self, monkeypatch):
+        # with one cube less than the double sum over k <= top and j as the budget, the
+        # refusal states the closed-form count, or the j = 0 term when it is the whole count
+        for d in range(11):
+            for top in range(11):
+                want = sum(hom_count(k, d) for k in range(top + 1))
+                monkeypatch.setattr(cubset, "EXPANSION_CUBE_BUDGET", want - 1)
+                stated = (f"at least {top + 1} * 2^{d}" if (top + 1) << d == want else want)
+                with pytest.raises(ValueError, match=re.escape(
+                        f"I^{d} to dimension {top} has {stated} cubes, more than {want - 1},")):
+                    cubset._representable.__wrapped__(d, top)
 
 
 class TestTableMap:

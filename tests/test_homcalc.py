@@ -632,6 +632,19 @@ class TestTruncation:
         assert homology_of_complex(cx.truncate(2)) == homology_of_complex(cx)[:2]
 
 
+FIBER_MAPS = {
+    "id interval": lambda: helpers.identity_map(helpers.interval()),
+    "id I^2": lambda: helpers.identity_map(standard_cube(2)),
+    "id squashed square": lambda: helpers.identity_map(helpers.squashed_square()),
+    "interval to point": lambda: helpers.collapse_to_point(helpers.interval()),
+    "I^2 to point": lambda: helpers.collapse_to_point(standard_cube(2)),
+    "torus to point": lambda: helpers.collapse_to_point(helpers.torus()),
+    "fold wedge": helpers.fold_wedge,
+    "square to interval": helpers.square_to_interval,
+    "endpoint inclusion": helpers.endpoint_inclusion,
+}
+
+
 class TestFiberCriterion:
     def test_identity_passes(self):
         X = helpers.interval()
@@ -660,33 +673,45 @@ class TestFiberCriterion:
             fiber_criterion(f, 2, 2)
 
     def test_rows_match_fibers_computed_alone(self):
-        for f, max_dim, top in ((helpers.collapse_to_point(standard_cube(2)), 1, 3),
-                                (helpers.square_to_interval(), 1, 2),
-                                (helpers.fold_wedge(), 0, 2)):
+        # each row against the fiber built by the definition, not by the criterion's helpers
+        max_dim, top = 1, 3
+        for make in FIBER_MAPS.values():
+            f = make()
             rep = fiber_criterion(f, max_dim, top)
             ty = f.target.expand(top)
             cubes = [(n, idx) for n in range(top + 1) for idx in range(ty.size(n))]
             assert [(r.dim, r.key) for r in rep.rows] == [(n, ty.key(n, idx)) for n, idx in cubes]
             for row, (n, idx) in zip(rep.rows, cubes):
-                fib = pullback_fiber(f, ty.elements[n][idx], top)
+                fib = helpers.reference_fiber(f, ty.elements[n][idx], top)
                 assert row.groups == homology(fib, constant_system(fib, 1), max_dim)
 
+    @pytest.mark.parametrize("name", sorted(FIBER_MAPS))
+    def test_blocks_bounded_and_rows_unchanged(self, name, monkeypatch):
+        # a budget of one fiber's y.alpha table at dimension top forces blocks of
+        # several cubes below it and of one cube at it; no block's table passes it
+        f, max_dim, top = FIBER_MAPS[name](), 1, 3
+        want = fiber_criterion(f, max_dim, top)
+        budget = sum(len(level) for level in homcalc._over_cubes(
+            f.target.expand(top), top, [0], top)[1])
+        blocks, over_cubes = [], homcalc._over_cubes
 
-FIBER_MAPS = {
-    "id interval": lambda: helpers.identity_map(helpers.interval()),
-    "id I^2": lambda: helpers.identity_map(standard_cube(2)),
-    "id squashed square": lambda: helpers.identity_map(helpers.squashed_square()),
-    "interval to point": lambda: helpers.collapse_to_point(helpers.interval()),
-    "I^2 to point": lambda: helpers.collapse_to_point(standard_cube(2)),
-    "torus to point": lambda: helpers.collapse_to_point(helpers.torus()),
-    "fold wedge": helpers.fold_wedge,
-    "square to interval": helpers.square_to_interval,
-    "endpoint inclusion": helpers.endpoint_inclusion,
-}
+        def record(ty, d, cubes, top):
+            leg = over_cubes(ty, d, cubes, top)
+            blocks.append((d, len(cubes), sum(len(l) * len(l[0]) for l in leg[1])))
+            return leg
+
+        monkeypatch.setattr(homcalc, "EXPANSION_CUBE_BUDGET", budget)
+        monkeypatch.setattr(homcalc, "_over_cubes", record)
+        assert fiber_criterion(f, max_dim, top) == want
+        assert all(entries <= budget for _, _, entries in blocks)
+        ty = f.target.expand(top)
+        assert [sum(m for d, m, _ in blocks if d == n) for n in range(top + 1)] == [
+            ty.size(n) for n in range(top + 1)]
+        assert [m for d, m, _ in blocks if d == top] == [1] * ty.size(top)
 
 
 class TestFiberCells:
-    """The criterion's fiber complexes against the local builder on pullback_fiber's table."""
+    """The criterion's fiber complexes against the local builder on the reference fiber table."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -708,7 +733,7 @@ class TestFiberCells:
             rep = fiber_criterion(f, max_dim, top)
         # one complex per target cube, in the order of the rows
         got = built[sum(ty.size(m) for m in range(n)) + iy]
-        fib = pullback_fiber(f, ty.elements[n][iy], top)
+        fib = helpers.reference_fiber(f, ty.elements[n][iy], top)
         want = normalized_complex_local(fib, constant_system(fib, 1)).complex
         assert len(built) == len(rep.rows)
         assert (got.ranks, got.sparse) == (want.ranks, want.sparse)
